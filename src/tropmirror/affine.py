@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import (
@@ -26,10 +27,10 @@ from .diagram import (
     edge_anchor,
     edge_direction,
     locate_face,
-    validate,
+    parse_edge_ref,
 )
 from .lattice import QPoint, Vec, dot, vsub
-from .monodromy import Matrix, edge_covector, mat_apply, standard_form_matrix
+from .monodromy import Matrix, crossing_matrix, edge_covector, mat_apply, standard_form_matrix
 
 Q = Fraction
 
@@ -72,16 +73,38 @@ class CutPresentation:
     def n(self) -> int:
         return self.diagram.dim + 1
 
+    @cached_property
+    def cut_of(self) -> dict[EdgeRef, Cut]:
+        return {c.ref: c for c in self.cuts}
+
     def tau_of(self, ref: EdgeRef) -> Fraction:
-        for c in self.cuts:
-            if c.ref == ref:
-                return c.tau
-        raise AffineError(f"{ref} has no cut")
+        if ref not in self.cut_of:
+            raise AffineError(f"{ref} has no cut")
+        return self.cut_of[ref].tau
+
+
+def path_from_json(data) -> list[QPoint]:
+    """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
+    try:
+        points = data["path"]
+        if not all(isinstance(p, list) for p in points):
+            raise TypeError("a path point is not a list of coordinates")
+        return [tuple(Q(c) for c in p) for p in points]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AffineError(f"malformed path JSON: {exc}") from exc
+
+
+def tau_from_json(data) -> dict[EdgeRef, Fraction]:
+    """Per-edge cut heights from a tau file: {"edge0": "1/2", ...}."""
+    try:
+        return {parse_edge_ref(k): Q(v) for k, v in data.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise AffineError(f"malformed tau JSON: {exc}") from exc
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:
     """One cut per bounded edge and ray, glued by the standard-form matrices."""
-    report = validate(diag)
+    report = diag.report
     if not report.ok:
         raise AffineError("diagram fails axioms: " + ", ".join(report.failed_axioms()))
     refs = diag.edge_refs()
@@ -97,23 +120,6 @@ def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) ->
     return CutPresentation(diag, tuple(cuts))
 
 
-def _face_cut_heights(pres: CutPresentation, face: int) -> list[Fraction]:
-    diag = pres.diagram
-    if diag.dim == 1:
-        order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
-        refs = []
-        if face > 0:
-            refs.append(EdgeRef("point", order[face - 1]))
-        if face < len(order):
-            refs.append(EdgeRef("point", order[face]))
-        return [pres.tau_of(r) for r in refs]
-    from .diagram import faces as face_complex
-
-    fc = face_complex(diag)
-    refs = {d.ref for d in fc.faces[face].darts}
-    return [pres.tau_of(r) for r in refs]
-
-
 def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
     """Classify a base point: V_plus above the wall slab of its face, V_minus
     below, wall(face) inside it.  Points over the diagram itself error out.
@@ -126,7 +132,8 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
     face = locate_face(diag, x)
     if face is None:
         raise AffineError("on wall")
-    taus = _face_cut_heights(pres, face)
+    # the cuts bounding the face are the edges dual to its sides
+    taus = [pres.tau_of(ref) for ref, sides in diag.dual.edge_duality if face in sides]
     if t > max(taus):
         return V_PLUS
     if t < min(taus):
@@ -166,10 +173,7 @@ def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Cros
     found: list[tuple[Fraction, Crossing]] = []
     for cut in pres.cuts:
         cov = cut.covector
-        if diag.dim == 1:
-            anchor = diag.vertices[cut.ref.index]
-        else:
-            anchor = edge_anchor(diag, cut.ref)
+        anchor = edge_anchor(diag, cut.ref)
         fa = dot(cov, vsub(axy, anchor))
         fb = dot(cov, vsub(bxy, anchor))
         if fa == fb:
@@ -245,10 +249,8 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
         raise AffineError("covector dimension mismatch")
     for a, b in zip(pts, pts[1:]):
         for crossing in _segment_crossings(pres, a, b):
-            cov = edge_covector(pres.diagram, crossing.ref)
-            if crossing.sign < 0:
-                cov = tuple(-c for c in cov)
-            v = mat_apply(standard_form_matrix(cov, pres.n), v)
+            cut = pres.cut_of[crossing.ref]
+            v = mat_apply(crossing_matrix(cut.covector, crossing.sign, pres.n), v)
     return v
 
 

@@ -155,16 +155,6 @@ def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None)
     return AnalyticSeries(dim, tuple(kept), chamber, box, Q(truncation))
 
 
-def series_add(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
-    if a.chamber != b.chamber:
-        raise AnalyticError("cannot add series on different chambers")
-    if a.families or b.families:
-        raise AnalyticError("materialize cone families before arithmetic")
-    return series(
-        list(a.terms) + list(b.terms), a.chamber, a.box, min(a.truncation, b.truncation), a.dim
-    )
-
-
 def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
     if a.chamber != b.chamber:
         raise AnalyticError("cannot multiply series on different chambers")
@@ -175,12 +165,6 @@ def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
         for mb in b.terms:
             out.append(Monomial(nov_mul(ma.coeff, mb.coeff), vadd(ma.expo, mb.expo)))
     return series(out, a.chamber, a.box, min(a.truncation, b.truncation), a.dim)
-
-
-def series_truncate(a: AnalyticSeries, E) -> AnalyticSeries:
-    E = Q(E)
-    kept = [m for m in a.terms if monomial_val_on_box(m, a.box) < E]
-    return AnalyticSeries(a.dim, tuple(kept), a.chamber, a.box, E, a.families)
 
 
 def series_eq_mod(a: AnalyticSeries, b: AnalyticSeries, E) -> bool:

@@ -15,7 +15,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .affine import AffineError, build_cut_presentation, transport_covector
+from .affine import (
+    AffineError,
+    build_cut_presentation,
+    path_from_json,
+    tau_from_json,
+    transport_covector,
+)
 from .analytic import (
     AnalyticError,
     eval_series,
@@ -30,8 +36,6 @@ from .diagram import (
     diagram_to_json,
     dual_subdivision,
     is_smooth,
-    parse_edge_ref,
-    validate,
 )
 from .lattice import LatticeError
 from .mirror import (
@@ -151,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     diag = _load_diagram(args.diagram)
-    report = validate(diag)
+    report = diag.report
     sys.stdout.write(_dumps(report.to_json()))
     return 0 if report.ok else 1
 
@@ -216,13 +220,9 @@ def _cmd_mirror(args) -> int:
 
 def _cmd_transport(args) -> int:
     diag = _load_diagram(args.diagram)
-    tau = None
-    if args.tau:
-        raw = _load_json(args.tau)
-        tau = {parse_edge_ref(k): Q(v) for k, v in raw.items()}
+    tau = tau_from_json(_load_json(args.tau)) if args.tau else None
     pres = build_cut_presentation(diag, tau)
-    path_data = _load_json(args.path)
-    path = [tuple(Q(c) for c in p) for p in path_data["path"]]
+    path = path_from_json(_load_json(args.path))
     g = tuple(int(c) for c in args.covector.split(","))
     result = transport_covector(pres, path, g)
     sys.stdout.write(_dumps({"class": list(g), "result": list(result)}))

@@ -113,6 +113,42 @@ class TropicalDiagram:
             EdgeRef("ray", r) for r in range(len(self.rays))
         ]
 
+    # Derived geometry: computed on first use and stored on this instance, so
+    # every layer shares one copy.  The diagram is frozen, so the facts never
+    # go stale; dataclasses.replace gives a fresh object with nothing cached.
+
+    @functools.cached_property
+    def report(self) -> ValidationReport:
+        return validate(self)
+
+    @functools.cached_property
+    def stars(self) -> tuple[tuple[tuple[EdgeRef, Vec], ...], ...]:
+        """Per vertex, its outgoing (edge reference, direction) pairs: edges, then rays."""
+        stars: list[list[tuple[EdgeRef, Vec]]] = [[] for _ in self.vertices]
+        for k, (i, j) in enumerate(self.edges):
+            ref = EdgeRef("edge", k)
+            d = edge_direction(self, ref)
+            stars[i].append((ref, d))
+            stars[j].append((ref, vneg(d)))
+        for r, (i, d) in enumerate(self.rays):
+            stars[i].append((EdgeRef("ray", r), d))
+        return tuple(tuple(s) for s in stars)
+
+    @functools.cached_property
+    def face_complex(self) -> FaceComplex:
+        return faces(self)
+
+    @functools.cached_property
+    def dual(self) -> DualSubdivision:
+        """The glued dual subdivision in the default gauge; see dual_subdivision."""
+        return _glue(self)
+
+    @functools.cached_property
+    def heights(self) -> tuple[Fraction, ...]:
+        """face_heights at the zero base point, in the default gauge, by face id."""
+        heights = face_heights(self)
+        return tuple(heights[f] for f in range(len(heights)))
+
 
 def edge_direction(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
     """Canonical primitive direction: stored order for edges, outgoing for rays."""
@@ -183,18 +219,9 @@ class ValidationReport:
         }
 
 
-def _vertex_star(diag: TropicalDiagram, v: int) -> list[tuple[EdgeRef, Vec]]:
+def _vertex_star(diag: TropicalDiagram, v: int) -> tuple[tuple[EdgeRef, Vec], ...]:
     """Outgoing (edge reference, primitive direction) pairs at a vertex."""
-    star = []
-    for k, (i, j) in enumerate(diag.edges):
-        if i == v:
-            star.append((EdgeRef("edge", k), edge_direction(diag, EdgeRef("edge", k))))
-        elif j == v:
-            star.append((EdgeRef("edge", k), vneg(edge_direction(diag, EdgeRef("edge", k)))))
-    for r, (i, d) in enumerate(diag.rays):
-        if i == v:
-            star.append((EdgeRef("ray", r), d))
-    return star
+    return diag.stars[v]
 
 
 def validate(diag: TropicalDiagram) -> ValidationReport:
@@ -205,8 +232,7 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
     balanced = True
     primitive_dirs = True
     offenders: list[tuple[str, str]] = []
-    for v in range(len(diag.vertices)):
-        star = _vertex_star(diag, v)
+    for v, star in enumerate(diag.stars):
         if len(star) != 3:
             trivalent = False
             offenders.append(("trivalent", f"vertex {v} has valence {len(star)}"))
@@ -396,25 +422,6 @@ class DualSubdivision:
     edge_duality: tuple[tuple[EdgeRef, tuple[int, int]], ...]  # ref -> (left, right) faces
     root_face: int
 
-    def dual_edge(self, ref: EdgeRef) -> tuple[int, int]:
-        for r, pair in self.edge_duality:
-            if r == ref:
-                return pair
-        raise DiagramError(f"{ref} has no dual edge")
-
-    def point_of(self, face: int) -> Vec:
-        return self.lattice_points[face]
-
-
-def _require_dualizable(diag: TropicalDiagram) -> ValidationReport:
-    report = validate(diag)
-    failed = [a for a in report.failed_axioms() if a != "connected"]
-    if failed:
-        raise DiagramError("diagram fails axioms: " + ", ".join(failed))
-    if not report.connected:
-        raise DiagramError("diagram fails axioms: connected")
-    return report
-
 
 def default_root_face(points: Sequence[Vec]) -> int:
     """The face whose dual vertex minimizes the coordinate sum (lex tie-break).
@@ -425,32 +432,34 @@ def default_root_face(points: Sequence[Vec]) -> int:
     return min(range(len(points)), key=lambda i: (sum(points[i]), points[i]))
 
 
-def dual_subdivision(
-    diag: TropicalDiagram, root_face: Optional[int] = None, sign: int = 1
+def _gauge(
+    points: Sequence[Vec], cells, duality, root_face: Optional[int], sign: int
 ) -> DualSubdivision:
-    """Dual lattice subdivision of a validated diagram.
+    """Reflect the dual points by the sign gauge and put the root face at the origin."""
+    points = [tuple(sign * c for c in p) for p in points]
+    root = default_root_face(points) if root_face is None else root_face
+    if not 0 <= root < len(points):
+        raise DiagramError("root face out of range")
+    shift = points[root]
+    return DualSubdivision(tuple(vsub(p, shift) for p in points), cells, duality, root)
 
-    One lattice point per face of the complement, one cell per diagram vertex,
-    dual edges orthogonal to the diagram edges they cross.
-    """
-    if sign not in (1, -1):
-        raise DiagramError("sign gauge must be +1 or -1")
+
+def _glue(diag: TropicalDiagram) -> DualSubdivision:
+    """Glue the local vertex cells into the dual subdivision, in the default gauge."""
+    report = diag.report
+    # connectivity is named only when the local axioms hold
+    failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
+    if failed:
+        raise DiagramError("diagram fails axioms: " + ", ".join(failed))
     if diag.dim == 1:
-        _require_dualizable(diag)
         order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
-        k = len(diag.vertices)
+        k = len(order)
         # face j is the j-th interval from the left; its dual coordinate is k-j
-        points = [(sign * (k - j),) for j in range(k + 1)]
-        duality = []
-        for pos, i in enumerate(order):
-            duality.append((EdgeRef("point", i), (pos, pos + 1)))
-        root = default_root_face(points) if root_face is None else root_face
-        shift = points[root]
-        points = [vsub(p, shift) for p in points]
-        return DualSubdivision(tuple(points), (), tuple(duality), root)
+        points = [(k - j,) for j in range(k + 1)]
+        duality = tuple((EdgeRef("point", i), (pos, pos + 1)) for pos, i in enumerate(order))
+        return _gauge(points, (), duality, None, 1)
 
-    _require_dualizable(diag)
-    complex_ = faces(diag)
+    complex_ = diag.face_complex
     nfaces = len(complex_.faces)
 
     # local cell of each vertex: faces in ccw dart order with corner offsets
@@ -512,40 +521,40 @@ def dual_subdivision(
     if any(p is None for p in positions):
         raise DiagramError("a face received no dual position")
 
-    points = [tuple(sign * c for c in p) for p in positions]
-    root = default_root_face(points) if root_face is None else root_face
-    if not 0 <= root < nfaces:
-        raise DiagramError("root face out of range")
-    shift = points[root]
-    points = [vsub(p, shift) for p in points]
-
-    triangles = []
-    for v in range(len(diag.vertices)):
-        triangles.append(tuple(sorted(local[v].keys())))
+    triangles = tuple(tuple(sorted(cell)) for cell in local)
     duality = []
     for ref in diag.edge_refs():
         left, right = complex_.edge_sides[ref]
-        dual_vec = vsub(points[left], points[right])
-        d = edge_direction(diag, ref)
-        if dot(dual_vec, d) != 0:
+        if dot(vsub(positions[left], positions[right]), edge_direction(diag, ref)) != 0:
             raise DiagramError(f"dual edge of {ref} is not orthogonal")
         duality.append((ref, (left, right)))
+    return _gauge(positions, triangles, tuple(duality), None, 1)
 
-    return DualSubdivision(tuple(points), tuple(triangles), tuple(duality), root)
+
+def dual_subdivision(
+    diag: TropicalDiagram, root_face: Optional[int] = None, sign: int = 1
+) -> DualSubdivision:
+    """Dual lattice subdivision of a validated diagram.
+
+    One lattice point per face of the complement, one cell per diagram vertex,
+    dual edges orthogonal to the diagram edges they cross.  The gluing is done
+    once per diagram (``diag.dual``); a non-default gauge is applied to it.
+    """
+    if sign not in (1, -1):
+        raise DiagramError("sign gauge must be +1 or -1")
+    dual = diag.dual
+    if root_face is None and sign == 1:
+        return dual
+    return _gauge(dual.lattice_points, dual.triangles, dual.edge_duality, root_face, sign)
 
 
 def is_smooth(diag: TropicalDiagram) -> bool:
     """True iff every cell of the dual subdivision has lattice area 1/2."""
-    dual = dual_subdivision(diag)
-    if diag.dim == 1:
-        return True
-    for tri in dual.triangles:
-        if len(tri) != 3:
-            return False
-        a, b, c = (dual.lattice_points[i] for i in tri)
-        if lattice_triangle_area(a, b, c) != Q(1, 2):
-            return False
-    return True
+    points = diag.dual.lattice_points
+    return all(
+        len(cell) == 3 and lattice_triangle_area(*(points[i] for i in cell)) == Q(1, 2)
+        for cell in diag.dual.triangles
+    )
 
 
 # --- face heights and point location ------------------------------------
@@ -559,9 +568,10 @@ def face_heights(
     The diagram is the corner locus of min over faces of h(F) + <alpha_F, x - b>;
     these heights are pinned by h(root) = 0 and the increments
     h(left) = h(right) + <alpha_right - alpha_left, p - b> across each edge,
-    which are constant along the edge by orthogonality (asserted).
+    which are constant along the edge by orthogonality (asserted).  The dual
+    defaults to the diagram's own, in the default gauge.
     """
-    dual = dual_subdivision(diag) if dual is None else dual
+    dual = diag.dual if dual is None else dual
     if base is None:
         base = tuple(Q(0) for _ in range(diag.dim))
     base = tuple(Q(c) for c in base)
@@ -596,27 +606,17 @@ def face_heights(
     return heights
 
 
-def locate_face(
-    diag: TropicalDiagram, x: QPoint, dual: Optional[DualSubdivision] = None
-) -> Optional[int]:
-    """Face of the complement containing x, or None if x lies on the diagram."""
+def locate_face(diag: TropicalDiagram, x: QPoint) -> Optional[int]:
+    """Face of the complement containing x, or None if x lies on the diagram.
+
+    The face is the unique minimizer of h(F) + <alpha_F, x>; on the diagram
+    the minimum is attained twice.
+    """
     x = tuple(Q(c) for c in x)
-    if diag.dim == 1:
-        pos = sorted((v[0], i) for i, v in enumerate(diag.vertices))
-        if any(w == x[0] for w, _ in pos):
-            return None
-        count = sum(1 for w, _ in pos if w < x[0])
-        return count
-    dual = dual_subdivision(diag) if dual is None else dual
-    heights = face_heights(diag, None, dual)
-    values = {
-        f: heights[f] + dot(dual.lattice_points[f], x) for f in range(len(dual.lattice_points))
-    }
-    best = min(values.values())
-    winners = [f for f, val in values.items() if val == best]
-    if len(winners) != 1:
-        return None
-    return winners[0]
+    values = [h + dot(alpha, x) for h, alpha in zip(diag.heights, diag.dual.lattice_points)]
+    best = min(values)
+    winners = [f for f, val in enumerate(values) if val == best]
+    return winners[0] if len(winners) == 1 else None
 
 
 # --- dual vertex cones ---------------------------------------------------

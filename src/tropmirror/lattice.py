@@ -31,10 +31,6 @@ def vec(*coords: int) -> Vec:
     return tuple(int(c) for c in coords)
 
 
-def qpoint(*coords) -> QPoint:
-    return tuple(Fraction(c) for c in coords)
-
-
 def vadd(a: Sequence, b: Sequence) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -45,10 +41,6 @@ def vsub(a: Sequence, b: Sequence) -> tuple:
 
 def vneg(a: Sequence) -> tuple:
     return tuple(-x for x in a)
-
-
-def vscale(k, a: Sequence) -> tuple:
-    return tuple(k * x for x in a)
 
 
 def dot(a: Sequence, b: Sequence):
@@ -228,9 +220,6 @@ class Box:
             ranges.append(range(start, stop + 1))
         for p in itertools.product(*ranges):
             yield p
-
-    def contains(self, p: Sequence) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(p, self.intervals, strict=True))
 
 
 def box(*intervals) -> Box:

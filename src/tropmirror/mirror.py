@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram, dual_subdivision, face_heights
@@ -63,11 +64,13 @@ class CorrectionMap:
             self, "terms", tuple((tuple(int(a) for a in al), c) for al, c in self.terms)
         )
 
+    @cached_property
+    def _by_vertex(self) -> dict[Vec, NovikovElement]:
+        # reversed, so that the first entry of a repeated vertex wins
+        return dict(reversed(self.terms))
+
     def get(self, alpha: Vec) -> NovikovElement:
-        for a, c in self.terms:
-            if a == alpha:
-                return c
-        return nov()
+        return self._by_vertex.get(alpha, nov())
 
     def support(self) -> set[Vec]:
         return {a for a, _ in self.terms}
@@ -89,10 +92,6 @@ def corrections_from_json(data) -> CorrectionMap:
     return CorrectionMap(terms)
 
 
-def corrections_to_json(cm: CorrectionMap) -> list:
-    return [{"vertex": list(a), "series": nov_to_json(c)} for a, c in cm.terms]
-
-
 def _term_sort_key(alpha: Vec):
     return (sum(alpha), tuple(reversed(alpha)))
 
@@ -104,11 +103,14 @@ class Superpotential:
     root: Vec
     truncation: Fraction
 
+    @cached_property
+    def _by_vertex(self) -> dict[Vec, NovikovElement]:
+        return dict(self.terms)
+
     def coefficient(self, alpha: Vec) -> NovikovElement:
-        for a, c in self.terms:
-            if a == alpha:
-                return c
-        raise MirrorError(f"{alpha} is not in the superpotential support")
+        if alpha not in self._by_vertex:
+            raise MirrorError(f"{alpha} is not in the superpotential support")
+        return self._by_vertex[alpha]
 
     def support(self) -> tuple[Vec, ...]:
         return tuple(a for a, _ in self.terms)

@@ -22,7 +22,6 @@ from .diagram import (
     _dart_direction,
     default_root_face,
     edge_direction,
-    faces,
     is_smooth,
 )
 from .lattice import Vec, is_primitive, rot_minus90, vadd, vsub
@@ -82,6 +81,13 @@ def standard_form_matrix(cov: Sequence[int], n: int) -> Matrix:
     return tuple(rows)
 
 
+def crossing_matrix(cov: Sequence[int], sign: int, n: int) -> Matrix:
+    """Gluing matrix of a signed crossing: M(cov) forward, M(-cov) = M(cov)^-1 back."""
+    if sign not in (1, -1):
+        raise MonodromyError("crossing signs must be +1 or -1")
+    return standard_form_matrix(tuple(sign * c for c in cov), n)
+
+
 Loop = tuple[tuple[EdgeRef, int], ...]
 
 
@@ -94,12 +100,7 @@ def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
     n = diag.dim + 1
     total = identity_matrix(n)
     for ref, sign in loop:
-        if sign not in (1, -1):
-            raise MonodromyError("crossing signs must be +1 or -1")
-        cov = edge_covector(diag, ref)
-        if sign < 0:
-            cov = tuple(-c for c in cov)
-        total = mat_mul(standard_form_matrix(cov, n), total)
+        total = mat_mul(crossing_matrix(edge_covector(diag, ref), sign, n), total)
     return total
 
 
@@ -109,9 +110,6 @@ class DualGraphEmbedding:
     adjacency: tuple[tuple[int, int], ...]
     root_face: int
 
-    def as_set(self) -> set[Vec]:
-        return set(self.positions)
-
 
 def build_dual_graph(
     diag: TropicalDiagram, root_face: Optional[int] = None, sign: int = 1
@@ -120,32 +118,20 @@ def build_dual_graph(
 
     Crossing an edge from its right face to its left face adds the edge
     covector.  Tree independence is verified on the non-tree edges (the sum of
-    covectors around every loop vanishes).
+    covectors around every loop vanishes).  Only the face adjacency is shared
+    with the glued dual subdivision; the positions are an independent check
+    of its lattice points.
     """
     if sign not in (1, -1):
         raise MonodromyError("sign gauge must be +1 or -1")
     if not is_smooth(diag):
         raise MonodromyError("diagram is not smooth")
-    if diag.dim == 1:
-        order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
-        k = len(diag.vertices)
-        pos = [(0,)] * (k + 1)
-        # walk right to left: face j is left of face j+1 across the j-th point
-        for j in range(k - 1, -1, -1):
-            pos[j] = vadd(pos[j + 1], (sign * edge_covector(diag, EdgeRef("point", order[j]))[0],))
-        adjacency = tuple((j, j + 1) for j in range(k))
-        root = default_root_face(pos) if root_face is None else root_face
-        shift = pos[root]
-        return DualGraphEmbedding(tuple(vsub(p, shift) for p in pos), adjacency, root)
-
-    complex_ = faces(diag)
-    nfaces = len(complex_.faces)
+    nfaces = len(diag.dual.lattice_points)
     positions: list[Optional[Vec]] = [None] * nfaces
-    positions[0] = (0, 0)
+    positions[0] = (0,) * diag.dim
     edge_pairs = []
     adjacency: dict[int, list[tuple[int, Vec]]] = {i: [] for i in range(nfaces)}
-    for ref in diag.edge_refs():
-        left, right = complex_.edge_sides[ref]
+    for ref, (left, right) in diag.dual.edge_duality:
         cov = tuple(sign * c for c in edge_covector(diag, ref))
         adjacency[right].append((left, cov))
         adjacency[left].append((right, tuple(-c for c in cov)))
@@ -176,8 +162,7 @@ def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
 
     Its monodromy is the identity: this is the cocycle relation in matrix form.
     """
-    complex_ = faces(diag)
-    ring = complex_.rotations[v]
+    ring = diag.face_complex.rotations[v]
     word = []
     for dart in ring:
         d = edge_direction(diag, dart.ref)

@@ -1,10 +1,17 @@
 import json
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+import tropmirror.diagram
 from helpers import random_smooth_web
+from tropmirror.affine import build_cut_presentation, chamber_of
+from tropmirror.charges import build_web, charges_from_json
+from tropmirror.cli import run
+from tropmirror.monodromy import build_dual_graph
 from tropmirror.diagram import (
     DiagramError,
     TropicalDiagram,
@@ -132,6 +139,14 @@ def test_root_face_override():
     assert other.lattice_points[other.root_face] == (0, 0)
 
 
+def test_root_face_out_of_range():
+    for diag in (c3(), TropicalDiagram(1, ((Q(0),), (Q(2),)))):
+        nfaces = len(dual_subdivision(diag).lattice_points)
+        for bad in (-1, nfaces):
+            with pytest.raises(DiagramError, match="out of range"):
+                dual_subdivision(diag, root_face=bad)
+
+
 def test_is_smooth_c3():
     assert is_smooth(c3())
 
@@ -217,9 +232,9 @@ def test_face_heights_base_point_covariance():
 def test_locate_face():
     diag = c3()
     dual = dual_subdivision(diag)
-    f = locate_face(diag, (Q(2), Q(2)), dual)
+    f = locate_face(diag, (Q(2), Q(2)))
     assert dual.lattice_points[f] == (0, 0)
-    assert locate_face(diag, (Q(1), Q(0)), dual) is None  # on a ray
+    assert locate_face(diag, (Q(1), Q(0))) is None  # on a ray
     d1 = TropicalDiagram(1, ((Q(0),), (Q(2),)))
     assert locate_face(d1, (Q(-1),)) == 0
     assert locate_face(d1, (Q(1),)) == 1
@@ -243,3 +258,62 @@ def test_json_rationals_as_strings():
 def test_malformed_json():
     with pytest.raises(DiagramError, match="malformed"):
         diagram_from_json({"dim": 2})
+
+
+# --- derived geometry is computed once per diagram ---------------------------
+
+KP2 = os.path.join(os.path.dirname(__file__), "..", "diagrams", "kp2.json")
+
+
+def _count_face_builds(monkeypatch) -> list:
+    calls = []
+    real = tropmirror.diagram.faces
+
+    def counted(diag):
+        calls.append(diag)
+        return real(diag)
+
+    monkeypatch.setattr(tropmirror.diagram, "faces", counted)
+    return calls
+
+
+def test_dual_command_builds_the_face_complex_once(monkeypatch, capsys):
+    calls = _count_face_builds(monkeypatch)
+    assert run(["dual", KP2]) == 0
+    assert json.loads(capsys.readouterr().out)["embedding_matches_subdivision"] is True
+    assert len(calls) == 1
+
+
+def test_chamber_queries_share_one_face_complex(monkeypatch):
+    calls = _count_face_builds(monkeypatch)
+    with open(KP2, encoding="utf-8") as fh:
+        q, heights = charges_from_json(json.load(fh))
+    pres = build_cut_presentation(build_web(q, heights).diagram)
+    rng = random.Random(8)
+    for _ in range(20):
+        x, y = (Q(rng.randint(-5000, 5000), 997) for _ in range(2))
+        t = Q(rng.choice((-1, 1)) * rng.randint(1, 50), 7)
+        assert str(chamber_of(pres, (x, y, t))) == ("V_plus" if t > 0 else "V_minus")
+    assert len(calls) <= 1
+
+
+def test_warm_diagram_matches_a_fresh_equal_one():
+    rng = random.Random(2024)
+    for _ in range(8):
+        warm = random_smooth_web(rng)
+        nfaces = len(dual_subdivision(warm).lattice_points)
+        k = rng.randrange(nfaces)
+        points = [(Q(rng.randint(-90, 90), 17), Q(rng.randint(-90, 90), 17)) for _ in range(5)]
+        calls = [
+            lambda d: dual_subdivision(d),
+            lambda d: dual_subdivision(d, sign=-1),
+            lambda d: dual_subdivision(d, root_face=k),
+            lambda d: build_dual_graph(d),
+            lambda d: build_dual_graph(d, root_face=k, sign=-1),
+            lambda d: [locate_face(d, x) for x in points],
+            lambda d: dual_subdivision(d),
+        ]
+        for call in calls:
+            fresh = replace(warm)
+            assert fresh == warm and "dual" not in vars(fresh)
+            assert call(warm) == call(fresh)

@@ -64,7 +64,7 @@ def test_face_heights_loop_consistency():
             from tropmirror.diagram import locate_face
 
             x = (Q(rng.randint(-40, 40), 13), Q(rng.randint(-40, 40), 13))
-            f = locate_face(web, x, dual)
+            f = locate_face(web, x)
             if f is not None:
                 values = {
                     g: heights[g] + dot(dual.lattice_points[g], vsub(x, b))

@@ -230,3 +230,24 @@ def test_cli_transport_tau(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == [1, 1]
     assert run(["transport", path("focus_focus.json"), "--path", str(pf), "--class", "0,1", "--tau", str(tf)]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "option, content, message",
+    [
+        ("--path", {"points": [["0", "0"]]}, "malformed path JSON"),
+        ("--path", {"path": 5}, "malformed path JSON"),
+        ("--path", {"path": ["12", "34"]}, "malformed path JSON"),
+        ("--tau", [["point0", "-2"]], "malformed tau JSON"),
+    ],
+)
+def test_cli_transport_malformed_json(tmp_path, capsys, option, content, message):
+    files = {"--path": tmp_path / "path.json", "--tau": tmp_path / "tau.json"}
+    files["--path"].write_text(json.dumps({"path": [["-1", "-1"], ["1", "-1"]]}))
+    files["--tau"].write_text(json.dumps({"point0": "-2"}))
+    files[option].write_text(json.dumps(content))
+    argv = ["transport", path("focus_focus.json"), "--class", "0,1"]
+    argv += ["--path", str(files["--path"]), "--tau", str(files["--tau"])]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}: ")
