@@ -29,7 +29,7 @@ from .diagram import (
     locate_face,
     parse_edge_ref,
 )
-from .lattice import QPoint, Vec, dot, vsub
+from .lattice import QPoint, Vec, coords_from_json, dot, vsub
 from .monodromy import Matrix, crossing_matrix, edge_covector, mat_apply, standard_form_matrix
 
 Q = Fraction
@@ -86,10 +86,7 @@ class CutPresentation:
 def path_from_json(data) -> list[QPoint]:
     """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
     try:
-        points = data["path"]
-        if not all(isinstance(p, list) for p in points):
-            raise TypeError("a path point is not a list of coordinates")
-        return [tuple(Q(c) for c in p) for p in points]
+        return [coords_from_json(p) for p in data["path"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise AffineError(f"malformed path JSON: {exc}") from exc
 

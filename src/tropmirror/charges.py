@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .diagram import TropicalDiagram
-from .lattice import Vec, cross2, dot, primitive, vneg, vsub
+from .lattice import Vec, convex_hull, cross2, dot, primitive, vneg, vsub
 
 Q = Fraction
 
@@ -232,65 +233,116 @@ class RegularSubdivision:
         return {i for c in self.cells for i in c.indices}
 
 
+def _orient3(a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int]) -> int:
+    """det(b - a, c - a, d - a) of integer lifted points (x, y, z).
+
+    It equals cross2 of (b - a, c - a) in the plane times the height of d
+    above the plane through a, b, c: for a counterclockwise a, b, c it is
+    positive above the plane, zero on it and negative below.
+    """
+    b0, b1, b2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    c0, c1, c2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    d0, d1, d2 = d[0] - a[0], d[1] - a[1], d[2] - a[2]
+    return b0 * (c1 * d2 - c2 * d1) - b1 * (c0 * d2 - c2 * d0) + b2 * (c0 * d1 - c1 * d0)
+
+
+def _wrap(lifted: Sequence[Vec], a: int, b: int) -> int | None:
+    """The point whose plane through a, b is lowest left of a -> b, or None.
+
+    Candidates are the points strictly left of a -> b in the plane.  Rotating
+    a plane about the lifted edge orders them totally, so one scan that keeps
+    the candidate with no other candidate below its plane finds the next
+    lower face (gift wrapping).
+    """
+    pa, pb = lifted[a], lifted[b]
+    ex, ey = pb[0] - pa[0], pb[1] - pa[1]
+    best = None
+    for t, pt in enumerate(lifted):
+        if ex * (pt[1] - pa[1]) - ey * (pt[0] - pa[0]) <= 0:
+            continue
+        if best is None or _orient3(pa, pb, lifted[best], pt) < 0:
+            best = t
+    return best
+
+
+def _cell_plane(
+    pts: Sequence[Vec], hts: Sequence[Fraction], key: tuple[int, ...]
+) -> SubdivisionCell:
+    """The cell on the given points, with the affine interpolant of their heights."""
+    i, j = key[0], key[1]
+    d1 = vsub(pts[j], pts[i])
+    k = next(k for k in key[2:] if cross2(d1, vsub(pts[k], pts[i])) != 0)
+    d2 = vsub(pts[k], pts[i])
+    det = cross2(d1, d2)
+    rh1 = hts[j] - hts[i]
+    rh2 = hts[k] - hts[i]
+    sx = Q(rh1 * d2[1] - rh2 * d1[1], det)
+    sy = Q(rh2 * d1[0] - rh1 * d2[0], det)
+    c0 = hts[i] - (sx * pts[i][0] + sy * pts[i][1])
+    return SubdivisionCell(key, (sx, sy), c0)
+
+
 def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubdivision:
-    """Lower convex hull subdivision of lifted points (exact rationals)."""
+    """Lower convex hull subdivision of lifted points (exact rationals).
+
+    The cells are the lower faces of the points lifted by their heights
+    (scaled by the lcm of the height denominators, so every predicate is an
+    integer determinant).  They are found by gift wrapping from face to face
+    across the corner-to-corner edges of each cell, in O(F m) predicates for
+    F cells and m points.  Each cell lists every point on its plane, so
+    non-simplicial cells keep their interior and edge points.
+    """
     pts = [tuple(int(c) for c in p) for p in points]
     hts = [Q(h) for h in heights]
     if len(pts) != len(hts):
         raise ChargeError("height vector length mismatch")
     if len(pts) < 3:
         raise ChargeError("need at least three points")
-    cells: dict[tuple[int, ...], SubdivisionCell] = {}
-    m = len(pts)
-    for i, j, k in itertools.combinations(range(m), 3):
-        d1 = vsub(pts[j], pts[i])
-        d2 = vsub(pts[k], pts[i])
-        det = cross2(d1, d2)
-        if det == 0:
-            continue
-        # affine interpolant through the three lifted points
-        rh1 = hts[j] - hts[i]
-        rh2 = hts[k] - hts[i]
-        sx = Q(rh1 * d2[1] - rh2 * d1[1], det)
-        sy = Q(rh2 * d1[0] - rh1 * d2[0], det)
-        c0 = hts[i] - (sx * pts[i][0] + sy * pts[i][1])
-        below = True
-        equal = []
-        for t in range(m):
-            val = sx * pts[t][0] + sy * pts[t][1] + c0
-            if val > hts[t]:
-                below = False
-                break
-            if val == hts[t]:
-                equal.append(t)
-        if not below:
-            continue
-        key = tuple(sorted(equal))
-        if key not in cells:
-            cells[key] = SubdivisionCell(key, (sx, sy), c0)
-    if not cells:
+    index: dict[Vec, int] = {}
+    for i, p in enumerate(pts):
+        if p in index:
+            raise ChargeError(f"repeated point {p} at indices {index[p]}, {i}")
+        index[p] = i
+    hull = convex_hull(pts)
+    if len(hull) < 3:
         raise ChargeError("point configuration is degenerate (all collinear)")
+    scale = math.lcm(*(h.denominator for h in hts))
+    lifted = [(x, y, h.numerator * (scale // h.denominator)) for (x, y), h in zip(pts, hts)]
+
+    # start: the lex-least point is a hull corner; the point of least slope
+    # from it along the counterclockwise hull edge spans a lower edge (any
+    # two such points span the same lifted line)
+    p0 = index[hull[0]]
+    d = vsub(hull[1], hull[0])
+    on_edge = [t for t in range(len(pts)) if t != p0 and cross2(d, vsub(pts[t], pts[p0])) == 0]
+
+    def slope(t: int) -> Fraction:
+        return Q(lifted[t][2] - lifted[p0][2], dot(d, vsub(pts[t], pts[p0])))
+
+    p1 = min(on_edge, key=slope)
+
+    cells: dict[tuple[int, ...], SubdivisionCell] = {}
+    crossed: set[tuple[int, int]] = set()
+    todo = [(p0, p1, _wrap(lifted, p0, p1))]
+    while todo:
+        a, b, c = todo.pop()
+        la, lb, lc = lifted[a], lifted[b], lifted[c]
+        key = tuple(t for t in range(len(pts)) if _orient3(la, lb, lc, lifted[t]) == 0)
+        if key in cells:
+            continue
+        cells[key] = _cell_plane(pts, hts, key)
+        corners = [index[p] for p in convex_hull([pts[t] for t in key])]
+        for u, v in zip(corners, corners[1:] + corners[:1]):
+            edge = (min(u, v), max(u, v))
+            if edge in crossed:
+                continue
+            crossed.add(edge)
+            # the neighbour lies right of u -> v, i.e. left of v -> u
+            w = _wrap(lifted, v, u)
+            if w is not None:
+                todo.append((v, u, w))
     ordered = tuple(cells[k] for k in sorted(cells))
     return RegularSubdivision(tuple(pts), tuple(hts), ordered)
-
-
-def _hull_corners(points: Sequence[Vec]) -> list[Vec]:
-    """Strict convex hull corners, counterclockwise (monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
 
 
 def _cell_boundary_edges(sub: RegularSubdivision, cell: SubdivisionCell) -> list[tuple[int, int]]:
@@ -302,7 +354,7 @@ def _cell_boundary_edges(sub: RegularSubdivision, cell: SubdivisionCell) -> list
     idx = list(cell.indices)
     if len(idx) == 3:
         return [tuple(sorted(p)) for p in itertools.combinations(idx, 2)]
-    corners = _hull_corners([sub.points[i] for i in idx])
+    corners = convex_hull([sub.points[i] for i in idx])
     edges: list[tuple[int, int]] = []
     m = len(corners)
     for t in range(m):

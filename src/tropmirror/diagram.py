@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from .lattice import (
     QPoint,
     Vec,
+    coords_from_json,
     cross2,
     dot,
     is_primitive,
@@ -228,6 +229,10 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
     """Check the semi-toric axioms; failures are reported, not raised."""
     if diag.dim == 1:
         return ValidationReport(True, True, True, True)
+    if not diag.vertices:
+        # a web with no vertex has no faces, so nothing downstream can run
+        offenders = (("connected", "empty diagram has no vertices"),)
+        return ValidationReport(True, True, True, False, offenders)
     trivalent = True
     balanced = True
     primitive_dirs = True
@@ -680,9 +685,9 @@ def diagram_from_json(data) -> TropicalDiagram:
         data = json.loads(data)
     try:
         dim = int(data["dim"])
-        vertices = tuple(tuple(Q(c) for c in v) for v in data["vertices"])
-        edges = tuple((int(i), int(j)) for i, j in data.get("edges", []))
-        rays = tuple((int(r["at"]), tuple(int(c) for c in r["dir"])) for r in data.get("rays", []))
+        vertices = tuple(coords_from_json(v) for v in data["vertices"])
+        edges = tuple((i, j) for i, j in (coords_from_json(e, int) for e in data.get("edges", [])))
+        rays = tuple((int(r["at"]), coords_from_json(r["dir"], int)) for r in data.get("rays", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram JSON: {exc}") from exc
     return TropicalDiagram(dim, vertices, edges, rays)

@@ -104,6 +104,39 @@ def lattice_triangle_area(a: Sequence, b: Sequence, c: Sequence) -> Fraction:
     return Fraction(abs(cross2(vsub(b, a), vsub(c, a))), 2)
 
 
+def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
+    """Strict convex hull corners, counterclockwise from the lex-least (monotone chain).
+
+    Points on a hull edge but not at a corner are dropped; two or fewer
+    distinct points are returned sorted.
+    """
+    pts = sorted(set(tuple(p) for p in points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def coords_from_json(value, parse=Fraction) -> tuple:
+    """The coordinates of a point read from JSON, which must be a list.
+
+    A string is rejected instead of being read character by character.
+    """
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of coordinates, got {value!r}")
+    return tuple(parse(c) for c in value)
+
+
 class ConeKind(Enum):
     STRICT = "strict"
     HALF_PLANE = "half-plane"

@@ -25,8 +25,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .charges import regular_subdivision
 from .diagram import TropicalDiagram, dual_subdivision, face_heights
-from .lattice import Vec, vsub
+from .lattice import Vec, coords_from_json, vsub
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -60,14 +61,17 @@ class CorrectionMap:
             v = nov_val(c)
             if v is not None and v <= 0:
                 raise MirrorError("corrections must have positive valuation")
-        object.__setattr__(
-            self, "terms", tuple((tuple(int(a) for a in al), c) for al, c in self.terms)
-        )
+        terms = tuple((tuple(int(a) for a in al), c) for al, c in self.terms)
+        object.__setattr__(self, "terms", terms)
+        seen: set[Vec] = set()
+        for alpha, _ in terms:
+            if alpha in seen:
+                raise MirrorError(f"repeated correction vertex {alpha}")
+            seen.add(alpha)
 
     @cached_property
     def _by_vertex(self) -> dict[Vec, NovikovElement]:
-        # reversed, so that the first entry of a repeated vertex wins
-        return dict(reversed(self.terms))
+        return dict(self.terms)
 
     def get(self, alpha: Vec) -> NovikovElement:
         return self._by_vertex.get(alpha, nov())
@@ -84,7 +88,7 @@ def corrections_from_json(data) -> CorrectionMap:
         data = json.loads(data)
     try:
         terms = tuple(
-            (tuple(int(a) for a in item["vertex"]), nov_from_json(item["series"]))
+            (coords_from_json(item["vertex"], int), nov_from_json(item["series"]))
             for item in data
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -243,18 +247,13 @@ def _lower_hull_cells_1d(support: Sequence[Vec], vals: Sequence[Fraction]) -> li
     return cells
 
 
-def _lower_hull_cells_2d(support: Sequence[Vec], vals: Sequence[Fraction]) -> list[tuple[int, ...]]:
-    from .charges import regular_subdivision
-
-    sub = regular_subdivision(support, vals)
-    return [c.indices for c in sub.cells]
-
-
 def _affine_on_root_cell(support, vals, root_index, dim):
     """The affine function interpolating vals on the lex-least hull cell at the root."""
-    cells = (
-        _lower_hull_cells_1d(support, vals) if dim == 1 else _lower_hull_cells_2d(support, vals)
-    )
+    if dim == 1:
+        cells = _lower_hull_cells_1d(support, vals)
+    else:
+        planes = {c.indices: c for c in regular_subdivision(support, vals).cells}
+        cells = list(planes)
     containing = [c for c in cells if root_index in c]
     if not containing:
         raise MirrorError("root vertex is not on the lower hull")
@@ -264,24 +263,7 @@ def _affine_on_root_cell(support, vals, root_index, dim):
         x0, x1 = support[i][0], support[j][0]
         slope = (vals[j] - vals[i]) / (x1 - x0)
         return lambda a: vals[i] + slope * (a[0] - x0)
-    i = cell[0]
-    others = [t for t in cell[1:]]
-    d1 = vsub(support[others[0]], support[i])
-    d2 = None
-    for t in others[1:]:
-        cand = vsub(support[t], support[i])
-        if d1[0] * cand[1] - d1[1] * cand[0] != 0:
-            d2 = cand
-            v2 = t
-            break
-    if d2 is None:
-        raise MirrorError("root hull cell is degenerate")
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    r1 = vals[others[0]] - vals[i]
-    r2 = vals[v2] - vals[i]
-    sx = Q(r1 * d2[1] - r2 * d1[1], det)
-    sy = Q(r2 * d1[0] - r1 * d2[0], det)
-    c0 = vals[i] - (sx * support[i][0] + sy * support[i][1])
+    (sx, sy), c0 = planes[cell].gradient, planes[cell].constant
     return lambda a: sx * a[0] + sy * a[1] + c0
 
 

@@ -1,35 +1,69 @@
-"""Shared test utilities: random lattice polygons, smooth webs, unimodular maps."""
+"""Shared test utilities: random polygons and webs, unimodular maps, the subdivision oracle."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from tropmirror.charges import ChargeError, regular_subdivision, web_from_subdivision
+from tropmirror.charges import (
+    ChargeError,
+    RegularSubdivision,
+    SubdivisionCell,
+    regular_subdivision,
+    web_from_subdivision,
+)
 from tropmirror.diagram import TropicalDiagram, is_smooth, validate
-from tropmirror.lattice import cross2, vsub
+from tropmirror.lattice import convex_hull, cross2, vsub
 from tropmirror.novikov import NovikovElement, nov
 
 Q = Fraction
 
 
-def convex_hull(points):
-    """Monotone-chain convex hull of integer points, counterclockwise."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
+def brute_force_subdivision(points, heights) -> RegularSubdivision:
+    """Oracle for regular_subdivision: every non-collinear triple against every point.
 
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
+    O(m^4) in Fraction arithmetic; the lower faces are the triples whose
+    affine interpolant lies on or below every lifted point.
+    """
+    pts = [tuple(int(c) for c in p) for p in points]
+    hts = [Q(h) for h in heights]
+    if len(pts) != len(hts):
+        raise ChargeError("height vector length mismatch")
+    if len(pts) < 3:
+        raise ChargeError("need at least three points")
+    cells: dict[tuple[int, ...], SubdivisionCell] = {}
+    m = len(pts)
+    for i, j, k in itertools.combinations(range(m), 3):
+        d1 = vsub(pts[j], pts[i])
+        d2 = vsub(pts[k], pts[i])
+        det = cross2(d1, d2)
+        if det == 0:
+            continue
+        # affine interpolant through the three lifted points
+        rh1 = hts[j] - hts[i]
+        rh2 = hts[k] - hts[i]
+        sx = Q(rh1 * d2[1] - rh2 * d1[1], det)
+        sy = Q(rh2 * d1[0] - rh1 * d2[0], det)
+        c0 = hts[i] - (sx * pts[i][0] + sy * pts[i][1])
+        below = True
+        equal = []
+        for t in range(m):
+            val = sx * pts[t][0] + sy * pts[t][1] + c0
+            if val > hts[t]:
+                below = False
+                break
+            if val == hts[t]:
+                equal.append(t)
+        if not below:
+            continue
+        key = tuple(sorted(equal))
+        if key not in cells:
+            cells[key] = SubdivisionCell(key, (sx, sy), c0)
+    if not cells:
+        raise ChargeError("point configuration is degenerate (all collinear)")
+    ordered = tuple(cells[k] for k in sorted(cells))
+    return RegularSubdivision(tuple(pts), tuple(hts), ordered)
 
 
 def lattice_points_in_hull(hull):
@@ -50,6 +84,18 @@ def lattice_points_in_hull(hull):
     return out
 
 
+def random_lattice_polygon(rng: random.Random, max_points: int = 12) -> list:
+    """All lattice points of a random lattice polygon with 3..max_points of them."""
+    while True:
+        raw = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))]
+        hull = convex_hull(raw)
+        if len(hull) < 3:
+            continue
+        pts = lattice_points_in_hull(hull)
+        if 3 <= len(pts) <= max_points:
+            return pts
+
+
 def random_smooth_web(rng: random.Random, max_points: int = 12) -> TropicalDiagram:
     """A random smooth web: random lattice polygon, strictly convex heights.
 
@@ -58,13 +104,7 @@ def random_smooth_web(rng: random.Random, max_points: int = 12) -> TropicalDiagr
     perturbations.
     """
     while True:
-        raw = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))]
-        hull = convex_hull(raw)
-        if len(hull) < 3:
-            continue
-        pts = lattice_points_in_hull(hull)
-        if not 3 <= len(pts) <= max_points:
-            continue
+        pts = random_lattice_polygon(rng, max_points)
         heights = [
             Q(x * x + y * y) + Q(rng.randint(-(10**6), 10**6), 10**8) for x, y in pts
         ]

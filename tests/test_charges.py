@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from helpers import brute_force_subdivision, random_lattice_polygon
 from tropmirror.charges import (
     ChargeError,
     ChargeMatrix,
@@ -210,3 +211,76 @@ def test_singular_conifold_four_valent():
     assert len(web.diagram.rays) == 4
     dirs = sorted(d for _, d in web.diagram.rays)
     assert dirs == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+
+
+def _subdivision_or_error(fn, points, heights):
+    try:
+        return fn(points, heights)
+    except ChargeError as exc:
+        return f"ChargeError: {exc}"
+
+
+def _oracle_cases():
+    rng = random.Random(33)
+    cases = []
+    for _ in range(40):
+        # sparse subsets of small grids with integer heights: many coplanar lifts
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [(x, y) for x in range(w + 1) for y in range(h + 1)]
+        pts = rng.sample(grid, rng.randint(3, min(len(grid), 10)))
+        cases.append((pts, [rng.randint(-2, 2) for _ in pts]))
+    for _ in range(40):
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [(x, y) for x in range(w + 1) for y in range(h + 1)]
+        pts = rng.sample(grid, rng.randint(3, min(len(grid), 12)))
+        cases.append((pts, [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in pts]))
+    for _ in range(10):
+        # all collinear: both sides must refuse with the same message
+        step = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)])
+        origin = (rng.randint(-3, 3), rng.randint(-3, 3))
+        ks = rng.sample(range(-4, 5), rng.randint(3, 6))
+        pts = [(origin[0] + k * step[0], origin[1] + k * step[1]) for k in ks]
+        cases.append((pts, [rng.randint(-3, 3) for _ in pts]))
+    for _ in range(30):
+        # the polygons of random_smooth_web, with its perturbed heights, with
+        # cocircular heights (cells with many points) and with flat heights
+        pts = random_lattice_polygon(rng)
+        kind = rng.randrange(3)
+        if kind == 0:
+            hs = [Q(x * x + y * y) + Q(rng.randint(-(10**6), 10**6), 10**8) for x, y in pts]
+        elif kind == 1:
+            hs = [x * x + y * y for x, y in pts]
+        else:
+            hs = [rng.choice([0, 1]) for _ in pts]
+        cases.append((pts, hs))
+    cases.append(([(0, 0), (1, 0), (0, 1)], [0, 0, 0]))
+    cases.append(([(0, 0), (1, 0)], [0, 0]))
+    cases.append(([(0, 0), (1, 0), (0, 1)], [0, 0]))
+    return cases
+
+
+def test_regular_subdivision_matches_brute_force_oracle():
+    cases = _oracle_cases()
+    assert len(cases) >= 100
+    refused = non_simplicial = 0
+    for pts, hs in cases:
+        fast = _subdivision_or_error(regular_subdivision, pts, hs)
+        assert fast == _subdivision_or_error(brute_force_subdivision, pts, hs), (pts, hs)
+        if isinstance(fast, str):
+            refused += 1
+        elif not fast.is_simplicial():
+            non_simplicial += 1
+    # the degenerate shapes really occur in the sample
+    assert refused >= 12 and non_simplicial >= 20
+
+
+def test_regular_subdivision_p2_degree_10():
+    pts = [(x, y) for x in range(11) for y in range(11 - x)]
+    sub = regular_subdivision(pts, [x * x + x * y + y * y for x, y in pts])
+    assert len(pts) == 66
+    assert sub.is_simplicial() and len(sub.cells) == 100
+
+
+def test_regular_subdivision_rejects_repeated_points():
+    with pytest.raises(ChargeError, match=r"repeated point \(0, 0\) at indices 0, 3"):
+        regular_subdivision([(0, 0), (1, 0), (0, 1), (0, 0)], [0, 0, 0, 1])

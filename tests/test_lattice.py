@@ -12,10 +12,19 @@ from tropmirror.lattice import (
     LatticeError,
     box,
     cone_contains,
+    convex_hull,
     intersect_shifted_cones,
     lattice_triangle_area,
     primitive,
 )
+
+
+def test_convex_hull_corners_counterclockwise():
+    square = [(2, 2), (0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (2, 1), (0, 0)]
+    # edge midpoints and the centre are not corners; the repeat is ignored
+    assert convex_hull(square) == [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert convex_hull([(3, 3), (1, 1), (2, 2)]) == [(1, 1), (3, 3)]
+    assert convex_hull([(5, 0)]) == [(5, 0)]
 
 
 def test_primitive_examples():

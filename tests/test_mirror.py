@@ -120,6 +120,11 @@ def test_corrections_unknown_vertex_rejected():
         superpotential(c3(), corrections=cm)
 
 
+def test_corrections_repeated_vertex_rejected():
+    with pytest.raises(MirrorError, match=r"repeated correction vertex \(0, 0\)"):
+        CorrectionMap((((0, 0), nov([(2, 3)])), ((1, 0), nov([(1, 1)])), ((0, 0), nov([(1, 5)]))))
+
+
 def test_corrections_integrality_flag():
     assert CorrectionMap((((0, 0), nov([(1, 3)])),)).is_integral()
     assert not CorrectionMap((((0, 0), nov([(1, Q(1, 2))])),)).is_integral()

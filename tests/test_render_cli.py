@@ -73,6 +73,36 @@ def test_cli_validate_failure(tmp_path, capsys):
     assert out["trivalent"] is False
 
 
+C3_RAYS = [{"at": 0, "dir": [1, 0]}, {"at": 0, "dir": [0, 1]}, {"at": 0, "dir": [-1, -1]}]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"dim": 2, "vertices": ["00"], "rays": C3_RAYS},
+        {"dim": 2, "vertices": "00", "rays": C3_RAYS},
+        {"dim": 2, "vertices": [["0", "0"]], "rays": C3_RAYS[:2] + [{"at": 0, "dir": "11"}]},
+        {"dim": 2, "vertices": [["0", "0"], ["1", "0"]], "edges": ["01"], "rays": []},
+    ],
+)
+def test_cli_validate_rejects_string_coordinates(tmp_path, capsys, content):
+    f = tmp_path / "strings.json"
+    f.write_text(json.dumps(content))
+    assert run(["validate", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed diagram JSON: expected a list of coordinates")
+
+
+def test_cli_validate_empty_diagram(tmp_path, capsys):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"dim": 2, "vertices": []}))
+    assert run(["validate", str(f)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert ["connected", "empty diagram has no vertices"] in out["offenders"]
+
+
 def test_cli_mirror_focus_focus(capsys):
     assert run(["mirror", path("focus_focus.json")]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -207,6 +237,14 @@ def test_cli_mirror_corrections(tmp_path, capsys):
     bad.write_text(json.dumps([{"vertex": [0, 0], "series": [{"exp": "0", "coeff": "1"}]}]))
     assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
     assert "positive valuation" in capsys.readouterr().err
+    twice = [{"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]},
+             {"vertex": [0, 0], "series": [{"exp": "1", "coeff": "5"}]}]
+    bad.write_text(json.dumps(twice))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: repeated correction vertex (0, 0)\n"
+    bad.write_text(json.dumps([{"vertex": "00", "series": [{"exp": "2", "coeff": "3"}]}]))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed corrections JSON: ")
 
 
 def test_cli_dual_root_face_and_flip(capsys):
