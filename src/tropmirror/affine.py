@@ -30,7 +30,7 @@ from .diagram import (
     parse_edge_ref,
 )
 from .lattice import QPoint, Vec, coords_from_json, dot, vsub
-from .monodromy import Matrix, crossing_matrix, edge_covector, mat_apply, standard_form_matrix
+from .monodromy import crossing_matrix, edge_covector, mat_apply
 
 Q = Fraction
 
@@ -60,7 +60,6 @@ def wall(face: int) -> ChamberId:
 class Cut:
     ref: EdgeRef
     covector: Vec
-    matrix: Matrix
     tau: Fraction
 
 
@@ -109,12 +108,8 @@ def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) ->
     for ref in tau:
         if ref not in refs:
             raise AffineError(f"tau defined on a non-edge {ref}")
-    n = diag.dim + 1
-    cuts = []
-    for ref in refs:
-        cov = edge_covector(diag, ref)
-        cuts.append(Cut(ref, cov, standard_form_matrix(cov, n), Q(tau.get(ref, 0))))
-    return CutPresentation(diag, tuple(cuts))
+    cuts = tuple(Cut(ref, edge_covector(diag, ref), Q(tau.get(ref, 0))) for ref in refs)
+    return CutPresentation(diag, cuts)
 
 
 def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:

@@ -146,9 +146,8 @@ class TropicalDiagram:
 
     @functools.cached_property
     def heights(self) -> tuple[Fraction, ...]:
-        """face_heights at the zero base point, in the default gauge, by face id."""
-        heights = face_heights(self)
-        return tuple(heights[f] for f in range(len(heights)))
+        """Face heights at the zero base point, in the default gauge, by face id."""
+        return _walk_heights(self)
 
 
 def edge_direction(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
@@ -220,19 +219,16 @@ class ValidationReport:
         }
 
 
-def _vertex_star(diag: TropicalDiagram, v: int) -> tuple[tuple[EdgeRef, Vec], ...]:
-    """Outgoing (edge reference, primitive direction) pairs at a vertex."""
-    return diag.stars[v]
+EMPTY_DIAGRAM = "empty diagram has no vertices"
 
 
 def validate(diag: TropicalDiagram) -> ValidationReport:
     """Check the semi-toric axioms; failures are reported, not raised."""
+    if not diag.vertices:
+        # a web or line with no vertex has one face, so nothing downstream can run
+        return ValidationReport(True, True, True, False, (("connected", EMPTY_DIAGRAM),))
     if diag.dim == 1:
         return ValidationReport(True, True, True, True)
-    if not diag.vertices:
-        # a web with no vertex has no faces, so nothing downstream can run
-        offenders = (("connected", "empty diagram has no vertices"),)
-        return ValidationReport(True, True, True, False, offenders)
     trivalent = True
     balanced = True
     primitive_dirs = True
@@ -428,29 +424,38 @@ class DualSubdivision:
     root_face: int
 
 
-def default_root_face(points: Sequence[Vec]) -> int:
-    """The face whose dual vertex minimizes the coordinate sum (lex tie-break).
+def gauge_points(
+    points: Sequence[Vec], root_face: Optional[int] = None, sign: int = 1
+) -> tuple[tuple[Vec, ...], int]:
+    """Reflect the dual points by the sign gauge and put the root face at the origin.
 
-    This is the unbounded face reached heading toward +(1,...,1); placing its
-    dual vertex at the origin puts the support in standard position.
+    The default root face is the one whose reflected dual vertex minimizes the
+    coordinate sum (lex tie-break): the unbounded face reached heading toward
+    +(1,...,1), so the support lands in standard position.  Returns the
+    gauged points and the root face.
     """
-    return min(range(len(points)), key=lambda i: (sum(points[i]), points[i]))
+    if sign not in (1, -1):
+        raise DiagramError("sign gauge must be +1 or -1")
+    points = [tuple(sign * c for c in p) for p in points]
+    if root_face is None:
+        root_face = min(range(len(points)), key=lambda i: (sum(points[i]), points[i]))
+    if not 0 <= root_face < len(points):
+        raise DiagramError("root face out of range")
+    shift = points[root_face]
+    return tuple(vsub(p, shift) for p in points), root_face
 
 
 def _gauge(
     points: Sequence[Vec], cells, duality, root_face: Optional[int], sign: int
 ) -> DualSubdivision:
-    """Reflect the dual points by the sign gauge and put the root face at the origin."""
-    points = [tuple(sign * c for c in p) for p in points]
-    root = default_root_face(points) if root_face is None else root_face
-    if not 0 <= root < len(points):
-        raise DiagramError("root face out of range")
-    shift = points[root]
-    return DualSubdivision(tuple(vsub(p, shift) for p in points), cells, duality, root)
+    points, root = gauge_points(points, root_face, sign)
+    return DualSubdivision(points, cells, duality, root)
 
 
 def _glue(diag: TropicalDiagram) -> DualSubdivision:
     """Glue the local vertex cells into the dual subdivision, in the default gauge."""
+    if not diag.vertices:
+        raise DiagramError(EMPTY_DIAGRAM)
     report = diag.report
     # connectivity is named only when the local axioms hold
     failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
@@ -545,8 +550,6 @@ def dual_subdivision(
     dual edges orthogonal to the diagram edges they cross.  The gluing is done
     once per diagram (``diag.dual``); a non-default gauge is applied to it.
     """
-    if sign not in (1, -1):
-        raise DiagramError("sign gauge must be +1 or -1")
     dual = diag.dual
     if root_face is None and sign == 1:
         return dual
@@ -565,24 +568,16 @@ def is_smooth(diag: TropicalDiagram) -> bool:
 # --- face heights and point location ------------------------------------
 
 
-def face_heights(
-    diag: TropicalDiagram, base: Optional[QPoint] = None, dual: Optional[DualSubdivision] = None
-) -> dict[int, Fraction]:
-    """Lifting height of each face's dual vertex relative to a base point.
+def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
+    """Face heights at the zero base point, walked across the dual edges.
 
-    The diagram is the corner locus of min over faces of h(F) + <alpha_F, x - b>;
-    these heights are pinned by h(root) = 0 and the increments
-    h(left) = h(right) + <alpha_right - alpha_left, p - b> across each edge,
-    which are constant along the edge by orthogonality (asserted).  The dual
-    defaults to the diagram's own, in the default gauge.
+    Pinned by h(root) = 0 in the default gauge, with the increments
+    h(left) = h(right) + <alpha_right - alpha_left, p> for p on the crossed
+    edge.  The increment is constant along the edge by orthogonality, and the
+    walk closes up around every loop (both asserted); neither check depends
+    on the base point or the gauge, so one walk per diagram suffices.
     """
-    dual = diag.dual if dual is None else dual
-    if base is None:
-        base = tuple(Q(0) for _ in range(diag.dim))
-    base = tuple(Q(c) for c in base)
-    if len(base) != diag.dim:
-        raise DiagramError("base point dimension mismatch")
-
+    dual = diag.dual
     heights: dict[int, Fraction] = {dual.root_face: Q(0)}
     adjacency: dict[int, list[tuple[int, EdgeRef]]] = {}
     for ref, (left, right) in dual.edge_duality:
@@ -593,13 +588,11 @@ def face_heights(
         f = stack.pop()
         for g, ref in adjacency.get(f, ()):
             p0, p1 = edge_sample_points(diag, ref)
-            alpha = dual.lattice_points[f]
-            beta = dual.lattice_points[g]
-            inc0 = dot(vsub(alpha, beta), vsub(p0, base))
-            inc1 = dot(vsub(alpha, beta), vsub(p1, base))
-            if inc0 != inc1:
+            step = vsub(dual.lattice_points[f], dual.lattice_points[g])
+            inc = dot(step, p0)
+            if inc != dot(step, p1):
                 raise DiagramError(f"pairing is not constant along {ref}")
-            h = heights[f] + inc0
+            h = heights[f] + inc
             if g in heights:
                 if heights[g] != h:
                     raise DiagramError("face heights are inconsistent around a loop")
@@ -608,7 +601,23 @@ def face_heights(
                 stack.append(g)
     if len(heights) != len(dual.lattice_points):
         raise DiagramError("dual graph is not connected")
-    return heights
+    return tuple(heights[f] for f in range(len(heights)))
+
+
+def face_heights(diag: TropicalDiagram, base: Optional[QPoint] = None) -> dict[int, Fraction]:
+    """Lifting height of each face's dual vertex relative to a base point, by face id.
+
+    The diagram is the corner locus of min over faces of h(F) + <alpha_F, x - b>.
+    Moving the base point from 0 to b adds <alpha_F, b> to each height (alpha
+    in the default gauge, root at the origin), so the heights walked once per
+    diagram give every base point exactly: h_b(F) = h_0(F) + <alpha_F, b>.
+    The base point defaults to the origin.
+    """
+    heights, points = diag.heights, diag.dual.lattice_points
+    base = tuple(Q(c) for c in base) if base is not None else (Q(0),) * diag.dim
+    if len(base) != diag.dim:
+        raise DiagramError("base point dimension mismatch")
+    return {f: h + dot(alpha, base) for f, (h, alpha) in enumerate(zip(heights, points))}
 
 
 def locate_face(diag: TropicalDiagram, x: QPoint) -> Optional[int]:

@@ -27,10 +27,6 @@ class LatticeError(ValueError):
     """Raised on malformed lattice-geometric input."""
 
 
-def vec(*coords: int) -> Vec:
-    return tuple(int(c) for c in coords)
-
-
 def vadd(a: Sequence, b: Sequence) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

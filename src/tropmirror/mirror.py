@@ -121,16 +121,14 @@ class Superpotential:
 
 
 def face_distance(diag: TropicalDiagram, alpha: Sequence[int], base: Optional[Sequence] = None) -> Fraction:
-    """The t-exponent of the dual vertex alpha relative to a base point.
+    """The t-exponent of the dual vertex alpha (default gauge) relative to a base point.
 
-    Pinned by f(root) = 0; increments across a diagram edge pair the dual-edge
-    difference with any point of the edge (constancy asserted).  Base point
-    defaults to the origin.
+    This is the height of alpha's face; see face_heights.  Base point defaults
+    to the origin.
     """
-    dual = dual_subdivision(diag)
     alpha = tuple(int(a) for a in alpha)
-    heights = face_heights(diag, base, dual)
-    for f, pos in enumerate(dual.lattice_points):
+    heights = face_heights(diag, base)
+    for f, pos in enumerate(diag.dual.lattice_points):
         if pos == alpha:
             return heights[f]
     raise MirrorError(f"{alpha} is not a vertex of the dual graph")
@@ -154,7 +152,9 @@ def superpotential(
     if truncation <= 0:
         raise MirrorError("truncation must be positive")
     dual = dual_subdivision(diag, root_face=root_face, sign=sign)
-    heights = face_heights(diag, base, dual)
+    # the sign gauge reflects the dual points and so negates every height;
+    # pinning the root face adds a constant, which cancels in h - min h
+    heights = {f: sign * h for f, h in face_heights(diag, base).items()}
     fmin = min(heights.values())
     corrections = corrections or CorrectionMap(())
     known = set(dual.lattice_points)
@@ -219,51 +219,29 @@ def winding_degree(pres: MirrorPresentation, word: Sequence[tuple[str, int]]) ->
 # --- normalization -----------------------------------------------------------
 
 
-def _lower_hull_cells_1d(support: Sequence[Vec], vals: Sequence[Fraction]) -> list[tuple[int, ...]]:
-    order = sorted(range(len(support)), key=lambda i: support[i][0])
-    xs = [support[i][0] for i in order]
-    ys = [vals[i] for i in order]
-    # lower convex hull by monotone scan
-    hull: list[int] = []
-    for idx in range(len(order)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            lhs = (ys[b] - ys[a]) * (xs[idx] - xs[b])
-            rhs = (ys[idx] - ys[b]) * (xs[b] - xs[a])
-            if lhs >= rhs:
-                hull.pop()
-            else:
-                break
-        hull.append(idx)
-    cells = []
-    for a, b in zip(hull, hull[1:]):
-        members = [
-            order[t]
-            for t in range(len(order))
-            if xs[a] <= xs[t] <= xs[b]
-            and (ys[t] - ys[a]) * (xs[b] - xs[a]) == (ys[b] - ys[a]) * (xs[t] - xs[a])
-        ]
-        cells.append(tuple(sorted(members)))
-    return cells
-
-
 def _affine_on_root_cell(support, vals, root_index, dim):
-    """The affine function interpolating vals on the lex-least hull cell at the root."""
+    """The affine function interpolating vals on the lex-least hull cell at the root.
+
+    In dimension 1 the support is sorted, and the cells at the root are read
+    off the slopes from it: the root is on the lower hull iff the steepest
+    slope to a point on its left is at most the shallowest slope to a point
+    on its right, and the lex-least cell is the left one whenever the root
+    has a left neighbour.
+    """
     if dim == 1:
-        cells = _lower_hull_cells_1d(support, vals)
-    else:
-        planes = {c.indices: c for c in regular_subdivision(support, vals).cells}
-        cells = list(planes)
-    containing = [c for c in cells if root_index in c]
+        (x0,), v0 = support[root_index], vals[root_index]
+        left = [(v - v0) / (x - x0) for (x,), v in zip(support, vals) if x < x0]
+        right = [(v - v0) / (x - x0) for (x,), v in zip(support, vals) if x > x0]
+        if not (left or right) or (left and right and max(left) > min(right)):
+            raise MirrorError("root vertex is not on the lower hull")
+        slope = max(left) if left else min(right)
+        return lambda a: v0 + slope * (a[0] - x0)
+    planes = {c.indices: c for c in regular_subdivision(support, vals).cells}
+    containing = [c for c in planes if root_index in c]
     if not containing:
         raise MirrorError("root vertex is not on the lower hull")
-    cell = min(containing, key=lambda c: tuple(support[i] for i in c))
-    if dim == 1:
-        i, j = cell[0], cell[-1]
-        x0, x1 = support[i][0], support[j][0]
-        slope = (vals[j] - vals[i]) / (x1 - x0)
-        return lambda a: vals[i] + slope * (a[0] - x0)
-    (sx, sy), c0 = planes[cell].gradient, planes[cell].constant
+    cell = planes[min(containing, key=lambda c: tuple(support[i] for i in c))]
+    (sx, sy), c0 = cell.gradient, cell.constant
     return lambda a: sx * a[0] + sy * a[1] + c0
 
 

@@ -20,11 +20,11 @@ from .diagram import (
     EdgeRef,
     TropicalDiagram,
     _dart_direction,
-    default_root_face,
     edge_direction,
+    gauge_points,
     is_smooth,
 )
-from .lattice import Vec, is_primitive, rot_minus90, vadd, vsub
+from .lattice import Vec, is_primitive, rot_minus90, vadd, vneg, vsub
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -120,10 +120,9 @@ def build_dual_graph(
     covector.  Tree independence is verified on the non-tree edges (the sum of
     covectors around every loop vanishes).  Only the face adjacency is shared
     with the glued dual subdivision; the positions are an independent check
-    of its lattice points.
+    of its lattice points.  The sum runs in the default sign gauge; the final
+    gauging is diagram.gauge_points, as for the subdivision.
     """
-    if sign not in (1, -1):
-        raise MonodromyError("sign gauge must be +1 or -1")
     if not is_smooth(diag):
         raise MonodromyError("diagram is not smooth")
     nfaces = len(diag.dual.lattice_points)
@@ -132,9 +131,9 @@ def build_dual_graph(
     edge_pairs = []
     adjacency: dict[int, list[tuple[int, Vec]]] = {i: [] for i in range(nfaces)}
     for ref, (left, right) in diag.dual.edge_duality:
-        cov = tuple(sign * c for c in edge_covector(diag, ref))
+        cov = edge_covector(diag, ref)
         adjacency[right].append((left, cov))
-        adjacency[left].append((right, tuple(-c for c in cov)))
+        adjacency[left].append((right, vneg(cov)))
         edge_pairs.append((left, right, cov))
     stack = [0]
     while stack:
@@ -148,11 +147,7 @@ def build_dual_graph(
     for left, right, cov in edge_pairs:
         if vsub(positions[left], positions[right]) != cov:
             raise MonodromyError("covector cocycle fails: embedding depends on the tree")
-    root = default_root_face(positions) if root_face is None else root_face
-    if not 0 <= root < nfaces:
-        raise MonodromyError("root face out of range")
-    shift = positions[root]
-    final = tuple(vsub(p, shift) for p in positions)
+    final, root = gauge_points(positions, root_face, sign)
     pairs = tuple(sorted({(min(l, r), max(l, r)) for l, r, _ in edge_pairs}))
     return DualGraphEmbedding(final, pairs, root)
 

@@ -1,10 +1,11 @@
-"""Shared test utilities: random polygons and webs, unimodular maps, the subdivision oracle."""
+"""Shared test utilities: random polygons and webs, unimodular maps, the hull oracles."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from tropmirror.charges import (
     ChargeError,
@@ -14,7 +15,7 @@ from tropmirror.charges import (
     web_from_subdivision,
 )
 from tropmirror.diagram import TropicalDiagram, is_smooth, validate
-from tropmirror.lattice import convex_hull, cross2, vsub
+from tropmirror.lattice import Vec, convex_hull, cross2, vsub
 from tropmirror.novikov import NovikovElement, nov
 
 Q = Fraction
@@ -64,6 +65,34 @@ def brute_force_subdivision(points, heights) -> RegularSubdivision:
         raise ChargeError("point configuration is degenerate (all collinear)")
     ordered = tuple(cells[k] for k in sorted(cells))
     return RegularSubdivision(tuple(pts), tuple(hts), ordered)
+
+
+def _lower_hull_cells_1d(support: Sequence[Vec], vals: Sequence[Fraction]) -> list[tuple[int, ...]]:
+    order = sorted(range(len(support)), key=lambda i: support[i][0])
+    xs = [support[i][0] for i in order]
+    ys = [vals[i] for i in order]
+    # lower convex hull by monotone scan
+    hull: list[int] = []
+    for idx in range(len(order)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            lhs = (ys[b] - ys[a]) * (xs[idx] - xs[b])
+            rhs = (ys[idx] - ys[b]) * (xs[b] - xs[a])
+            if lhs >= rhs:
+                hull.pop()
+            else:
+                break
+        hull.append(idx)
+    cells = []
+    for a, b in zip(hull, hull[1:]):
+        members = [
+            order[t]
+            for t in range(len(order))
+            if xs[a] <= xs[t] <= xs[b]
+            and (ys[t] - ys[a]) * (xs[b] - xs[a]) == (ys[b] - ys[a]) * (xs[t] - xs[a])
+        ]
+        cells.append(tuple(sorted(members)))
+    return cells
 
 
 def lattice_points_in_hull(hull):
@@ -151,11 +180,11 @@ def random_novikov(
 
 def interior_point_near_vertex(diag: TropicalDiagram, rng: random.Random):
     """A rational point inside a face, close to a random vertex sector."""
-    from tropmirror.diagram import _vertex_star, locate_face
+    from tropmirror.diagram import locate_face
 
     while True:
         v = rng.randrange(len(diag.vertices))
-        star = _vertex_star(diag, v)
+        star = diag.stars[v]
         (_, d1), (_, d2) = rng.sample(star, 2)
         mid = (Q(d1[0] + d2[0]), Q(d1[1] + d2[1]))
         if mid == (0, 0):

@@ -145,6 +145,16 @@ def test_root_face_out_of_range():
         for bad in (-1, nfaces):
             with pytest.raises(DiagramError, match="out of range"):
                 dual_subdivision(diag, root_face=bad)
+            with pytest.raises(DiagramError, match="out of range"):
+                build_dual_graph(diag, root_face=bad)
+
+
+def test_sign_gauge_must_be_a_sign():
+    for bad in (0, 2, -2):
+        with pytest.raises(DiagramError, match="sign gauge"):
+            dual_subdivision(c3(), sign=bad)
+        with pytest.raises(DiagramError, match="sign gauge"):
+            build_dual_graph(c3(), sign=bad)
 
 
 def test_is_smooth_c3():
@@ -208,7 +218,7 @@ def test_dual_vertex_cone_kinds():
 def test_face_heights_c3():
     b = (Q(-1, 3), Q(-1, 3))
     dual = dual_subdivision(c3())
-    heights = face_heights(c3(), b, dual)
+    heights = face_heights(c3(), b)
     by_point = {dual.lattice_points[f]: h for f, h in heights.items()}
     assert by_point[(0, 0)] == 0
     assert by_point[(1, 0)] == Q(-1, 3)
@@ -221,8 +231,8 @@ def test_face_heights_base_point_covariance():
     dual = dual_subdivision(diag)
     b = (Q(5), Q(-7))
     c = (Q(1, 3), Q(2))
-    h0 = face_heights(diag, b, dual)
-    h1 = face_heights(diag, tuple(x + y for x, y in zip(b, c)), dual)
+    h0 = face_heights(diag, b)
+    h1 = face_heights(diag, tuple(x + y for x, y in zip(b, c)))
     alpha0 = dual.lattice_points[dual.root_face]
     for f in h0:
         alpha = dual.lattice_points[f]

@@ -57,7 +57,7 @@ def test_face_heights_loop_consistency():
         web = random_smooth_web(rng)
         dual = dual_subdivision(web)
         for b in ((Q(0), Q(0)), (Q(7, 3), Q(-5, 2))):
-            heights = face_heights(web, b, dual)
+            heights = face_heights(web, b)
             assert len(heights) == len(dual.lattice_points)
             # and the tropical min over any sampled point is attained by
             # locate_face's winner

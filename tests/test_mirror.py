@@ -3,12 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import interior_point_near_vertex, random_smooth_web
+from helpers import _lower_hull_cells_1d, interior_point_near_vertex, random_smooth_web
 from tropmirror.charges import ChargeMatrix, build_web, regular_subdivision
 from tropmirror.diagram import TropicalDiagram, dual_subdivision
+from tropmirror.lattice import vsub
 from tropmirror.mirror import (
     CorrectionMap,
     MirrorError,
+    _affine_on_root_cell,
     corrections_from_json,
     face_distance,
     normalize_presentation,
@@ -223,3 +225,54 @@ def test_presentation_json_shape():
     assert data["relation"] == "x*y - (1 + u)"
     assert data["generators"] == ["u", "u^-1", "x", "y"]
     assert data["gradings"] == {"u": 0, "x": 1, "y": -1}
+
+
+def _scan_hull_affine_1d(support, vals, root_index, dim=1):
+    """The former 1-D branch of _affine_on_root_cell, on the monotone-scan hull cells."""
+    containing = [c for c in _lower_hull_cells_1d(support, vals) if root_index in c]
+    if not containing:
+        raise MirrorError("root vertex is not on the lower hull")
+    cell = min(containing, key=lambda c: tuple(support[i] for i in c))
+    i, j = cell[0], cell[-1]
+    x0, x1 = support[i][0], support[j][0]
+    slope = (vals[j] - vals[i]) / (x1 - x0)
+    return lambda a: vals[i] + slope * (a[0] - x0)
+
+
+def _root_affine_outcome(rule, support, vals, root_index):
+    """The affine values on the support, or the refusal message."""
+    try:
+        ell = rule(support, vals, root_index, 1)
+    except MirrorError as exc:
+        return str(exc)
+    return [ell(a) for a in support]
+
+
+def test_slope_rule_matches_the_monotone_scan_hull():
+    # inputs as normalize_presentation builds them: raw d=1 superpotentials
+    # in every gauge, support sorted and shifted so the root is at 0
+    rng = random.Random(1861)
+    cases = []
+    for _ in range(200):
+        xs = list({Q(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))})
+        rng.shuffle(xs)
+        diag = TropicalDiagram(1, tuple((x,) for x in xs))
+        base = (Q(rng.randint(-60, 60), rng.randint(1, 9)),)
+        root = rng.choice((None, rng.randrange(len(xs) + 1)))
+        g = presentation(diag, base, root_face=root, sign=rng.choice((1, -1))).relation
+        support = [vsub(a, g.root) for a, _ in g.terms]
+        cases.append((support, [nov_val(c) for _, c in g.terms], support.index((0,))))
+    # small integer values, so that the root often lies inside a hull cell
+    for _ in range(200):
+        support = [(x,) for x in sorted(rng.sample(range(-6, 7), rng.randint(1, 6)))]
+        root_index = rng.randrange(len(support))
+        support = [vsub(a, support[root_index]) for a in support]
+        cases.append((support, [Q(rng.randint(0, 4)) for _ in support], root_index))
+    outcomes = []
+    for support, vals, root_index in cases:
+        fast = _root_affine_outcome(_affine_on_root_cell, support, vals, root_index)
+        assert fast == _root_affine_outcome(_scan_hull_affine_1d, support, vals, root_index)
+        outcomes.append(fast)
+    refusals = sum(isinstance(o, str) for o in outcomes)
+    assert refusals >= 40 and len(outcomes) - refusals >= 200
+    assert "root vertex is not on the lower hull" in outcomes

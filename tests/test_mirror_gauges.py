@@ -1,0 +1,192 @@
+"""The mirror in every gauge: pinned CLI output, the exponent rule on random webs, one face walk."""
+
+import hashlib
+import itertools
+import json
+import os
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+import tropmirror.diagram
+from helpers import random_smooth_web
+from tropmirror.cli import run
+from tropmirror.diagram import dual_subdivision, edge_sample_points
+from tropmirror.lattice import dot, vsub
+from tropmirror.mirror import presentation, superpotential
+from tropmirror.novikov import nov_val
+
+DIAGRAMS = os.path.join(os.path.dirname(__file__), "..", "diagrams")
+FILES = ("c3.json", "conifold.json", "focus_focus.json", "kp1p1.json", "kp2.json", "line.json")
+LINE = {"dim": 1, "vertices": [["0"], ["3/2"], ["-2"]]}
+GAUGES = ([], ["--flip-sign"], ["--root-face", "0"], ["--root-face", "2", "--flip-sign"])
+
+# sha256 of stdout and the exit code of `tropmirror mirror FILE ARGS...`, keyed
+# by "FILE ARGS...", for the shipped diagrams and the d=1 diagram LINE
+MIRROR_DIGESTS = {
+    "c3.json": (0, "0668dd891df2c6767285ec71bb3873ca81e8b766b7d22056c14a1682104d4181"),
+    "c3.json --raw": (0, "0668dd891df2c6767285ec71bb3873ca81e8b766b7d22056c14a1682104d4181"),
+    "c3.json --base-point=1/3,-5/7": (0, "0668dd891df2c6767285ec71bb3873ca81e8b766b7d22056c14a1682104d4181"),
+    "c3.json --base-point=1/3,-5/7 --raw": (0, "1a338e1ecde740e8fd0de70e61c2f4a1a9014b01ce059a9b647b4dbd00bb2dff"),
+    "c3.json --flip-sign": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
+    "c3.json --flip-sign --raw": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
+    "c3.json --flip-sign --base-point=1/3,-5/7": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
+    "c3.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "268bc2a00ef0dbde55dbd3f695c398b6f26d34dea60004a3f962b05d80eeeeac"),
+    "c3.json --root-face 0": (0, "9690752d1b279d68095f0bb42b06ef9d7d6bb1873bd1e174c9eb7ea9b9cb5ff9"),
+    "c3.json --root-face 0 --raw": (0, "9690752d1b279d68095f0bb42b06ef9d7d6bb1873bd1e174c9eb7ea9b9cb5ff9"),
+    "c3.json --root-face 0 --base-point=1/3,-5/7": (0, "9690752d1b279d68095f0bb42b06ef9d7d6bb1873bd1e174c9eb7ea9b9cb5ff9"),
+    "c3.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "9a39ee1d9b79698dd7000bf774cd85125ed282f51bbcae06b991e5a841f55383"),
+    "c3.json --root-face 2 --flip-sign": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
+    "c3.json --root-face 2 --flip-sign --raw": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
+    "c3.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
+    "c3.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "268bc2a00ef0dbde55dbd3f695c398b6f26d34dea60004a3f962b05d80eeeeac"),
+    "conifold.json": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --raw": (0, "ab6254dd4c8b6d06799aa3f8400a67ab9667617f02b75bb8537d4a2c73946274"),
+    "conifold.json --base-point=1/3,-5/7": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --base-point=1/3,-5/7 --raw": (0, "b1203d4e5e12238829d2b0a336998248db359d6b29355224382c1db9e393f49c"),
+    "conifold.json --flip-sign": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
+    "conifold.json --flip-sign --raw": (0, "baa13fb685a98acc32157b8208c1760f82d64619e735bd239bd8281dc392b5e7"),
+    "conifold.json --flip-sign --base-point=1/3,-5/7": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
+    "conifold.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "7f458ee77df9aa8a361919b58f659fac07b76f6a3457377e8d2c213f6301af44"),
+    "conifold.json --root-face 0": (0, "b7c27561eef9f17b76db8cab55f1c3781dec439637774ffa3cc1a80e42af4c46"),
+    "conifold.json --root-face 0 --raw": (0, "1e89132d1b63f0d32300bc4508302cf37e1902baacc3c50984866d0468f958e2"),
+    "conifold.json --root-face 0 --base-point=1/3,-5/7": (0, "b7c27561eef9f17b76db8cab55f1c3781dec439637774ffa3cc1a80e42af4c46"),
+    "conifold.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "761f26e4ca20c9a07f0c6afd1faf99e26d6aac939e4a23e40fdca6142bba52f5"),
+    "conifold.json --root-face 2 --flip-sign": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
+    "conifold.json --root-face 2 --flip-sign --raw": (0, "baa13fb685a98acc32157b8208c1760f82d64619e735bd239bd8281dc392b5e7"),
+    "conifold.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
+    "conifold.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "7f458ee77df9aa8a361919b58f659fac07b76f6a3457377e8d2c213f6301af44"),
+    "focus_focus.json": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "focus_focus.json --raw": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "focus_focus.json --base-point=-5/7": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "focus_focus.json --base-point=-5/7 --raw": (0, "b547155a5d07b7defb4b764d0597826233e0d2feb3b36ae4a409c8ec9a3efd68"),
+    "focus_focus.json --flip-sign": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "focus_focus.json --flip-sign --raw": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "focus_focus.json --flip-sign --base-point=-5/7": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "focus_focus.json --flip-sign --base-point=-5/7 --raw": (0, "b547155a5d07b7defb4b764d0597826233e0d2feb3b36ae4a409c8ec9a3efd68"),
+    "focus_focus.json --root-face 0": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
+    "focus_focus.json --root-face 0 --raw": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
+    "focus_focus.json --root-face 0 --base-point=-5/7": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
+    "focus_focus.json --root-face 0 --base-point=-5/7 --raw": (0, "2ffc0a3be4d7c92b72117346b6ef761284f738470b67735bf99ddfd1b8811366"),
+    "focus_focus.json --root-face 2 --flip-sign": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "focus_focus.json --root-face 2 --flip-sign --raw": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "focus_focus.json --root-face 2 --flip-sign --base-point=-5/7": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "focus_focus.json --root-face 2 --flip-sign --base-point=-5/7 --raw": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "kp1p1.json": (0, "d78d7fa406125c88abbf0597d28fa44487db5de9a0e0ccc0bc838bdbe68075e6"),
+    "kp1p1.json --raw": (0, "975890972673e81498cc1832cea50f4c0303eeec8842ea0ba9fffde52ae79b32"),
+    "kp1p1.json --base-point=1/3,-5/7": (0, "d78d7fa406125c88abbf0597d28fa44487db5de9a0e0ccc0bc838bdbe68075e6"),
+    "kp1p1.json --base-point=1/3,-5/7 --raw": (0, "a0029b9b17bc53106adda87c3583d7966e5abb1b44d08312363822cd357e2a05"),
+    "kp1p1.json --flip-sign": (0, "bcc1859251298660a8457ca15fe60b6eb0b777d52ff097283b6f21fdd1703491"),
+    "kp1p1.json --flip-sign --raw": (0, "bcc1859251298660a8457ca15fe60b6eb0b777d52ff097283b6f21fdd1703491"),
+    "kp1p1.json --flip-sign --base-point=1/3,-5/7": (0, "bcc1859251298660a8457ca15fe60b6eb0b777d52ff097283b6f21fdd1703491"),
+    "kp1p1.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "1ab1d6e94be4567651e0c58b5f34120cc68c5d2d11ca426de91a19b858897ed7"),
+    "kp1p1.json --root-face 0": (0, "1484ec1b2671ac3eaba9355e22d5bb6eb62c7edd55eef7941d8ddf9bbfa85ace"),
+    "kp1p1.json --root-face 0 --raw": (0, "17b32afd175b991adcacd86d407e1609470d12de989aeaebd593c6a713ba1d77"),
+    "kp1p1.json --root-face 0 --base-point=1/3,-5/7": (0, "1484ec1b2671ac3eaba9355e22d5bb6eb62c7edd55eef7941d8ddf9bbfa85ace"),
+    "kp1p1.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "be72ecc0eb3a4a488d52b36e37d9027be984d137e87eb4bb17bf68d0d8aedd7c"),
+    "kp1p1.json --root-face 2 --flip-sign": (0, "d0c288b6b573da06719145888ef405209d424260d693bff3b9e0edaf1566122f"),
+    "kp1p1.json --root-face 2 --flip-sign --raw": (0, "d0c288b6b573da06719145888ef405209d424260d693bff3b9e0edaf1566122f"),
+    "kp1p1.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "d0c288b6b573da06719145888ef405209d424260d693bff3b9e0edaf1566122f"),
+    "kp1p1.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "0cdf13fc9a61b3cf201ebffe217b9e8739a7b7779b2928bdbfbe158daa34b91c"),
+    "kp2.json": (0, "e8cd10ad60b190f82e07f696f7505aed053a5d1ff7a2a2558e17a5f5ee43ad2c"),
+    "kp2.json --raw": (0, "b9321b003ef3575feab9901265969b552b0f342a1347391663a3bc284d43d6bf"),
+    "kp2.json --base-point=1/3,-5/7": (0, "e8cd10ad60b190f82e07f696f7505aed053a5d1ff7a2a2558e17a5f5ee43ad2c"),
+    "kp2.json --base-point=1/3,-5/7 --raw": (0, "f4716b4f6a8cee787b3f31d58f76cd230ca1a3c3c8cdae16d97f102cd2de3251"),
+    "kp2.json --flip-sign": (0, "c4bae6debdd160464adfef1d828b46ce8673364eb559d465dd07a9eb9ed0b9b6"),
+    "kp2.json --flip-sign --raw": (0, "c4bae6debdd160464adfef1d828b46ce8673364eb559d465dd07a9eb9ed0b9b6"),
+    "kp2.json --flip-sign --base-point=1/3,-5/7": (0, "c4bae6debdd160464adfef1d828b46ce8673364eb559d465dd07a9eb9ed0b9b6"),
+    "kp2.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "d3b7548ac6774cf7aaaa867b38537a521a577ceb02addf4edc7df14d61533a48"),
+    "kp2.json --root-face 0": (0, "228f82fd6c7b1ff1d87c100dbba1faf8df69879871a5cbe8ebeaee3b961899b7"),
+    "kp2.json --root-face 0 --raw": (0, "6c82efca2341720e33fc8e1eb746f126001eaaf734f77af11a65d7464847b5c3"),
+    "kp2.json --root-face 0 --base-point=1/3,-5/7": (0, "228f82fd6c7b1ff1d87c100dbba1faf8df69879871a5cbe8ebeaee3b961899b7"),
+    "kp2.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "6db0518ebe2d896a1637567f97981355871ff964ae21446072eb8136390c9523"),
+    "kp2.json --root-face 2 --flip-sign": (0, "257cd5d664c9c76bf61d3ae7a38d37bf8cdc03a3cce022729da034b32dcbea6c"),
+    "kp2.json --root-face 2 --flip-sign --raw": (0, "257cd5d664c9c76bf61d3ae7a38d37bf8cdc03a3cce022729da034b32dcbea6c"),
+    "kp2.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "257cd5d664c9c76bf61d3ae7a38d37bf8cdc03a3cce022729da034b32dcbea6c"),
+    "kp2.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "3675839eb60747dc50eeb7e805e973e7a14cabc90d6e72e105ad2524ab93d81f"),
+    "line.json": (0, "dfb7a0535a81e66762c818ae934c00dd54c43bebf1cb1840f9740ac8aace4699"),
+    "line.json --raw": (0, "ca2ce17121203f08cc73c8023b5dff6f9d758d3e329a8c4a845f44dcf15a989b"),
+    "line.json --base-point=-5/7": (0, "dfb7a0535a81e66762c818ae934c00dd54c43bebf1cb1840f9740ac8aace4699"),
+    "line.json --base-point=-5/7 --raw": (0, "4e7f9cca72f967ecf7b48b1470652c49cbc2d36ea6a70af845457d1030580523"),
+    "line.json --flip-sign": (0, "48f92f0e27abf5693f2d08fa38ed56eff64349f330dd3f6c1780f7d29c5c788b"),
+    "line.json --flip-sign --raw": (0, "0527a54bdea0d41a577adcbab71c5277895514d71826086c9f7410b5311abea8"),
+    "line.json --flip-sign --base-point=-5/7": (0, "48f92f0e27abf5693f2d08fa38ed56eff64349f330dd3f6c1780f7d29c5c788b"),
+    "line.json --flip-sign --base-point=-5/7 --raw": (0, "2cbea68c3c952b571715b4f85ee31424498ef7d2ef58fcaf796d3c60b68d699b"),
+    "line.json --root-face 0": (0, "435767588909484632bcc25cea8c1174448b1514e5c874d5556120f7268d8736"),
+    "line.json --root-face 0 --raw": (0, "c1c2934f843acbe19b2ef09589d1d2083a2c33d6b2df5d9705f1ca03951cecdc"),
+    "line.json --root-face 0 --base-point=-5/7": (0, "435767588909484632bcc25cea8c1174448b1514e5c874d5556120f7268d8736"),
+    "line.json --root-face 0 --base-point=-5/7 --raw": (0, "366a9758bf7d4f28906f524ab350e87df360e20b11456411ad200d218521a0f4"),
+    "line.json --root-face 2 --flip-sign": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "line.json --root-face 2 --flip-sign --raw": (0, "38d324c1e53f5b53e8ba6d4bf50148a6f2d11b46ee76ef501573425b66ff649b"),
+    "line.json --root-face 2 --flip-sign --base-point=-5/7": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "line.json --root-face 2 --flip-sign --base-point=-5/7 --raw": (0, "2011b1688a3443373f3cd8dc694492be52769990f2c933d1d055e741252fa14a"),
+}
+
+
+def _mirror_cases():
+    for name in FILES:
+        for gauge, with_base, raw in itertools.product(GAUGES, (False, True), (False, True)):
+            yield name, gauge, with_base, raw
+
+
+@pytest.mark.parametrize("name, gauge, with_base, raw", list(_mirror_cases()))
+def test_mirror_output_is_pinned(tmp_path, capsys, name, gauge, with_base, raw):
+    if name == "line.json":
+        path = tmp_path / name
+        path.write_text(json.dumps(LINE))
+    else:
+        path = os.path.join(DIAGRAMS, name)
+    with open(path, encoding="utf-8") as fh:
+        dim = json.load(fh).get("dim", 2)
+    args = list(gauge)
+    if with_base:
+        args.append("--base-point=" + ("-5/7" if dim == 1 else "1/3,-5/7"))
+    if raw:
+        args.append("--raw")
+    code = run(["mirror", str(path)] + args)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == MIRROR_DIGESTS[" ".join([name] + args)]
+
+
+def test_raw_exponents_follow_the_edges_in_every_gauge():
+    # min exponent 0, and across each dual edge the exponent drop is the
+    # pairing of the gauged dual edge with any point of the diagram edge
+    rng = random.Random(4242)
+    for _ in range(20):
+        web = random_smooth_web(rng)
+        nfaces = len(web.dual.lattice_points)
+        for sign in (1, -1):
+            root = rng.choice((None, rng.randrange(nfaces)))
+            base = (Q(rng.randint(-30, 30), 7), Q(rng.randint(-30, 30), 11))
+            dual = dual_subdivision(web, root_face=root, sign=sign)
+            g = superpotential(web, base, root_face=root, sign=sign)
+            exps = {alpha: nov_val(c) for alpha, c in g.terms}
+            assert min(exps.values()) == 0
+            assert g.root == dual.lattice_points[dual.root_face] == (0, 0)
+            for ref, (left, right) in dual.edge_duality:
+                a_left, a_right = dual.lattice_points[left], dual.lattice_points[right]
+                for p in edge_sample_points(web, ref):
+                    assert exps[a_left] - exps[a_right] == dot(vsub(a_right, a_left), vsub(p, base))
+
+
+def test_presentations_share_one_face_walk(monkeypatch):
+    # the walk samples each dual edge once from each side; with the heights
+    # derived once per diagram, 20 presentations in mixed gauges and base
+    # points sample no more than one walk does
+    rng = random.Random(77)
+    web = random_smooth_web(rng)
+    nfaces = len(web.dual.lattice_points)
+    calls = []
+    real = tropmirror.diagram.edge_sample_points
+
+    def counted(diag, ref):
+        calls.append(ref)
+        return real(diag, ref)
+
+    monkeypatch.setattr(tropmirror.diagram, "edge_sample_points", counted)
+    for _ in range(20):
+        base = (Q(rng.randint(-30, 30), 7), Q(rng.randint(-30, 30), 11))
+        root = rng.choice((None, rng.randrange(nfaces)))
+        presentation(web, base=base, root_face=root, sign=rng.choice((1, -1)))
+    assert 0 < len(calls) <= 2 * len(web.dual.edge_duality)

@@ -95,12 +95,18 @@ def test_cli_validate_rejects_string_coordinates(tmp_path, capsys, content):
 
 
 def test_cli_validate_empty_diagram(tmp_path, capsys):
-    f = tmp_path / "empty.json"
-    f.write_text(json.dumps({"dim": 2, "vertices": []}))
-    assert run(["validate", str(f)]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is False
-    assert ["connected", "empty diagram has no vertices"] in out["offenders"]
+    for dim in (1, 2):
+        f = tmp_path / f"empty{dim}.json"
+        f.write_text(json.dumps({"dim": dim, "vertices": []}))
+        assert run(["validate", str(f)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert ["connected", "empty diagram has no vertices"] in out["offenders"]
+        for command in (["dual"], ["mirror"], ["render", "--dual"]):
+            assert run(command[:1] + [str(f)] + command[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: empty diagram has no vertices\n"
 
 
 def test_cli_mirror_focus_focus(capsys):
