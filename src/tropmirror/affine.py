@@ -16,7 +16,6 @@ diagram in the plane {t = 0}; users may supply per-edge constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -31,6 +30,7 @@ from .diagram import (
 )
 from .lattice import QPoint, Vec, coords_from_json, dot, vsub
 from .monodromy import crossing_matrix, edge_covector, mat_apply
+from .record import frozen
 
 Q = Fraction
 
@@ -39,7 +39,7 @@ class AffineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ChamberId:
     tag: str  # "V_plus" | "V_minus" | "wall"
     face: Optional[int] = None
@@ -56,14 +56,14 @@ def wall(face: int) -> ChamberId:
     return ChamberId("wall", face)
 
 
-@dataclass(frozen=True)
+@frozen
 class Cut:
     ref: EdgeRef
     covector: Vec
     tau: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class CutPresentation:
     diagram: TropicalDiagram
     cuts: tuple[Cut, ...]
@@ -133,7 +133,7 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
     return wall(face)
 
 
-@dataclass(frozen=True)
+@frozen
 class Crossing:
     ref: EdgeRef
     sign: int

@@ -23,7 +23,6 @@ with the positive generator, and comparing with the mirror relation 1 + u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,6 +40,7 @@ from .novikov import (
     nov_to_json,
     nov_val,
 )
+from .record import frozen, replace
 
 Q = Fraction
 
@@ -49,7 +49,7 @@ class AnalyticError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Monomial:
     coeff: NovikovElement
     expo: Vec
@@ -86,7 +86,7 @@ def cone_family_converges(apex: Vec, cone: IntegralCone, box: Box) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class ConeFamily:
     """Coefficients c_k on z^{apex + k*gamma}, k >= 0, by a named rule.
 
@@ -119,7 +119,7 @@ class ConeFamily:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class AnalyticSeries:
     dim: int
     terms: tuple[Monomial, ...]
@@ -211,7 +211,7 @@ def flux_monomial(
     return Monomial(nov([(dot(alpha, b), 1)]), alpha)
 
 
-@dataclass(frozen=True)
+@frozen
 class WallTransformation:
     wall: int  # face index of the window being crossed
     gamma: Vec  # vanishing class
@@ -273,7 +273,7 @@ def wall_cross(
 # --- the worked focus-focus pipeline -----------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class FocusFocusReport:
     truncation: Fraction
     passed: bool

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .diagram import TropicalDiagram
 from .lattice import Vec, convex_hull, cross2, dot, primitive, vneg, vsub
+from .record import frozen
 
 Q = Fraction
 
@@ -31,7 +31,7 @@ class ChargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ChargeMatrix:
     rows: tuple[tuple[int, ...], ...]
     width: int  # n + k; explicit so the empty matrix (k = 0) keeps its size
@@ -204,14 +204,14 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
-@dataclass(frozen=True)
+@frozen
 class SubdivisionCell:
     indices: tuple[int, ...]  # point indices with equality on the lower hull
     gradient: tuple[Fraction, Fraction]
     constant: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class RegularSubdivision:
     points: tuple[Vec, ...]
     heights: tuple[Fraction, ...]
@@ -373,7 +373,7 @@ def _cell_boundary_edges(sub: RegularSubdivision, cell: SubdivisionCell) -> list
     return edges
 
 
-@dataclass(frozen=True)
+@frozen
 class ChargeWeb:
     diagram: TropicalDiagram
     points: tuple[Vec, ...]

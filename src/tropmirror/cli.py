@@ -70,7 +70,10 @@ def _dumps(obj) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON file: {exc}") from None
 
 
 def _load_diagram(path: str, allow_singular: bool = False):
@@ -98,8 +101,18 @@ def _status_line(text: str) -> str:
     return text
 
 
-def _parse_point(text: str) -> tuple[Fraction, ...]:
-    return tuple(Q(part.strip()) for part in text.split(","))
+def _parse_number(option: str, text: str, number=Q):
+    """One number given to ``option``; a bad one names the option and the text."""
+    try:
+        return number(text.strip())
+    except (ValueError, ZeroDivisionError):
+        kind = "an integer" if number is int else "a rational number"
+        raise ValueError(f"{option}: {text.strip()!r} is not {kind}") from None
+
+
+def _parse_point(option: str, text: str, number=Q) -> tuple:
+    """Comma-separated numbers given to ``option``."""
+    return tuple(_parse_number(option, part, number) for part in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,13 +215,13 @@ def _cmd_mirror(args) -> int:
     corrections = None
     if args.corrections:
         corrections = corrections_from_json(_load_json(args.corrections))
-    base = _parse_point(args.base_point) if args.base_point else None
+    base = _parse_point("--base-point", args.base_point) if args.base_point else None
     sign = -1 if args.flip_sign else 1
     pres = presentation(
         diag,
         base=base,
         corrections=corrections,
-        truncation=Q(args.truncation),
+        truncation=_parse_number("-E", args.truncation),
         root_face=args.root_face,
         sign=sign,
     )
@@ -223,14 +236,14 @@ def _cmd_transport(args) -> int:
     tau = tau_from_json(_load_json(args.tau)) if args.tau else None
     pres = build_cut_presentation(diag, tau)
     path = path_from_json(_load_json(args.path))
-    g = tuple(int(c) for c in args.covector.split(","))
+    g = _parse_point("--class", args.covector, int)
     result = transport_covector(pres, path, g)
     sys.stdout.write(_dumps({"class": list(g), "result": list(result)}))
     return 0
 
 
 def _cmd_wallcross_demo(args) -> int:
-    report = focus_focus_demo(Q(args.truncation))
+    report = focus_focus_demo(_parse_number("-E", args.truncation))
     if args.json:
         out = {
             "truncation": str(report.truncation),
@@ -255,7 +268,7 @@ def _cmd_wallcross_demo(args) -> int:
 
 def _cmd_eval(args) -> int:
     a = series_from_json(_load_json(args.series))
-    value = eval_series(a, _parse_point(args.point))
+    value = eval_series(a, _parse_point("--point", args.point))
     sys.stdout.write(_dumps({"text": nov_to_text(value), "terms": nov_to_json(value)}))
     return 0
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -44,6 +43,7 @@ from .lattice import (
     vneg,
     vsub,
 )
+from .record import frozen
 
 Q = Fraction
 
@@ -52,12 +52,21 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@frozen
 class EdgeRef:
-    """Reference to a diagram edge: bounded edge, ray, or (d=1) marked point."""
+    """Reference to a diagram edge: bounded edge, ray, or (d=1) marked point.
+
+    Ordered by (kind, index).
+    """
 
     kind: str  # "edge" | "ray" | "point"
     index: int
+
+    def __lt__(self, other):
+        if other.__class__ is not EdgeRef:
+            return NotImplemented
+        return (self.kind, self.index) < (other.kind, other.index)
 
     def __str__(self):
         return f"{self.kind}{self.index}"
@@ -70,7 +79,7 @@ def parse_edge_ref(text: str) -> EdgeRef:
     raise DiagramError(f"cannot parse edge reference {text!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class TropicalDiagram:
     dim: int
     vertices: tuple[QPoint, ...]
@@ -116,11 +125,18 @@ class TropicalDiagram:
 
     # Derived geometry: computed on first use and stored on this instance, so
     # every layer shares one copy.  The diagram is frozen, so the facts never
-    # go stale; dataclasses.replace gives a fresh object with nothing cached.
+    # go stale; record.replace gives a fresh object with nothing cached.
 
     @functools.cached_property
     def report(self) -> ValidationReport:
         return validate(self)
+
+    @functools.cached_property
+    def directions(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """Primitive directions of the bounded edges (stored order) and of the rays."""
+        edges = tuple(primitive_q(vsub(self.vertices[j], self.vertices[i])) for i, j in self.edges)
+        rays = tuple(primitive_q(tuple(Q(c) for c in d)) for _, d in self.rays)
+        return edges, rays
 
     @functools.cached_property
     def stars(self) -> tuple[tuple[tuple[EdgeRef, Vec], ...], ...]:
@@ -153,11 +169,9 @@ class TropicalDiagram:
 def edge_direction(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
     """Canonical primitive direction: stored order for edges, outgoing for rays."""
     if ref.kind == "edge":
-        i, j = diag.edges[ref.index]
-        return primitive_q(vsub(diag.vertices[j], diag.vertices[i]))
+        return diag.directions[0][ref.index]
     if ref.kind == "ray":
-        _, d = diag.rays[ref.index]
-        return primitive_q(tuple(Q(c) for c in d))
+        return diag.directions[1][ref.index]
     raise DiagramError(f"{ref} has no direction")
 
 
@@ -184,7 +198,7 @@ def edge_sample_points(diag: TropicalDiagram, ref: EdgeRef) -> tuple[QPoint, QPo
 # --- validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     trivalent: bool
     balanced: bool
@@ -285,7 +299,7 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
 # perpendicular offset).
 
 
-@dataclass(frozen=True)
+@frozen
 class Dart:
     ref: EdgeRef
     tail: int
@@ -295,7 +309,7 @@ class Dart:
         return Dart(self.ref, self.head, self.tail)
 
 
-@dataclass(frozen=True)
+@frozen
 class Face:
     id: int
     darts: tuple[Dart, ...]
@@ -303,7 +317,7 @@ class Face:
     recession: tuple[Vec, ...]  # ray directions bounding an unbounded face
 
 
-@dataclass(frozen=True)
+@frozen
 class FaceComplex:
     faces: tuple[Face, ...]
     dart_face: dict  # Dart -> face id (face on the clockwise side of the dart)
@@ -375,9 +389,7 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
 
     rotation[-1] = sorted((d for d in darts if d.tail == -1), key=functools.cmp_to_key(inf_cmp))
 
-    def successor(d: Dart) -> Dart:
-        ring = rotation[d.tail]
-        return ring[(ring.index(d) + 1) % len(ring)]
+    successor = {d: ring[(i + 1) % len(ring)] for ring in rotation.values() for i, d in enumerate(ring)}
 
     dart_face: dict[Dart, int] = {}
     face_list: list[Face] = []
@@ -389,7 +401,7 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
         while True:
             orbit.append(d)
             dart_face[d] = len(face_list)
-            d = successor(d.twin())
+            d = successor[d.twin()]
             if d == start:
                 break
         recession = tuple(
@@ -416,7 +428,7 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
 # --- dual subdivision --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class DualSubdivision:
     lattice_points: tuple[Vec, ...]  # indexed by face id
     triangles: tuple[tuple[int, ...], ...]  # one cell of face ids per diagram vertex

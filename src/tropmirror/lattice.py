@@ -13,11 +13,12 @@ Vectors and points are plain tuples (``int`` entries for lattice vectors,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
+
+from .record import frozen
 
 Vec = tuple[int, ...]
 QPoint = tuple[Fraction, ...]
@@ -139,7 +140,7 @@ class ConeKind(Enum):
     FULL_PLANE = "full-plane"
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegralCone:
     """A shifted integral cone with at most two generators.
 
@@ -220,7 +221,7 @@ def cone_contains(cone: IntegralCone, p: Sequence[int]) -> bool:
     return a >= 0 and b >= 0
 
 
-@dataclass(frozen=True)
+@frozen
 class Box:
     """Axis-aligned product of closed rational intervals."""
 

@@ -20,7 +20,6 @@ point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -40,6 +39,7 @@ from .novikov import (
     nov_truncate,
     nov_val,
 )
+from .record import frozen, replace
 
 Q = Fraction
 
@@ -50,7 +50,7 @@ class MirrorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class CorrectionMap:
     """User-supplied correction series per dual vertex, val > 0 each."""
 
@@ -100,7 +100,7 @@ def _term_sort_key(alpha: Vec):
     return (sum(alpha), tuple(reversed(alpha)))
 
 
-@dataclass(frozen=True)
+@frozen
 class Superpotential:
     dim: int  # diagram dimension d; the mirror has n = d + 1
     terms: tuple[tuple[Vec, NovikovElement], ...]  # (dual vertex, coefficient)
@@ -171,7 +171,7 @@ def superpotential(
     return Superpotential(diag.dim, tuple(terms), root, truncation)
 
 
-@dataclass(frozen=True)
+@frozen
 class MirrorPresentation:
     """Generators u_1^{+-1}..u_{n-1}^{+-1}, x, y with the single relation xy - g."""
 

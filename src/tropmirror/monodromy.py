@@ -13,7 +13,6 @@ covectors around any diagram vertex sum to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .diagram import (
@@ -25,6 +24,7 @@ from .diagram import (
     is_smooth,
 )
 from .lattice import Vec, is_primitive, rot_minus90, vadd, vneg, vsub
+from .record import frozen
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -104,7 +104,7 @@ def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
     return total
 
 
-@dataclass(frozen=True)
+@frozen
 class DualGraphEmbedding:
     positions: tuple[Vec, ...]  # indexed by face id
     adjacency: tuple[tuple[int, int], ...]

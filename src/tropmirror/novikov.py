@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+from .record import frozen
 
 Q = Fraction
 
@@ -40,7 +41,7 @@ def _min_trunc(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fractio
     return min(a, b)
 
 
-@dataclass(frozen=True)
+@frozen
 class NovikovElement:
     """A truncated Novikov series with exact rational exponents/coefficients."""
 

@@ -1,7 +1,6 @@
 import json
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -27,6 +26,7 @@ from tropmirror.diagram import (
     validate,
 )
 from tropmirror.lattice import ConeKind, dot, lattice_triangle_area, vsub
+from tropmirror.record import replace
 
 
 def c3():

@@ -142,7 +142,7 @@ def test_normalize_idempotent():
 
 
 def test_normalize_absorbs_overall_scale():
-    from dataclasses import replace
+    from tropmirror.record import replace
     from tropmirror.novikov import nov_shift
 
     pres = presentation(c3())
@@ -156,7 +156,7 @@ def test_normalize_absorbs_overall_scale():
 
 
 def test_normalize_translates_support_back():
-    from dataclasses import replace
+    from tropmirror.record import replace
 
     pres = presentation(conifold())
     g = pres.relation

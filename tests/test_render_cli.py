@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -10,6 +12,7 @@ from tropmirror.diagram import TropicalDiagram, diagram_to_json
 from tropmirror.render import RenderError, render
 
 DIAGRAMS = os.path.join(os.path.dirname(__file__), "..", "diagrams")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def c3():
@@ -295,3 +298,53 @@ def test_cli_transport_malformed_json(tmp_path, capsys, option, content, message
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}: ")
+
+
+def test_python_dash_m_tropmirror_matches_run(capsys):
+    assert run(["validate", path("c3.json")]) == 0
+    expected = capsys.readouterr().out.encode()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "tropmirror", "validate", path("c3.json")]
+    proc = subprocess.run(argv, env=env, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
+SERIES = {
+    "dim": 2, "chamber": "V_plus", "truncation": "10",
+    "box": [["1/4", "2"], ["1/4", "2"]],
+    "terms": [{"expo": [1, 0], "coeff": [{"exp": "0", "coeff": "1"}]}],
+}
+LOOP = {"path": [["-1", "-1"], ["1", "-1"], ["1", "1"], ["-1", "1"], ["-1", "-1"]]}
+NOT_JSON = "not a JSON file: Expecting value: line 1 column 1 (char 0)"
+
+INPUT_ERRORS = [
+    (["validate", "{bad}"], "{bad}: " + NOT_JSON),
+    (["dual", "{bad}"], "{bad}: " + NOT_JSON),
+    (["mirror", "{bad}"], "{bad}: " + NOT_JSON),
+    (["web", "--charges", "{bad}"], "{bad}: " + NOT_JSON),
+    (["render", "{bad}"], "{bad}: " + NOT_JSON),
+    (["eval", "{bad}", "--point", "0,0"], "{bad}: " + NOT_JSON),
+    (["transport", "{ff}", "--path", "{bad}", "--class", "0,1"], "{bad}: " + NOT_JSON),
+    (["mirror", "{c3}", "--corrections", "{bad}"], "{bad}: " + NOT_JSON),
+    (["mirror", "{c3}", "--base-point=1/0,0"], "--base-point: '1/0' is not a rational number"),
+    (["mirror", "{c3}", "--base-point", "1/2,x"], "--base-point: 'x' is not a rational number"),
+    (["mirror", "{c3}", "-E", "1/0"], "-E: '1/0' is not a rational number"),
+    (["wallcross-demo", "-E", "ten"], "-E: 'ten' is not a rational number"),
+    (["eval", "{series}", "--point", "1/0,1"], "--point: '1/0' is not a rational number"),
+    (["transport", "{ff}", "--path", "{loop}", "--class", "a,b"], "--class: 'a' is not an integer"),
+    (["transport", "{ff}", "--path", "{loop}", "--class", "0,1/2"], "--class: '1/2' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INPUT_ERRORS, ids=[" ".join(argv) for argv, _ in INPUT_ERRORS])
+def test_cli_input_errors_name_their_source(tmp_path, capsys, argv, message):
+    files = {"bad": tmp_path / "bad.json", "series": tmp_path / "series.json", "loop": tmp_path / "loop.json"}
+    files["bad"].write_text("not json\n")
+    files["series"].write_text(json.dumps(SERIES))
+    files["loop"].write_text(json.dumps(LOOP))
+    names = {key: str(p) for key, p in files.items()}
+    names.update(ff=path("focus_focus.json"), c3=path("c3.json"))
+    assert run([arg.format(**names) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.format(**names)}\n"
