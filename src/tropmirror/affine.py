@@ -123,7 +123,8 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
     diag = pres.diagram
     face = locate_face(diag, x)
     if face is None:
-        raise AffineError("on wall")
+        where = ", ".join(str(c) for c in p)
+        raise AffineError(f"on wall: ({where}) lies over {_diagram_part_at(diag, x)}")
     # the cuts bounding the face are the edges dual to its sides
     taus = [pres.tau_of(ref) for ref, sides in diag.dual.edge_duality if face in sides]
     if t > max(taus):
@@ -131,6 +132,15 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
     if t < min(taus):
         return V_MINUS
     return wall(face)
+
+
+def _diagram_part_at(diag: TropicalDiagram, x) -> str:
+    """Name the vertex, or else the edge, ray or marked point, that x lies on."""
+    if diag.dim == 2:
+        for i, v in enumerate(diag.vertices):
+            if v == x:
+                return f"vertex {i}"
+    return next(str(ref) for ref in diag.edge_refs() if _on_edge(diag, ref, x))
 
 
 @frozen

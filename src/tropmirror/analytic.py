@@ -141,13 +141,30 @@ class AnalyticSeries:
         return nov()
 
 
+def _accumulate(sums: dict, trunc: Optional[Fraction], coeff: NovikovElement) -> Optional[Fraction]:
+    """Add coeff's terms into ``sums`` {exponent: coefficient}; return the new truncation."""
+    for e, c in coeff.terms:
+        sums[e] = sums[e] + c if e in sums else c
+    t = coeff.truncation
+    return trunc if t is None or (trunc is not None and trunc <= t) else t
+
+
 def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
-    """Build a series, merging duplicate exponents and dropping zeros."""
-    acc: dict[Vec, NovikovElement] = {}
+    """Build a series, merging duplicate exponents and dropping zeros.
+
+    ``terms`` is read once: the coefficients of each exponent are summed
+    into one dict as they arrive, and each coefficient is built once.
+    """
+    sums: dict[Vec, dict] = {}
+    truncs: dict[Vec, Optional[Fraction]] = {}
     for item in terms:
         m = item if isinstance(item, Monomial) else Monomial(item[0], item[1])
-        acc[m.expo] = nov_add(acc.get(m.expo, nov()), m.coeff)
-    kept = [Monomial(c, e) for e, c in sorted(acc.items()) if not c.is_zero()]
+        truncs[m.expo] = _accumulate(sums.setdefault(m.expo, {}), truncs.get(m.expo), m.coeff)
+    kept = []
+    for e in sorted(sums):
+        c = nov(sums[e].items(), truncs[e])
+        if not c.is_zero():
+            kept.append(Monomial(c, e))
     if dim is None:
         if not kept:
             raise AnalyticError("cannot infer dimension of an empty series")
@@ -160,10 +177,11 @@ def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
         raise AnalyticError("cannot multiply series on different chambers")
     if a.families or b.families:
         raise AnalyticError("materialize cone families before arithmetic")
-    out = []
-    for ma in a.terms:
-        for mb in b.terms:
-            out.append(Monomial(nov_mul(ma.coeff, mb.coeff), vadd(ma.expo, mb.expo)))
+    out = (
+        Monomial(nov_mul(ma.coeff, mb.coeff), vadd(ma.expo, mb.expo))
+        for ma in a.terms
+        for mb in b.terms
+    )
     return series(out, a.chamber, a.box, min(a.truncation, b.truncation), a.dim)
 
 
@@ -185,10 +203,11 @@ def eval_series(a: AnalyticSeries, point: Sequence) -> NovikovElement:
     x = tuple(Q(c) for c in point)
     if len(x) != a.dim:
         raise AnalyticError("evaluation point dimension mismatch")
-    total = nov(truncation=a.truncation)
+    sums: dict[Fraction, Fraction] = {}
+    trunc = a.truncation
     for m in a.terms:
-        total = nov_add(total, nov_shift(dot(m.expo, x), m.coeff))
-    return total
+        trunc = _accumulate(sums, trunc, nov_shift(dot(m.expo, x), m.coeff))
+    return nov(sums.items(), trunc)
 
 
 def flux_monomial(
@@ -249,25 +268,25 @@ def wall_cross(
     E = Q(E)
     target = _flip(a.chamber)
     box = target_box if target_box is not None else a.box
-    out: list[Monomial] = []
-    for m in a.terms:
-        k = dot(m.expo, w.normal)
-        if w.mode == "affine":
-            out.append(Monomial(m.coeff, vadd(m.expo, tuple(k * g for g in w.gamma))))
-            continue
-        if k >= 0:
-            for i in range(k + 1):
-                out.append(
-                    Monomial(
+
+    def crossed():
+        # one monomial's image at a time, so series never holds them all
+        for m in a.terms:
+            k = dot(m.expo, w.normal)
+            if w.mode == "affine":
+                yield Monomial(m.coeff, vadd(m.expo, tuple(k * g for g in w.gamma)))
+            elif k >= 0:
+                for i in range(k + 1):
+                    yield Monomial(
                         nov_scale(math.comb(k, i), m.coeff),
                         vadd(m.expo, tuple(i * g for g in w.gamma)),
                     )
-                )
-        else:
-            cone = IntegralCone((0,) * a.dim, (w.gamma,), ConeKind.STRICT)
-            family = ConeFamily(m.expo, cone, "neg_binomial", -k, m.coeff)
-            out.extend(family.materialize(E, box))
-    return series(out, target, box, E, a.dim)
+            else:
+                cone = IntegralCone((0,) * a.dim, (w.gamma,), ConeKind.STRICT)
+                family = ConeFamily(m.expo, cone, "neg_binomial", -k, m.coeff)
+                yield from family.materialize(E, box)
+
+    return series(crossed(), target, box, E, a.dim)
 
 
 # --- the worked focus-focus pipeline -----------------------------------------

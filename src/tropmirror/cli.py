@@ -9,6 +9,7 @@ results (sorted keys, no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -115,7 +116,9 @@ def _parse_point(option: str, text: str, number=Q) -> tuple:
     return tuple(_parse_number(option, part, number) for part in text.split(","))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``run``."""
     p = argparse.ArgumentParser(
         prog="tropmirror",
         description="SYZ mirror data of toric Calabi-Yau webs",

@@ -16,13 +16,17 @@ mirroring computation over the quotients by energy level.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from .record import frozen
 
 Q = Fraction
+_new = object.__new__
+_set = object.__setattr__
 
 
 class NovikovError(ValueError):
@@ -81,6 +85,26 @@ class NovikovElement:
         return nov_neg(self)
 
 
+def _trusted(terms: tuple, truncation: Optional[Fraction]) -> NovikovElement:
+    """A kernel output, stored without the checks of ``__post_init__``.
+
+    Only for terms the kernel built itself: a tuple of ``(Fraction,
+    Fraction)`` pairs with strictly increasing exponents, all below
+    ``truncation`` (a ``Fraction`` or ``None``), and no zero coefficient.
+    """
+    a = _new(NovikovElement)
+    _set(a, "terms", terms)
+    _set(a, "truncation", truncation)
+    return a
+
+
+def _from_sums(acc: dict, trunc: Optional[Fraction]) -> NovikovElement:
+    """The element of a dict ``{exponent: coefficient}`` of Fractions."""
+    return _trusted(
+        tuple((e, c) for e, c in sorted(acc.items()) if c and (trunc is None or e < trunc)), trunc
+    )
+
+
 def nov(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
     """Build an element from unsorted (exponent, coefficient) pairs.
 
@@ -91,24 +115,19 @@ def nov(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
     acc: dict[Fraction, Fraction] = {}
     for e, c in terms:
         e, c = _q(e), _q(c)
-        acc[e] = acc.get(e, Q(0)) + c
-    kept = sorted((e, c) for e, c in acc.items() if c != 0 and (trunc is None or e < trunc))
-    return NovikovElement(tuple(kept), trunc)
+        acc[e] = acc[e] + c if e in acc else c
+    return _from_sums(acc, trunc)
 
 
 def nov_zero(truncation=None) -> NovikovElement:
     return nov((), truncation)
 
 
-def nov_const(c, truncation=None) -> NovikovElement:
-    return nov([(0, c)], truncation)
-
-
 def nov_monomial(exp, coeff=1, truncation=None) -> NovikovElement:
     return nov([(exp, coeff)], truncation)
 
 
-NOV_ONE = nov_const(1)
+NOV_ONE = nov([(0, 1)])
 
 
 def nov_val(a: NovikovElement) -> Optional[Fraction]:
@@ -119,30 +138,54 @@ def nov_val(a: NovikovElement) -> Optional[Fraction]:
 def nov_truncate(a: NovikovElement, E) -> NovikovElement:
     E = _q(E)
     trunc = _min_trunc(a.truncation, E)
-    return NovikovElement(tuple((e, c) for e, c in a.terms if e < trunc), trunc)
+    return _trusted(tuple((e, c) for e, c in a.terms if e < trunc), trunc)
 
 
 def nov_add(a: NovikovElement, b: NovikovElement) -> NovikovElement:
+    """Merge the two sorted term lists in one pass."""
     trunc = _min_trunc(a.truncation, b.truncation)
-    return nov(list(a.terms) + list(b.terms), trunc)
+    x, y = a.terms, b.terms
+    nx, ny = len(x), len(y)
+    out = []
+    i = j = 0
+    while i < nx and j < ny:
+        ex, ey = x[i][0], y[j][0]
+        if ex < ey:
+            out.append(x[i])
+            i += 1
+        elif ey < ex:
+            out.append(y[j])
+            j += 1
+        else:
+            c = x[i][1] + y[j][1]
+            if c:
+                out.append((ex, c))
+            i += 1
+            j += 1
+    out += x[i:]
+    out += y[j:]
+    if trunc is not None:
+        while out and out[-1][0] >= trunc:
+            out.pop()
+    return _trusted(tuple(out), trunc)
 
 
 def nov_neg(a: NovikovElement) -> NovikovElement:
-    return NovikovElement(tuple((e, -c) for e, c in a.terms), a.truncation)
+    return _trusted(tuple((e, -c) for e, c in a.terms), a.truncation)
 
 
 def nov_scale(k, a: NovikovElement) -> NovikovElement:
     k = _q(k)
     if k == 0:
         return nov_zero(a.truncation)
-    return NovikovElement(tuple((e, k * c) for e, c in a.terms), a.truncation)
+    return _trusted(tuple((e, k * c) for e, c in a.terms), a.truncation)
 
 
 def nov_shift(delta, a: NovikovElement) -> NovikovElement:
     """Multiply by t^delta (shifts the truncation window along)."""
     delta = _q(delta)
     trunc = None if a.truncation is None else a.truncation + delta
-    return NovikovElement(tuple((e + delta, c) for e, c in a.terms), trunc)
+    return _trusted(tuple((e + delta, c) for e, c in a.terms), trunc)
 
 
 def _product_truncation(a: NovikovElement, b: NovikovElement) -> Optional[Fraction]:
@@ -179,35 +222,51 @@ def nov_mul(a: NovikovElement, b: NovikovElement) -> NovikovElement:
             e = ea + eb
             if trunc is not None and e >= trunc:
                 continue
-            acc[e] = acc.get(e, Q(0)) + ca * cb
-    return nov(acc.items(), trunc)
+            acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+    return _from_sums(acc, trunc)
 
 
 def nov_inv(a: NovikovElement, E) -> NovikovElement:
     """Inverse of a nonzero element modulo t^E.
 
-    Writes a = c0 t^v (1 + r) with val r > 0 and expands the geometric series
-    in r.  The result b satisfies a*b == 1 mod t^E; accordingly b carries terms
-    up to exponent E - v, i.e. truncation E - val(a).
+    Writes a = c0 t^v (1 + r) with r = sum_s r_s t^s, s > 0.  Then
+    1/(1 + r) = sum_e b_e t^e with b_0 = 1 and b_e = -sum_s r_s b_{e-s}; its
+    exponents lie in the monoid that the exponents of r generate.  The
+    monoid elements below E are enumerated in increasing order by a heap,
+    over one common denominator, so every b_{e-s} is known before b_e.  The
+    result b = t^{-v} (1/c0) sum_e b_e t^e satisfies a*b == 1 mod t^E, and
+    carries truncation E - val(a).
     """
     if a.is_zero():
         raise NovikovError("division by zero")
     E = _q(E)
     v, c0 = a.terms[0]
-    # tail r with val(r) > 0; a = c0 t^v (1 + r)
-    r = NovikovElement(tuple((e - v, c / c0) for e, c in a.terms[1:]), None)
-    r = nov_truncate(r, E)
-    result = nov_const(1, E)
-    power = nov_const(1, E)
-    if r.terms:
-        delta = r.terms[0][0]
-        k = 0
-        while (k + 1) * delta < E:
-            power = nov_mul(power, nov_neg(r))
-            result = nov_add(result, power)
-            k += 1
-    result = nov_scale(Q(1) / c0, result)
-    return nov_shift(-v, result)
+    tail = [(e - v, c / c0) for e, c in a.terms[1:] if e - v < E]
+    den = math.lcm(*(s.denominator for s, _ in tail))
+    steps = [(s.numerator * (den // s.denominator), -r) for s, r in tail]
+    limit = math.ceil(E * den)  # an integer exponent n stands for n/den < E iff n < limit
+    coeffs: dict[int, Fraction] = {}
+    heap = [0] if limit > 0 else []
+    seen = set(heap)
+    while heap:
+        n = heappop(heap)
+        if n == 0:
+            b = Q(1)
+        else:
+            b = 0
+            for s, r in steps:
+                prev = coeffs.get(n - s)
+                if prev is not None:
+                    b += r * prev
+        if b:
+            coeffs[n] = b
+        for s, _ in steps:
+            m = n + s
+            if m < limit and m not in seen:
+                seen.add(m)
+                heappush(heap, m)
+    inv_c0 = 1 / c0
+    return _trusted(tuple((Q(n, den) - v, b * inv_c0) for n, b in coeffs.items()), E - v)
 
 
 def nov_eq_mod(a: NovikovElement, b: NovikovElement, E) -> bool:

@@ -1,11 +1,22 @@
-"""Shared test utilities: random polygons and webs, unimodular maps, the hull oracles."""
+"""Shared test utilities: random polygons and webs, unimodular maps, and the oracles
+of replaced kernels (hulls, Novikov arithmetic, series accumulation)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
+
+from tropmirror.analytic import (
+    AnalyticError,
+    AnalyticSeries,
+    ConeFamily,
+    Monomial,
+    WallTransformation,
+    _flip,
+)
 
 from tropmirror.charges import (
     ChargeError,
@@ -15,8 +26,19 @@ from tropmirror.charges import (
     web_from_subdivision,
 )
 from tropmirror.diagram import TropicalDiagram, is_smooth, validate
-from tropmirror.lattice import Vec, convex_hull, cross2, vsub
-from tropmirror.novikov import NovikovElement, nov
+from tropmirror.lattice import Box, ConeKind, IntegralCone, Vec, convex_hull, cross2, dot, vadd, vsub
+from tropmirror.novikov import (
+    NovikovElement,
+    NovikovError,
+    _min_trunc,
+    _q,
+    nov,
+    nov_mul,
+    nov_neg,
+    nov_scale,
+    nov_shift,
+    nov_truncate,
+)
 
 Q = Fraction
 
@@ -196,3 +218,128 @@ def interior_point_near_vertex(diag: TropicalDiagram, rng: random.Random):
         )
         if locate_face(diag, p) is not None:
             return p
+
+
+# --- the replaced Novikov kernels and series accumulation, as oracles -------
+#
+# nov, nov_add and nov_inv as they were before the kernel stored its outputs
+# without re-checking them; nov_inv summed dense powers of the tail.  series,
+# eval_series and wall_cross called nov_add once per monomial into a growing
+# accumulator.  The bodies are unchanged apart from calling each other.
+
+
+def nov_oracle(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
+    """Build an element from unsorted (exponent, coefficient) pairs.
+
+    Pairs with equal exponents are merged, zero coefficients dropped, and
+    terms at or above the truncation discarded.
+    """
+    trunc = None if truncation is None else _q(truncation)
+    acc: dict[Fraction, Fraction] = {}
+    for e, c in terms:
+        e, c = _q(e), _q(c)
+        acc[e] = acc.get(e, Q(0)) + c
+    kept = sorted((e, c) for e, c in acc.items() if c != 0 and (trunc is None or e < trunc))
+    return NovikovElement(tuple(kept), trunc)
+
+
+def nov_add_oracle(a: NovikovElement, b: NovikovElement) -> NovikovElement:
+    trunc = _min_trunc(a.truncation, b.truncation)
+    return nov_oracle(list(a.terms) + list(b.terms), trunc)
+
+
+def nov_inv_oracle(a: NovikovElement, E) -> NovikovElement:
+    """Inverse of a nonzero element modulo t^E.
+
+    Writes a = c0 t^v (1 + r) with val r > 0 and expands the geometric series
+    in r.  The result b satisfies a*b == 1 mod t^E; accordingly b carries terms
+    up to exponent E - v, i.e. truncation E - val(a).
+    """
+    if a.is_zero():
+        raise NovikovError("division by zero")
+    E = _q(E)
+    v, c0 = a.terms[0]
+    # tail r with val(r) > 0; a = c0 t^v (1 + r)
+    r = NovikovElement(tuple((e - v, c / c0) for e, c in a.terms[1:]), None)
+    r = nov_truncate(r, E)
+    result = nov_oracle([(0, 1)], E)
+    power = nov_oracle([(0, 1)], E)
+    if r.terms:
+        delta = r.terms[0][0]
+        k = 0
+        while (k + 1) * delta < E:
+            power = nov_mul(power, nov_neg(r))
+            result = nov_add_oracle(result, power)
+            k += 1
+    result = nov_scale(Q(1) / c0, result)
+    return nov_shift(-v, result)
+
+
+def series_oracle(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
+    """Build a series, merging duplicate exponents and dropping zeros."""
+    acc: dict[Vec, NovikovElement] = {}
+    for item in terms:
+        m = item if isinstance(item, Monomial) else Monomial(item[0], item[1])
+        acc[m.expo] = nov_add_oracle(acc.get(m.expo, nov_oracle()), m.coeff)
+    kept = [Monomial(c, e) for e, c in sorted(acc.items()) if not c.is_zero()]
+    if dim is None:
+        if not kept:
+            raise AnalyticError("cannot infer dimension of an empty series")
+        dim = len(kept[0].expo)
+    return AnalyticSeries(dim, tuple(kept), chamber, box, Q(truncation))
+
+
+def eval_series_oracle(a: AnalyticSeries, point: Sequence) -> NovikovElement:
+    """Evaluate at a base point: each z^u contributes t^{<u, x>}."""
+    x = tuple(Q(c) for c in point)
+    if len(x) != a.dim:
+        raise AnalyticError("evaluation point dimension mismatch")
+    total = nov_oracle(truncation=a.truncation)
+    for m in a.terms:
+        total = nov_add_oracle(total, nov_shift(dot(m.expo, x), m.coeff))
+    return total
+
+
+def wall_cross_oracle(
+    a: AnalyticSeries, w: WallTransformation, E, target_box: Optional[Box] = None
+) -> AnalyticSeries:
+    """Apply the wall-crossing substitution monomial by monomial.
+
+    Affine mode: z^u -> z^{u + <u,m> gamma}.  Corrected mode:
+    z^u -> z^u (1 + z^gamma)^{<u,m>}, expanded.  Non-negative powers expand
+    exactly (truncation immaterial); negative powers are cone families
+    materialized up to t^E against the target chamber box, so the result is a
+    ring homomorphism modulo t^E.  The chamber tag flips.
+    """
+    E = Q(E)
+    target = _flip(a.chamber)
+    box = target_box if target_box is not None else a.box
+    out: list[Monomial] = []
+    for m in a.terms:
+        k = dot(m.expo, w.normal)
+        if w.mode == "affine":
+            out.append(Monomial(m.coeff, vadd(m.expo, tuple(k * g for g in w.gamma))))
+            continue
+        if k >= 0:
+            for i in range(k + 1):
+                out.append(
+                    Monomial(
+                        nov_scale(math.comb(k, i), m.coeff),
+                        vadd(m.expo, tuple(i * g for g in w.gamma)),
+                    )
+                )
+        else:
+            cone = IntegralCone((0,) * a.dim, (w.gamma,), ConeKind.STRICT)
+            family = ConeFamily(m.expo, cone, "neg_binomial", -k, m.coeff)
+            out.extend(family.materialize(E, box))
+    return series_oracle(out, target, box, E, a.dim)
+
+
+def assert_kernel_output(x: NovikovElement) -> None:
+    """x stores only what the public, checking constructor would store."""
+    assert type(x.terms) is tuple
+    for pair in x.terms:
+        assert type(pair) is tuple and len(pair) == 2
+        assert type(pair[0]) is Fraction and type(pair[1]) is Fraction
+    assert x.truncation is None or type(x.truncation) is Fraction
+    assert NovikovElement(x.terms, x.truncation) == x

@@ -61,6 +61,19 @@ def test_chamber_classification():
         chamber_of(pres, (0, 0, 0))  # diagram vertex height
 
 
+def test_chamber_on_wall_names_the_point_and_what_it_lies_on():
+    cases = [
+        (focus_focus(), (0, 5), "on wall: (0, 5) lies over point0"),
+        (conifold(), (Q(-1, 2), Q(-1, 2), 3), "on wall: (-1/2, -1/2, 3) lies over edge0"),
+        (conifold(), (-1, -1, 0), "on wall: (-1, -1, 0) lies over vertex 1"),
+        (c3(), (0, 7, Q(1, 2)), "on wall: (0, 7, 1/2) lies over ray1"),
+    ]
+    for diag, point, message in cases:
+        with pytest.raises(AffineError) as info:
+            chamber_of(build_cut_presentation(diag), point)
+        assert str(info.value) == message
+
+
 def test_chamber_focus_focus_two_chambers():
     pres = build_cut_presentation(focus_focus())
     assert chamber_of(pres, (-1, -1)) == V_MINUS  # left of the critical value, below

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from tropmirror.charges import ChargeMatrix, build_web
+from tropmirror import cli
 from tropmirror.cli import run
 from tropmirror.diagram import TropicalDiagram, diagram_to_json
 from tropmirror.render import RenderError, render
@@ -200,6 +201,37 @@ def test_cli_determinism(capsys):
     third = capsys.readouterr().out
     run(["dual", path("c3.json")])
     assert third == capsys.readouterr().out
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    argvs = [
+        ["mirror", path("c3.json")],
+        ["mirror", path("c3.json"), "--bogus"],
+        ["--version"],
+        ["dual", path("c3.json"), "--flip-sign"],
+        ["dual"],
+        ["render", path("c3.json"), "--format", "nope"],
+        ["wallcross-demo", "-E", "5"],
+        ["--version"],
+        ["mirror", path("c3.json")],
+    ]
+
+    def outcomes(fresh: bool) -> list:
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    cli._build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 2, 0, 0, 0]
+    assert shared[2][1].startswith("tropmirror ")
+    assert shared == outcomes(fresh=True)
 
 
 def test_cli_round_trip_web_then_mirror(tmp_path, capsys):
