@@ -150,22 +150,47 @@ class Crossing:
     point: QPoint  # crossing point in the base
 
 
+def _edge_param(diag: TropicalDiagram, ref: EdgeRef, x) -> Optional[Fraction]:
+    """The s with x = anchor + s*d on the line of the edge, or None off it.
+
+    A d=1 marked point is its own line: s is 0 on it.
+    """
+    anchor = edge_anchor(diag, ref)
+    if ref.kind == "point":
+        return Q(0) if x[0] == anchor[0] else None
+    d = edge_direction(diag, ref)
+    rel = vsub(x, anchor)
+    axis = 0 if d[0] != 0 else 1
+    s = rel[axis] / d[axis]
+    return s if all(ri == s * di for di, ri in zip(d, rel)) else None
+
+
+def _edge_end(diag: TropicalDiagram, ref: EdgeRef) -> Optional[Fraction]:
+    """The parameter of the far end of the edge: 0 for a point, None for a ray."""
+    if ref.kind == "ray":
+        return None
+    if ref.kind == "point":
+        return Q(0)
+    return _edge_param(diag, ref, diag.vertices[diag.edges[ref.index][1]])
+
+
 def _on_edge(diag: TropicalDiagram, ref: EdgeRef, pt) -> bool:
     """Is a planar point on the closed edge (segment, ray, or d=1 point)?"""
-    if ref.kind == "point":
-        return pt[0] == diag.vertices[ref.index][0]
-    anchor = edge_anchor(diag, ref)
-    d = edge_direction(diag, ref)
-    rel = vsub(pt, anchor)
-    axis = 0 if d[0] != 0 else 1
-    param = rel[axis] / d[axis]
-    if any(ri != param * di for di, ri in zip(d, rel)):
+    s = _edge_param(diag, ref, pt)
+    if s is None or s < 0:
         return False
-    if ref.kind == "ray":
-        return param >= 0
-    i, j = diag.edges[ref.index]
-    dv = vsub(diag.vertices[j], diag.vertices[i])
-    return 0 <= param <= dv[axis] / d[axis]
+    end = _edge_end(diag, ref)
+    return end is None or s <= end
+
+
+def _below(a: QPoint, b: QPoint, tau: Fraction) -> tuple[QPoint, QPoint]:
+    """The planar ends of the part of segment ab at height tau or lower (not empty)."""
+    at, bt = a[-1], b[-1]
+    if at > tau or bt > tau:
+        s = (tau - at) / (bt - at)
+        mid = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
+        a, b = (mid, b) if at > tau else (a, mid)
+    return a[:-1], b[:-1]
 
 
 def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Crossing]:
@@ -180,23 +205,11 @@ def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Cros
         fb = dot(cov, vsub(bxy, anchor))
         if fa == fb:
             if fa == 0 and min(at, bt) <= cut.tau:
-                # segment inside the cut plane at cut height: reject if its
-                # projection overlaps the edge range
-                if diag.dim == 1:
-                    raise AffineError("path runs along a cut")
-                d = edge_direction(diag, cut.ref)
-                axis = 0 if d[0] != 0 else 1
-                ua = (axy[axis] - anchor[axis]) / d[axis]
-                ub = (bxy[axis] - anchor[axis]) / d[axis]
-                lo, hi = min(ua, ub), max(ua, ub)
-                if cut.ref.kind == "ray":
-                    overlap = hi >= 0
-                else:
-                    i, j = diag.edges[cut.ref.index]
-                    dv = vsub(diag.vertices[j], diag.vertices[i])
-                    length = dv[axis] / d[axis]
-                    overlap = hi >= 0 and lo <= length
-                if overlap:
+                # segment inside the cut plane: reject if its part at or
+                # below the cut height projects onto the edge range
+                ua, ub = (_edge_param(diag, cut.ref, x) for x in _below(a, b, cut.tau))
+                end = _edge_end(diag, cut.ref)
+                if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
                     raise AffineError("path runs along a cut")
             continue
         if fa == 0 or fb == 0:
@@ -211,20 +224,17 @@ def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Cros
         s = fa / (fa - fb)
         point = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
         xq, tq = point[:-1], point[-1]
-        if not _on_edge(diag, cut.ref, xq):
+        u = _edge_param(diag, cut.ref, xq)
+        end = _edge_end(diag, cut.ref)
+        if u < 0 or (end is not None and u > end):
             continue
         if tq > cut.tau:
             continue  # passes above the cut, through glued regular base
         if tq == cut.tau:
             raise AffineError("path hits discriminant")
-        if diag.dim == 2:
-            # crossing exactly over an edge endpoint is a vertex line
-            if cut.ref.kind == "edge":
-                i, j = diag.edges[cut.ref.index]
-                if xq in (diag.vertices[i], diag.vertices[j]):
-                    raise AffineError("path hits discriminant")
-            elif xq == anchor:
-                raise AffineError("path hits discriminant")
+        # in d=2, crossing exactly over an edge endpoint is a vertex line
+        if diag.dim == 2 and u in (0, end):
+            raise AffineError("path hits discriminant")
         sign = 1 if fb > fa else -1
         found.append((s, Crossing(cut.ref, sign, point)))
     found.sort(key=lambda item: item[0])
@@ -237,6 +247,18 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     The covector is written in the basis (eta_1, ..., eta_{n-1}, g_0); each
     signed cut crossing applies the gluing matrix or its inverse.
     """
+    crossings = transport_crossings(pres, path)
+    v = tuple(int(c) for c in g)
+    if len(v) != pres.n:
+        raise AffineError("covector dimension mismatch")
+    for crossing in crossings:
+        cov = pres.cut_of[crossing.ref].covector
+        v = mat_apply(crossing_matrix(cov, crossing.sign, pres.n), v)
+    return v
+
+
+def transport_crossings(pres: CutPresentation, path: Sequence) -> list[Crossing]:
+    """The signed cut crossings along a polyline, in order."""
     pts = [tuple(Q(c) for c in p) for p in path]
     if len(pts) < 2:
         raise AffineError("path needs at least two points")
@@ -246,19 +268,6 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     for p, q in zip(pts, pts[1:]):
         if p == q:
             raise AffineError("consecutive path points coincide")
-    v = tuple(int(c) for c in g)
-    if len(v) != pres.n:
-        raise AffineError("covector dimension mismatch")
-    for a, b in zip(pts, pts[1:]):
-        for crossing in _segment_crossings(pres, a, b):
-            cut = pres.cut_of[crossing.ref]
-            v = mat_apply(crossing_matrix(cut.covector, crossing.sign, pres.n), v)
-    return v
-
-
-def transport_crossings(pres: CutPresentation, path: Sequence) -> list[Crossing]:
-    """The signed cut crossings along a polyline, in order."""
-    pts = [tuple(Q(c) for c in p) for p in path]
     out = []
     for a, b in zip(pts, pts[1:]):
         out.extend(_segment_crossings(pres, a, b))

@@ -3,9 +3,10 @@
 A monomial c z^u is a Novikov coefficient together with an integer exponent
 vector; its valuation over a box is val(c) plus the minimum of <u, x> over
 the box, attained at a corner.  Series are finite term lists tagged with a
-chamber and a valuation box; infinite supports are represented by cone
-families (apex exponent, integral cone of increments, coefficient rule) that
-are materialized up to the energy level before any arithmetic.
+chamber and a valuation box.  The one infinite expansion, a negative power
+(1 + z^gamma)^{-m} z^{apex}, is a cone family (apex, vanishing class gamma,
+power m, coefficient) that is materialized up to the energy level before any
+arithmetic.
 
 Wall crossing acts per monomial: the affine mode is the monodromy
 substitution z^u -> z^{u + <u,m> gamma}; the corrected mode is the cluster
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram
-from .lattice import Box, ConeKind, IntegralCone, Vec, dot, is_primitive, vadd
+from .lattice import Box, Vec, dot, is_primitive, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
 from .novikov import (
     NovikovElement,
@@ -76,38 +77,27 @@ def expo_val_on_box(expo: Vec, box: Box) -> Fraction:
     return min(dot(expo, corner) for corner in box.corners())
 
 
-def cone_family_converges(apex: Vec, cone: IntegralCone, box: Box) -> bool:
-    """True iff every stored generator pairs positively over the whole box."""
-    if cone.kind is ConeKind.FULL_PLANE:
-        raise AnalyticError("family cannot converge")
-    for g in cone.generators:
-        if expo_val_on_box(g, box) <= 0:
-            return False
-    return True
-
-
 @frozen
 class ConeFamily:
-    """Coefficients c_k on z^{apex + k*gamma}, k >= 0, by a named rule.
+    """The expansion (1 + z^gamma)^{-m} z^{apex} times coeff, m = power > 0.
 
-    Rule "neg_binomial" with power m encodes (1 + z^gamma)^{-m} z^{apex}.
+    Its coefficients sit on z^{apex + k*gamma}, k >= 0; they are
+    materialized while the box valuation stays below the truncation, which
+    ends only if z^gamma has positive valuation over the whole box.
     """
 
     apex: Vec
-    cone: IntegralCone
-    rule: str
+    gamma: Vec
     power: int
     coeff: NovikovElement
 
     def materialize(self, truncation: Fraction, box: Box) -> list[Monomial]:
-        if self.rule != "neg_binomial":
-            raise AnalyticError(f"unknown family rule {self.rule}")
         if self.coeff.is_zero():
             raise AnalyticError("cone family coefficient must be nonzero")
-        gamma = self.cone.generators[0]
-        if not cone_family_converges(self.apex, self.cone, box):
-            raise AnalyticError("cone family has no val-positive increments on the chamber")
+        gamma = self.gamma
         step = expo_val_on_box(gamma, box)
+        if step <= 0:
+            raise AnalyticError("cone family has no val-positive increments on the chamber")
         base = nov_val(self.coeff) + expo_val_on_box(self.apex, box)
         out = []
         k = 0
@@ -126,7 +116,6 @@ class AnalyticSeries:
     chamber: str
     box: Box
     truncation: Fraction
-    families: tuple[ConeFamily, ...] = ()
 
     def __post_init__(self):
         expos = [m.expo for m in self.terms]
@@ -175,8 +164,6 @@ def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None)
 def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
     if a.chamber != b.chamber:
         raise AnalyticError("cannot multiply series on different chambers")
-    if a.families or b.families:
-        raise AnalyticError("materialize cone families before arithmetic")
     out = (
         Monomial(nov_mul(ma.coeff, mb.coeff), vadd(ma.expo, mb.expo))
         for ma in a.terms
@@ -265,6 +252,9 @@ def wall_cross(
     materialized up to t^E against the target chamber box, so the result is a
     ring homomorphism modulo t^E.  The chamber tag flips.
     """
+    for name, v in (("gamma", w.gamma), ("normal", w.normal)):
+        if len(v) != a.dim:
+            raise AnalyticError(f"{name} has length {len(v)}, the series has dimension {a.dim}")
     E = Q(E)
     target = _flip(a.chamber)
     box = target_box if target_box is not None else a.box
@@ -282,9 +272,7 @@ def wall_cross(
                         vadd(m.expo, tuple(i * g for g in w.gamma)),
                     )
             else:
-                cone = IntegralCone((0,) * a.dim, (w.gamma,), ConeKind.STRICT)
-                family = ConeFamily(m.expo, cone, "neg_binomial", -k, m.coeff)
-                yield from family.materialize(E, box)
+                yield from ConeFamily(m.expo, w.gamma, -k, m.coeff).materialize(E, box)
 
     return series(crossed(), target, box, E, a.dim)
 

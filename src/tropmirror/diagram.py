@@ -645,47 +645,6 @@ def locate_face(diag: TropicalDiagram, x: QPoint) -> Optional[int]:
     return winners[0] if len(winners) == 1 else None
 
 
-# --- dual vertex cones ---------------------------------------------------
-
-
-def dual_vertex_cone(dual: DualSubdivision, face: int):
-    """The integral cone at a dual vertex spanned by its neighbor vectors.
-
-    Strictly convex at polygon corners, a half-plane at points interior to a
-    polygon edge, the full plane at interior points.
-    """
-    from .lattice import ConeKind, IntegralCone, primitive
-
-    apex = dual.lattice_points[face]
-    vecs = []
-    for _, (left, right) in dual.edge_duality:
-        if left == face:
-            vecs.append(vsub(dual.lattice_points[right], apex))
-        elif right == face:
-            vecs.append(vsub(dual.lattice_points[left], apex))
-    vecs = sorted({primitive(v) for v in vecs})
-    if not vecs:
-        raise DiagramError("isolated dual vertex")
-    if len(apex) == 1:
-        return IntegralCone(apex, (vecs[0],), ConeKind.STRICT)
-    ring = sorted(vecs, key=functools.cmp_to_key(_ccw_cmp))
-    m = len(ring)
-    if m == 1:
-        return IntegralCone(apex, (ring[0],), ConeKind.STRICT)
-    # classify by the counterclockwise gaps between consecutive directions
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
-        c = cross2(a, b)
-        if c < 0:  # gap beyond a half turn: salient cone from b around to a
-            return IntegralCone(apex, (b, a), ConeKind.STRICT)
-        if c == 0 and dot(a, b) < 0:  # gap of exactly a half turn
-            side = next((v for v in ring if cross2(b, v) != 0), None)
-            if side is None:
-                raise DiagramError("dual vertex cone spans only a line")
-            return IntegralCone(apex, (b, side), ConeKind.HALF_PLANE)
-    return IntegralCone(apex, (), ConeKind.FULL_PLANE)
-
-
 # --- JSON --------------------------------------------------------------------
 
 

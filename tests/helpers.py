@@ -1,21 +1,24 @@
-"""Shared test utilities: random polygons and webs, unimodular maps, and the oracles
-of replaced kernels (hulls, Novikov arithmetic, series accumulation)."""
+"""Shared test utilities: random polygons and webs, unimodular maps, the brute-force
+cone oracle, and the oracles of replaced kernels (hulls, Novikov arithmetic, series
+accumulation, wall crossing)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from tropmirror.analytic import (
     AnalyticError,
     AnalyticSeries,
-    ConeFamily,
     Monomial,
     WallTransformation,
     _flip,
+    expo_val_on_box,
 )
 
 from tropmirror.charges import (
@@ -25,8 +28,20 @@ from tropmirror.charges import (
     regular_subdivision,
     web_from_subdivision,
 )
-from tropmirror.diagram import TropicalDiagram, is_smooth, validate
-from tropmirror.lattice import Box, ConeKind, IntegralCone, Vec, convex_hull, cross2, dot, vadd, vsub
+from tropmirror.diagram import DiagramError, DualSubdivision, TropicalDiagram, _ccw_cmp, is_smooth, validate
+from tropmirror.lattice import (
+    Box,
+    LatticeError,
+    Vec,
+    convex_hull,
+    cross2,
+    dot,
+    is_primitive,
+    is_zero,
+    primitive,
+    vadd,
+    vsub,
+)
 from tropmirror.novikov import (
     NovikovElement,
     NovikovError,
@@ -38,7 +53,9 @@ from tropmirror.novikov import (
     nov_scale,
     nov_shift,
     nov_truncate,
+    nov_val,
 )
+from tropmirror.record import frozen
 
 Q = Fraction
 
@@ -220,12 +237,171 @@ def interior_point_near_vertex(diag: TropicalDiagram, rng: random.Random):
             return p
 
 
+# --- shifted integral cones, intersected by brute force, as an oracle -------
+#
+# The dual subdivision's lattice points are exactly the points lying in the
+# cone of every dual vertex; the tests enumerate a search box to check it.
+
+
+class ConeKind(Enum):
+    STRICT = "strict"
+    HALF_PLANE = "half-plane"
+    FULL_PLANE = "full-plane"
+
+
+@frozen
+class IntegralCone:
+    """A shifted integral cone with at most two generators.
+
+    ``strict`` cones carry one or two primitive generators spanning a salient
+    cone.  ``half-plane`` cones carry exactly two generators: the boundary
+    direction and a primitive vector on the half-plane side; membership is a
+    sign test.  ``full-plane`` cones carry no generators and contain
+    everything.  Wider generator sets are rejected at construction: trivalence
+    of the diagrams makes every arising cone at most 2-generated.
+    """
+
+    apex: Vec
+    generators: tuple[Vec, ...]
+    kind: ConeKind = ConeKind.STRICT
+
+    def __post_init__(self):
+        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "apex", tuple(int(x) for x in self.apex))
+        if len(gens) > 2:
+            raise LatticeError("cones store at most 2 generators")
+        for g in gens:
+            if not is_primitive(g):
+                raise LatticeError(f"cone generator {g} is not primitive")
+            if len(g) != len(self.apex):
+                raise LatticeError("generator/apex dimension mismatch")
+        if self.kind is ConeKind.STRICT:
+            if not gens:
+                raise LatticeError("strict cone needs at least one generator")
+            if len(gens) == 2 and len(self.apex) == 2 and cross2(gens[0], gens[1]) == 0:
+                raise LatticeError("strict cone generators must be independent")
+        elif self.kind is ConeKind.HALF_PLANE:
+            if len(gens) != 2:
+                raise LatticeError("half-plane cone needs boundary and side generators")
+            if cross2(gens[0], gens[1]) == 0:
+                raise LatticeError("half-plane side generator lies on the boundary")
+        elif self.kind is ConeKind.FULL_PLANE:
+            if gens:
+                raise LatticeError("full-plane cone carries no generators")
+
+    @property
+    def dim(self) -> int:
+        return len(self.apex)
+
+
+def cone_contains(cone: IntegralCone, p: Sequence[int]) -> bool:
+    """Exact membership of a lattice point in a shifted integral cone.
+
+    Strict cones test a non-negative rational combination (the point itself is
+    a lattice point, so this is membership in the saturated cone); half-plane
+    and full-plane kinds use sign tests.
+    """
+    p = tuple(int(x) for x in p)
+    if len(p) != cone.dim:
+        raise LatticeError("point/cone dimension mismatch")
+    d = vsub(p, cone.apex)
+    if cone.kind is ConeKind.FULL_PLANE:
+        return True
+    if cone.kind is ConeKind.HALF_PLANE:
+        boundary, side = cone.generators
+        s = cross2(boundary, d)
+        return s == 0 or (s > 0) == (cross2(boundary, side) > 0)
+    gens = cone.generators
+    if len(gens) == 1:
+        g = gens[0]
+        # d = k*g with k >= 0
+        if cone.dim == 2 and cross2(g, d) != 0:
+            return False
+        ratios = {Fraction(di, gi) for di, gi in zip(d, g) if gi != 0}
+        if len(ratios) != 1:
+            return is_zero(d)
+        k = ratios.pop()
+        return k >= 0 and all(di == k * gi for di, gi in zip(d, g))
+    g1, g2 = gens
+    det = cross2(g1, g2)
+    a = Fraction(cross2(d, g2), det)
+    b = Fraction(cross2(g1, d), det)
+    return a >= 0 and b >= 0
+
+
+def lattice_points(search: Box) -> Iterator[Vec]:
+    """The lattice points of a box."""
+    ranges = []
+    for lo, hi in search.intervals:
+        start = -((-lo.numerator) // lo.denominator)  # ceil(lo)
+        stop = hi.numerator // hi.denominator  # floor(hi)
+        ranges.append(range(start, stop + 1))
+    for p in itertools.product(*ranges):
+        yield p
+
+
+def intersect_shifted_cones(cones: Sequence[IntegralCone], search: Box) -> set[Vec]:
+    """All lattice points of ``search`` lying in every cone, by brute force.
+
+    This is deliberately an enumeration over the box: it serves as the
+    independent route against which the dual-graph reconstruction is checked.
+    """
+    cones = list(cones)
+    if not cones:
+        raise LatticeError("empty cone list")
+    dims = {c.dim for c in cones}
+    if len(dims) != 1:
+        raise LatticeError("cones must share a dimension")
+    if search.dim != dims.pop():
+        raise LatticeError("search box dimension mismatch")
+    return {p for p in lattice_points(search) if all(cone_contains(c, p) for c in cones)}
+
+
+def dual_vertex_cone(dual: DualSubdivision, face: int):
+    """The integral cone at a dual vertex spanned by its neighbor vectors.
+
+    Strictly convex at polygon corners, a half-plane at points interior to a
+    polygon edge, the full plane at interior points.
+    """
+    apex = dual.lattice_points[face]
+    vecs = []
+    for _, (left, right) in dual.edge_duality:
+        if left == face:
+            vecs.append(vsub(dual.lattice_points[right], apex))
+        elif right == face:
+            vecs.append(vsub(dual.lattice_points[left], apex))
+    vecs = sorted({primitive(v) for v in vecs})
+    if not vecs:
+        raise DiagramError("isolated dual vertex")
+    if len(apex) == 1:
+        return IntegralCone(apex, (vecs[0],), ConeKind.STRICT)
+    ring = sorted(vecs, key=functools.cmp_to_key(_ccw_cmp))
+    m = len(ring)
+    if m == 1:
+        return IntegralCone(apex, (ring[0],), ConeKind.STRICT)
+    # classify by the counterclockwise gaps between consecutive directions
+    for i in range(m):
+        a, b = ring[i], ring[(i + 1) % m]
+        c = cross2(a, b)
+        if c < 0:  # gap beyond a half turn: salient cone from b around to a
+            return IntegralCone(apex, (b, a), ConeKind.STRICT)
+        if c == 0 and dot(a, b) < 0:  # gap of exactly a half turn
+            side = next((v for v in ring if cross2(b, v) != 0), None)
+            if side is None:
+                raise DiagramError("dual vertex cone spans only a line")
+            return IntegralCone(apex, (b, side), ConeKind.HALF_PLANE)
+    return IntegralCone(apex, (), ConeKind.FULL_PLANE)
+
+
 # --- the replaced Novikov kernels and series accumulation, as oracles -------
 #
 # nov, nov_add and nov_inv as they were before the kernel stored its outputs
 # without re-checking them; nov_inv summed dense powers of the tail.  series,
 # eval_series and wall_cross called nov_add once per monomial into a growing
-# accumulator.  The bodies are unchanged apart from calling each other.
+# accumulator, and wall_cross built an IntegralCone and a rule-named
+# ConeFamily for every negative power.  The bodies are unchanged apart from
+# calling each other.
 
 
 def nov_oracle(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
@@ -273,6 +449,49 @@ def nov_inv_oracle(a: NovikovElement, E) -> NovikovElement:
             k += 1
     result = nov_scale(Q(1) / c0, result)
     return nov_shift(-v, result)
+
+
+def cone_family_converges(apex: Vec, cone: IntegralCone, box: Box) -> bool:
+    """True iff every stored generator pairs positively over the whole box."""
+    if cone.kind is ConeKind.FULL_PLANE:
+        raise AnalyticError("family cannot converge")
+    for g in cone.generators:
+        if expo_val_on_box(g, box) <= 0:
+            return False
+    return True
+
+
+@frozen
+class ConeFamily:
+    """Coefficients c_k on z^{apex + k*gamma}, k >= 0, by a named rule.
+
+    Rule "neg_binomial" with power m encodes (1 + z^gamma)^{-m} z^{apex}.
+    """
+
+    apex: Vec
+    cone: IntegralCone
+    rule: str
+    power: int
+    coeff: NovikovElement
+
+    def materialize(self, truncation: Fraction, box: Box) -> list[Monomial]:
+        if self.rule != "neg_binomial":
+            raise AnalyticError(f"unknown family rule {self.rule}")
+        if self.coeff.is_zero():
+            raise AnalyticError("cone family coefficient must be nonzero")
+        gamma = self.cone.generators[0]
+        if not cone_family_converges(self.apex, self.cone, box):
+            raise AnalyticError("cone family has no val-positive increments on the chamber")
+        step = expo_val_on_box(gamma, box)
+        base = nov_val(self.coeff) + expo_val_on_box(self.apex, box)
+        out = []
+        k = 0
+        m = self.power
+        while base + k * step < truncation:
+            c = math.comb(m + k - 1, k) * (-1) ** k
+            out.append(Monomial(nov_scale(c, self.coeff), vadd(self.apex, tuple(k * g for g in gamma))))
+            k += 1
+        return out
 
 
 def series_oracle(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:

@@ -9,19 +9,17 @@ import random
 import time
 from fractions import Fraction as Q
 
-from helpers import interior_point_near_vertex, random_smooth_web
+from helpers import dual_vertex_cone, interior_point_near_vertex, intersect_shifted_cones, random_smooth_web
 from tropmirror.analytic import focus_focus_demo
 from tropmirror.charges import ChargeError, ChargeMatrix, build_web
 from tropmirror.cli import run
 from tropmirror.diagram import (
     dual_subdivision,
-    dual_vertex_cone,
     is_smooth,
     validate,
 )
 from tropmirror.lattice import (
     box,
-    intersect_shifted_cones,
     lattice_triangle_area,
     vsub,
 )

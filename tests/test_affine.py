@@ -178,3 +178,40 @@ def test_transport_with_raised_tau():
     path = [(-1, 0), (1, 0)]
     assert transport_covector(pres_lo, path, (0, 1)) == (0, 1)
     assert transport_covector(pres_hi, path, (0, 1)) == (1, 1)
+
+
+def test_transport_crossings_checks_its_path():
+    pres = build_cut_presentation(c3())
+    cases = [
+        ([(0, 0, 0)], "path needs at least two points"),
+        ([(1, 1, 1), (1, 1, 1)], "consecutive path points coincide"),
+        ([(1, 1, 1), (2, 2)], "path point dimension mismatch"),
+    ]
+    for path, message in cases:
+        with pytest.raises(AffineError) as info:
+            transport_crossings(pres, path)
+        assert str(info.value) == message
+
+
+def test_path_in_a_cut_plane_above_the_cut_is_free():
+    # in the vertical plane of ray 0, at height 1/3 or more over the whole ray
+    pres = build_cut_presentation(c3())
+    path = [(-1, 0, -1), (2, 0, 3)]
+    for p in (path, path[::-1]):
+        assert transport_crossings(pres, p) == []
+        assert transport_covector(pres, p, (0, 0, 1)) == (0, 0, 1)
+    for y in (Q(1, 1000), Q(-1, 1000)):
+        beside = [(-1, y, -1), (2, y, 3)]
+        assert transport_covector(pres, beside, (0, 0, 1)) == (0, 0, 1)
+
+
+def test_path_in_a_cut_plane_below_the_cut_errors():
+    pres = build_cut_presentation(c3())
+    with pytest.raises(AffineError, match="along a cut"):
+        transport_covector(pres, [(-1, 0, -1), (2, 0, -1)], (0, 0, 1))
+
+
+def test_path_over_the_far_vertex_of_an_edge_errors():
+    pres = build_cut_presentation(conifold())
+    with pytest.raises(AffineError, match="discriminant"):
+        transport_covector(pres, [(-2, 0, -1), (0, -2, -1)], (0, 0, 1))

@@ -3,11 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from helpers import ConeKind, IntegralCone, cone_family_converges, dual_vertex_cone
 from tropmirror.analytic import (
     AnalyticError,
     Monomial,
     WallTransformation,
-    cone_family_converges,
     eval_series,
     flux_monomial,
     focus_focus_demo,
@@ -19,8 +19,8 @@ from tropmirror.analytic import (
     series_to_json,
     wall_cross,
 )
-from tropmirror.diagram import TropicalDiagram, dual_subdivision, dual_vertex_cone
-from tropmirror.lattice import Box, ConeKind, IntegralCone, box
+from tropmirror.diagram import TropicalDiagram, dual_subdivision
+from tropmirror.lattice import Box, box
 from tropmirror.novikov import nov
 
 ONE = nov([(0, 1)])
@@ -141,6 +141,16 @@ def test_wall_cross_examples():
 def test_wall_cross_gamma_must_be_primitive():
     with pytest.raises(AnalyticError, match="primitive"):
         WallTransformation(0, (2, 0), (0, 1), "corrected")
+
+
+def test_wall_cross_refuses_data_of_another_dimension():
+    # pairings +1 and -1: corrected mode takes both the finite and the family branch
+    s = series([Monomial(ONE, (0, 1)), Monomial(ONE, (1, -1))], "V_plus", BOX_P, 10)
+    cases = [((1, 0, 0), (0, 1), "gamma has length 3"), ((1, 0), (0, 1, 0), "normal has length 3")]
+    for gamma, normal, message in cases:
+        for mode in ("affine", "corrected"):
+            with pytest.raises(AnalyticError, match=f"{message}, the series has dimension 2"):
+                wall_cross(s, WallTransformation(0, gamma, normal, mode), 10)
 
 
 def test_wall_cross_needs_open_chamber():

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import tropmirror.diagram
-from helpers import random_smooth_web
+from helpers import ConeKind, dual_vertex_cone, random_smooth_web
 from tropmirror.affine import build_cut_presentation, chamber_of
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.cli import run
@@ -17,7 +17,6 @@ from tropmirror.diagram import (
     diagram_from_json,
     diagram_to_json,
     dual_subdivision,
-    dual_vertex_cone,
     edge_direction,
     face_heights,
     faces,
@@ -25,7 +24,7 @@ from tropmirror.diagram import (
     locate_face,
     validate,
 )
-from tropmirror.lattice import ConeKind, dot, lattice_triangle_area, vsub
+from tropmirror.lattice import dot, lattice_triangle_area, vsub
 from tropmirror.record import replace
 
 

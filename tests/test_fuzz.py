@@ -3,15 +3,14 @@
 import random
 from fractions import Fraction as Q
 
-from helpers import random_smooth_web
+from helpers import dual_vertex_cone, intersect_shifted_cones, random_smooth_web
 from tropmirror.diagram import (
     dual_subdivision,
-    dual_vertex_cone,
     face_heights,
     is_smooth,
     validate,
 )
-from tropmirror.lattice import box, dot, intersect_shifted_cones, vsub
+from tropmirror.lattice import box, dot, vsub
 from tropmirror.mirror import normalize_presentation, presentation
 from tropmirror.monodromy import build_dual_graph, edge_covector
 from tropmirror.novikov import nov_val

@@ -4,16 +4,20 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import apply_matrix, random_unimodular
-from tropmirror.lattice import (
-    Box,
+from helpers import (
     ConeKind,
     IntegralCone,
+    apply_matrix,
+    cone_contains,
+    intersect_shifted_cones,
+    lattice_points,
+    random_unimodular,
+)
+from tropmirror.lattice import (
+    Box,
     LatticeError,
     box,
-    cone_contains,
     convex_hull,
-    intersect_shifted_cones,
     lattice_triangle_area,
     primitive,
 )
@@ -144,7 +148,7 @@ def test_intersection_agrees_with_per_point_scan():
         result = intersect_shifted_cones(cones, search)
         scan = {
             p
-            for p in search.lattice_points()
+            for p in lattice_points(search)
             if all(cone_contains(c, p) for c in cones)
         }
         assert result == scan
@@ -155,4 +159,4 @@ def test_box_validation_and_corners():
         Box(((Q(1), Q(0)),))
     b = box((0, 1), (Q(-1, 2), Q(3, 2)))
     assert len(list(b.corners())) == 4
-    assert set(b.lattice_points()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert set(lattice_points(b)) == {(0, 0), (0, 1), (1, 0), (1, 1)}

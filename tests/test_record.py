@@ -23,8 +23,7 @@ from tropmirror import affine, analytic, charges, diagram, lattice, mirror, mono
 from tropmirror.affine import build_cut_presentation, chamber_of, transport_crossings
 from tropmirror.analytic import ConeFamily, WallTransformation, focus_focus_demo, wall_cross
 from tropmirror.charges import build_web, charges_from_json
-from tropmirror.diagram import EdgeRef, TropicalDiagram, diagram_from_json, dual_vertex_cone
-from tropmirror.lattice import IntegralCone
+from tropmirror.diagram import EdgeRef, TropicalDiagram, diagram_from_json
 from tropmirror.mirror import corrections_from_json, presentation
 from tropmirror.monodromy import build_dual_graph
 from tropmirror.novikov import NovikovElement, NovikovError, nov
@@ -60,7 +59,6 @@ def _pipeline(diag):
         out += [presentation(diag), build_cut_presentation(diag)]
     if diag.dim == 2:
         out += [diag.face_complex, build_dual_graph(diag)]
-        out += [dual_vertex_cone(diag.dual, f) for f in range(len(diag.dual.lattice_points))]
     return out
 
 
@@ -86,10 +84,7 @@ def _harvest():
     roots.append(focus_focus_demo(6))
     walls = [WallTransformation(0, (0, 1), (1, 0), mode) for mode in ("affine", "corrected")]
     roots += walls + [wall_cross(focus_focus_demo(4).h_minus_y, w, 4) for w in walls]
-    roots += [
-        ConeFamily((0, k), IntegralCone((0, 0), ((0, 1),)), "neg_binomial", k, nov([(k, 1)]))
-        for k in (1, 2)
-    ]
+    roots += [ConeFamily((0, k), (0, 1), k, nov([(k, 1)])) for k in (1, 2)]
     roots += [random_novikov(rng, truncation=rng.choice([None, Q(7)])) for _ in range(20)]
     found = defaultdict(list)
     seen = set()  # ids of records, which stay alive in `found`
@@ -143,7 +138,7 @@ def hash_or_error(obj):
 
 
 def test_every_record_class_is_harvested():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 26
     assert [cls.__qualname__ for cls in RECORDS if not INSTANCES[cls]] == []
 
 
@@ -205,7 +200,7 @@ def test_records_are_frozen_and_bind_like_a_signature(cls):
 def test_defaults_are_applied():
     with_defaults = [cls for cls in RECORDS if any(name in vars(cls) for name in cls._fields)]
     assert {cls.__qualname__ for cls in with_defaults} == {
-        "AnalyticSeries", "ChamberId", "IntegralCone", "NovikovElement", "TropicalDiagram", "ValidationReport",
+        "ChamberId", "NovikovElement", "TropicalDiagram", "ValidationReport",
     }
     for cls in with_defaults:
         defaulted = [name for name in cls._fields if name in vars(cls)]
