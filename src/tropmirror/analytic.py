@@ -119,6 +119,11 @@ class AnalyticSeries:
 
     def __post_init__(self):
         expos = [m.expo for m in self.terms]
+        if self.box.dim != self.dim:
+            raise AnalyticError(f"box has length {self.box.dim}, the series has dimension {self.dim}")
+        for e in expos:
+            if len(e) != self.dim:
+                raise AnalyticError(f"exponent {e} has length {len(e)}, the series has dimension {self.dim}")
         if len(set(expos)) != len(expos):
             raise AnalyticError("explicit terms must have distinct exponents")
         object.__setattr__(self, "truncation", Q(self.truncation))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diagram import TropicalDiagram
-from .lattice import Vec, convex_hull, cross2, dot, primitive, vneg, vsub
+from .lattice import Vec, convex_hull, cross2, dot, exact_key, primitive, vneg, vsub
 from .record import frozen
 
 Q = Fraction
@@ -58,118 +58,71 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[Vec]
     the saturated kernel.
     """
     k = len(rows)
-    a = [[int(x) for x in r] for r in rows]
-    v = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-
-    def colop_sub(dst: int, src: int, q: int):
-        for r in range(k):
-            a[r][dst] -= q * a[r][src]
-        for r in range(width):
-            v[r][dst] -= q * v[r][src]
-
-    def colswap(i: int, j: int):
-        for r in range(k):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(width):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
+    # column j of A stacked on column j of the transform, one list per column
+    cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(width)] for j in range(width)]
     col = 0
     for row in range(k):
         while True:
-            nz = [j for j in range(col, width) if a[row][j] != 0]
+            nz = [j for j in range(col, width) if cols[j][row] != 0]
             if not nz:
                 break
             if len(nz) == 1:
-                colswap(col, nz[0])
+                cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
                 col += 1
                 break
-            nz.sort(key=lambda j: abs(a[row][j]))
-            piv, other = nz[0], nz[1]
-            qout = a[row][other] // a[row][piv]
-            colop_sub(other, piv, qout)
-    rank = col
-    if rank < k:
+            nz.sort(key=lambda j: abs(cols[j][row]))
+            piv, other = cols[nz[0]], cols[nz[1]]
+            q = other[row] // piv[row]
+            cols[nz[1]] = [x - q * y for x, y in zip(other, piv)]
+    if col < k:
         raise ChargeError("charge matrix is rank-deficient")
-    return [tuple(v[r][j] for r in range(width)) for j in range(rank, width)]
+    return [tuple(c[k:]) for c in cols[col:]]
 
 
-def _solve_integer(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[int]:
-    """Solve an overdetermined consistent rational system, requiring an integer answer."""
-    m = [list(row) + [r] for row, r in zip(mat, rhs)]
-    rows, cols = len(m), len(mat[0])
-    pr = 0
-    pivots = []
-    for pc in range(cols):
-        pivot = next((r for r in range(pr, rows) if m[r][pc] != 0), None)
-        if pivot is None:
-            continue
-        m[pr], m[pivot] = m[pivot], m[pr]
-        m[pr] = [x / m[pr][pc] for x in m[pr]]
-        for r in range(rows):
-            if r != pr and m[r][pc] != 0:
-                factor = m[r][pc]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    sol = [Q(0)] * cols
-    for r, pc in enumerate(pivots):
-        sol[pc] = m[r][-1]
-    for r in range(pr, rows):
-        if m[r][-1] != 0:
-            raise ChargeError("inconsistent linear system")
-    out = []
-    for x in sol:
-        if x.denominator != 1:
-            raise ChargeError("expected an integral solution")
-        out.append(int(x))
-    return out
-
-
-def _invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(mat)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(mat)]
-    for pc in range(n):
-        pivot = next(r for r in range(pc, n) if aug[r][pc] != 0)
-        aug[pc], aug[pivot] = aug[pivot], aug[pc]
-        aug[pc] = [x / aug[pc][pc] for x in aug[pc]]
-        for r in range(n):
-            if r != pc and aug[r][pc] != 0:
-                factor = aug[r][pc]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pc])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = [[int(x) for x in row] for row in inv]
-    if any(Q(o) != x for row, orow in zip(inv, out) for x, o in zip(row, orow)):
-        raise ChargeError("matrix is not unimodular")
-    return out
+def _cross3(a: Sequence[int], b: Sequence[int]) -> Vec:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def kernel_points(q: ChargeMatrix) -> list[Vec]:
-    """The n+k lattice points of the dual polygon, in charge-coordinate order."""
+    """The n+k lattice points of the dual polygon, in charge-coordinate order.
+
+    A 3x3 matrix with rows m0, m1, m2 has the inverse with columns
+    m1 x m2, m2 x m0, m0 x m1 over its determinant (the adjugate), so theta
+    and W^-1 below are integer cross products and one exact division.
+    """
     basis = integer_kernel_basis(q.rows, q.width)
     n = len(basis)
     if n != 3:
         raise ChargeError(f"charge matrix has corank {n}, need 3")
-    # theta with sum_j theta_j basis_j = all-ones: exists and is integral
-    # because the rows sum to zero and the basis spans the saturated kernel
-    mat = [[Q(basis[j][i]) for j in range(n)] for i in range(q.width)]
-    theta = _solve_integer(mat, [Q(1)] * q.width)
-    # unimodular W with theta * W = (1, 0, ..., 0); then W^{-1} has theta as
-    # its first row and the new last coordinate of each point is <theta, v> = 1
-    theta_row = [list(theta)]
-    w_cols = integer_kernel_basis(theta_row, n)  # kernel of theta, rank n-1
-    # first column: any integer vector with <theta, c> = 1 (extended gcd chain)
+    cols = list(zip(*basis))  # charge column i in kernel coordinates
+    # theta with <theta, col_i> = 1 for every i: exists and is integral because
+    # the rows sum to zero and the basis spans the saturated kernel.  The
+    # columns have rank 3, so theta is M^-1 (1, 1, 1) for the first
+    # invertible minor M, taken greedily
+    m0 = next(v for v in cols if any(v))
+    m1 = next(v for v in cols if any(_cross3(m0, v)))
+    m2 = next(v for v in cols if dot(_cross3(m0, m1), v) != 0)
+    adj = (_cross3(m1, m2), _cross3(m2, m0), _cross3(m0, m1))
+    det = dot(m0, adj[0])
+    theta = []
+    for s in zip(*adj):
+        t, rest = divmod(sum(s), det)
+        if rest:
+            raise ChargeError("expected an integral solution")
+        theta.append(t)
+    # unimodular W = (c | k1 | k2) with theta * W = (1, 0, 0): <theta, c> = 1
+    # and k1, k2 span the kernel of theta, so W^-1 has theta as its first row
+    # and the new last coordinate of each point is <theta, col_i> = 1.  Its
+    # other rows are k2 x c and c x k1 over det W = +-1
     c = _extended_gcd_vector(theta)
-    w = [[c[i]] + [w_cols[j][i] for j in range(n - 1)] for i in range(n)]
-    w_inv = _invert_unimodular(w)
+    k1, k2 = integer_kernel_basis([theta], n)
+    sign = dot(c, _cross3(k1, k2))  # det W = +-1 is its own inverse
+    r1, r2 = _cross3(k2, c), _cross3(c, k1)
     points = []
-    for i in range(q.width):
-        vcol = [basis[j][i] for j in range(n)]
-        coords = [sum(w_inv[r][s] * vcol[s] for s in range(n)) for r in range(n)]
-        if coords[0] != 1:
+    for v in cols:
+        if dot(theta, v) != 1:
             raise ChargeError("normalization to last coordinate 1 failed")
-        points.append((coords[1], coords[2]))
+        points.append((sign * dot(r1, v), sign * dot(r2, v)))
     if len(set(points)) != len(points):
         raise ChargeError("charge data produces repeated lattice points")
     return points
@@ -233,53 +186,46 @@ class RegularSubdivision:
         return {i for c in self.cells for i in c.indices}
 
 
-def _orient3(a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int]) -> int:
-    """det(b - a, c - a, d - a) of integer lifted points (x, y, z).
+def _wrap(lifted: Sequence[Vec], a: int, b: int) -> tuple[Vec, tuple[int, ...]]:
+    """The lower cell left of the lifted lower edge a -> b, as (normal, points).
 
-    It equals cross2 of (b - a, c - a) in the plane times the height of d
-    above the plane through a, b, c: for a counterclockwise a, b, c it is
-    positive above the plane, zero on it and negative below.
-    """
-    b0, b1, b2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    c0, c1, c2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    d0, d1, d2 = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    return b0 * (c1 * d2 - c2 * d1) - b1 * (c0 * d2 - c2 * d0) + b2 * (c0 * d1 - c1 * d0)
-
-
-def _wrap(lifted: Sequence[Vec], a: int, b: int) -> int | None:
-    """The point whose plane through a, b is lowest left of a -> b, or None.
-
-    Candidates are the points strictly left of a -> b in the plane.  Rotating
-    a plane about the lifted edge orders them totally, so one scan that keeps
+    Candidates are the points strictly left of a -> b in the plane; there is
+    one, as the caller never wraps a boundary edge from outside.  Rotating a
+    plane about the lifted edge orders them totally, so one scan that keeps
     the candidate with no other candidate below its plane finds the next
-    lower face (gift wrapping).
+    lower face (gift wrapping).  The plane of candidate c has the normal
+    (b - a) x (c - a), whose last entry is positive, and <normal, p - a> is
+    positive above the plane, zero on it and negative below.  The cell's
+    points are the candidates tied with the winner and the points of the
+    edge's own line that lie on its plane (a and b among them).
     """
-    pa, pb = lifted[a], lifted[b]
-    ex, ey = pb[0] - pa[0], pb[1] - pa[1]
-    best = None
-    for t, pt in enumerate(lifted):
-        if ex * (pt[1] - pa[1]) - ey * (pt[0] - pa[0]) <= 0:
+    ax, ay, az = lifted[a]
+    ex, ey, ez = lifted[b][0] - ax, lifted[b][1] - ay, lifted[b][2] - az
+    normal = None
+    ties: list[int] = []
+    line: list[int] = []
+    for t, (x, y, z) in enumerate(lifted):
+        x, y, z = x - ax, y - ay, z - az
+        side = ex * y - ey * x
+        if side <= 0:
+            if side == 0:
+                line.append(t)
             continue
-        if best is None or _orient3(pa, pb, lifted[best], pt) < 0:
-            best = t
-    return best
-
-
-def _cell_plane(
-    pts: Sequence[Vec], hts: Sequence[Fraction], key: tuple[int, ...]
-) -> SubdivisionCell:
-    """The cell on the given points, with the affine interpolant of their heights."""
-    i, j = key[0], key[1]
-    d1 = vsub(pts[j], pts[i])
-    k = next(k for k in key[2:] if cross2(d1, vsub(pts[k], pts[i])) != 0)
-    d2 = vsub(pts[k], pts[i])
-    det = cross2(d1, d2)
-    rh1 = hts[j] - hts[i]
-    rh2 = hts[k] - hts[i]
-    sx = Q(rh1 * d2[1] - rh2 * d1[1], det)
-    sy = Q(rh2 * d1[0] - rh1 * d2[0], det)
-    c0 = hts[i] - (sx * pts[i][0] + sy * pts[i][1])
-    return SubdivisionCell(key, (sx, sy), c0)
+        if normal is not None:
+            height = normal[0] * x + normal[1] * y + normal[2] * z
+            if height > 0:
+                continue
+            if height == 0:
+                ties.append(t)
+                continue
+        normal = (ey * z - ez * y, ez * x - ex * z, side)
+        ties = [t]
+    n0, n1, n2 = normal
+    for t in line:
+        x, y, z = lifted[t]
+        if n0 * (x - ax) + n1 * (y - ay) + n2 * (z - az) == 0:
+            ties.append(t)
+    return normal, tuple(sorted(ties))
 
 
 def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubdivision:
@@ -288,9 +234,10 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     The cells are the lower faces of the points lifted by their heights
     (scaled by the lcm of the height denominators, so every predicate is an
     integer determinant).  They are found by gift wrapping from face to face
-    across the corner-to-corner edges of each cell, in O(F m) predicates for
-    F cells and m points.  Each cell lists every point on its plane, so
-    non-simplicial cells keep their interior and edge points.
+    across the corner-to-corner edges of each cell, once per cell, in O(F m)
+    predicates for F cells and m points.  Each cell lists every point on its
+    plane, so non-simplicial cells keep their interior and edge points, and
+    its gradient and constant are read off the plane's integer normal.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     hts = [Q(h) for h in heights]
@@ -308,6 +255,14 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
         raise ChargeError("point configuration is degenerate (all collinear)")
     scale = math.lcm(*(h.denominator for h in hts))
     lifted = [(x, y, h.numerator * (scale // h.denominator)) for (x, y), h in zip(pts, hts)]
+    # bit i of on_hull[t] is set iff point t lies on the line of hull edge i;
+    # a cell edge with both ends on one such line bounds the polygon
+    on_hull = [0] * len(pts)
+    for i, (hx, hy) in enumerate(hull):
+        dx, dy = hull[i + 1 - len(hull)][0] - hx, hull[i + 1 - len(hull)][1] - hy
+        for t, (x, y) in enumerate(pts):
+            if dx * (y - hy) == dy * (x - hx):
+                on_hull[t] |= 1 << i
 
     # start: the lex-least point is a hull corner; the point of least slope
     # from it along the counterclockwise hull edge spans a lower edge (any
@@ -319,28 +274,29 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     def slope(t: int) -> Fraction:
         return Q(lifted[t][2] - lifted[p0][2], dot(d, vsub(pts[t], pts[p0])))
 
-    p1 = min(on_edge, key=slope)
-
     cells: dict[tuple[int, ...], SubdivisionCell] = {}
-    crossed: set[tuple[int, int]] = set()
-    todo = [(p0, p1, _wrap(lifted, p0, p1))]
+    unmatched: set[tuple[int, int]] = set()  # cell edges with no known cell across
+    todo = [(p0, min(on_edge, key=slope))]
     while todo:
-        a, b, c = todo.pop()
-        la, lb, lc = lifted[a], lifted[b], lifted[c]
-        key = tuple(t for t in range(len(pts)) if _orient3(la, lb, lc, lifted[t]) == 0)
-        if key in cells:
-            continue
-        cells[key] = _cell_plane(pts, hts, key)
-        corners = [index[p] for p in convex_hull([pts[t] for t in key])]
+        a, b = todo.pop()
+        if cells and (min(a, b), max(a, b)) not in unmatched:
+            continue  # the cell across was found after this edge was queued
+        (n0, n1, n2), key = _wrap(lifted, a, b)
+        ax, ay, az = lifted[a]
+        den = n2 * scale
+        cells[key] = SubdivisionCell(key, (Q(-n0, den), Q(-n1, den)), Q(n2 * az + n0 * ax + n1 * ay, den))
+        if len(key) == 3:
+            corners = [a, b, next(t for t in key if t != a and t != b)]  # counterclockwise
+        else:
+            corners = [index[p] for p in convex_hull([pts[t] for t in key])]
         for u, v in zip(corners, corners[1:] + corners[:1]):
             edge = (min(u, v), max(u, v))
-            if edge in crossed:
-                continue
-            crossed.add(edge)
-            # the neighbour lies right of u -> v, i.e. left of v -> u
-            w = _wrap(lifted, v, u)
-            if w is not None:
-                todo.append((v, u, w))
+            if edge in unmatched:
+                unmatched.discard(edge)
+            elif not on_hull[u] & on_hull[v]:
+                unmatched.add(edge)
+                # the neighbour lies right of u -> v, i.e. left of v -> u
+                todo.append((v, u))
     ordered = tuple(cells[k] for k in sorted(cells))
     return RegularSubdivision(tuple(pts), tuple(hts), ordered)
 
@@ -384,20 +340,21 @@ class ChargeWeb:
 
 def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) -> TropicalDiagram:
     cells = sub.cells
-    vertices = []
-    for c in cells:
-        vertices.append((-c.gradient[0], -c.gradient[1]))
-    if len(set(vertices)) != len(vertices):
+    vertices = [(-gx, -gy) for gx, gy in (c.gradient for c in cells)]
+    if len(set(map(exact_key, vertices))) != len(vertices):
         raise ChargeError("coincident web vertices; perturb the heights")
     edge_cells: dict[tuple[int, int], list[int]] = {}
     for ci, c in enumerate(cells):
         for e in _cell_boundary_edges(sub, c):
-            if not allow_weighted:
-                diff = vsub(sub.points[e[1]], sub.points[e[0]])
-                if diff != primitive(diff):
-                    # a long dual edge means a weight > 1 web edge
-                    raise ChargeError("degenerate Kähler parameters")
-            edge_cells.setdefault(e, []).append(ci)
+            owners = edge_cells.get(e)
+            if owners is not None:
+                owners.append(ci)
+                continue
+            (x0, y0), (x1, y1) = sub.points[e[0]], sub.points[e[1]]
+            if not allow_weighted and math.gcd(x1 - x0, y1 - y0) != 1:
+                # a long dual edge means a weight > 1 web edge
+                raise ChargeError("degenerate Kähler parameters")
+            edge_cells[e] = [ci]
     edges = []
     rays = []
     for e, owners in sorted(edge_cells.items()):
@@ -412,7 +369,7 @@ def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) 
             cxn = sum(sub.points[i][0] for i in cell.indices)
             cyn = sum(sub.points[i][1] for i in cell.indices)
             npts = len(cell.indices)
-            if dot(nu, (Q(cxn, npts), Q(cyn, npts))) > dot(nu, p0):
+            if dot(nu, (cxn, cyn)) > npts * dot(nu, p0):
                 nu = vneg(nu)
             rays.append((ci, primitive(vneg(nu))))
         else:

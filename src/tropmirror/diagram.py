@@ -35,9 +35,11 @@ from .lattice import (
     coords_from_json,
     cross2,
     dot,
+    exact_key,
     is_primitive,
     lattice_triangle_area,
-    primitive_q,
+    primitive,
+    primitive_direction,
     rot_minus90,
     vadd,
     vneg,
@@ -89,12 +91,12 @@ class TropicalDiagram:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise DiagramError("dimension must be 1 or 2")
-        verts = tuple(tuple(Q(c) for c in v) for v in self.vertices)
+        verts = tuple(tuple(c if c.__class__ is Q else Q(c) for c in v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         for v in verts:
             if len(v) != self.dim:
                 raise DiagramError("vertex dimension mismatch")
-        if len(set(verts)) != len(verts):
+        if len(set(map(exact_key, verts))) != len(verts):
             raise DiagramError("two vertices coincide")
         edges = tuple((int(i), int(j)) for i, j in self.edges)
         object.__setattr__(self, "edges", edges)
@@ -134,8 +136,8 @@ class TropicalDiagram:
     @functools.cached_property
     def directions(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """Primitive directions of the bounded edges (stored order) and of the rays."""
-        edges = tuple(primitive_q(vsub(self.vertices[j], self.vertices[i])) for i, j in self.edges)
-        rays = tuple(primitive_q(tuple(Q(c) for c in d)) for _, d in self.rays)
+        edges = tuple(primitive_direction(self.vertices[i], self.vertices[j]) for i, j in self.edges)
+        rays = tuple(primitive(d) for _, d in self.rays)
         return edges, rays
 
     @functools.cached_property

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Sequence
 
 from .record import frozen
@@ -76,17 +76,38 @@ def primitive(v: Sequence[int]) -> Vec:
 
 def primitive_q(v: Sequence[Fraction]) -> Vec:
     """Primitive integer vector parallel to a nonzero rational vector."""
-    if all(x == 0 for x in v):
-        raise LatticeError("zero has no primitive representative")
-    denom = 1
-    for x in v:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in v]
-    return primitive(ints)
+    return primitive_direction([0] * len(v), v)
+
+
+def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> Vec:
+    """Primitive integer vector parallel to q - p, for distinct rational points.
+
+    Entry k of the difference is (q_k.num p_k.den - p_k.num q_k.den) over
+    d_k = p_k.den q_k.den; over the product of the d_k every entry is an
+    integer, so no Fraction is built.
+    """
+    nums, dens = [], []
+    for a, b in zip(p, q, strict=True):
+        a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+        b = b if isinstance(b, (int, Fraction)) else Fraction(b)
+        nums.append(b.numerator * a.denominator - a.numerator * b.denominator)
+        dens.append(a.denominator * b.denominator)
+    total = prod(dens)
+    return primitive([x * (total // d) for x, d in zip(nums, dens)])
 
 
 def is_primitive(v: Sequence[int]) -> bool:
     return not is_zero(v) and content(v) == 1
+
+
+def exact_key(v: Sequence[Fraction]) -> tuple:
+    """A hashable key equal for equal rational vectors, without Fraction.__hash__.
+
+    Hashing a Fraction inverts its denominator modulo a prime, which is slow
+    for the large denominators of perturbed heights; reduced Fractions are
+    equal exactly when their numerators and denominators are.
+    """
+    return tuple((c.numerator, c.denominator) for c in v)
 
 
 def lattice_triangle_area(a: Sequence, b: Sequence, c: Sequence) -> Fraction:
@@ -112,7 +133,11 @@ def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0:
+            # pop while out[-2], out[-1], p make no left turn (cross2, inlined)
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out

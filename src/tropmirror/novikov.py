@@ -235,12 +235,16 @@ def nov_inv(a: NovikovElement, E) -> NovikovElement:
     monoid elements below E are enumerated in increasing order by a heap,
     over one common denominator, so every b_{e-s} is known before b_e.  The
     result b = t^{-v} (1/c0) sum_e b_e t^e satisfies a*b == 1 mod t^E, and
-    carries truncation E - val(a).
+    carries truncation E - val(a).  An a truncated at T is known only below
+    t^T, so r only below t^(T-v): then E is lowered to T - v, and b carries
+    min(E - v, T - 2v).
     """
     if a.is_zero():
         raise NovikovError("division by zero")
     E = _q(E)
     v, c0 = a.terms[0]
+    if a.truncation is not None and a.truncation - v < E:
+        E = a.truncation - v
     tail = [(e - v, c / c0) for e, c in a.terms[1:] if e - v < E]
     den = math.lcm(*(s.denominator for s, _ in tail))
     steps = [(s.numerator * (den // s.denominator), -r) for s, r in tail]

@@ -1,6 +1,6 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
-cone oracle, and the oracles of replaced kernels (hulls, Novikov arithmetic, series
-accumulation, wall crossing)."""
+cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, Novikov
+arithmetic, series accumulation, wall crossing)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 import random
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from tropmirror.analytic import (
@@ -23,8 +24,11 @@ from tropmirror.analytic import (
 
 from tropmirror.charges import (
     ChargeError,
+    ChargeMatrix,
     RegularSubdivision,
     SubdivisionCell,
+    _extended_gcd_vector,
+    integer_kernel_basis,
     regular_subdivision,
     web_from_subdivision,
 )
@@ -392,6 +396,124 @@ def dual_vertex_cone(dual: DualSubdivision, face: int):
                 raise DiagramError("dual vertex cone spans only a line")
             return IntegralCone(apex, (b, side), ConeKind.HALF_PLANE)
     return IntegralCone(apex, (), ConeKind.FULL_PLANE)
+
+
+# --- the charge kernel before integer arithmetic, as oracles ----------------
+#
+# kernel_points solved for theta and inverted W by Fraction Gauss-Jordan
+# elimination, each cell's plane was interpolated in Fractions from three of
+# its points, and primitive_q built Fractions to clear denominators.  The
+# bodies are unchanged apart from their names.
+
+
+def _solve_integer(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[int]:
+    """Solve an overdetermined consistent rational system, requiring an integer answer."""
+    m = [list(row) + [r] for row, r in zip(mat, rhs)]
+    rows, cols = len(m), len(mat[0])
+    pr = 0
+    pivots = []
+    for pc in range(cols):
+        pivot = next((r for r in range(pr, rows) if m[r][pc] != 0), None)
+        if pivot is None:
+            continue
+        m[pr], m[pivot] = m[pivot], m[pr]
+        m[pr] = [x / m[pr][pc] for x in m[pr]]
+        for r in range(rows):
+            if r != pr and m[r][pc] != 0:
+                factor = m[r][pc]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    sol = [Q(0)] * cols
+    for r, pc in enumerate(pivots):
+        sol[pc] = m[r][-1]
+    for r in range(pr, rows):
+        if m[r][-1] != 0:
+            raise ChargeError("inconsistent linear system")
+    out = []
+    for x in sol:
+        if x.denominator != 1:
+            raise ChargeError("expected an integral solution")
+        out.append(int(x))
+    return out
+
+
+def _invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(mat)
+    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(mat)]
+    for pc in range(n):
+        pivot = next(r for r in range(pc, n) if aug[r][pc] != 0)
+        aug[pc], aug[pivot] = aug[pivot], aug[pc]
+        aug[pc] = [x / aug[pc][pc] for x in aug[pc]]
+        for r in range(n):
+            if r != pc and aug[r][pc] != 0:
+                factor = aug[r][pc]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pc])]
+    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    out = [[int(x) for x in row] for row in inv]
+    if any(Q(o) != x for row, orow in zip(inv, out) for x, o in zip(row, orow)):
+        raise ChargeError("matrix is not unimodular")
+    return out
+
+
+def kernel_points_oracle(q: ChargeMatrix) -> list[Vec]:
+    """The n+k lattice points of the dual polygon, in charge-coordinate order."""
+    basis = integer_kernel_basis(q.rows, q.width)
+    n = len(basis)
+    if n != 3:
+        raise ChargeError(f"charge matrix has corank {n}, need 3")
+    # theta with sum_j theta_j basis_j = all-ones: exists and is integral
+    # because the rows sum to zero and the basis spans the saturated kernel
+    mat = [[Q(basis[j][i]) for j in range(n)] for i in range(q.width)]
+    theta = _solve_integer(mat, [Q(1)] * q.width)
+    # unimodular W with theta * W = (1, 0, ..., 0); then W^{-1} has theta as
+    # its first row and the new last coordinate of each point is <theta, v> = 1
+    theta_row = [list(theta)]
+    w_cols = integer_kernel_basis(theta_row, n)  # kernel of theta, rank n-1
+    # first column: any integer vector with <theta, c> = 1 (extended gcd chain)
+    c = _extended_gcd_vector(theta)
+    w = [[c[i]] + [w_cols[j][i] for j in range(n - 1)] for i in range(n)]
+    w_inv = _invert_unimodular(w)
+    points = []
+    for i in range(q.width):
+        vcol = [basis[j][i] for j in range(n)]
+        coords = [sum(w_inv[r][s] * vcol[s] for s in range(n)) for r in range(n)]
+        if coords[0] != 1:
+            raise ChargeError("normalization to last coordinate 1 failed")
+        points.append((coords[1], coords[2]))
+    if len(set(points)) != len(points):
+        raise ChargeError("charge data produces repeated lattice points")
+    return points
+
+
+def cell_plane_oracle(
+    pts: Sequence[Vec], hts: Sequence[Fraction], key: tuple[int, ...]
+) -> SubdivisionCell:
+    """The cell on the given points, with the affine interpolant of their heights."""
+    i, j = key[0], key[1]
+    d1 = vsub(pts[j], pts[i])
+    k = next(k for k in key[2:] if cross2(d1, vsub(pts[k], pts[i])) != 0)
+    d2 = vsub(pts[k], pts[i])
+    det = cross2(d1, d2)
+    rh1 = hts[j] - hts[i]
+    rh2 = hts[k] - hts[i]
+    sx = Q(rh1 * d2[1] - rh2 * d1[1], det)
+    sy = Q(rh2 * d1[0] - rh1 * d2[0], det)
+    c0 = hts[i] - (sx * pts[i][0] + sy * pts[i][1])
+    return SubdivisionCell(key, (sx, sy), c0)
+
+
+def primitive_q_oracle(v: Sequence[Fraction]) -> Vec:
+    """Primitive integer vector parallel to a nonzero rational vector."""
+    if all(x == 0 for x in v):
+        raise LatticeError("zero has no primitive representative")
+    denom = 1
+    for x in v:
+        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
+    ints = [int(Fraction(x) * denom) for x in v]
+    return primitive(ints)
 
 
 # --- the replaced Novikov kernels and series accumulation, as oracles -------

@@ -153,6 +153,25 @@ def test_wall_cross_refuses_data_of_another_dimension():
                 wall_cross(s, WallTransformation(0, gamma, normal, mode), 10)
 
 
+def test_series_refuses_exponents_and_boxes_of_another_dimension():
+    with pytest.raises(AnalyticError, match="box has length 2, the series has dimension 3"):
+        series([Monomial(ONE, (0, 1))], "V_plus", BOX_P, 10, dim=3)
+    with pytest.raises(AnalyticError, match=r"exponent \(0, 1\) has length 2, the series has dimension 1"):
+        series([Monomial(ONE, (3,)), Monomial(ONE, (0, 1))], "V_plus", box((0, 1)), 10, dim=1)
+    data = {
+        "dim": 3,
+        "chamber": "V_plus",
+        "box": [["0", "1"]],
+        "truncation": "10",
+        "terms": [{"expo": [0, 1], "coeff": [{"exp": "0", "coeff": "1"}]}],
+    }
+    with pytest.raises(AnalyticError, match="malformed series JSON: box has length 1, the series has dimension 3"):
+        series_from_json(data)
+    data["box"] = [["0", "1"]] * 3
+    with pytest.raises(AnalyticError, match=r"malformed series JSON: exponent \(0, 1\) has length 2"):
+        series_from_json(data)
+
+
 def test_wall_cross_needs_open_chamber():
     s = series([Monomial(ONE, (0, 1))], "wall(0)", BOX_P, 10)
     with pytest.raises(AnalyticError, match="adjacent"):

@@ -15,6 +15,7 @@ from tropmirror.novikov import (
     nov_mul,
     nov_to_json,
     nov_to_text,
+    nov_truncate,
     nov_val,
     nov_zero,
 )
@@ -56,6 +57,31 @@ def test_inv_with_nonzero_valuation():
     for a in (nov([(2, 1)]), nov([(-3, 4), (0, 1)]), nov([(Q(-1, 2), 2), (Q(1, 2), 5)])):
         b = nov_inv(a, 4)
         assert nov_eq_mod(nov_mul(a, b), nov([(0, 1)]), 4)
+
+
+def test_inv_of_a_truncated_element_holds_for_every_completion():
+    # 1 + t known below t^2: the completion 1 + t + 7t^2 has another inverse
+    # from t^2 on, so only 1 - t is certain
+    b = nov_inv(nov([(0, 1), (1, 1)], 2), 5)
+    assert b == nov([(0, 1), (1, -1)], 2)
+    assert nov_eq_mod(nov_mul(nov([(0, 1), (1, 1), (2, 7)]), b), nov([(0, 1)]), 2)
+    rng = random.Random(47)
+    for _ in range(150):
+        v = Q(rng.randint(-4, 4), rng.randint(1, 2))
+        terms = [(v, Q(rng.choice((1, -2, 3)), rng.randint(1, 3)))]
+        terms += [(v + Q(rng.randint(1, 10), rng.randint(1, 3)), rng.randint(-5, 5)) for _ in range(3)]
+        T = v + Q(rng.randint(1, 12), rng.randint(1, 2))
+        a = nov(terms, T)
+        E = v + Q(rng.randint(0, 16), rng.randint(1, 2))
+        b = nov_inv(a, E)
+        assert b.truncation == min(E - v, T - 2 * v)
+        for _ in range(3):
+            # a completion of a: its terms, and any terms at or above T
+            extra = [(T + Q(rng.randint(0, 8), rng.randint(1, 3)), rng.randint(-9, 9)) for _ in range(3)]
+            c = nov(list(a.terms) + extra)
+            # c * b == 1 below t^(tau + v): b agrees with 1/c below its truncation tau
+            assert nov_eq_mod(nov_mul(c, nov(b.terms)), nov([(0, 1)]), b.truncation + v)
+            assert nov_truncate(nov_inv(c, E), b.truncation) == b
 
 
 def test_eq_mod_examples():
