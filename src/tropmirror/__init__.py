@@ -9,6 +9,8 @@ pipeline.  All arithmetic is exact.
 
 __version__ = "0.1.0"
 
+# diagram and charges load first: dual and hull import from them, and they
+# import dual and hull back at their ends
 from .diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
 from .charges import ChargeMatrix, build_web, diagram_from_charges
 from .mirror import face_distance, normalize_presentation, presentation, superpotential

@@ -20,14 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .diagram import (
-    EdgeRef,
-    TropicalDiagram,
-    edge_anchor,
-    edge_direction,
-    locate_face,
-    parse_edge_ref,
-)
+from .diagram import EdgeRef, TropicalDiagram, edge_anchor, edge_direction, parse_edge_ref
+from .dual import locate_face
 from .lattice import QPoint, Vec, coords_from_json, dot, vsub
 from .monodromy import crossing_matrix, edge_covector, mat_apply
 from .record import frozen
@@ -184,16 +178,21 @@ def _on_edge(diag: TropicalDiagram, ref: EdgeRef, pt) -> bool:
 
 
 def _below(a: QPoint, b: QPoint, tau: Fraction) -> tuple[QPoint, QPoint]:
-    """The planar ends of the part of segment ab at height tau or lower (not empty)."""
+    """The ends of the part of segment ab at height tau or lower (not empty), a's first."""
     at, bt = a[-1], b[-1]
     if at > tau or bt > tau:
         s = (tau - at) / (bt - at)
         mid = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
         a, b = (mid, b) if at > tau else (a, mid)
-    return a[:-1], b[:-1]
+    return a, b
 
 
-def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Crossing]:
+def _refuse(message: str, seg: int, ref: EdgeRef, point: QPoint) -> AffineError:
+    where = ", ".join(str(c) for c in point)
+    return AffineError(f"{message}: segment {seg} meets the cut of {ref} at ({where})")
+
+
+def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) -> list[Crossing]:
     diag = pres.diagram
     axy, at = a[:-1], a[-1]
     bxy, bt = b[:-1], b[-1]
@@ -207,17 +206,22 @@ def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Cros
             if fa == 0 and min(at, bt) <= cut.tau:
                 # segment inside the cut plane: reject if its part at or
                 # below the cut height projects onto the edge range
-                ua, ub = (_edge_param(diag, cut.ref, x) for x in _below(a, b, cut.tau))
+                lo, hi = _below(a, b, cut.tau)
+                ua, ub = (_edge_param(diag, cut.ref, x[:-1]) for x in (lo, hi))
                 end = _edge_end(diag, cut.ref)
                 if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
-                    raise AffineError("path runs along a cut")
+                    # witness: the first point of that part over the edge
+                    u = max(ua, 0) if end is None else min(max(ua, 0), end)
+                    s = (u - ua) / (ub - ua) if ub != ua else 0
+                    point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
+                    raise _refuse("path runs along a cut", seg, cut.ref, point)
             continue
         if fa == 0 or fb == 0:
             # the plane is met only at an endpoint; error iff that endpoint
             # is on the actual cut region, otherwise no crossing occurs
-            pt, height = (axy, at) if fa == 0 else (bxy, bt)
-            if height <= cut.tau and _on_edge(diag, cut.ref, pt):
-                raise AffineError("path endpoint lies on a cut")
+            p = a if fa == 0 else b
+            if p[-1] <= cut.tau and _on_edge(diag, cut.ref, p[:-1]):
+                raise _refuse("path endpoint lies on a cut", seg, cut.ref, p)
             continue
         if (fa > 0) == (fb > 0):
             continue
@@ -230,11 +234,10 @@ def _segment_crossings(pres: CutPresentation, a: QPoint, b: QPoint) -> list[Cros
             continue
         if tq > cut.tau:
             continue  # passes above the cut, through glued regular base
-        if tq == cut.tau:
-            raise AffineError("path hits discriminant")
-        # in d=2, crossing exactly over an edge endpoint is a vertex line
-        if diag.dim == 2 and u in (0, end):
-            raise AffineError("path hits discriminant")
+        # at the cut's height, or in d=2 exactly over an edge endpoint (a
+        # vertex line), the path meets the discriminant
+        if tq == cut.tau or (diag.dim == 2 and u in (0, end)):
+            raise _refuse("path hits discriminant", seg, cut.ref, point)
         sign = 1 if fb > fa else -1
         found.append((s, Crossing(cut.ref, sign, point)))
     found.sort(key=lambda item: item[0])
@@ -269,6 +272,6 @@ def transport_crossings(pres: CutPresentation, path: Sequence) -> list[Crossing]
         if p == q:
             raise AffineError("consecutive path points coincide")
     out = []
-    for a, b in zip(pts, pts[1:]):
-        out.extend(_segment_crossings(pres, a, b))
+    for seg, (a, b) in enumerate(zip(pts, pts[1:])):
+        out.extend(_segment_crossings(pres, seg, a, b))
     return out

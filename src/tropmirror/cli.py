@@ -31,13 +31,8 @@ from .analytic import (
     series_to_json,
 )
 from .charges import ChargeError, build_web, charges_from_json
-from .diagram import (
-    DiagramError,
-    diagram_from_json,
-    diagram_to_json,
-    dual_subdivision,
-    is_smooth,
-)
+from .diagram import DiagramError, diagram_from_json, diagram_to_json
+from .dual import dual_subdivision, is_smooth
 from .lattice import LatticeError
 from .mirror import (
     MirrorError,

@@ -1,0 +1,393 @@
+"""Faces of a d=2 diagram's complement, the dual subdivision, and face heights.
+
+The dual subdivision assigns one lattice point per face of the complement.
+At a trivalent vertex with outgoing primitive directions sorted
+counterclockwise, crossing an edge of direction d counterclockwise moves the
+dual point by the clockwise quarter turn (d_y, -d_x); that orientation makes
+the vectors from each dual vertex to its neighbors point into the dual cone of
+the corresponding unbounded face.  Local vertex cells are glued along bounded
+edges, so the construction is geometric and serves as an independent check
+against the monodromy-based embedding.
+
+Translation gauge: the distinguished face (the one whose dual vertex minimizes
+the coordinate sum, i.e. the face reached heading toward (+1,+1); lexicographic
+tie-break; configurable) is placed at the origin.  The opposite sign gauge
+reflects the subdivision through the origin.
+
+``TropicalDiagram`` computes each of these once per diagram through its cached
+properties; ``tropmirror.diagram`` binds the public names of this module too.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from .diagram import (
+    EMPTY_DIAGRAM,
+    DiagramError,
+    EdgeRef,
+    TropicalDiagram,
+    edge_direction,
+    edge_sample_points,
+)
+from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, rot_minus90, vadd, vneg, vsub
+from .record import frozen
+
+Q = Fraction
+
+
+# --- faces of the complement -------------------------------------------------
+
+# A dart is a directed edge end: (edge ref, tail vertex, head vertex) with
+# head = -1 meaning the point at infinity (rays).  Faces are traced with the
+# rotation rule next(d) = ccw-successor of twin(d); at infinity the rotation
+# runs clockwise (descending ray angle, parallel rays ordered by their
+# perpendicular offset).
+
+
+@frozen
+class Dart:
+    ref: EdgeRef
+    tail: int
+    head: int
+
+    def twin(self) -> "Dart":
+        return Dart(self.ref, self.head, self.tail)
+
+
+@frozen
+class Face:
+    id: int
+    darts: tuple[Dart, ...]
+    bounded: bool
+    recession: tuple[Vec, ...]  # ray directions bounding an unbounded face
+
+
+@frozen
+class FaceComplex:
+    faces: tuple[Face, ...]
+    dart_face: dict  # Dart -> face id (face on the clockwise side of the dart)
+    edge_sides: dict  # EdgeRef -> (left face id, right face id) w.r.t. canonical direction
+    rotations: dict  # vertex -> ccw-ordered outgoing darts (-1 is infinity)
+
+
+def _angle_class(d: Sequence) -> int:
+    x, y = d
+    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+
+def _ccw_cmp(a: Sequence, b: Sequence) -> int:
+    """Exact counterclockwise comparison of nonzero direction vectors from angle 0."""
+    ha, hb = _angle_class(a), _angle_class(b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    c = cross2(a, b)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+def _dart_direction(diag: TropicalDiagram, d: Dart) -> Vec:
+    base = edge_direction(diag, d.ref)
+    if d.ref.kind == "edge":
+        i, _ = diag.edges[d.ref.index]
+        return base if d.tail == i else vneg(base)
+    return base  # outgoing ray dart
+
+
+def faces(diag: TropicalDiagram) -> FaceComplex:
+    """Enumerate the faces of the planar complement of a d=2 diagram."""
+    if diag.dim != 2:
+        raise DiagramError("face tracing requires dimension 2")
+    if not diag.vertices:
+        raise DiagramError("empty diagram has no faces")
+
+    darts: list[Dart] = []
+    for k, (i, j) in enumerate(diag.edges):
+        darts.append(Dart(EdgeRef("edge", k), i, j))
+        darts.append(Dart(EdgeRef("edge", k), j, i))
+    for r, (i, _) in enumerate(diag.rays):
+        darts.append(Dart(EdgeRef("ray", r), i, -1))
+        darts.append(Dart(EdgeRef("ray", r), -1, i))
+
+    # rotation at finite vertices: counterclockwise by outgoing direction
+    rotation: dict[int, list[Dart]] = {}
+    for v in range(len(diag.vertices)):
+        out = [d for d in darts if d.tail == v]
+        out.sort(key=functools.cmp_to_key(lambda a, b: _ccw_cmp(_dart_direction(diag, a), _dart_direction(diag, b))))
+        rotation[v] = out
+
+    # rotation at infinity: descending ray angle; parallel rays ordered by
+    # ascending perpendicular offset of their source vertex
+    def inf_cmp(a: Dart, b: Dart) -> int:
+        da = edge_direction(diag, a.ref)
+        db = edge_direction(diag, b.ref)
+        c = _ccw_cmp(da, db)
+        if c != 0:
+            return -c
+        offa = dot(rot_minus90(da), diag.vertices[a.head])
+        offb = dot(rot_minus90(db), diag.vertices[b.head])
+        if offa == offb:
+            raise DiagramError("two rays share a line; faces are ambiguous")
+        return -1 if offa < offb else 1
+
+    rotation[-1] = sorted((d for d in darts if d.tail == -1), key=functools.cmp_to_key(inf_cmp))
+
+    successor = {d: ring[(i + 1) % len(ring)] for ring in rotation.values() for i, d in enumerate(ring)}
+
+    dart_face: dict[Dart, int] = {}
+    face_list: list[Face] = []
+    for start in darts:
+        if start in dart_face:
+            continue
+        orbit = []
+        d = start
+        while True:
+            orbit.append(d)
+            dart_face[d] = len(face_list)
+            d = successor[d.twin()]
+            if d == start:
+                break
+        recession = tuple(
+            sorted({edge_direction(diag, d.ref) for d in orbit if d.ref.kind == "ray"})
+        )
+        bounded = not recession
+        face_list.append(Face(len(face_list), tuple(orbit), bounded, recession))
+
+    edge_sides: dict[EdgeRef, tuple[int, int]] = {}
+    for k in range(len(diag.edges)):
+        ref = EdgeRef("edge", k)
+        i, j = diag.edges[k]
+        fwd = Dart(ref, i, j)
+        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
+    for r in range(len(diag.rays)):
+        ref = EdgeRef("ray", r)
+        i, _ = diag.rays[r]
+        fwd = Dart(ref, i, -1)
+        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
+
+    return FaceComplex(tuple(face_list), dart_face, edge_sides, rotation)
+
+
+# --- dual subdivision --------------------------------------------------------
+
+
+@frozen
+class DualSubdivision:
+    lattice_points: tuple[Vec, ...]  # indexed by face id
+    triangles: tuple[tuple[int, ...], ...]  # one cell of face ids per diagram vertex
+    edge_duality: tuple[tuple[EdgeRef, tuple[int, int]], ...]  # ref -> (left, right) faces
+    root_face: int
+
+
+def gauge_points(
+    points: Sequence[Vec], root_face: Optional[int] = None, sign: int = 1
+) -> tuple[tuple[Vec, ...], int]:
+    """Reflect the dual points by the sign gauge and put the root face at the origin.
+
+    The default root face is the one whose reflected dual vertex minimizes the
+    coordinate sum (lex tie-break): the unbounded face reached heading toward
+    +(1,...,1), so the support lands in standard position.  Returns the
+    gauged points and the root face.
+    """
+    if sign not in (1, -1):
+        raise DiagramError("sign gauge must be +1 or -1")
+    points = [tuple(sign * c for c in p) for p in points]
+    if root_face is None:
+        root_face = min(range(len(points)), key=lambda i: (sum(points[i]), points[i]))
+    if not 0 <= root_face < len(points):
+        raise DiagramError("root face out of range")
+    shift = points[root_face]
+    return tuple(vsub(p, shift) for p in points), root_face
+
+
+def _gauge(
+    points: Sequence[Vec], cells, duality, root_face: Optional[int], sign: int
+) -> DualSubdivision:
+    points, root = gauge_points(points, root_face, sign)
+    return DualSubdivision(points, cells, duality, root)
+
+
+def _glue(diag: TropicalDiagram) -> DualSubdivision:
+    """Glue the local vertex cells into the dual subdivision, in the default gauge."""
+    if not diag.vertices:
+        raise DiagramError(EMPTY_DIAGRAM)
+    report = diag.report
+    # connectivity is named only when the local axioms hold
+    failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
+    if failed:
+        raise DiagramError("diagram fails axioms: " + ", ".join(failed))
+    if diag.dim == 1:
+        order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
+        k = len(order)
+        # face j is the j-th interval from the left; its dual coordinate is k-j
+        points = [(k - j,) for j in range(k + 1)]
+        duality = tuple((EdgeRef("point", i), (pos, pos + 1)) for pos, i in enumerate(order))
+        return _gauge(points, (), duality, None, 1)
+
+    complex_ = diag.face_complex
+    nfaces = len(complex_.faces)
+
+    # local cell of each vertex: faces in ccw dart order with corner offsets
+    local: list[dict[int, Vec]] = []
+    for v in range(len(diag.vertices)):
+        ring = complex_.rotations[v]
+        offsets: dict[int, Vec] = {}
+        acc = (0, 0)
+        # sector after dart ring[i] (ccw) lies clockwise of ring[i+1]
+        for idx in range(len(ring)):
+            nxt = ring[(idx + 1) % len(ring)]
+            face_here = complex_.dart_face[nxt]  # face on the clockwise side of nxt
+            if idx == 0:
+                offsets[face_here] = acc
+            else:
+                if face_here in offsets and offsets[face_here] != acc:
+                    raise DiagramError(f"face pinched at vertex {v}")
+                offsets[face_here] = acc
+            acc = vadd(acc, rot_minus90(_dart_direction(diag, nxt)))
+        if acc != (0, 0):
+            raise DiagramError(f"vertex {v} cell does not close up")
+        if len(offsets) != len(ring):
+            raise DiagramError(f"face pinched at vertex {v}")
+        local.append(offsets)
+
+    # glue local cells along bounded edges
+    anchor: list[Optional[Vec]] = [None] * len(diag.vertices)
+    anchor[0] = (0, 0)
+    stack = [0]
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(diag.vertices))}
+    for k, (i, j) in enumerate(diag.edges):
+        adj[i].append((j, k))
+        adj[j].append((i, k))
+    while stack:
+        v = stack.pop()
+        for w, k in adj[v]:
+            shared = set(local[v]) & set(local[w])
+            if len(shared) != 2:
+                raise DiagramError(f"edge {k} does not separate two faces")
+            if anchor[w] is None:
+                f0, f1 = sorted(shared)
+                cand = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
+                check = vadd(anchor[v], vsub(local[v][f1], local[w][f1]))
+                if cand != check:
+                    raise DiagramError(f"gluing across edge {k} is inconsistent")
+                anchor[w] = cand
+                stack.append(w)
+
+    positions: list[Optional[Vec]] = [None] * nfaces
+    for v in range(len(diag.vertices)):
+        if anchor[v] is None:
+            raise DiagramError("diagram fails axioms: connected")
+        for f, off in local[v].items():
+            p = vadd(anchor[v], off)
+            if positions[f] is None:
+                positions[f] = p
+            elif positions[f] != p:
+                raise DiagramError("dual positions are inconsistent (monodromy obstruction)")
+    if any(p is None for p in positions):
+        raise DiagramError("a face received no dual position")
+
+    triangles = tuple(tuple(sorted(cell)) for cell in local)
+    duality = []
+    for ref in diag.edge_refs():
+        left, right = complex_.edge_sides[ref]
+        if dot(vsub(positions[left], positions[right]), edge_direction(diag, ref)) != 0:
+            raise DiagramError(f"dual edge of {ref} is not orthogonal")
+        duality.append((ref, (left, right)))
+    return _gauge(positions, triangles, tuple(duality), None, 1)
+
+
+def dual_subdivision(
+    diag: TropicalDiagram, root_face: Optional[int] = None, sign: int = 1
+) -> DualSubdivision:
+    """Dual lattice subdivision of a validated diagram.
+
+    One lattice point per face of the complement, one cell per diagram vertex,
+    dual edges orthogonal to the diagram edges they cross.  The gluing is done
+    once per diagram (``diag.dual``); a non-default gauge is applied to it.
+    """
+    dual = diag.dual
+    if root_face is None and sign == 1:
+        return dual
+    return _gauge(dual.lattice_points, dual.triangles, dual.edge_duality, root_face, sign)
+
+
+def is_smooth(diag: TropicalDiagram) -> bool:
+    """True iff every cell of the dual subdivision has lattice area 1/2."""
+    points = diag.dual.lattice_points
+    return all(
+        len(cell) == 3 and lattice_triangle_area(*(points[i] for i in cell)) == Q(1, 2)
+        for cell in diag.dual.triangles
+    )
+
+
+# --- face heights and point location ------------------------------------
+
+
+def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
+    """Face heights at the zero base point, walked across the dual edges.
+
+    Pinned by h(root) = 0 in the default gauge, with the increments
+    h(left) = h(right) + <alpha_right - alpha_left, p> for p on the crossed
+    edge.  The increment is constant along the edge by orthogonality, and the
+    walk closes up around every loop (both asserted); neither check depends
+    on the base point or the gauge, so one walk per diagram suffices.
+    """
+    dual = diag.dual
+    heights: dict[int, Fraction] = {dual.root_face: Q(0)}
+    adjacency: dict[int, list[tuple[int, EdgeRef]]] = {}
+    for ref, (left, right) in dual.edge_duality:
+        adjacency.setdefault(left, []).append((right, ref))
+        adjacency.setdefault(right, []).append((left, ref))
+    stack = [dual.root_face]
+    while stack:
+        f = stack.pop()
+        for g, ref in adjacency.get(f, ()):
+            p0, p1 = edge_sample_points(diag, ref)
+            step = vsub(dual.lattice_points[f], dual.lattice_points[g])
+            inc = dot(step, p0)
+            if inc != dot(step, p1):
+                raise DiagramError(f"pairing is not constant along {ref}")
+            h = heights[f] + inc
+            if g in heights:
+                if heights[g] != h:
+                    raise DiagramError("face heights are inconsistent around a loop")
+            else:
+                heights[g] = h
+                stack.append(g)
+    if len(heights) != len(dual.lattice_points):
+        raise DiagramError("dual graph is not connected")
+    return tuple(heights[f] for f in range(len(heights)))
+
+
+def face_heights(diag: TropicalDiagram, base: Optional[QPoint] = None) -> dict[int, Fraction]:
+    """Lifting height of each face's dual vertex relative to a base point, by face id.
+
+    The diagram is the corner locus of min over faces of h(F) + <alpha_F, x - b>.
+    Moving the base point from 0 to b adds <alpha_F, b> to each height (alpha
+    in the default gauge, root at the origin), so the heights walked once per
+    diagram give every base point exactly: h_b(F) = h_0(F) + <alpha_F, b>.
+    The base point defaults to the origin.
+    """
+    heights, points = diag.heights, diag.dual.lattice_points
+    base = tuple(Q(c) for c in base) if base is not None else (Q(0),) * diag.dim
+    if len(base) != diag.dim:
+        raise DiagramError("base point dimension mismatch")
+    return {f: h + dot(alpha, base) for f, (h, alpha) in enumerate(zip(heights, points))}
+
+
+def locate_face(diag: TropicalDiagram, x: QPoint) -> Optional[int]:
+    """Face of the complement containing x, or None if x lies on the diagram.
+
+    The face is the unique minimizer of h(F) + <alpha_F, x>; on the diagram
+    the minimum is attained twice.
+    """
+    x = tuple(Q(c) for c in x)
+    values = [h + dot(alpha, x) for h, alpha in zip(diag.heights, diag.dual.lattice_points)]
+    best = min(values)
+    winners = [f for f, val in enumerate(values) if val == best]
+    return winners[0] if len(winners) == 1 else None

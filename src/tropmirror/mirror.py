@@ -25,7 +25,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .charges import regular_subdivision
-from .diagram import TropicalDiagram, dual_subdivision, face_heights
+from .diagram import TropicalDiagram
+from .dual import dual_subdivision, face_heights
 from .lattice import Vec, coords_from_json, vsub
 from .novikov import (
     NOV_ONE,
@@ -87,13 +88,24 @@ def corrections_from_json(data) -> CorrectionMap:
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        terms = tuple(
-            (coords_from_json(item["vertex"], int), nov_from_json(item["series"]))
-            for item in data
-        )
+        if not isinstance(data, list):
+            raise TypeError('expected a list of {"vertex", "series"} objects')
+        terms = tuple(_correction_from_json(i, item) for i, item in enumerate(data))
     except (KeyError, TypeError, ValueError) as exc:
         raise MirrorError(f"malformed corrections JSON: {exc}") from exc
     return CorrectionMap(terms)
+
+
+def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
+    """Entry i, {"vertex": [a, b], "series": [{"exp": e, "coeff": c}, ...]}."""
+    try:
+        vertex = coords_from_json(item["vertex"], int)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"entry {i}: {exc}") from exc
+    try:
+        return vertex, nov_from_json(item["series"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f'entry {i}: "series" must be a list of {{"exp", "coeff"}} objects ({exc})') from exc
 
 
 def _term_sort_key(alpha: Vec):

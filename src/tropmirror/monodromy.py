@@ -15,14 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .diagram import (
-    EdgeRef,
-    TropicalDiagram,
-    _dart_direction,
-    edge_direction,
-    gauge_points,
-    is_smooth,
-)
+from .diagram import EdgeRef, TropicalDiagram, edge_direction
+from .dual import _dart_direction, gauge_points, is_smooth
 from .lattice import Vec, is_primitive, rot_minus90, vadd, vneg, vsub
 from .record import frozen
 
@@ -121,7 +115,7 @@ def build_dual_graph(
     covectors around every loop vanishes).  Only the face adjacency is shared
     with the glued dual subdivision; the positions are an independent check
     of its lattice points.  The sum runs in the default sign gauge; the final
-    gauging is diagram.gauge_points, as for the subdivision.
+    gauging is dual.gauge_points, as for the subdivision.
     """
     if not is_smooth(diag):
         raise MonodromyError("diagram is not smooth")

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .diagram import DualSubdivision, TropicalDiagram
+from .diagram import TropicalDiagram
+from .dual import DualSubdivision
 
 Q = Fraction
 

@@ -32,7 +32,8 @@ from tropmirror.charges import (
     regular_subdivision,
     web_from_subdivision,
 )
-from tropmirror.diagram import DiagramError, DualSubdivision, TropicalDiagram, _ccw_cmp, is_smooth, validate
+from tropmirror.diagram import DiagramError, DualSubdivision, TropicalDiagram, is_smooth, validate
+from tropmirror.dual import _ccw_cmp
 from tropmirror.lattice import (
     Box,
     LatticeError,

@@ -215,3 +215,34 @@ def test_path_over_the_far_vertex_of_an_edge_errors():
     pres = build_cut_presentation(conifold())
     with pytest.raises(AffineError, match="discriminant"):
         transport_covector(pres, [(-2, 0, -1), (0, -2, -1)], (0, 0, 1))
+
+
+# --- each refusal names its witness: segment index, cut, point -------------
+
+
+def test_discriminant_refusal_names_its_witness():
+    # segment 1 meets the plane of ray1 at x = 0, at the cut's height 0
+    path = [(3, 3, 2), (3, 3, 1), (-3, 1, -1), (-3, -1, -1)]
+    with pytest.raises(AffineError) as info:
+        transport_crossings(build_cut_presentation(conifold()), path)
+    assert str(info.value) == "path hits discriminant: segment 1 meets the cut of ray1 at (0, 2, 0)"
+
+
+def test_along_a_cut_refusal_names_its_witness():
+    # segment 1 drops through the middle of edge0; its part at or below the
+    # cut height starts at height 0
+    path = [(3, 3, 1), (Q(-1, 2), Q(-1, 2), 1), (Q(-1, 2), Q(-1, 2), -3)]
+    with pytest.raises(AffineError) as info:
+        transport_crossings(build_cut_presentation(conifold()), path)
+    assert str(info.value) == "path runs along a cut: segment 1 meets the cut of edge0 at (-1/2, -1/2, 0)"
+    # in the plane of ray0, the first point of the segment over the ray
+    with pytest.raises(AffineError) as info:
+        transport_crossings(build_cut_presentation(c3()), [(-1, 0, -1), (2, 0, -1)])
+    assert str(info.value) == "path runs along a cut: segment 0 meets the cut of ray0 at (0, 0, -1)"
+
+
+def test_endpoint_refusal_names_its_witness():
+    path = [(Q(1, 2), Q(1, 2), -1), (3, Q(1, 2), -1), (3, Q(-1, 2), -1), (Q(-1, 2), Q(-1, 2), -1)]
+    with pytest.raises(AffineError) as info:
+        transport_crossings(build_cut_presentation(conifold()), path)
+    assert str(info.value) == "path endpoint lies on a cut: segment 2 meets the cut of edge0 at (-1/2, -1/2, -1)"

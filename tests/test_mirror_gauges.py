@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-import tropmirror.diagram
+import tropmirror.dual
 from helpers import random_smooth_web
 from tropmirror.cli import run
 from tropmirror.diagram import dual_subdivision, edge_sample_points
@@ -178,13 +178,13 @@ def test_presentations_share_one_face_walk(monkeypatch):
     web = random_smooth_web(rng)
     nfaces = len(web.dual.lattice_points)
     calls = []
-    real = tropmirror.diagram.edge_sample_points
+    real = tropmirror.dual.edge_sample_points
 
     def counted(diag, ref):
         calls.append(ref)
         return real(diag, ref)
 
-    monkeypatch.setattr(tropmirror.diagram, "edge_sample_points", counted)
+    monkeypatch.setattr(tropmirror.dual, "edge_sample_points", counted)
     for _ in range(20):
         base = (Q(rng.randint(-30, 30), 7), Q(rng.randint(-30, 30), 11))
         root = rng.choice((None, rng.randrange(nfaces)))

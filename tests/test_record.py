@@ -8,8 +8,10 @@ same refusals, and ``replace`` that runs ``__post_init__`` again.
 """
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -19,7 +21,8 @@ from fractions import Fraction as Q
 import pytest
 
 from helpers import random_novikov, random_smooth_web
-from tropmirror import affine, analytic, charges, diagram, lattice, mirror, monodromy, novikov
+import tropmirror
+from tropmirror import analytic, diagram
 from tropmirror.affine import build_cut_presentation, chamber_of, transport_crossings
 from tropmirror.analytic import ConeFamily, WallTransformation, focus_focus_demo, wall_cross
 from tropmirror.charges import build_web, charges_from_json
@@ -30,7 +33,7 @@ from tropmirror.novikov import NovikovElement, NovikovError, nov
 from tropmirror.record import replace
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-MODULES = (lattice, novikov, diagram, charges, monodromy, affine, mirror, analytic)
+MODULES = [importlib.import_module(f"tropmirror.{m.name}") for m in pkgutil.iter_modules(tropmirror.__path__)]
 RECORDS = sorted(
     (
         obj

@@ -288,6 +288,28 @@ def test_cli_mirror_corrections(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed corrections JSON: ")
 
 
+def test_cli_mirror_corrections_name_the_bad_entry(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"vertex": [0, 0], "series": "2*t^1"}]))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        'error: malformed corrections JSON: entry 0: "series" must be a list of {"exp", "coeff"} objects'
+        " (Extra data: line 1 column 2 (char 1))\n"
+    )
+    good = {"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}
+    bad.write_text(json.dumps([good, {"vertex": [1, 0], "series": [{"exp": "1"}]}]))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith('error: malformed corrections JSON: entry 1: "series" must be')
+    bad.write_text(json.dumps([{"vertex": [0, 0], "series": [{"exp": "1/0", "coeff": "1"}]}]))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith('error: malformed corrections JSON: entry 0: "series" must be')
+    bad.write_text(json.dumps(good))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err == 'error: malformed corrections JSON: expected a list of {"vertex", "series"} objects\n'
+
+
 def test_cli_dual_root_face_and_flip(capsys):
     assert run(["dual", path("c3.json"), "--flip-sign"]) == 0
     flipped = json.loads(capsys.readouterr().out)
