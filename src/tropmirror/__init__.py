@@ -9,14 +9,16 @@ pipeline.  All arithmetic is exact.
 
 __version__ = "0.1.0"
 
-# diagram and charges load first: dual and hull import from them, and they
-# import dual and hull back at their ends
+# diagram loads before dual, and charges before hull: dual and hull import
+# from them, and they import dual and hull back at their ends.  analytic, the
+# largest module, comes next (it loads charges through mirror), so that its
+# compile runs with the fewest modules already in memory.
 from .diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
+from .analytic import focus_focus_demo, wall_cross
 from .charges import ChargeMatrix, build_web, diagram_from_charges
 from .mirror import face_distance, normalize_presentation, presentation, superpotential
 from .monodromy import build_dual_graph, edge_covector, loop_monodromy, standard_form_matrix
 from .affine import build_cut_presentation, chamber_of, transport_covector
-from .analytic import focus_focus_demo, wall_cross
 from .novikov import NovikovElement, nov, nov_add, nov_eq_mod, nov_inv, nov_mul, nov_val
 
 __all__ = [

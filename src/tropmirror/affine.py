@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .diagram import EdgeRef, TropicalDiagram, edge_anchor, edge_direction, parse_edge_ref
 from .dual import locate_face
-from .lattice import QPoint, Vec, coords_from_json, dot, vsub
+from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
 from .monodromy import crossing_matrix, edge_covector, mat_apply
 from .record import frozen
 
@@ -78,18 +78,14 @@ class CutPresentation:
 
 def path_from_json(data) -> list[QPoint]:
     """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
-    try:
+    with malformed("path", AffineError):
         return [coords_from_json(p) for p in data["path"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AffineError(f"malformed path JSON: {exc}") from exc
 
 
 def tau_from_json(data) -> dict[EdgeRef, Fraction]:
     """Per-edge cut heights from a tau file: {"edge0": "1/2", ...}."""
-    try:
-        return {parse_edge_ref(k): Q(v) for k, v in data.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise AffineError(f"malformed tau JSON: {exc}") from exc
+    with malformed("tau", AffineError):
+        return {parse_edge_ref(k): read_rational(v) for k, v in data.items()}
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram
-from .lattice import Box, Vec, dot, is_primitive, vadd
+from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_rational, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
 from .novikov import (
     NovikovElement,
@@ -398,18 +398,12 @@ def series_to_json(a: AnalyticSeries) -> dict:
 
 
 def series_from_json(data) -> AnalyticSeries:
-    import json as _json
-
-    if isinstance(data, str):
-        data = _json.loads(data)
-    try:
-        box = Box(tuple((Q(lo), Q(hi)) for lo, hi in data["box"]))
+    with malformed("series", AnalyticError):
+        box = Box(tuple((read_rational(lo), read_rational(hi)) for lo, hi in data["box"]))
         terms = [
-            Monomial(nov_from_json(item["coeff"]), tuple(int(e) for e in item["expo"]))
+            Monomial(nov_from_json(item["coeff"]), tuple(read_int(e) for e in item["expo"]))
             for item in data["terms"]
         ]
         return series(
-            terms, data["chamber"], box, Q(data["truncation"]), int(data["dim"])
+            terms, data["chamber"], box, read_rational(data["truncation"]), read_int(data["dim"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AnalyticError(f"malformed series JSON: {exc}") from exc

@@ -14,16 +14,13 @@ outward boundary normals) gives the tropical web.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .diagram import TropicalDiagram
-from .lattice import Vec, dot, exact_key, primitive, vneg
+from .lattice import Vec, dot, exact_key, malformed, primitive, read_int, read_rational, vneg
 from .record import frozen
-
-Q = Fraction
 
 
 class ChargeError(ValueError):
@@ -43,10 +40,6 @@ class ChargeMatrix:
                 raise ChargeError("charge row length mismatch")
             if sum(r) != 0:
                 raise ChargeError(f"charge row {r} does not sum to zero")
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[Vec]:
@@ -220,13 +213,9 @@ def diagram_from_charges(q: ChargeMatrix, heights: Sequence, allow_singular: boo
 
 
 def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
-    if isinstance(data, str):
-        data = json.loads(data)
-    try:
-        rows = tuple(tuple(int(x) for x in row) for row in data["charges"])
-        heights = [Q(h) for h in data["heights"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChargeError(f"malformed charge JSON: {exc}") from exc
+    with malformed("charge", ChargeError):
+        rows = tuple(tuple(read_int(x) for x in row) for row in data["charges"])
+        heights = [read_rational(h) for h in data["heights"]]
     width = len(rows[0]) if rows else len(heights)
     return ChargeMatrix(rows, width), heights
 

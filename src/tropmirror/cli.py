@@ -13,51 +13,18 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .affine import (
-    AffineError,
-    build_cut_presentation,
-    path_from_json,
-    tau_from_json,
-    transport_covector,
-)
-from .analytic import (
-    AnalyticError,
-    eval_series,
-    focus_focus_demo,
-    series_from_json,
-    series_to_json,
-)
-from .charges import ChargeError, build_web, charges_from_json
-from .diagram import DiagramError, diagram_from_json, diagram_to_json
+from .affine import build_cut_presentation, path_from_json, tau_from_json, transport_covector
+from .analytic import eval_series, focus_focus_demo, series_from_json, series_to_json
+from .charges import build_web, charges_from_json
+from .diagram import diagram_from_json, diagram_to_json
 from .dual import dual_subdivision, is_smooth
-from .lattice import LatticeError
-from .mirror import (
-    MirrorError,
-    corrections_from_json,
-    normalize_presentation,
-    presentation,
-    presentation_to_json,
-)
-from .monodromy import MonodromyError, build_dual_graph, edge_covector
-from .novikov import NovikovError, nov_to_json, nov_to_text
-from .render import RenderError, render
-
-Q = Fraction
-
-ERRORS = (
-    AffineError,
-    AnalyticError,
-    ChargeError,
-    DiagramError,
-    LatticeError,
-    MirrorError,
-    MonodromyError,
-    NovikovError,
-    RenderError,
-)
+from .lattice import MALFORMED, read_int, read_rational
+from .mirror import corrections_from_json, normalize_presentation, presentation, presentation_to_json
+from .monodromy import build_dual_graph, edge_covector
+from .novikov import nov_to_json, nov_to_text
+from .render import render
 
 
 def _dumps(obj) -> str:
@@ -97,16 +64,16 @@ def _status_line(text: str) -> str:
     return text
 
 
-def _parse_number(option: str, text: str, number=Q):
+def _parse_number(option: str, text: str, number=read_rational):
     """One number given to ``option``; a bad one names the option and the text."""
     try:
         return number(text.strip())
-    except (ValueError, ZeroDivisionError):
-        kind = "an integer" if number is int else "a rational number"
+    except MALFORMED:
+        kind = "an integer" if number is read_int else "a rational number"
         raise ValueError(f"{option}: {text.strip()!r} is not {kind}") from None
 
 
-def _parse_point(option: str, text: str, number=Q) -> tuple:
+def _parse_point(option: str, text: str, number=read_rational) -> tuple:
     """Comma-separated numbers given to ``option``."""
     return tuple(_parse_number(option, part, number) for part in text.split(","))
 
@@ -234,7 +201,7 @@ def _cmd_transport(args) -> int:
     tau = tau_from_json(_load_json(args.tau)) if args.tau else None
     pres = build_cut_presentation(diag, tau)
     path = path_from_json(_load_json(args.path))
-    g = _parse_point("--class", args.covector, int)
+    g = _parse_point("--class", args.covector, read_int)
     result = transport_covector(pres, path, g)
     sys.stdout.write(_dumps({"class": list(g), "result": list(result)}))
     return 0
@@ -298,10 +265,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -14,7 +14,6 @@ location are in ``tropmirror.dual``; their public names are bound here too.
 from __future__ import annotations
 
 import functools
-import json
 from fractions import Fraction
 
 from .lattice import (
@@ -23,8 +22,10 @@ from .lattice import (
     coords_from_json,
     exact_key,
     is_primitive,
+    malformed,
     primitive,
     primitive_direction,
+    read_int,
     vadd,
     vneg,
 )
@@ -278,12 +279,8 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
 # --- JSON --------------------------------------------------------------------
 
 
-def _q_str(x: Fraction) -> str:
-    return str(x)
-
-
 def diagram_to_json(diag: TropicalDiagram) -> dict:
-    out: dict = {"dim": diag.dim, "vertices": [[_q_str(c) for c in v] for v in diag.vertices]}
+    out: dict = {"dim": diag.dim, "vertices": [[str(c) for c in v] for v in diag.vertices]}
     if diag.dim == 2:
         out["edges"] = [[i, j] for i, j in diag.edges]
         out["rays"] = [{"at": i, "dir": list(d)} for i, d in diag.rays]
@@ -291,15 +288,11 @@ def diagram_to_json(diag: TropicalDiagram) -> dict:
 
 
 def diagram_from_json(data) -> TropicalDiagram:
-    if isinstance(data, str):
-        data = json.loads(data)
-    try:
-        dim = int(data["dim"])
+    with malformed("diagram", DiagramError):
+        dim = read_int(data["dim"])
         vertices = tuple(coords_from_json(v) for v in data["vertices"])
-        edges = tuple((i, j) for i, j in (coords_from_json(e, int) for e in data.get("edges", [])))
-        rays = tuple((int(r["at"]), coords_from_json(r["dir"], int)) for r in data.get("rays", []))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DiagramError(f"malformed diagram JSON: {exc}") from exc
+        edges = tuple((i, j) for i, j in (coords_from_json(e, read_int) for e in data.get("edges", [])))
+        rays = tuple((read_int(r["at"]), coords_from_json(r["dir"], read_int)) for r in data.get("rays", []))
     return TropicalDiagram(dim, vertices, edges, rays)
 
 

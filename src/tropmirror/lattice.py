@@ -7,11 +7,17 @@ tests downstream, so all predicates are exact.
 
 Vectors and points are plain tuples (``int`` entries for lattice vectors,
 ``Fraction`` entries for rational points).  Dimensions 1, 2 and 3 occur.
+
+The file readers of every module read their numbers here (``read_int``,
+``read_rational``, ``coords_from_json``) and report a malformed value through
+one guard, ``malformed``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterator, Sequence
@@ -147,7 +153,56 @@ def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
     return lower[:-1] + upper[:-1]
 
 
-def coords_from_json(value, parse=Fraction) -> tuple:
+# --- reading JSON ------------------------------------------------------------
+#
+# Every file reader decides "is this value a number we accept" here, and turns
+# whatever its body raises on a malformed value into one error per file kind.
+
+# What a reader's body raises on a value of the wrong shape or size.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
+
+# CPython's default int-to-string limit, so every number read can be printed back.
+DIGITS = 4300
+_TOO_LARGE = 10**DIGITS
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+@contextmanager
+def malformed(kind: str, error: type) -> Iterator[None]:
+    """Re-raise what the body raises on malformed input as ``error("malformed <kind> JSON: ...")``."""
+    try:
+        yield
+    except MALFORMED as exc:
+        raise error(f"malformed {kind} JSON: {exc}") from exc
+
+
+def read_int(value) -> int:
+    """An integer field: what ``int`` reads, but no bool and no float with a fractional part.
+
+    ``2.0`` reads as 2; ``1.9``, ``inf`` and ``true`` are refused rather than
+    truncated.
+    """
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def read_rational(value) -> Fraction:
+    """A rational field: what ``Fraction`` reads, with at most DIGITS digits above and below the bar.
+
+    An exponent-form string whose exponent is over 2 * DIGITS is refused before
+    ``Fraction`` builds the power of ten: the mantissa's integer and decimal
+    digits are at most DIGITS each, so a nonzero value could not be in bounds.
+    """
+    exponent = isinstance(value, str) and _EXPONENT.search(value)
+    if not (exponent and abs(int(exponent[1])) > 2 * DIGITS):
+        q = Fraction(value)
+        if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
+            return q
+    raise ValueError(f"{value!r} is over the limit of {DIGITS} digits")
+
+
+def coords_from_json(value, parse=read_rational) -> tuple:
     """The coordinates of a point read from JSON, which must be a list.
 
     A string is rejected instead of being read character by character.

@@ -19,7 +19,6 @@ point.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 from .charges import regular_subdivision
 from .diagram import TropicalDiagram
 from .dual import dual_subdivision, face_heights
-from .lattice import Vec, coords_from_json, vsub
+from .lattice import MALFORMED, Vec, coords_from_json, malformed, read_int, vsub
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -85,26 +84,22 @@ class CorrectionMap:
 
 
 def corrections_from_json(data) -> CorrectionMap:
-    if isinstance(data, str):
-        data = json.loads(data)
-    try:
+    with malformed("corrections", MirrorError):
         if not isinstance(data, list):
             raise TypeError('expected a list of {"vertex", "series"} objects')
         terms = tuple(_correction_from_json(i, item) for i, item in enumerate(data))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MirrorError(f"malformed corrections JSON: {exc}") from exc
     return CorrectionMap(terms)
 
 
 def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
     """Entry i, {"vertex": [a, b], "series": [{"exp": e, "coeff": c}, ...]}."""
     try:
-        vertex = coords_from_json(item["vertex"], int)
-    except (KeyError, TypeError, ValueError) as exc:
+        vertex = coords_from_json(item["vertex"], read_int)
+    except MALFORMED as exc:
         raise ValueError(f"entry {i}: {exc}") from exc
     try:
         return vertex, nov_from_json(item["series"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except MALFORMED as exc:
         raise ValueError(f'entry {i}: "series" must be a list of {{"exp", "coeff"}} objects ({exc})') from exc
 
 

@@ -15,13 +15,13 @@ mirroring computation over the quotients by energy level.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
+from .lattice import read_rational
 from .record import frozen
 
 Q = Fraction
@@ -319,7 +319,5 @@ def nov_to_json(a: NovikovElement) -> list[dict[str, str]]:
     return [{"exp": str(e), "coeff": str(c)} for e, c in a.terms]
 
 
-def nov_from_json(data, truncation=None) -> NovikovElement:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return nov([(Q(item["exp"]), Q(item["coeff"])) for item in data], truncation)
+def nov_from_json(data) -> NovikovElement:
+    return nov([(read_rational(item["exp"]), read_rational(item["coeff"])) for item in data])

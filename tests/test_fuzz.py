@@ -1,9 +1,14 @@
-"""Cross-module fuzzing on random smooth webs."""
+"""Cross-module fuzzing on random smooth webs, and of the CLI's input files."""
 
+import glob
+import json
+import os
 import random
+import time
 from fractions import Fraction as Q
 
 from helpers import dual_vertex_cone, intersect_shifted_cones, random_smooth_web
+from tropmirror.cli import run
 from tropmirror.diagram import (
     dual_subdivision,
     face_heights,
@@ -103,3 +108,75 @@ def test_rectangles_with_many_parallel_rays():
             )
             cases += 1
     assert cases >= 10
+
+
+# --- no input file makes the CLI traceback ---------------------------------------
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "diagrams")
+BAD_VALUES = ("1e999", '"1/0"', '"x"', "1.5", "null", "[]", "{}", "true", "-7", '"1e999999"')
+HOLE = "\u0000hole"
+LOOP = {"path": [["-1", "-1"], ["1", "-1"], ["1", "1"], ["-1", "1"], ["-1", "-1"]]}
+# (document, the commands that read it, "{f}" standing for its file)
+DOCUMENTS = [
+    (None, [["validate", "{f}"], ["dual", "{f}"], ["mirror", "{f}"], ["render", "{f}", "--dual"],
+            ["transport", "{f}", "--path", "{loop}", "--class", "0,1"], ["web", "--charges", "{f}"]]),
+    ({"path": [["-1", "-1"], ["1", "-1"], ["1", "1"]]},
+     [["transport", "{ff}", "--path", "{f}", "--class", "0,1"]]),
+    ({"point0": "-2"}, [["transport", "{ff}", "--path", "{loop}", "--tau", "{f}", "--class", "0,1"]]),
+    ({"dim": 2, "chamber": "V_plus", "truncation": "10", "box": [["1/4", "2"], ["1/4", "2"]],
+      "terms": [{"expo": [1, 0], "coeff": [{"exp": "0", "coeff": "1"}, {"exp": "1/2", "coeff": "-3"}]}]},
+     [["eval", "{f}", "--point", "1/2,3"]]),
+    ([{"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}, {"vertex": [1, 0], "series": []}],
+     [["mirror", "{c3}", "--corrections", "{f}"]]),
+]
+
+
+def _slots(doc, where=()):
+    """The place of every value inside a JSON document, as a key path."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield where + (key,)
+        yield from _slots(value, where + (key,))
+
+
+def _with_hole(doc, slot):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in slot[:-1]:
+        parent = parent[key]
+    parent[slot[-1]] = HOLE
+    return doc
+
+
+def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
+    """Every command that reads a file exits 0 or 1 whatever one value in it is."""
+    rng = random.Random(20261018)
+    names = {"loop": str(tmp_path / "loop.json"), "f": str(tmp_path / "case.json")}
+    names.update(ff=os.path.join(SHIPPED, "focus_focus.json"), c3=os.path.join(SHIPPED, "c3.json"))
+    (tmp_path / "loop.json").write_text(json.dumps(LOOP))
+    shipped = []
+    for name in sorted(glob.glob(os.path.join(SHIPPED, "*.json"))):
+        with open(name, encoding="utf-8") as fh:
+            shipped.append(json.load(fh))
+    assert len(shipped) == 5
+    start, cases, runs, escapes = time.perf_counter(), 0, 0, []
+    for _ in range(330):
+        doc, commands = rng.choice(DOCUMENTS)
+        doc = rng.choice(shipped) if doc is None else doc
+        text = json.dumps(_with_hole(doc, rng.choice(list(_slots(doc)))))
+        bad = rng.choice(BAD_VALUES)
+        (tmp_path / "case.json").write_text(text.replace(json.dumps(HOLE), bad))
+        cases += 1
+        for argv in commands:
+            argv = [arg.format(**names) for arg in argv]
+            try:
+                code = run(argv)
+            except Exception as exc:  # noqa: BLE001 - an escape is the finding
+                escapes.append((text, bad, argv[0], repr(exc)))
+                continue
+            capsys.readouterr()
+            runs += 1
+            assert code in (0, 1), (text, bad, argv)
+    assert not escapes, escapes[:5]
+    assert cases >= 300 and runs >= 600
+    assert time.perf_counter() - start < 2.0

@@ -14,12 +14,16 @@ from helpers import (
     random_unimodular,
 )
 from tropmirror.lattice import (
+    DIGITS,
     Box,
     LatticeError,
     box,
     convex_hull,
     lattice_triangle_area,
+    malformed,
     primitive,
+    read_int,
+    read_rational,
 )
 
 
@@ -160,3 +164,41 @@ def test_box_validation_and_corners():
     b = box((0, 1), (Q(-1, 2), Q(3, 2)))
     assert len(list(b.corners())) == 4
     assert set(lattice_points(b)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (-7, -7), (2.0, 2), ("12", 12), (" -4 ", -4), ("1_000", 1000)])
+def test_read_int_accepts_what_int_reads_without_truncating(value, expected):
+    assert read_int(value) == expected and type(read_int(value)) is int
+
+
+@pytest.mark.parametrize("value", [1.9, -0.5, float("inf"), float("nan"), True, False])
+def test_read_int_refuses_bools_and_fractional_or_non_finite_floats(value):
+    with pytest.raises(ValueError, match=f"^expected an integer, got {value!r}$"):
+        read_int(value)
+
+
+@pytest.mark.parametrize("value, expected", [("1/2", Q(1, 2)), (3, Q(3)), (0.5, Q(1, 2)), ("-3.25e-2", Q(-13, 400))])
+def test_read_rational_reads_what_fraction_reads(value, expected):
+    assert read_rational(value) == expected
+
+
+def test_read_rational_refuses_numbers_just_over_the_digit_limit():
+    assert read_rational(f"9e{DIGITS - 1}") == 9 * 10 ** (DIGITS - 1)
+    assert read_rational(f"1e-{DIGITS - 1}") == Q(1, 10 ** (DIGITS - 1))
+    assert read_rational("7" * DIGITS) == int("7" * DIGITS)
+    over = [f"1e{DIGITS}", f"1e-{DIGITS}", "1e999999", "-2.5E-999999", f"{'7' * DIGITS}.5"]
+    for text in over:
+        with pytest.raises(ValueError, match=f"is over the limit of {DIGITS} digits"):
+            read_rational(text)
+
+
+def test_malformed_names_the_kind_and_keeps_other_errors():
+    with pytest.raises(LatticeError, match=r"^malformed test JSON: Fraction\(1, 0\)$"):
+        with malformed("test", LatticeError):
+            read_rational("1/0")
+    with pytest.raises(LatticeError, match="^malformed test JSON: 'x'$"):
+        with malformed("test", LatticeError):
+            {}["x"]
+    with pytest.raises(IndexError):
+        with malformed("test", LatticeError):
+            [][0]

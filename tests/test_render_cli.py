@@ -1,15 +1,19 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as Q
 
 import pytest
 
+import tropmirror
 from tropmirror.charges import ChargeMatrix, build_web
 from tropmirror import cli
 from tropmirror.cli import run
 from tropmirror.diagram import TropicalDiagram, diagram_to_json
+from tropmirror.record import FrozenInstanceError
 from tropmirror.render import RenderError, render
 
 DIAGRAMS = os.path.join(os.path.dirname(__file__), "..", "diagrams")
@@ -296,7 +300,7 @@ def test_cli_mirror_corrections_name_the_bad_entry(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         'error: malformed corrections JSON: entry 0: "series" must be a list of {"exp", "coeff"} objects'
-        " (Extra data: line 1 column 2 (char 1))\n"
+        " (string indices must be integers, not 'str')\n"
     )
     good = {"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}
     bad.write_text(json.dumps([good, {"vertex": [1, 0], "series": [{"exp": "1"}]}]))
@@ -402,3 +406,73 @@ def test_cli_input_errors_name_their_source(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message.format(**names)}\n"
+
+
+# Documents with one value "@"; each case puts raw JSON text there.
+C3_AT = {"dim": 2, "vertices": [["@", "0"]], "rays": C3_RAYS}
+C3_DIR_AT = {"dim": 2, "vertices": [["0", "0"]], "rays": [{"at": 0, "dir": ["@", 0]}] + C3_RAYS[1:]}
+HEIGHT_AT = {"charges": [[1, 1, -1, -1]], "heights": ["0", "@", "0", "0"]}
+CHARGE_AT = {"charges": [[1, "@", -1, -1]], "heights": ["0", "1", "0", "0"]}
+COEFF_AT = [{"vertex": [0, 0], "series": [{"exp": "2", "coeff": "@"}]}]
+VERTEX_AT = [{"vertex": ["@", 0], "series": [{"exp": "2", "coeff": "3"}]}]
+BOX_AT = dict(SERIES, box=[["@", "2"], ["1/4", "2"]])
+EXPO_AT = dict(SERIES, terms=[{"expo": ["@", 0], "coeff": [{"exp": "0", "coeff": "1"}]}])
+PATH_AT = {"path": [["-1", "@"], ["1", "-1"]]}
+TAU_AT = {"point0": "@"}
+
+MALFORMED_INPUTS = [
+    (["validate", "{f}"], "diagram", "vertex", C3_AT, ["1e999", '"1/0"', '"1e999999"']),
+    (["validate", "{f}"], "diagram", "dir", C3_DIR_AT, ["1e999", "1.5", "true"]),
+    (["web", "--charges", "{f}"], "charge", "height", HEIGHT_AT, ["1e999", '"1/0"']),
+    (["web", "--charges", "{f}"], "charge", "charge", CHARGE_AT, ["1e999", "1.5", "true"]),
+    (["mirror", "{c3}", "--corrections", "{f}"], "corrections", "coeff", COEFF_AT, ["1e999", '"1/0"']),
+    (["mirror", "{c3}", "--corrections", "{f}"], "corrections", "vertex", VERTEX_AT, ["1e999", "1.5", "true"]),
+    (["eval", "{f}", "--point", "0,0"], "series", "box", BOX_AT, ["1e999", '"1/0"']),
+    (["eval", "{f}", "--point", "0,0"], "series", "expo", EXPO_AT, ["1e999", "1.5", "true"]),
+    (["transport", "{ff}", "--path", "{f}", "--class", "0,1"], "path", "point", PATH_AT, ["1e999", '"1/0"']),
+    (["transport", "{ff}", "--path", "{loop}", "--tau", "{f}", "--class", "0,1"], "tau", "height", TAU_AT, ["1e999", '"1/0"']),
+]
+MALFORMED_CASES = [(argv, kind, doc, bad) for argv, kind, _, doc, values in MALFORMED_INPUTS for bad in values]
+MALFORMED_IDS = [f"{kind}-{field}-{bad}" for _, kind, field, _, values in MALFORMED_INPUTS for bad in values]
+
+
+@pytest.mark.parametrize("argv, kind, doc, bad", MALFORMED_CASES, ids=MALFORMED_IDS)
+def test_cli_malformed_numbers_name_the_file_kind(tmp_path, capsys, argv, kind, doc, bad):
+    """A non-finite, undefined or truncated number exits 1 with one line naming the kind of file."""
+    (tmp_path / "case.json").write_text(json.dumps(doc).replace('"@"', bad))
+    (tmp_path / "loop.json").write_text(json.dumps(LOOP))
+    names = {"f": str(tmp_path / "case.json"), "loop": str(tmp_path / "loop.json")}
+    names.update(ff=path("focus_focus.json"), c3=path("c3.json"))
+    assert run([arg.format(**names) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: malformed {kind} JSON: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_every_package_error_is_a_value_error():
+    """``run`` reports every refusal of the package through one ``except ValueError``.
+
+    ``record.FrozenInstanceError`` is the exception: like its ``dataclasses``
+    namesake it is an ``AttributeError``, raised only by code that assigns to
+    a frozen record, never by input.
+    """
+    modules = [importlib.import_module(f"tropmirror.{m.name}") for m in pkgutil.iter_modules(tropmirror.__path__)]
+    errors = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__
+    }
+    errors.remove(FrozenInstanceError)
+    assert len(errors) == 9
+    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
+
+
+def test_cli_rational_size_bound_names_the_limit(tmp_path, capsys):
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"dim": 1, "vertices": [["1e999999"]]}))
+    assert run(["validate", str(f)]) == 1
+    assert capsys.readouterr() == ("", "error: malformed diagram JSON: '1e999999' is over the limit of 4300 digits\n")
+    f.write_text(json.dumps({"dim": 1, "vertices": [["1e4299"]]}))
+    assert run(["validate", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
