@@ -61,18 +61,6 @@ class Monomial:
         object.__setattr__(self, "expo", tuple(int(e) for e in self.expo))
 
 
-def monomial_val_on_box(m: Monomial, box: Box) -> Fraction:
-    """val(c) + min over the box of <u, x>; the minimum sits at a corner."""
-    if box.dim == 0:
-        raise AnalyticError("empty box")
-    if box.dim != len(m.expo):
-        raise AnalyticError("monomial/box dimension mismatch")
-    v = nov_val(m.coeff)
-    if v is None:
-        raise AnalyticError("zero monomial has no valuation")
-    return v + min(dot(m.expo, corner) for corner in box.corners())
-
-
 def expo_val_on_box(expo: Vec, box: Box) -> Fraction:
     return min(dot(expo, corner) for corner in box.corners())
 

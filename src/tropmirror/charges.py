@@ -19,12 +19,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diagram import TropicalDiagram
+from .hull import ChargeError, RegularSubdivision, SubdivisionCell, _cell_boundary_edges, regular_subdivision
 from .lattice import Vec, dot, exact_key, malformed, primitive, read_int, read_rational, vneg
 from .record import frozen
-
-
-class ChargeError(ValueError):
-    pass
 
 
 @frozen
@@ -218,15 +215,3 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
         heights = [read_rational(h) for h in data["heights"]]
     width = len(rows[0]) if rows else len(heights)
     return ChargeMatrix(rows, width), heights
-
-
-# The lower hull lives in tropmirror.hull, which imports ChargeError from this
-# module: this import comes last, so that ChargeError is defined when it runs.
-# It binds the hull's public names where callers look them up, and the two
-# that build_web and web_from_subdivision call.
-from .hull import (  # noqa: E402
-    RegularSubdivision,
-    SubdivisionCell,
-    _cell_boundary_edges,
-    regular_subdivision,
-)

@@ -39,12 +39,12 @@ def _load_json(path: str):
             raise ValueError(f"{path}: not a JSON file: {exc}") from None
 
 
-def _load_diagram(path: str, allow_singular: bool = False):
+def _load_diagram(path: str):
     """Load a diagram JSON; charge files are built into their web first."""
     data = _load_json(path)
     if isinstance(data, dict) and "charges" in data:
         q, heights = charges_from_json(data)
-        return build_web(q, heights, allow_singular=allow_singular).diagram
+        return build_web(q, heights).diagram
     return diagram_from_json(data)
 
 

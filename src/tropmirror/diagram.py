@@ -142,14 +142,19 @@ class TropicalDiagram:
         return faces(self)
 
     @functools.cached_property
-    def dual(self) -> DualSubdivision:
-        """The glued dual subdivision in the default gauge; see dual_subdivision."""
+    def glued(self) -> tuple[DualSubdivision, tuple[Fraction, ...]]:
+        """The dual subdivision and the face heights, from one gluing walk."""
         return _glue(self)
 
-    @functools.cached_property
+    @property
+    def dual(self) -> DualSubdivision:
+        """The glued dual subdivision in the default gauge; see dual_subdivision."""
+        return self.glued[0]
+
+    @property
     def heights(self) -> tuple[Fraction, ...]:
         """Face heights at the zero base point, in the default gauge, by face id."""
-        return _walk_heights(self)
+        return self.glued[1]
 
 
 def edge_direction(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
@@ -167,18 +172,6 @@ def edge_anchor(diag: TropicalDiagram, ref: EdgeRef) -> QPoint:
     if ref.kind == "ray":
         return diag.vertices[diag.rays[ref.index][0]]
     return diag.vertices[ref.index]
-
-
-def edge_sample_points(diag: TropicalDiagram, ref: EdgeRef) -> tuple[QPoint, QPoint]:
-    """Two points on the edge (used to assert constancy of pairings)."""
-    a = edge_anchor(diag, ref)
-    if ref.kind == "point":
-        return a, a
-    if ref.kind == "edge":
-        i, j = diag.edges[ref.index]
-        return diag.vertices[i], diag.vertices[j]
-    d = edge_direction(diag, ref)
-    return a, vadd(a, tuple(Q(c) for c in d))
 
 
 # --- validation -------------------------------------------------------------
@@ -299,14 +292,13 @@ def diagram_from_json(data) -> TropicalDiagram:
 # The face walk, the gluing and the heights live in tropmirror.dual, which
 # imports this module: this import comes last, so that every name dual needs
 # from here is defined when it runs.  It binds the public names where callers
-# look them up, and the three that the cached properties above call.
+# look them up, and the two that the cached properties above call.
 from .dual import (  # noqa: E402
     Dart,
     DualSubdivision,
     Face,
     FaceComplex,
     _glue,
-    _walk_heights,
     dual_subdivision,
     face_heights,
     faces,

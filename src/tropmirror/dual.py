@@ -21,6 +21,7 @@ properties; ``tropmirror.diagram`` binds the public names of this module too.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,7 +31,6 @@ from .diagram import (
     EdgeRef,
     TropicalDiagram,
     edge_direction,
-    edge_sample_points,
 )
 from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, rot_minus90, vadd, vneg, vsub
 from .record import frozen
@@ -212,8 +212,22 @@ def _gauge(
     return DualSubdivision(points, cells, duality, root)
 
 
-def _glue(diag: TropicalDiagram) -> DualSubdivision:
-    """Glue the local vertex cells into the dual subdivision, in the default gauge."""
+def _pinned(points: Sequence[Vec], cells, duality, heights: Sequence[int], den: int):
+    """The default gauge, and the heights over den with the root face's pinned to 0."""
+    dual = _gauge(points, cells, duality, None, 1)
+    return dual, tuple(Q(h - heights[dual.root_face], den) for h in heights)
+
+
+def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]:
+    """Glue the local vertex cells into the dual subdivision, and lift it.
+
+    Returns the subdivision in the default gauge and the face heights h at
+    the zero base point: the diagram is the corner locus of min over faces of
+    h(F) + <alpha_F, x>, pinned by h(root) = 0.  At a vertex v that minimum
+    is attained by the three faces around v, so one value level[v] per
+    vertex, carried along the gluing walk, gives every height.  The sums are
+    taken on integers, over one common denominator of the vertices.
+    """
     if not diag.vertices:
         raise DiagramError(EMPTY_DIAGRAM)
     report = diag.report
@@ -221,20 +235,26 @@ def _glue(diag: TropicalDiagram) -> DualSubdivision:
     failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
     if failed:
         raise DiagramError("diagram fails axioms: " + ", ".join(failed))
+    den = math.lcm(*(c.denominator for x in diag.vertices for c in x))
+    xs = [tuple(c.numerator * (den // c.denominator) for c in x) for x in diag.vertices]
     if diag.dim == 1:
         order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
         k = len(order)
-        # face j is the j-th interval from the left; its dual coordinate is k-j
+        # face j is the j-th interval from the left; its dual coordinate is k-j,
+        # so crossing marked point p to the right adds p to the height
         points = [(k - j,) for j in range(k + 1)]
+        heights = [0]
+        for i in order:
+            heights.append(heights[-1] + xs[i][0])
         duality = tuple((EdgeRef("point", i), (pos, pos + 1)) for pos, i in enumerate(order))
-        return _gauge(points, (), duality, None, 1)
+        return _pinned(points, (), duality, heights, den)
 
     complex_ = diag.face_complex
     nfaces = len(complex_.faces)
 
     # local cell of each vertex: faces in ccw dart order with corner offsets
     local: list[dict[int, Vec]] = []
-    for v in range(len(diag.vertices)):
+    for v in range(len(xs)):
         ring = complex_.rotations[v]
         offsets: dict[int, Vec] = {}
         acc = (0, 0)
@@ -255,11 +275,13 @@ def _glue(diag: TropicalDiagram) -> DualSubdivision:
             raise DiagramError(f"face pinched at vertex {v}")
         local.append(offsets)
 
-    # glue local cells along bounded edges
-    anchor: list[Optional[Vec]] = [None] * len(diag.vertices)
+    # glue local cells along bounded edges; level[w] follows from the face f0
+    # that w shares with v: h(f0) + <alpha_f0, x> at x_w minus at x_v
+    anchor: list[Optional[Vec]] = [None] * len(xs)
     anchor[0] = (0, 0)
+    level = [0] * len(xs)
     stack = [0]
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(diag.vertices))}
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(xs))}
     for k, (i, j) in enumerate(diag.edges):
         adj[i].append((j, k))
         adj[j].append((i, k))
@@ -276,18 +298,27 @@ def _glue(diag: TropicalDiagram) -> DualSubdivision:
                 if cand != check:
                     raise DiagramError(f"gluing across edge {k} is inconsistent")
                 anchor[w] = cand
+                level[w] = level[v] + dot(vadd(cand, local[w][f0]), vsub(xs[w], xs[v]))
                 stack.append(w)
 
     positions: list[Optional[Vec]] = [None] * nfaces
-    for v in range(len(diag.vertices)):
+    heights: list[Optional[int]] = [None] * nfaces
+    placed_at = [0] * nfaces  # the vertex that placed each face first
+    for v in range(len(xs)):
         if anchor[v] is None:
             raise DiagramError("diagram fails axioms: connected")
         for f, off in local[v].items():
             p = vadd(anchor[v], off)
+            h = level[v] - dot(p, xs[v])
             if positions[f] is None:
-                positions[f] = p
+                positions[f], heights[f], placed_at[f] = p, h, v
             elif positions[f] != p:
                 raise DiagramError("dual positions are inconsistent (monodromy obstruction)")
+            elif heights[f] != h:
+                raise DiagramError(
+                    f"face heights are inconsistent around a loop: face {f} has height"
+                    f" {Q(heights[f], den)} at vertex {placed_at[f]} and {Q(h, den)} at vertex {v}"
+                )
     if any(p is None for p in positions):
         raise DiagramError("a face received no dual position")
 
@@ -298,7 +329,7 @@ def _glue(diag: TropicalDiagram) -> DualSubdivision:
         if dot(vsub(positions[left], positions[right]), edge_direction(diag, ref)) != 0:
             raise DiagramError(f"dual edge of {ref} is not orthogonal")
         duality.append((ref, (left, right)))
-    return _gauge(positions, triangles, tuple(duality), None, 1)
+    return _pinned(positions, triangles, tuple(duality), heights, den)
 
 
 def dual_subdivision(
@@ -308,7 +339,7 @@ def dual_subdivision(
 
     One lattice point per face of the complement, one cell per diagram vertex,
     dual edges orthogonal to the diagram edges they cross.  The gluing is done
-    once per diagram (``diag.dual``); a non-default gauge is applied to it.
+    once per diagram (``diag.glued``); a non-default gauge is applied to it.
     """
     dual = diag.dual
     if root_face is None and sign == 1:
@@ -328,48 +359,12 @@ def is_smooth(diag: TropicalDiagram) -> bool:
 # --- face heights and point location ------------------------------------
 
 
-def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
-    """Face heights at the zero base point, walked across the dual edges.
-
-    Pinned by h(root) = 0 in the default gauge, with the increments
-    h(left) = h(right) + <alpha_right - alpha_left, p> for p on the crossed
-    edge.  The increment is constant along the edge by orthogonality, and the
-    walk closes up around every loop (both asserted); neither check depends
-    on the base point or the gauge, so one walk per diagram suffices.
-    """
-    dual = diag.dual
-    heights: dict[int, Fraction] = {dual.root_face: Q(0)}
-    adjacency: dict[int, list[tuple[int, EdgeRef]]] = {}
-    for ref, (left, right) in dual.edge_duality:
-        adjacency.setdefault(left, []).append((right, ref))
-        adjacency.setdefault(right, []).append((left, ref))
-    stack = [dual.root_face]
-    while stack:
-        f = stack.pop()
-        for g, ref in adjacency.get(f, ()):
-            p0, p1 = edge_sample_points(diag, ref)
-            step = vsub(dual.lattice_points[f], dual.lattice_points[g])
-            inc = dot(step, p0)
-            if inc != dot(step, p1):
-                raise DiagramError(f"pairing is not constant along {ref}")
-            h = heights[f] + inc
-            if g in heights:
-                if heights[g] != h:
-                    raise DiagramError("face heights are inconsistent around a loop")
-            else:
-                heights[g] = h
-                stack.append(g)
-    if len(heights) != len(dual.lattice_points):
-        raise DiagramError("dual graph is not connected")
-    return tuple(heights[f] for f in range(len(heights)))
-
-
 def face_heights(diag: TropicalDiagram, base: Optional[QPoint] = None) -> dict[int, Fraction]:
     """Lifting height of each face's dual vertex relative to a base point, by face id.
 
     The diagram is the corner locus of min over faces of h(F) + <alpha_F, x - b>.
     Moving the base point from 0 to b adds <alpha_F, b> to each height (alpha
-    in the default gauge, root at the origin), so the heights walked once per
+    in the default gauge, root at the origin), so the heights lifted once per
     diagram give every base point exactly: h_b(F) = h_0(F) + <alpha_F, b>.
     The base point defaults to the origin.
     """

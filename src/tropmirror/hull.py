@@ -3,7 +3,7 @@
 Lifting plane lattice points by heights and taking the lower faces of their
 convex hull gives a regular subdivision of their convex hull; generic heights
 make it a triangulation.  ``tropmirror.charges`` builds its webs from it and
-binds the public names of this module too.
+binds the public names of this module too, ``ChargeError`` among them.
 """
 
 from __future__ import annotations
@@ -13,11 +13,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .charges import ChargeError
 from .lattice import Vec, convex_hull, cross2, dot, vsub
 from .record import frozen
 
 Q = Fraction
+
+
+class ChargeError(ValueError):
+    pass
 
 
 @frozen

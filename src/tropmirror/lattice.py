@@ -80,11 +80,6 @@ def primitive(v: Sequence[int]) -> Vec:
     return tuple(x // g for x in v)
 
 
-def primitive_q(v: Sequence[Fraction]) -> Vec:
-    """Primitive integer vector parallel to a nonzero rational vector."""
-    return primitive_direction([0] * len(v), v)
-
-
 def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> Vec:
     """Primitive integer vector parallel to q - p, for distinct rational points.
 
@@ -188,12 +183,14 @@ def read_int(value) -> int:
 
 
 def read_rational(value) -> Fraction:
-    """A rational field: what ``Fraction`` reads, with at most DIGITS digits above and below the bar.
+    """A rational field: what ``Fraction`` reads, but no bool, with at most DIGITS digits above and below the bar.
 
     An exponent-form string whose exponent is over 2 * DIGITS is refused before
     ``Fraction`` builds the power of ten: the mantissa's integer and decimal
     digits are at most DIGITS each, so a nonzero value could not be in bounds.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"expected a rational number, got {value!r}")
     exponent = isinstance(value, str) and _EXPONENT.search(value)
     if not (exponent and abs(int(exponent[1])) > 2 * DIGITS):
         q = Fraction(value)

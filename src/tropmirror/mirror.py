@@ -79,9 +79,6 @@ class CorrectionMap:
     def support(self) -> set[Vec]:
         return {a for a, _ in self.terms}
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, s in self.terms for _, c in s.terms)
-
 
 def corrections_from_json(data) -> CorrectionMap:
     with malformed("corrections", MirrorError):

@@ -16,7 +16,6 @@ mirroring computation over the quotients by energy level.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional
@@ -121,10 +120,6 @@ def nov(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
 
 def nov_zero(truncation=None) -> NovikovElement:
     return nov((), truncation)
-
-
-def nov_monomial(exp, coeff=1, truncation=None) -> NovikovElement:
-    return nov([(exp, coeff)], truncation)
 
 
 NOV_ONE = nov([(0, 1)])
@@ -282,11 +277,6 @@ def nov_eq_mod(a: NovikovElement, b: NovikovElement, E) -> bool:
 
 # --- serialization ---------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>-?\d+(?:/\d+)?)\s*(?:\*\s*t\^\{(?P<exp>-?\d+(?:/\d+)?)\})?\s*$"
-)
-
-
 def nov_to_text(a: NovikovElement) -> str:
     """Render as e.g. ``3/2*t^{1/3} + -1*t^{2}``; constants drop the t-power."""
     if a.is_zero():
@@ -298,21 +288,6 @@ def nov_to_text(a: NovikovElement) -> str:
         else:
             parts.append(f"{c}*t^{{{e}}}")
     return " + ".join(parts)
-
-
-def nov_from_text(text: str, truncation=None) -> NovikovElement:
-    text = text.strip()
-    if text == "0" or not text:
-        return nov_zero(truncation)
-    terms = []
-    for chunk in text.split("+"):
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise NovikovError(f"cannot parse Novikov term {chunk!r}")
-        coeff = Q(m.group("coeff"))
-        exp = Q(m.group("exp")) if m.group("exp") else Q(0)
-        terms.append((exp, coeff))
-    return nov(terms, truncation)
 
 
 def nov_to_json(a: NovikovElement) -> list[dict[str, str]]:

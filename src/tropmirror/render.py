@@ -6,6 +6,7 @@ rational coordinates formatted once.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -65,6 +66,14 @@ def _render_svg(diag: TropicalDiagram, dual: Optional[DualSubdivision]) -> str:
 
     width = 2 * MARGIN + SCALE * (xmax - xmin)
     height = 2 * MARGIN + SCALE * (ymax - ymin)
+    try:
+        # every drawn coordinate lies between 0 and the width or the height
+        float(width), float(height)
+    except OverflowError:
+        raise RenderError(
+            f"{_farthest(diag, segs)} is beyond the drawable limit: the drawing must span at most"
+            f" {sys.float_info.max:.6g} SVG units each way"
+        ) from None
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
@@ -84,6 +93,14 @@ def _render_svg(diag: TropicalDiagram, dual: Optional[DualSubdivision]) -> str:
             out.append(f"<!-- dual vertex {idx}: ({label}) -->")
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _farthest(diag: TropicalDiagram, segs) -> str:
+    """The vertex or ray end with the largest coordinate in absolute value."""
+    ends = [b for _, b, cls in segs if cls == "ray"]
+    named = [(f"vertex {i}", v) for i, v in enumerate(diag.vertices)]
+    named += [(f"the end of ray {r}", b) for r, b in enumerate(ends)]
+    return max(named, key=lambda item: max(abs(c) for c in item[1]))[0]
 
 
 def _render_dot(diag: TropicalDiagram) -> str:

@@ -1,6 +1,6 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
-cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, Novikov
-arithmetic, series accumulation, wall crossing)."""
+cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, face
+heights, Novikov arithmetic, series accumulation, wall crossing)."""
 
 from __future__ import annotations
 
@@ -32,11 +32,21 @@ from tropmirror.charges import (
     regular_subdivision,
     web_from_subdivision,
 )
-from tropmirror.diagram import DiagramError, DualSubdivision, TropicalDiagram, is_smooth, validate
+from tropmirror.diagram import (
+    DiagramError,
+    DualSubdivision,
+    EdgeRef,
+    TropicalDiagram,
+    edge_anchor,
+    edge_direction,
+    is_smooth,
+    validate,
+)
 from tropmirror.dual import _ccw_cmp
 from tropmirror.lattice import (
     Box,
     LatticeError,
+    QPoint,
     Vec,
     convex_hull,
     cross2,
@@ -515,6 +525,61 @@ def primitive_q_oracle(v: Sequence[Fraction]) -> Vec:
         denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
     ints = [int(Fraction(x) * denom) for x in v]
     return primitive(ints)
+
+
+# --- the face heights before the gluing walk lifted them, as an oracle -------
+#
+# The heights were walked a second time, across the dual edges of the glued
+# subdivision, sampling two points of each crossed edge.  The bodies are
+# unchanged.
+
+
+def edge_sample_points(diag: TropicalDiagram, ref: EdgeRef) -> tuple[QPoint, QPoint]:
+    """Two points on the edge (used to assert constancy of pairings)."""
+    a = edge_anchor(diag, ref)
+    if ref.kind == "point":
+        return a, a
+    if ref.kind == "edge":
+        i, j = diag.edges[ref.index]
+        return diag.vertices[i], diag.vertices[j]
+    d = edge_direction(diag, ref)
+    return a, vadd(a, tuple(Q(c) for c in d))
+
+
+def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
+    """Face heights at the zero base point, walked across the dual edges.
+
+    Pinned by h(root) = 0 in the default gauge, with the increments
+    h(left) = h(right) + <alpha_right - alpha_left, p> for p on the crossed
+    edge.  The increment is constant along the edge by orthogonality, and the
+    walk closes up around every loop (both asserted); neither check depends
+    on the base point or the gauge, so one walk per diagram suffices.
+    """
+    dual = diag.dual
+    heights: dict[int, Fraction] = {dual.root_face: Q(0)}
+    adjacency: dict[int, list[tuple[int, EdgeRef]]] = {}
+    for ref, (left, right) in dual.edge_duality:
+        adjacency.setdefault(left, []).append((right, ref))
+        adjacency.setdefault(right, []).append((left, ref))
+    stack = [dual.root_face]
+    while stack:
+        f = stack.pop()
+        for g, ref in adjacency.get(f, ()):
+            p0, p1 = edge_sample_points(diag, ref)
+            step = vsub(dual.lattice_points[f], dual.lattice_points[g])
+            inc = dot(step, p0)
+            if inc != dot(step, p1):
+                raise DiagramError(f"pairing is not constant along {ref}")
+            h = heights[f] + inc
+            if g in heights:
+                if heights[g] != h:
+                    raise DiagramError("face heights are inconsistent around a loop")
+            else:
+                heights[g] = h
+                stack.append(g)
+    if len(heights) != len(dual.lattice_points):
+        raise DiagramError("dual graph is not connected")
+    return tuple(heights[f] for f in range(len(heights)))
 
 
 # --- the replaced Novikov kernels and series accumulation, as oracles -------

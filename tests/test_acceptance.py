@@ -223,9 +223,9 @@ def test_acceptance_8_charge_pipeline(capsys):
     # Q the lattice length of the bounded edge
     (i, j) = web.diagram.edges[0]
     dv = vsub(web.diagram.vertices[j], web.diagram.vertices[i])
-    from tropmirror.lattice import primitive_q
+    from tropmirror.lattice import primitive_direction
 
-    prim = primitive_q(dv)
+    prim = primitive_direction((0,) * len(dv), dv)
     axis = 0 if prim[0] != 0 else 1
     length = dv[axis] / prim[axis]
     far = [a for a, c in pres.relation.terms if nov_val(c) > 0]

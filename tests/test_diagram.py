@@ -324,5 +324,5 @@ def test_warm_diagram_matches_a_fresh_equal_one():
         ]
         for call in calls:
             fresh = replace(warm)
-            assert fresh == warm and "dual" not in vars(fresh)
+            assert fresh == warm and "glued" not in vars(fresh)
             assert call(warm) == call(fresh)

@@ -4,6 +4,7 @@ import glob
 import json
 import os
 import random
+import re
 import time
 from fractions import Fraction as Q
 
@@ -139,6 +140,23 @@ def _slots(doc, where=()):
         yield from _slots(value, where + (key,))
 
 
+def _is_number_field(value) -> bool:
+    """A JSON integer, or a string holding a rational number, as the shipped files write them."""
+    if isinstance(value, str):
+        try:
+            Q(value)
+        except ValueError:
+            return False
+        return True
+    return type(value) is int
+
+
+def _at(doc, slot):
+    for key in slot:
+        doc = doc[key]
+    return doc
+
+
 def _with_hole(doc, slot):
     doc = json.loads(json.dumps(doc))
     parent = doc
@@ -149,7 +167,11 @@ def _with_hole(doc, slot):
 
 
 def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
-    """Every command that reads a file exits 0 or 1 whatever one value in it is."""
+    """Every command that reads a file exits 0 or 1 whatever one value in it is.
+
+    A ``true`` where a number belongs is refused as malformed, as in an
+    integer field so in a rational one.
+    """
     rng = random.Random(20261018)
     names = {"loop": str(tmp_path / "loop.json"), "f": str(tmp_path / "case.json")}
     names.update(ff=os.path.join(SHIPPED, "focus_focus.json"), c3=os.path.join(SHIPPED, "c3.json"))
@@ -159,12 +181,15 @@ def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
         with open(name, encoding="utf-8") as fh:
             shipped.append(json.load(fh))
     assert len(shipped) == 5
-    start, cases, runs, escapes = time.perf_counter(), 0, 0, []
+    start, cases, runs, bools, escapes = time.perf_counter(), 0, 0, 0, []
     for _ in range(330):
         doc, commands = rng.choice(DOCUMENTS)
         doc = rng.choice(shipped) if doc is None else doc
-        text = json.dumps(_with_hole(doc, rng.choice(list(_slots(doc)))))
+        slot = rng.choice(list(_slots(doc)))
+        text = json.dumps(_with_hole(doc, slot))
         bad = rng.choice(BAD_VALUES)
+        refused = bad == "true" and _is_number_field(_at(doc, slot))
+        bools += refused
         (tmp_path / "case.json").write_text(text.replace(json.dumps(HOLE), bad))
         cases += 1
         for argv in commands:
@@ -174,9 +199,11 @@ def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
             except Exception as exc:  # noqa: BLE001 - an escape is the finding
                 escapes.append((text, bad, argv[0], repr(exc)))
                 continue
-            capsys.readouterr()
+            err = capsys.readouterr().err
             runs += 1
             assert code in (0, 1), (text, bad, argv)
+            if refused:
+                assert code == 1 and re.match(r"error: malformed [a-z]+ JSON: ", err), (text, argv, err)
     assert not escapes, escapes[:5]
-    assert cases >= 300 and runs >= 600
+    assert cases >= 300 and runs >= 600 and bools >= 10
     assert time.perf_counter() - start < 2.0

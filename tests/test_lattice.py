@@ -182,6 +182,12 @@ def test_read_rational_reads_what_fraction_reads(value, expected):
     assert read_rational(value) == expected
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_read_rational_refuses_bools(value):
+    with pytest.raises(ValueError, match=f"^expected a rational number, got {value!r}$"):
+        read_rational(value)
+
+
 def test_read_rational_refuses_numbers_just_over_the_digit_limit():
     assert read_rational(f"9e{DIGITS - 1}") == 9 * 10 ** (DIGITS - 1)
     assert read_rational(f"1e-{DIGITS - 1}") == Q(1, 10 ** (DIGITS - 1))

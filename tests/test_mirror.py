@@ -11,7 +11,6 @@ from tropmirror.mirror import (
     CorrectionMap,
     MirrorError,
     _affine_on_root_cell,
-    corrections_from_json,
     face_distance,
     normalize_presentation,
     presentation,
@@ -125,13 +124,6 @@ def test_corrections_unknown_vertex_rejected():
 def test_corrections_repeated_vertex_rejected():
     with pytest.raises(MirrorError, match=r"repeated correction vertex \(0, 0\)"):
         CorrectionMap((((0, 0), nov([(2, 3)])), ((1, 0), nov([(1, 1)])), ((0, 0), nov([(1, 5)]))))
-
-
-def test_corrections_integrality_flag():
-    assert CorrectionMap((((0, 0), nov([(1, 3)])),)).is_integral()
-    assert not CorrectionMap((((0, 0), nov([(1, Q(1, 2))])),)).is_integral()
-    cm = corrections_from_json([{"vertex": [0, 0], "series": [{"exp": "1", "coeff": "2"}]}])
-    assert cm.is_integral()
 
 
 def test_normalize_idempotent():

@@ -9,13 +9,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-import tropmirror.dual
-from helpers import random_smooth_web
+import tropmirror.diagram
+from helpers import edge_sample_points, random_smooth_web
 from tropmirror.cli import run
-from tropmirror.diagram import dual_subdivision, edge_sample_points
+from tropmirror.diagram import dual_subdivision
 from tropmirror.lattice import dot, vsub
 from tropmirror.mirror import presentation, superpotential
 from tropmirror.novikov import nov_val
+from tropmirror.record import replace
 
 DIAGRAMS = os.path.join(os.path.dirname(__file__), "..", "diagrams")
 FILES = ("c3.json", "conifold.json", "focus_focus.json", "kp1p1.json", "kp2.json", "line.json")
@@ -171,22 +172,23 @@ def test_raw_exponents_follow_the_edges_in_every_gauge():
 
 
 def test_presentations_share_one_face_walk(monkeypatch):
-    # the walk samples each dual edge once from each side; with the heights
+    # one gluing walk yields the dual subdivision and the heights; with both
     # derived once per diagram, 20 presentations in mixed gauges and base
-    # points sample no more than one walk does
+    # points of a fresh diagram glue it once
     rng = random.Random(77)
-    web = random_smooth_web(rng)
-    nfaces = len(web.dual.lattice_points)
+    warm = random_smooth_web(rng)
+    nfaces = len(warm.dual.lattice_points)
+    web = replace(warm)
     calls = []
-    real = tropmirror.dual.edge_sample_points
+    real = tropmirror.diagram._glue
 
-    def counted(diag, ref):
-        calls.append(ref)
-        return real(diag, ref)
+    def counted(diag):
+        calls.append(diag)
+        return real(diag)
 
-    monkeypatch.setattr(tropmirror.dual, "edge_sample_points", counted)
+    monkeypatch.setattr(tropmirror.diagram, "_glue", counted)
     for _ in range(20):
         base = (Q(rng.randint(-30, 30), 7), Q(rng.randint(-30, 30), 11))
         root = rng.choice((None, rng.randrange(nfaces)))
         presentation(web, base=base, root_face=root, sign=rng.choice((1, -1)))
-    assert 0 < len(calls) <= 2 * len(web.dual.edge_duality)
+    assert len(calls) == 1 and calls[0] is web

@@ -10,7 +10,6 @@ from tropmirror.novikov import (
     nov_add,
     nov_eq_mod,
     nov_from_json,
-    nov_from_text,
     nov_inv,
     nov_mul,
     nov_to_json,
@@ -150,14 +149,10 @@ def test_invariants_enforced():
         nov_zero().__class__(((Q(1), Q(1)), (Q(0), Q(2))))  # unsorted exponents
 
 
-def test_text_round_trip():
-    a = nov([(Q(1, 3), Q(3, 2)), (2, -1)])
-    text = nov_to_text(a)
-    assert text == "3/2*t^{1/3} + -1*t^{2}"
-    assert nov_from_text(text) == a
+def test_text_rendering():
+    assert nov_to_text(nov([(Q(1, 3), Q(3, 2)), (2, -1)])) == "3/2*t^{1/3} + -1*t^{2}"
     assert nov_to_text(nov_zero()) == "0"
-    assert nov_from_text("0") == nov_zero()
-    assert nov_from_text("2 + -1*t^{1}") == nov([(0, 2), (1, -1)])
+    assert nov_to_text(nov([(0, 2), (1, -1)])) == "2 + -1*t^{1}"
 
 
 def test_json_round_trip():

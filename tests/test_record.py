@@ -228,7 +228,7 @@ def test_replace_runs_post_init_again():
 
 def test_replace_on_a_diagram_caches_nothing():
     warm = _web("kp2.json").diagram
-    derived = ("report", "directions", "stars", "face_complex", "dual", "heights")
+    derived = ("report", "directions", "stars", "face_complex", "glued")
     for name in derived:
         getattr(warm, name)
     assert set(derived) <= set(vars(warm))

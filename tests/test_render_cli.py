@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -57,6 +58,33 @@ def test_render_empty_and_unknown_format():
         render(TropicalDiagram(2, ()), fmt="svg")
     with pytest.raises(RenderError, match="unknown format"):
         render(c3(), fmt="png")
+
+
+LIMIT = f"is beyond the drawable limit: the drawing must span at most {sys.float_info.max:.6g} SVG units each way"
+
+
+def test_render_refuses_a_drawing_beyond_float_range():
+    far = Q(10) ** 4299
+    with pytest.raises(RenderError, match=f"^vertex 0 {re.escape(LIMIT)}$"):
+        render(TropicalDiagram(1, ((far,), (Q(0),))), fmt="svg")
+    with pytest.raises(RenderError, match=f"^vertex 1 {re.escape(LIMIT)}$"):
+        render(TropicalDiagram(1, ((Q(0),), (-far,))), fmt="svg")
+    rays = ((0, (1, 0)), (0, (0, 1)), (0, (-1, -(10**400))))
+    with pytest.raises(RenderError, match=f"^the end of ray 2 {re.escape(LIMIT)}$"):
+        render(TropicalDiagram(2, ((Q(0), Q(0)),), (), rays), fmt="svg")
+    # just inside the limit the drawing is made, with the coordinates as floats
+    near = Q(10) ** 306
+    svg = render(TropicalDiagram(1, ((near,), (Q(0),))), fmt="svg")
+    width = f"{float(40 * near + 360):.4f}".rstrip("0").rstrip(".")
+    assert svg.startswith(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="120"')
+
+
+@pytest.mark.parametrize("argv", [["render", "{f}"], ["render", "{f}", "--dual"], ["dual", "{f}", "--format", "svg"]])
+def test_cli_render_beyond_float_range_names_the_vertex(tmp_path, capsys, argv):
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps({"dim": 1, "vertices": [["1e4299"], ["0"]]}))
+    assert run([arg.format(f=f) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: vertex 0 {LIMIT}\n")
 
 
 def test_render_deterministic():
@@ -423,14 +451,14 @@ TAU_AT = {"point0": "@"}
 MALFORMED_INPUTS = [
     (["validate", "{f}"], "diagram", "vertex", C3_AT, ["1e999", '"1/0"', '"1e999999"']),
     (["validate", "{f}"], "diagram", "dir", C3_DIR_AT, ["1e999", "1.5", "true"]),
-    (["web", "--charges", "{f}"], "charge", "height", HEIGHT_AT, ["1e999", '"1/0"']),
+    (["web", "--charges", "{f}"], "charge", "height", HEIGHT_AT, ["1e999", '"1/0"', "true"]),
     (["web", "--charges", "{f}"], "charge", "charge", CHARGE_AT, ["1e999", "1.5", "true"]),
-    (["mirror", "{c3}", "--corrections", "{f}"], "corrections", "coeff", COEFF_AT, ["1e999", '"1/0"']),
+    (["mirror", "{c3}", "--corrections", "{f}"], "corrections", "coeff", COEFF_AT, ["1e999", '"1/0"', "true"]),
     (["mirror", "{c3}", "--corrections", "{f}"], "corrections", "vertex", VERTEX_AT, ["1e999", "1.5", "true"]),
-    (["eval", "{f}", "--point", "0,0"], "series", "box", BOX_AT, ["1e999", '"1/0"']),
+    (["eval", "{f}", "--point", "0,0"], "series", "box", BOX_AT, ["1e999", '"1/0"', "true"]),
     (["eval", "{f}", "--point", "0,0"], "series", "expo", EXPO_AT, ["1e999", "1.5", "true"]),
-    (["transport", "{ff}", "--path", "{f}", "--class", "0,1"], "path", "point", PATH_AT, ["1e999", '"1/0"']),
-    (["transport", "{ff}", "--path", "{loop}", "--tau", "{f}", "--class", "0,1"], "tau", "height", TAU_AT, ["1e999", '"1/0"']),
+    (["transport", "{ff}", "--path", "{f}", "--class", "0,1"], "path", "point", PATH_AT, ["1e999", '"1/0"', "true"]),
+    (["transport", "{ff}", "--path", "{loop}", "--tau", "{f}", "--class", "0,1"], "tau", "height", TAU_AT, ["1e999", '"1/0"', "false"]),
 ]
 MALFORMED_CASES = [(argv, kind, doc, bad) for argv, kind, _, doc, values in MALFORMED_INPUTS for bad in values]
 MALFORMED_IDS = [f"{kind}-{field}-{bad}" for _, kind, field, _, values in MALFORMED_INPUTS for bad in values]
