@@ -6,7 +6,15 @@ the box, attained at a corner.  Series are finite term lists tagged with a
 chamber and a valuation box.  The one infinite expansion, a negative power
 (1 + z^gamma)^{-m} z^{apex}, is a cone family (apex, vanishing class gamma,
 power m, coefficient) that is materialized up to the energy level before any
-arithmetic.
+arithmetic, as (exponent, integer) pairs: c_0 = 1 and
+c_{k+1} = -c_k (m+k)/(k+1) on z^{apex + k*gamma}.
+
+Every series is summed in one pass by ``_collect``: it reads items
+(exponent, integer k, coefficient) once and adds k times each coefficient
+term into one dict per exponent.  A sum carries the least truncation among
+its summands and is dropped when it is zero.  ``series``, ``series_mul``,
+``wall_cross`` and ``series_eq_mod`` (which collects a - b) all go through
+it.
 
 Wall crossing acts per monomial: the affine mode is the monodromy
 substitution z^u -> z^{u + <u,m> gamma}; the corrected mode is the cluster
@@ -30,17 +38,7 @@ from typing import Optional, Sequence
 from .diagram import TropicalDiagram
 from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_rational, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
-from .novikov import (
-    NovikovElement,
-    nov,
-    nov_add,
-    nov_from_json,
-    nov_mul,
-    nov_scale,
-    nov_shift,
-    nov_to_json,
-    nov_val,
-)
+from .novikov import NovikovElement, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
 from .record import frozen, replace
 
 Q = Fraction
@@ -79,21 +77,22 @@ class ConeFamily:
     power: int
     coeff: NovikovElement
 
-    def materialize(self, truncation: Fraction, box: Box) -> list[Monomial]:
+    def materialize(self, truncation: Fraction, box: Box) -> list[tuple[Vec, int]]:
+        """The (exponent, integer coefficient) pairs below the truncation; multiply by coeff."""
         if self.coeff.is_zero():
             raise AnalyticError("cone family coefficient must be nonzero")
-        gamma = self.gamma
-        step = expo_val_on_box(gamma, box)
+        step = expo_val_on_box(self.gamma, box)
         if step <= 0:
             raise AnalyticError("cone family has no val-positive increments on the chamber")
-        base = nov_val(self.coeff) + expo_val_on_box(self.apex, box)
+        level = nov_val(self.coeff) + expo_val_on_box(self.apex, box)
         out = []
-        k = 0
-        m = self.power
-        while base + k * step < truncation:
-            c = math.comb(m + k - 1, k) * (-1) ** k
-            out.append(Monomial(nov_scale(c, self.coeff), vadd(self.apex, tuple(k * g for g in gamma))))
+        expo, c, k, m = self.apex, 1, 0, self.power
+        while level < truncation:
+            out.append((expo, c))
+            expo = vadd(expo, self.gamma)
+            c = -c * (m + k) // (k + 1)
             k += 1
+            level += step
         return out
 
 
@@ -116,66 +115,52 @@ class AnalyticSeries:
             raise AnalyticError("explicit terms must have distinct exponents")
         object.__setattr__(self, "truncation", Q(self.truncation))
 
-    def coefficient(self, expo: Vec) -> NovikovElement:
-        for m in self.terms:
-            if m.expo == tuple(expo):
-                return m.coeff
-        return nov()
 
+def _collect(items) -> tuple[Monomial, ...]:
+    """Sum k * coeff per exponent over ``(exponent, k, coeff)`` items, read once.
 
-def _accumulate(sums: dict, trunc: Optional[Fraction], coeff: NovikovElement) -> Optional[Fraction]:
-    """Add coeff's terms into ``sums`` {exponent: coefficient}; return the new truncation."""
-    for e, c in coeff.terms:
-        sums[e] = sums[e] + c if e in sums else c
-    t = coeff.truncation
-    return trunc if t is None or (trunc is not None and trunc <= t) else t
-
-
-def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
-    """Build a series, merging duplicate exponents and dropping zeros.
-
-    ``terms`` is read once: the coefficients of each exponent are summed
-    into one dict as they arrive, and each coefficient is built once.
+    Each sum carries the least truncation among its summands; zero sums are
+    dropped.  The terms come back sorted by exponent.
     """
     sums: dict[Vec, dict] = {}
     truncs: dict[Vec, Optional[Fraction]] = {}
-    for item in terms:
-        m = item if isinstance(item, Monomial) else Monomial(item[0], item[1])
-        truncs[m.expo] = _accumulate(sums.setdefault(m.expo, {}), truncs.get(m.expo), m.coeff)
-    kept = []
-    for e in sorted(sums):
-        c = nov(sums[e].items(), truncs[e])
-        if not c.is_zero():
-            kept.append(Monomial(c, e))
+    for e, k, coeff in items:
+        acc = sums.setdefault(e, {})
+        for x, c in coeff.terms:
+            acc[x] = acc[x] + k * c if x in acc else k * c
+        truncs[e] = _min_trunc(truncs.get(e), coeff.truncation)
+    kept = ((e, nov(sums[e].items(), truncs[e])) for e in sorted(sums))
+    return tuple(Monomial(c, e) for e, c in kept if c)
+
+
+def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
+    """Build a series from monomials or (coeff, expo) pairs.
+
+    Duplicate exponents are merged and zero sums dropped, in one pass.
+    """
+    monos = (m if isinstance(m, Monomial) else Monomial(m[0], m[1]) for m in terms)
+    kept = _collect((m.expo, 1, m.coeff) for m in monos)
     if dim is None:
         if not kept:
             raise AnalyticError("cannot infer dimension of an empty series")
         dim = len(kept[0].expo)
-    return AnalyticSeries(dim, tuple(kept), chamber, box, Q(truncation))
+    return AnalyticSeries(dim, kept, chamber, box, truncation)
 
 
 def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
     if a.chamber != b.chamber:
         raise AnalyticError("cannot multiply series on different chambers")
-    out = (
-        Monomial(nov_mul(ma.coeff, mb.coeff), vadd(ma.expo, mb.expo))
-        for ma in a.terms
-        for mb in b.terms
+    kept = _collect(
+        (vadd(ma.expo, mb.expo), 1, nov_mul(ma.coeff, mb.coeff)) for ma in a.terms for mb in b.terms
     )
-    return series(out, a.chamber, a.box, min(a.truncation, b.truncation), a.dim)
+    return AnalyticSeries(a.dim, kept, a.chamber, a.box, min(a.truncation, b.truncation))
 
 
 def series_eq_mod(a: AnalyticSeries, b: AnalyticSeries, E) -> bool:
     """Equality of series modulo t^E in the box valuation of a's chamber."""
     E = Q(E)
-    expos = {m.expo for m in a.terms} | {m.expo for m in b.terms}
-    for e in expos:
-        diff = nov_add(a.coefficient(e), nov_scale(-1, b.coefficient(e)))
-        if diff.is_zero():
-            continue
-        if nov_val(diff) + expo_val_on_box(e, a.box) < E:
-            return False
-    return True
+    diff = _collect((m.expo, k, m.coeff) for s, k in ((a, 1), (b, -1)) for m in s.terms)
+    return all(nov_val(m.coeff) + expo_val_on_box(m.expo, a.box) >= E for m in diff)
 
 
 def eval_series(a: AnalyticSeries, point: Sequence) -> NovikovElement:
@@ -183,11 +168,9 @@ def eval_series(a: AnalyticSeries, point: Sequence) -> NovikovElement:
     x = tuple(Q(c) for c in point)
     if len(x) != a.dim:
         raise AnalyticError("evaluation point dimension mismatch")
-    sums: dict[Fraction, Fraction] = {}
-    trunc = a.truncation
-    for m in a.terms:
-        trunc = _accumulate(sums, trunc, nov_shift(dot(m.expo, x), m.coeff))
-    return nov(sums.items(), trunc)
+    shifted = [(dot(m.expo, x), m.coeff) for m in a.terms]
+    trunc = min([a.truncation] + [c.truncation + s for s, c in shifted if c.truncation is not None])
+    return nov([(e + s, v) for s, c in shifted for e, v in c.terms], trunc)
 
 
 def flux_monomial(
@@ -253,21 +236,19 @@ def wall_cross(
     box = target_box if target_box is not None else a.box
 
     def crossed():
-        # one monomial's image at a time, so series never holds them all
+        # one monomial's image at a time, so _collect never holds them all
         for m in a.terms:
             k = dot(m.expo, w.normal)
             if w.mode == "affine":
-                yield Monomial(m.coeff, vadd(m.expo, tuple(k * g for g in w.gamma)))
+                yield vadd(m.expo, tuple(k * g for g in w.gamma)), 1, m.coeff
             elif k >= 0:
                 for i in range(k + 1):
-                    yield Monomial(
-                        nov_scale(math.comb(k, i), m.coeff),
-                        vadd(m.expo, tuple(i * g for g in w.gamma)),
-                    )
+                    yield vadd(m.expo, tuple(i * g for g in w.gamma)), math.comb(k, i), m.coeff
             else:
-                yield from ConeFamily(m.expo, w.gamma, -k, m.coeff).materialize(E, box)
+                for e, c in ConeFamily(m.expo, w.gamma, -k, m.coeff).materialize(E, box):
+                    yield e, c, m.coeff
 
-    return series(crossed(), target, box, E, a.dim)
+    return AnalyticSeries(a.dim, _collect(crossed()), target, box, E)
 
 
 # --- the worked focus-focus pipeline -----------------------------------------

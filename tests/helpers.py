@@ -1,6 +1,7 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
 cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, face
-heights, Novikov arithmetic, series accumulation, wall crossing)."""
+heights, Novikov arithmetic, series accumulation, series comparison, cone
+families, wall crossing)."""
 
 from __future__ import annotations
 
@@ -63,6 +64,7 @@ from tropmirror.novikov import (
     _min_trunc,
     _q,
     nov,
+    nov_add,
     nov_mul,
     nov_neg,
     nov_scale,
@@ -750,3 +752,63 @@ def assert_kernel_output(x: NovikovElement) -> None:
         assert type(pair[0]) is Fraction and type(pair[1]) is Fraction
     assert x.truncation is None or type(x.truncation) is Fraction
     assert NovikovElement(x.terms, x.truncation) == x
+
+
+# --- the per-term series kernel, as oracles ---------------------------------
+#
+# series_eq_mod looked each exponent up with AnalyticSeries.coefficient, a
+# linear scan, and compared through nov_add and nov_scale; series_mul built a
+# Monomial per product term; ConeFamily.materialize returned one Monomial per
+# term, its coefficient scaled by math.comb.  The bodies are unchanged apart
+# from the method bodies taking ``self`` as a plain argument and calling each
+# other.
+
+
+def coefficient(self: AnalyticSeries, expo: Vec) -> NovikovElement:
+    for m in self.terms:
+        if m.expo == tuple(expo):
+            return m.coeff
+    return nov()
+
+
+def series_eq_mod_oracle(a: AnalyticSeries, b: AnalyticSeries, E) -> bool:
+    """Equality of series modulo t^E in the box valuation of a's chamber."""
+    E = Q(E)
+    expos = {m.expo for m in a.terms} | {m.expo for m in b.terms}
+    for e in expos:
+        diff = nov_add(coefficient(a, e), nov_scale(-1, coefficient(b, e)))
+        if diff.is_zero():
+            continue
+        if nov_val(diff) + expo_val_on_box(e, a.box) < E:
+            return False
+    return True
+
+
+def series_mul_oracle(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
+    if a.chamber != b.chamber:
+        raise AnalyticError("cannot multiply series on different chambers")
+    out = (
+        Monomial(nov_mul(ma.coeff, mb.coeff), vadd(ma.expo, mb.expo))
+        for ma in a.terms
+        for mb in b.terms
+    )
+    return series_oracle(out, a.chamber, a.box, min(a.truncation, b.truncation), a.dim)
+
+
+def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:
+    """ConeFamily.materialize of ``self``, one Monomial per term."""
+    if self.coeff.is_zero():
+        raise AnalyticError("cone family coefficient must be nonzero")
+    gamma = self.gamma
+    step = expo_val_on_box(gamma, box)
+    if step <= 0:
+        raise AnalyticError("cone family has no val-positive increments on the chamber")
+    base = nov_val(self.coeff) + expo_val_on_box(self.apex, box)
+    out = []
+    k = 0
+    m = self.power
+    while base + k * step < truncation:
+        c = math.comb(m + k - 1, k) * (-1) ** k
+        out.append(Monomial(nov_scale(c, self.coeff), vadd(self.apex, tuple(k * g for g in gamma))))
+        k += 1
+    return out

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from helpers import random_smooth_web
 from tropmirror.affine import (
     AffineError,
     V_MINUS,
@@ -13,7 +15,7 @@ from tropmirror.affine import (
     wall,
 )
 from tropmirror.diagram import EdgeRef, TropicalDiagram
-from tropmirror.monodromy import mat_apply, standard_form_matrix
+from tropmirror.monodromy import identity_matrix, loop_monodromy, mat_apply, standard_form_matrix
 
 
 def c3():
@@ -246,3 +248,38 @@ def test_endpoint_refusal_names_its_witness():
     with pytest.raises(AffineError) as info:
         transport_crossings(build_cut_presentation(conifold()), path)
     assert str(info.value) == "path endpoint lies on a cut: segment 2 meets the cut of edge0 at (-1/2, -1/2, -1)"
+
+
+def test_transport_around_a_loop_is_the_monodromy_of_its_crossing_word():
+    # generic closed polylines on seeded smooth webs, half with raised cut
+    # heights: transport is loop_monodromy of the recorded crossing word.
+    # A loop below every cut stays in a half-space that misses the
+    # discriminant, so its word multiplies out to the identity; a loop that
+    # passes above some cuts may link the discriminant.
+    rng = random.Random(1204)
+    counts = {"crossed below": 0, "nontrivial": 0}
+    for i in range(16):
+        web = random_smooth_web(rng)
+        tau = {ref: Q(rng.randint(0, 40), 17) for ref in web.edge_refs()} if i % 2 else None
+        pres = build_cut_presentation(web, tau)
+        floor = min(cut.tau for cut in pres.cuts)
+        xs = [c for v in web.vertices for c in v]
+        lo, hi = int(min(xs)) - 2, int(max(xs)) + 2
+        for k in range(6):
+            below = k % 2 == 0
+            loop = [
+                (Q(rng.randint(997 * lo, 997 * hi), 997), Q(rng.randint(997 * lo, 997 * hi), 997),
+                 floor - Q(rng.randint(1, 3000), 991) if below else Q(rng.randint(-3000, 6000), 991))
+                for _ in range(rng.randint(3, 6))
+            ]
+            loop.append(loop[0])
+            word = tuple((c.ref, c.sign) for c in transport_crossings(pres, loop))
+            monodromy = loop_monodromy(web, word)
+            for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                assert transport_covector(pres, loop, g) == mat_apply(monodromy, g)
+            if below:
+                assert monodromy == identity_matrix(3), loop
+                counts["crossed below"] += bool(word)
+            else:
+                counts["nontrivial"] += monodromy != identity_matrix(3)
+    assert min(counts.values()) >= 15, counts

@@ -15,8 +15,13 @@ import os
 import pkgutil
 import re
 import sys
+from fractions import Fraction as Q
+from math import comb
 
 import tropmirror
+from tropmirror.analytic import ConeFamily
+from tropmirror.lattice import Box
+from tropmirror.novikov import nov
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -106,3 +111,16 @@ def test_tracer_wraps_every_binding_and_uninstall_restores_them():
         assert after.keys() == before.keys()
         for key, value in before.items():
             assert after[key] is value, ".".join(key)
+
+
+def test_materialize_returns_one_exponent_integer_pair_per_term():
+    # bench/run.py counts len(materialize(...)) as analytic.materialized_terms
+    box = Box(((Q(1, 4), Q(2)), (Q(1, 4), Q(2))))
+    out = ConeFamily((0, -3), (1, 0), 3, nov([(Q(1, 2), 5)])).materialize(Q(40), box)
+    # term k sits at valuation 1/2 - 6 + k/4 over the box, below 40 for k < 182
+    assert type(out) is list and len(out) == 182
+    for k, pair in enumerate(out):
+        assert type(pair) is tuple and len(pair) == 2
+        expo, c = pair
+        assert type(expo) is tuple and all(type(e) is int for e in expo) and type(c) is int
+        assert (expo, c) == ((k, -3), comb(k + 2, k) * (-1) ** k)
