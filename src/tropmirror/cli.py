@@ -215,12 +215,12 @@ def _cmd_wallcross_demo(args) -> int:
             "passed": report.passed,
             "mirror_relation": report.mirror_relation,
             "messages": list(report.messages),
-            "h_plus_x": series_to_json(report.h_plus_x) if report.h_plus_x else None,
-            "h_minus_y": series_to_json(report.h_minus_y) if report.h_minus_y else None,
-            "h_plus_y_left": series_to_json(report.h_plus_y_left) if report.h_plus_y_left else None,
-            "h_plus_y_right": series_to_json(report.h_plus_y_right) if report.h_plus_y_right else None,
-            "h_plus_y": series_to_json(report.h_plus_y) if report.h_plus_y else None,
-            "product": series_to_json(report.product) if report.product else None,
+            "h_plus_x": series_to_json(report.h_plus_x),
+            "h_minus_y": series_to_json(report.h_minus_y),
+            "h_plus_y_left": series_to_json(report.h_plus_y_left),
+            "h_plus_y_right": series_to_json(report.h_plus_y_right),
+            "h_plus_y": series_to_json(report.h_plus_y),
+            "product": series_to_json(report.product),
         }
         sys.stdout.write(_dumps(out))
     else:

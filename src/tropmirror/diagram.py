@@ -294,7 +294,6 @@ def diagram_from_json(data) -> TropicalDiagram:
 # from here is defined when it runs.  It binds the public names where callers
 # look them up, and the two that the cached properties above call.
 from .dual import (  # noqa: E402
-    Dart,
     DualSubdivision,
     Face,
     FaceComplex,

@@ -40,27 +40,19 @@ Q = Fraction
 
 # --- faces of the complement -------------------------------------------------
 
-# A dart is a directed edge end: (edge ref, tail vertex, head vertex) with
-# head = -1 meaning the point at infinity (rays).  Faces are traced with the
-# rotation rule next(d) = ccw-successor of twin(d); at infinity the rotation
-# runs clockwise (descending ray angle, parallel rays ordered by their
-# perpendicular offset).
-
-
-@frozen
-class Dart:
-    ref: EdgeRef
-    tail: int
-    head: int
-
-    def twin(self) -> "Dart":
-        return Dart(self.ref, self.head, self.tail)
+# A dart is a directed edge end, numbered by half-edge: dart 2e runs along
+# diag.edge_refs()[e] in its canonical direction (stored order for edges,
+# outward for rays) and dart 2e + 1 runs the other way, so the twin of d is
+# d ^ 1.  The tail of a ray's odd dart is the point at infinity, -1.  Faces
+# are traced with the rotation rule next(d) = ccw-successor of twin(d); at
+# infinity the rotation runs clockwise (descending ray angle, parallel rays
+# ordered by their perpendicular offset).
 
 
 @frozen
 class Face:
     id: int
-    darts: tuple[Dart, ...]
+    darts: tuple[int, ...]
     bounded: bool
     recession: tuple[Vec, ...]  # ray directions bounding an unbounded face
 
@@ -68,8 +60,7 @@ class Face:
 @frozen
 class FaceComplex:
     faces: tuple[Face, ...]
-    dart_face: dict  # Dart -> face id (face on the clockwise side of the dart)
-    edge_sides: dict  # EdgeRef -> (left face id, right face id) w.r.t. canonical direction
+    dart_face: tuple[int, ...]  # by dart: the face on its clockwise side
     rotations: dict  # vertex -> ccw-ordered outgoing darts (-1 is infinity)
 
 
@@ -91,12 +82,11 @@ def _ccw_cmp(a: Sequence, b: Sequence) -> int:
     return 0
 
 
-def _dart_direction(diag: TropicalDiagram, d: Dart) -> Vec:
-    base = edge_direction(diag, d.ref)
-    if d.ref.kind == "edge":
-        i, _ = diag.edges[d.ref.index]
-        return base if d.tail == i else vneg(base)
-    return base  # outgoing ray dart
+def _dart_direction(diag: TropicalDiagram, d: int) -> Vec:
+    edges, rays = diag.directions
+    e = d >> 1
+    base = edges[e] if e < len(edges) else rays[e - len(edges)]
+    return vneg(base) if d & 1 else base
 
 
 def faces(diag: TropicalDiagram) -> FaceComplex:
@@ -106,71 +96,58 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
     if not diag.vertices:
         raise DiagramError("empty diagram has no faces")
 
-    darts: list[Dart] = []
-    for k, (i, j) in enumerate(diag.edges):
-        darts.append(Dart(EdgeRef("edge", k), i, j))
-        darts.append(Dart(EdgeRef("edge", k), j, i))
-    for r, (i, _) in enumerate(diag.rays):
-        darts.append(Dart(EdgeRef("ray", r), i, -1))
-        darts.append(Dart(EdgeRef("ray", r), -1, i))
+    tails = [v for pair in diag.edges for v in pair]
+    for i, _ in diag.rays:
+        tails += (i, -1)
+    rotation: dict[int, list[int]] = {v: [] for v in range(-1, len(diag.vertices))}
+    for d, v in enumerate(tails):
+        rotation[v].append(d)
 
     # rotation at finite vertices: counterclockwise by outgoing direction
-    rotation: dict[int, list[Dart]] = {}
+    ccw = functools.cmp_to_key(_ccw_cmp)
     for v in range(len(diag.vertices)):
-        out = [d for d in darts if d.tail == v]
-        out.sort(key=functools.cmp_to_key(lambda a, b: _ccw_cmp(_dart_direction(diag, a), _dart_direction(diag, b))))
-        rotation[v] = out
+        rotation[v].sort(key=lambda d: ccw(_dart_direction(diag, d)))
 
     # rotation at infinity: descending ray angle; parallel rays ordered by
     # ascending perpendicular offset of their source vertex
-    def inf_cmp(a: Dart, b: Dart) -> int:
-        da = edge_direction(diag, a.ref)
-        db = edge_direction(diag, b.ref)
+    def inf_cmp(a: int, b: int) -> int:
+        da = _dart_direction(diag, a ^ 1)
+        db = _dart_direction(diag, b ^ 1)
         c = _ccw_cmp(da, db)
         if c != 0:
             return -c
-        offa = dot(rot_minus90(da), diag.vertices[a.head])
-        offb = dot(rot_minus90(db), diag.vertices[b.head])
+        offa = dot(rot_minus90(da), diag.vertices[tails[a ^ 1]])
+        offb = dot(rot_minus90(db), diag.vertices[tails[b ^ 1]])
         if offa == offb:
             raise DiagramError("two rays share a line; faces are ambiguous")
         return -1 if offa < offb else 1
 
-    rotation[-1] = sorted((d for d in darts if d.tail == -1), key=functools.cmp_to_key(inf_cmp))
+    rotation[-1].sort(key=functools.cmp_to_key(inf_cmp))
 
-    successor = {d: ring[(i + 1) % len(ring)] for ring in rotation.values() for i, d in enumerate(ring)}
+    successor = [0] * len(tails)
+    for ring in rotation.values():
+        for i, d in enumerate(ring):
+            successor[d] = ring[(i + 1) % len(ring)]
 
-    dart_face: dict[Dart, int] = {}
+    first_ray = 2 * len(diag.edges)
+    dart_face: list[Optional[int]] = [None] * len(tails)
     face_list: list[Face] = []
-    for start in darts:
-        if start in dart_face:
+    for start in range(len(tails)):
+        if dart_face[start] is not None:
             continue
         orbit = []
         d = start
         while True:
             orbit.append(d)
             dart_face[d] = len(face_list)
-            d = successor[d.twin()]
+            d = successor[d ^ 1]
             if d == start:
                 break
-        recession = tuple(
-            sorted({edge_direction(diag, d.ref) for d in orbit if d.ref.kind == "ray"})
-        )
+        recession = tuple(sorted({_dart_direction(diag, d & ~1) for d in orbit if d >= first_ray}))
         bounded = not recession
         face_list.append(Face(len(face_list), tuple(orbit), bounded, recession))
 
-    edge_sides: dict[EdgeRef, tuple[int, int]] = {}
-    for k in range(len(diag.edges)):
-        ref = EdgeRef("edge", k)
-        i, j = diag.edges[k]
-        fwd = Dart(ref, i, j)
-        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
-    for r in range(len(diag.rays)):
-        ref = EdgeRef("ray", r)
-        i, _ = diag.rays[r]
-        fwd = Dart(ref, i, -1)
-        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
-
-    return FaceComplex(tuple(face_list), dart_face, edge_sides, rotation)
+    return FaceComplex(tuple(face_list), tuple(dart_face), rotation)
 
 
 # --- dual subdivision --------------------------------------------------------
@@ -313,7 +290,10 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
             if positions[f] is None:
                 positions[f], heights[f], placed_at[f] = p, h, v
             elif positions[f] != p:
-                raise DiagramError("dual positions are inconsistent (monodromy obstruction)")
+                raise DiagramError(
+                    "dual positions are inconsistent (monodromy obstruction): face"
+                    f" {f} is at {positions[f]} from vertex {placed_at[f]} and at {p} from vertex {v}"
+                )
             elif heights[f] != h:
                 raise DiagramError(
                     f"face heights are inconsistent around a loop: face {f} has height"
@@ -324,8 +304,8 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
 
     triangles = tuple(tuple(sorted(cell)) for cell in local)
     duality = []
-    for ref in diag.edge_refs():
-        left, right = complex_.edge_sides[ref]
+    for e, ref in enumerate(diag.edge_refs()):
+        left, right = complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e]
         if dot(vsub(positions[left], positions[right]), edge_direction(diag, ref)) != 0:
             raise DiagramError(f"dual edge of {ref} is not orthogonal")
         duality.append((ref, (left, right)))

@@ -240,11 +240,10 @@ def _affine_on_root_cell(support, vals, root_index, dim):
             raise MirrorError("root vertex is not on the lower hull")
         slope = max(left) if left else min(right)
         return lambda a: v0 + slope * (a[0] - x0)
-    planes = {c.indices: c for c in regular_subdivision(support, vals).cells}
-    containing = [c for c in planes if root_index in c]
+    containing = [c for c in regular_subdivision(support, vals).cells if root_index in c.indices]
     if not containing:
         raise MirrorError("root vertex is not on the lower hull")
-    cell = planes[min(containing, key=lambda c: tuple(support[i] for i in c))]
+    cell = min(containing, key=lambda c: tuple(support[i] for i in c.indices))
     (sx, sy), c0 = cell.gradient, cell.constant
     return lambda a: sx * a[0] + sy * a[1] + c0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .diagram import EdgeRef, TropicalDiagram, edge_direction
-from .dual import _dart_direction, gauge_points, is_smooth
+from .dual import gauge_points, is_smooth
 from .lattice import Vec, is_primitive, rot_minus90, vadd, vneg, vsub
 from .record import frozen
 
@@ -151,12 +151,7 @@ def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
 
     Its monodromy is the identity: this is the cocycle relation in matrix form.
     """
-    ring = diag.face_complex.rotations[v]
-    word = []
-    for dart in ring:
-        d = edge_direction(diag, dart.ref)
-        # crossing counterclockwise around v passes the dart in its canonical
-        # direction when the dart leaves v along it, against it otherwise
-        sign = 1 if _dart_direction(diag, dart) == d else -1
-        word.append((dart.ref, sign))
-    return tuple(word)
+    refs = diag.edge_refs()
+    # crossing counterclockwise around v passes each edge in its canonical
+    # direction when v's dart along it is even, against it when odd
+    return tuple((refs[d >> 1], -1 if d & 1 else 1) for d in diag.face_complex.rotations[v])

@@ -1,7 +1,7 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
 cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, face
 heights, Novikov arithmetic, series accumulation, series comparison, cone
-families, wall crossing)."""
+families, wall crossing, the face walk)."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from tropmirror.diagram import (
     DiagramError,
     DualSubdivision,
     EdgeRef,
+    Face,
     TropicalDiagram,
     edge_anchor,
     edge_direction,
@@ -55,7 +56,9 @@ from tropmirror.lattice import (
     is_primitive,
     is_zero,
     primitive,
+    rot_minus90,
     vadd,
+    vneg,
     vsub,
 )
 from tropmirror.novikov import (
@@ -812,3 +815,114 @@ def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:
         out.append(Monomial(nov_scale(c, self.coeff), vadd(self.apex, tuple(k * g for g in gamma))))
         k += 1
     return out
+
+
+# --- the face walk on Dart records, as an oracle ------------------------------
+#
+# faces keyed its bookkeeping by a hashed Dart record, found each vertex's
+# outgoing darts by scanning every dart, and stored the sides of each edge.
+# The bodies are unchanged apart from the names, and from returning the four
+# parts of the old FaceComplex as a tuple.
+
+# A dart is a directed edge end: (edge ref, tail vertex, head vertex) with
+# head = -1 meaning the point at infinity (rays).  Faces are traced with the
+# rotation rule next(d) = ccw-successor of twin(d); at infinity the rotation
+# runs clockwise (descending ray angle, parallel rays ordered by their
+# perpendicular offset).
+
+
+@frozen
+class Dart:
+    ref: EdgeRef
+    tail: int
+    head: int
+
+    def twin(self) -> "Dart":
+        return Dart(self.ref, self.head, self.tail)
+
+
+def _dart_direction_oracle(diag: TropicalDiagram, d: Dart) -> Vec:
+    base = edge_direction(diag, d.ref)
+    if d.ref.kind == "edge":
+        i, _ = diag.edges[d.ref.index]
+        return base if d.tail == i else vneg(base)
+    return base  # outgoing ray dart
+
+
+def faces_oracle(diag: TropicalDiagram):
+    """Enumerate the faces of the planar complement of a d=2 diagram.
+
+    Returns (faces, dart_face, edge_sides, rotations): the faces with Dart
+    orbits, the face of each Dart, the (left, right) faces of each EdgeRef,
+    and each vertex's ccw-ordered outgoing Darts (-1 is infinity).
+    """
+    if diag.dim != 2:
+        raise DiagramError("face tracing requires dimension 2")
+    if not diag.vertices:
+        raise DiagramError("empty diagram has no faces")
+
+    darts: list[Dart] = []
+    for k, (i, j) in enumerate(diag.edges):
+        darts.append(Dart(EdgeRef("edge", k), i, j))
+        darts.append(Dart(EdgeRef("edge", k), j, i))
+    for r, (i, _) in enumerate(diag.rays):
+        darts.append(Dart(EdgeRef("ray", r), i, -1))
+        darts.append(Dart(EdgeRef("ray", r), -1, i))
+
+    # rotation at finite vertices: counterclockwise by outgoing direction
+    rotation: dict[int, list[Dart]] = {}
+    for v in range(len(diag.vertices)):
+        out = [d for d in darts if d.tail == v]
+        out.sort(key=functools.cmp_to_key(lambda a, b: _ccw_cmp(_dart_direction_oracle(diag, a), _dart_direction_oracle(diag, b))))
+        rotation[v] = out
+
+    # rotation at infinity: descending ray angle; parallel rays ordered by
+    # ascending perpendicular offset of their source vertex
+    def inf_cmp(a: Dart, b: Dart) -> int:
+        da = edge_direction(diag, a.ref)
+        db = edge_direction(diag, b.ref)
+        c = _ccw_cmp(da, db)
+        if c != 0:
+            return -c
+        offa = dot(rot_minus90(da), diag.vertices[a.head])
+        offb = dot(rot_minus90(db), diag.vertices[b.head])
+        if offa == offb:
+            raise DiagramError("two rays share a line; faces are ambiguous")
+        return -1 if offa < offb else 1
+
+    rotation[-1] = sorted((d for d in darts if d.tail == -1), key=functools.cmp_to_key(inf_cmp))
+
+    successor = {d: ring[(i + 1) % len(ring)] for ring in rotation.values() for i, d in enumerate(ring)}
+
+    dart_face: dict[Dart, int] = {}
+    face_list: list[Face] = []
+    for start in darts:
+        if start in dart_face:
+            continue
+        orbit = []
+        d = start
+        while True:
+            orbit.append(d)
+            dart_face[d] = len(face_list)
+            d = successor[d.twin()]
+            if d == start:
+                break
+        recession = tuple(
+            sorted({edge_direction(diag, d.ref) for d in orbit if d.ref.kind == "ray"})
+        )
+        bounded = not recession
+        face_list.append(Face(len(face_list), tuple(orbit), bounded, recession))
+
+    edge_sides: dict[EdgeRef, tuple[int, int]] = {}
+    for k in range(len(diag.edges)):
+        ref = EdgeRef("edge", k)
+        i, j = diag.edges[k]
+        fwd = Dart(ref, i, j)
+        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
+    for r in range(len(diag.rays)):
+        ref = EdgeRef("ray", r)
+        i, _ = diag.rays[r]
+        fwd = Dart(ref, i, -1)
+        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
+
+    return tuple(face_list), dart_face, edge_sides, rotation

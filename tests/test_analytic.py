@@ -226,10 +226,10 @@ def test_demo_passes_at_all_truncations():
         assert sorted(m.expo for m in report.h_plus_y.terms) == [(0, -1), (1, -1)]
 
 
-def test_demo_tampered_gamma_fails():
-    report = focus_focus_demo(10, gamma_override=(2, 0))
-    assert not report.passed
-    assert any("FAIL" in m for m in report.messages)
+def test_wall_refuses_a_vanishing_class_that_is_not_primitive():
+    for gamma in ((2, 0), (0, 0), (-3, 6)):
+        with pytest.raises(AnalyticError, match=rf"vanishing class \({gamma[0]}, {gamma[1]}\) is not primitive"):
+            WallTransformation(0, gamma, (0, -1), "corrected")
 
 
 def test_eval_series():

@@ -1,4 +1,4 @@
-"""The mirror in every gauge: pinned CLI output, the exponent rule on random webs, one face walk."""
+"""The dual and the mirror in every gauge: pinned CLI output, the exponent rule on random webs, one face walk."""
 
 import hashlib
 import itertools
@@ -125,6 +125,52 @@ MIRROR_DIGESTS = {
 }
 
 
+# sha256 of stdout and the exit code of `tropmirror dual FILE ARGS...`, keyed
+# by "FILE ARGS...", for the shipped diagrams; the face ids order every list
+DUAL_DIGESTS = {
+    "c3.json": (0, "5464e5fab3dad1097416dd3db73da348428ce5404524aca289466130d84854a8"),
+    "c3.json --format svg": (0, "abd45499ede16d874d8dfcf898514b95096caabdec5bf74165b881bb2597f33e"),
+    "c3.json --flip-sign": (0, "7cdc684546584ad7e05625a58f0aa2e18ecb08d51fba87f50120b5b13d1c988f"),
+    "c3.json --flip-sign --format svg": (0, "1118aa17f384f226dd6c82faf9165471c48da0e95dd973eaa10b1da579c87ff0"),
+    "c3.json --root-face 0": (0, "aeb2f4f08f313b8c03ed2c4af43adacb03f54dfdf517678c9c780b4f1b960547"),
+    "c3.json --root-face 0 --format svg": (0, "960f544e2af092f21f9436995d8c3a69042c28238515b25c3b34814a3b5db28f"),
+    "c3.json --root-face 2 --flip-sign": (0, "7cdc684546584ad7e05625a58f0aa2e18ecb08d51fba87f50120b5b13d1c988f"),
+    "c3.json --root-face 2 --flip-sign --format svg": (0, "1118aa17f384f226dd6c82faf9165471c48da0e95dd973eaa10b1da579c87ff0"),
+    "conifold.json": (0, "da3f7f318f413125fee1ea80957d4dc1dd721ab73cae1eb0f62571cd7f1d6f59"),
+    "conifold.json --format svg": (0, "caf67529ca77e49cedbb3b00e8fef85c921101a333e6dfa53434a193f19f78ad"),
+    "conifold.json --flip-sign": (0, "2a24ca3dc476c91feec3403885b896db14cdd7e011754668ddf6a6edba82950d"),
+    "conifold.json --flip-sign --format svg": (0, "74ece2bd2dcc8e5b5cd235ffc2b8dd2580f9d9f61cae65076df57404900630fe"),
+    "conifold.json --root-face 0": (0, "9c969b1e7033148d8ff86f395b45b167bba0305aac0fc42f102a6829cf2694b9"),
+    "conifold.json --root-face 0 --format svg": (0, "9bcde1ca67ba2a6a0071066e97a23c4701872dba597037dcf88c5e5beb85b287"),
+    "conifold.json --root-face 2 --flip-sign": (0, "2a24ca3dc476c91feec3403885b896db14cdd7e011754668ddf6a6edba82950d"),
+    "conifold.json --root-face 2 --flip-sign --format svg": (0, "74ece2bd2dcc8e5b5cd235ffc2b8dd2580f9d9f61cae65076df57404900630fe"),
+    "focus_focus.json": (0, "340879ecf255876c272b6e175b513835b8e66316beb391b3e26163f24c092bd7"),
+    "focus_focus.json --format svg": (0, "53bc267e18336d7f58f3d52e0c32f0897c147974c28973fa3b3970f9b35d0142"),
+    "focus_focus.json --flip-sign": (0, "8a4a84f3c6d5b8dea9fae7925430b559db9ecb04aa9458a6798489c4c68bba98"),
+    "focus_focus.json --flip-sign --format svg": (0, "14b3f2590a9674414ad4058d721a3db5c346284134d9b1db6c8986f996eda2b2"),
+    "focus_focus.json --root-face 0": (0, "dcb12df9fbefb09b22f00cde30bfee027d088c3c877bf96e009f384bf76a1f0b"),
+    "focus_focus.json --root-face 0 --format svg": (0, "39776ec24dd149107d27fedcd0879b7633946efc75f9a697b6f131444f83e04b"),
+    "focus_focus.json --root-face 2 --flip-sign": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "focus_focus.json --root-face 2 --flip-sign --format svg": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "kp1p1.json": (0, "ee9535ff49a635ee3c7bf1af926d3aed34ef717e0de963ad96bc8e1799730b34"),
+    "kp1p1.json --format svg": (0, "aff2ab0f752cc271d0b09b8907eadb6f601c3c3bad55504f8f3d95ca2c2e4b3e"),
+    "kp1p1.json --flip-sign": (0, "2c69a8d067d21a6c4547a9d44c45fd2d9f9af3cd9806f444515e3ad1cdea1342"),
+    "kp1p1.json --flip-sign --format svg": (0, "f6e3a1d69c0f19eb9690be55d14b246ccbbf665007a601c0a7b91d30ae304e7c"),
+    "kp1p1.json --root-face 0": (0, "6537185e529c3b3d40f87b797bc0d37e7e2ff87bfd22c25509a46481fa511312"),
+    "kp1p1.json --root-face 0 --format svg": (0, "86d3665ca611ea23e62988a3d018a35a3079d390f00bca882f4c17dc1143bbc2"),
+    "kp1p1.json --root-face 2 --flip-sign": (0, "976ade0144da62b29c5ec0b4d94056fd96a63ae93830ae4f4f0f2a9faf8b3b4c"),
+    "kp1p1.json --root-face 2 --flip-sign --format svg": (0, "a39c9401787debc3bea0cff829eb7f3fde3992580aa3812d74d598f7b1a8c130"),
+    "kp2.json": (0, "3121056ada5e9f7e67ab6439f2d8093d2cfd9c6b2da2298e3738f68b7053d229"),
+    "kp2.json --format svg": (0, "44ca42544b444663af6c019142fc411091f199689ebd458e1e93ff3c6a42ce35"),
+    "kp2.json --flip-sign": (0, "0111338bc57d21313e8a75c9f696d0b34f57503694ccf4422edb5cb0da32b74a"),
+    "kp2.json --flip-sign --format svg": (0, "e070678736e9d55d3947848e670858405464f6e66d62b83b1e1f7fe49b6535c7"),
+    "kp2.json --root-face 0": (0, "cfb31f457ed3d6a49e039860eefa8f0008a45c7acdc15fdcda8810d1ae5a42c5"),
+    "kp2.json --root-face 0 --format svg": (0, "ad2ba39be4fc238ea3c1369c98eecade0ba0a92eaac6952ae43eddd65e6b269f"),
+    "kp2.json --root-face 2 --flip-sign": (0, "1185285994a8741832ff11975901250950266b47052d6965b27c4f3238cabb6c"),
+    "kp2.json --root-face 2 --flip-sign --format svg": (0, "448394804fe4efda1d30e078f6d5951ff28817a651db8a79cc065dc655ba6928"),
+}
+
+
 def _mirror_cases():
     for name in FILES:
         for gauge, with_base, raw in itertools.product(GAUGES, (False, True), (False, True)):
@@ -148,6 +194,16 @@ def test_mirror_output_is_pinned(tmp_path, capsys, name, gauge, with_base, raw):
     code = run(["mirror", str(path)] + args)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == MIRROR_DIGESTS[" ".join([name] + args)]
+
+
+@pytest.mark.parametrize("name", FILES[:5])
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: " ".join(g) or "default")
+@pytest.mark.parametrize("fmt", ([], ["--format", "svg"]), ids=("json", "svg"))
+def test_dual_output_is_pinned(capsys, name, gauge, fmt):
+    args = list(gauge) + fmt
+    code = run(["dual", os.path.join(DIAGRAMS, name)] + args)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == DUAL_DIGESTS[" ".join([name] + args)]
 
 
 def test_raw_exponents_follow_the_edges_in_every_gauge():

@@ -141,7 +141,7 @@ def hash_or_error(obj):
 
 
 def test_every_record_class_is_harvested():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert [cls.__qualname__ for cls in RECORDS if not INSTANCES[cls]] == []
 
 
