@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .diagram import EdgeRef, TropicalDiagram, edge_anchor, edge_direction, parse_edge_ref
+from .diagram import EdgeRef, TropicalDiagram, parse_edge_ref
 from .dual import locate_face
 from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
 from .monodromy import crossing_matrix, edge_covector, mat_apply
@@ -60,7 +60,7 @@ class Cut:
 @frozen
 class CutPresentation:
     diagram: TropicalDiagram
-    cuts: tuple[Cut, ...]
+    cuts: tuple[Cut, ...]  # one per diagram.edge_refs() entry, in that order
 
     @property
     def n(self) -> int:
@@ -130,7 +130,7 @@ def _diagram_part_at(diag: TropicalDiagram, x) -> str:
         for i, v in enumerate(diag.vertices):
             if v == x:
                 return f"vertex {i}"
-    return next(str(ref) for ref in diag.edge_refs() if _on_edge(diag, ref, x))
+    return next(str(ref) for ref, segment in zip(diag.edge_refs(), diag.segments) if _on_edge(segment, x))
 
 
 @frozen
@@ -140,37 +140,25 @@ class Crossing:
     point: QPoint  # crossing point in the base
 
 
-def _edge_param(diag: TropicalDiagram, ref: EdgeRef, x) -> Optional[Fraction]:
+def _edge_param(segment, x) -> Optional[Fraction]:
     """The s with x = anchor + s*d on the line of the edge, or None off it.
 
     A d=1 marked point is its own line: s is 0 on it.
     """
-    anchor = edge_anchor(diag, ref)
-    if ref.kind == "point":
+    anchor, d, _ = segment
+    if d is None:
         return Q(0) if x[0] == anchor[0] else None
-    d = edge_direction(diag, ref)
     rel = vsub(x, anchor)
     axis = 0 if d[0] != 0 else 1
     s = rel[axis] / d[axis]
     return s if all(ri == s * di for di, ri in zip(d, rel)) else None
 
 
-def _edge_end(diag: TropicalDiagram, ref: EdgeRef) -> Optional[Fraction]:
-    """The parameter of the far end of the edge: 0 for a point, None for a ray."""
-    if ref.kind == "ray":
-        return None
-    if ref.kind == "point":
-        return Q(0)
-    return _edge_param(diag, ref, diag.vertices[diag.edges[ref.index][1]])
-
-
-def _on_edge(diag: TropicalDiagram, ref: EdgeRef, pt) -> bool:
+def _on_edge(segment, pt) -> bool:
     """Is a planar point on the closed edge (segment, ray, or d=1 point)?"""
-    s = _edge_param(diag, ref, pt)
-    if s is None or s < 0:
-        return False
-    end = _edge_end(diag, ref)
-    return end is None or s <= end
+    s = _edge_param(segment, pt)
+    end = segment[2]
+    return s is not None and s >= 0 and (end is None or s <= end)
 
 
 def _below(a: QPoint, b: QPoint, tau: Fraction) -> tuple[QPoint, QPoint]:
@@ -193,9 +181,9 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
     axy, at = a[:-1], a[-1]
     bxy, bt = b[:-1], b[-1]
     found: list[tuple[Fraction, Crossing]] = []
-    for cut in pres.cuts:
+    for cut, segment in zip(pres.cuts, diag.segments):
         cov = cut.covector
-        anchor = edge_anchor(diag, cut.ref)
+        anchor, _, end = segment
         fa = dot(cov, vsub(axy, anchor))
         fb = dot(cov, vsub(bxy, anchor))
         if fa == fb:
@@ -203,8 +191,7 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
                 # segment inside the cut plane: reject if its part at or
                 # below the cut height projects onto the edge range
                 lo, hi = _below(a, b, cut.tau)
-                ua, ub = (_edge_param(diag, cut.ref, x[:-1]) for x in (lo, hi))
-                end = _edge_end(diag, cut.ref)
+                ua, ub = (_edge_param(segment, x[:-1]) for x in (lo, hi))
                 if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
                     # witness: the first point of that part over the edge
                     u = max(ua, 0) if end is None else min(max(ua, 0), end)
@@ -216,7 +203,7 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
             # the plane is met only at an endpoint; error iff that endpoint
             # is on the actual cut region, otherwise no crossing occurs
             p = a if fa == 0 else b
-            if p[-1] <= cut.tau and _on_edge(diag, cut.ref, p[:-1]):
+            if p[-1] <= cut.tau and _on_edge(segment, p[:-1]):
                 raise _refuse("path endpoint lies on a cut", seg, cut.ref, p)
             continue
         if (fa > 0) == (fb > 0):
@@ -224,8 +211,7 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
         s = fa / (fa - fb)
         point = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
         xq, tq = point[:-1], point[-1]
-        u = _edge_param(diag, cut.ref, xq)
-        end = _edge_end(diag, cut.ref)
+        u = _edge_param(segment, xq)
         if u < 0 or (end is not None and u > end):
             continue
         if tq > cut.tau:

@@ -1,4 +1,4 @@
-"""Toric diagrams as tropical curves: the record, validation, and JSON.
+"""Toric diagrams as tropical curves: the record, its edge table, validation, and JSON.
 
 A diagram lives in dimension 1 or 2.  In dimension 2 it is a planar graph with
 rational vertices, straight bounded edges and rays with primitive integer
@@ -6,6 +6,10 @@ directions; in dimension 1 it is a finite set of marked points on a line.
 Validation checks the semi-toric axioms: trivalence, balancing (the primitive
 outgoing directions at each vertex sum to zero), primitivity of ray
 directions, and connectivity.
+
+The edge table, ``TropicalDiagram.rings`` (the darts leaving each vertex) and
+``TropicalDiagram.segments`` (where each edge sits), is built once per
+diagram; validation, the face walk, the gluing and transport all read it.
 
 The faces of the complement, the dual subdivision, the face heights and point
 location are in ``tropmirror.dual``; their public names are bound here too.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Optional
 
 from .lattice import (
     QPoint,
@@ -118,24 +123,45 @@ class TropicalDiagram:
         return validate(self)
 
     @functools.cached_property
-    def directions(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """Primitive directions of the bounded edges (stored order) and of the rays."""
-        edges = tuple(primitive_direction(self.vertices[i], self.vertices[j]) for i, j in self.edges)
-        rays = tuple(primitive(d) for _, d in self.rays)
-        return edges, rays
+    def rings(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its outgoing darts in dart order.
+
+        Dart 2e runs along edge_refs()[e] in its canonical direction (stored
+        order for edges, outward for rays) and dart 2e + 1 the other way, so
+        the twin of dart d is d ^ 1, and edge darts come before ray darts.
+        The tail of an edge dart d is edges[d >> 1][d & 1]; the tail of a
+        ray's odd dart is the point at infinity, which has no ring here.
+        """
+        rings: list[list[int]] = [[] for _ in self.vertices]
+        for k, pair in enumerate(self.edges):
+            for side, v in enumerate(pair):
+                rings[v].append(2 * k + side)
+        for e, (v, _) in enumerate(self.rays, len(self.edges)):
+            rings[v].append(2 * e)
+        return tuple(map(tuple, rings))
 
     @functools.cached_property
-    def stars(self) -> tuple[tuple[tuple[EdgeRef, Vec], ...], ...]:
-        """Per vertex, its outgoing (edge reference, direction) pairs: edges, then rays."""
-        stars: list[list[tuple[EdgeRef, Vec]]] = [[] for _ in self.vertices]
-        for k, (i, j) in enumerate(self.edges):
-            ref = EdgeRef("edge", k)
-            d = edge_direction(self, ref)
-            stars[i].append((ref, d))
-            stars[j].append((ref, vneg(d)))
-        for r, (i, d) in enumerate(self.rays):
-            stars[i].append((EdgeRef("ray", r), d))
-        return tuple(tuple(s) for s in stars)
+    def segments(self) -> tuple[tuple[QPoint, Optional[Vec], Optional[Fraction]], ...]:
+        """Per edge_refs() entry, (anchor, primitive direction, end).
+
+        The edge is anchor + s*direction for 0 <= s <= end; end is None for a
+        ray.  A d=1 marked point is (v, None, 0).
+        """
+        verts = self.vertices
+        if self.dim == 1:
+            return tuple((v, None, 0) for v in verts)
+        edges = tuple((verts[i], *primitive_direction(verts[i], verts[j])) for i, j in self.edges)
+        return edges + tuple((verts[i], primitive(d), None) for i, d in self.rays)
+
+    def edge_index(self, ref: EdgeRef) -> Optional[int]:
+        """The position of ref in edge_refs() and segments; None if the diagram has no such edge."""
+        if self.dim == 1:
+            count = len(self.vertices) if ref.kind == "point" else 0
+        else:
+            count = len(self.edges) if ref.kind == "edge" else len(self.rays) if ref.kind == "ray" else 0
+        if not 0 <= ref.index < count:
+            return None
+        return ref.index + len(self.edges) if ref.kind == "ray" else ref.index
 
     @functools.cached_property
     def face_complex(self) -> FaceComplex:
@@ -159,19 +185,12 @@ class TropicalDiagram:
 
 def edge_direction(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
     """Canonical primitive direction: stored order for edges, outgoing for rays."""
-    if ref.kind == "edge":
-        return diag.directions[0][ref.index]
-    if ref.kind == "ray":
-        return diag.directions[1][ref.index]
-    raise DiagramError(f"{ref} has no direction")
-
-
-def edge_anchor(diag: TropicalDiagram, ref: EdgeRef) -> QPoint:
-    if ref.kind == "edge":
-        return diag.vertices[diag.edges[ref.index][0]]
-    if ref.kind == "ray":
-        return diag.vertices[diag.rays[ref.index][0]]
-    return diag.vertices[ref.index]
+    if ref.kind == "point":
+        raise DiagramError(f"{ref} has no direction")
+    e = diag.edge_index(ref)
+    if e is None:
+        raise DiagramError(f"{ref} is not an edge of the diagram")
+    return diag.segments[e][1]
 
 
 # --- validation -------------------------------------------------------------
@@ -226,11 +245,13 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
     balanced = True
     primitive_dirs = True
     offenders: list[tuple[str, str]] = []
-    for v, star in enumerate(diag.stars):
-        if len(star) != 3:
+    # rays are summed as stored, so a non-primitive one is reported, not rescaled
+    stored = [d for _, d, _ in diag.segments[: len(diag.edges)]] + [d for _, d in diag.rays]
+    for v, ring in enumerate(diag.rings):
+        if len(ring) != 3:
             trivalent = False
-            offenders.append(("trivalent", f"vertex {v} has valence {len(star)}"))
-        dirs = [d for _, d in star]
+            offenders.append(("trivalent", f"vertex {v} has valence {len(ring)}"))
+        dirs = [vneg(stored[d >> 1]) if d & 1 else stored[d >> 1] for d in ring]
         total = dirs[0] if dirs else None
         for d in dirs[1:]:
             total = vadd(total, d)
@@ -238,7 +259,7 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
             balanced = False
             offenders.append(("balanced", f"vertex {v} direction sum {tuple(total)}"))
         seen = set()
-        for ref, d in star:
+        for d in dirs:
             if tuple(d) in seen:
                 # a repeated outgoing direction is a weight-2 edge in disguise
                 primitive_dirs = False
@@ -248,18 +269,18 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
         if not is_primitive(d):
             primitive_dirs = False
             offenders.append(("primitive_directions", f"ray {r} direction {tuple(d)} not primitive"))
-    # connectivity over bounded edges
+    # connectivity over bounded edges: the head of edge dart d is the tail of its twin
     n = len(diag.vertices)
     connected = True
     if n > 1:
-        adj = {i: set() for i in range(n)}
-        for i, j in diag.edges:
-            adj[i].add(j)
-            adj[j].add(i)
+        first_ray = 2 * len(diag.edges)
         seen = {0}
         stack = [0]
         while stack:
-            for w in adj[stack.pop()]:
+            for d in diag.rings[stack.pop()]:
+                if d >= first_ray:
+                    break  # a ring lists its ray darts last
+                w = diag.edges[d >> 1][~d & 1]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -295,7 +316,6 @@ def diagram_from_json(data) -> TropicalDiagram:
 # look them up, and the two that the cached properties above call.
 from .dual import (  # noqa: E402
     DualSubdivision,
-    Face,
     FaceComplex,
     _glue,
     dual_subdivision,

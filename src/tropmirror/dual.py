@@ -25,13 +25,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import (
-    EMPTY_DIAGRAM,
-    DiagramError,
-    EdgeRef,
-    TropicalDiagram,
-    edge_direction,
-)
+from .diagram import EMPTY_DIAGRAM, DiagramError, EdgeRef, TropicalDiagram
 from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, rot_minus90, vadd, vneg, vsub
 from .record import frozen
 
@@ -40,26 +34,17 @@ Q = Fraction
 
 # --- faces of the complement -------------------------------------------------
 
-# A dart is a directed edge end, numbered by half-edge: dart 2e runs along
-# diag.edge_refs()[e] in its canonical direction (stored order for edges,
-# outward for rays) and dart 2e + 1 runs the other way, so the twin of d is
-# d ^ 1.  The tail of a ray's odd dart is the point at infinity, -1.  Faces
-# are traced with the rotation rule next(d) = ccw-successor of twin(d); at
-# infinity the rotation runs clockwise (descending ray angle, parallel rays
-# ordered by their perpendicular offset).
-
-
-@frozen
-class Face:
-    id: int
-    darts: tuple[int, ...]
-    bounded: bool
-    recession: tuple[Vec, ...]  # ray directions bounding an unbounded face
+# Darts are numbered as in TropicalDiagram.rings: dart 2e runs along
+# diag.edge_refs()[e] in its canonical direction and dart 2e + 1 the other
+# way, so the twin of d is d ^ 1.  The tail of a ray's odd dart is the point
+# at infinity, -1.  Faces are traced with the rotation rule next(d) =
+# ccw-successor of twin(d); at infinity the rotation runs clockwise
+# (descending ray angle, parallel rays ordered by their perpendicular offset).
 
 
 @frozen
 class FaceComplex:
-    faces: tuple[Face, ...]
+    faces: tuple[tuple[int, ...], ...]  # by face id: its darts, in walk order
     dart_face: tuple[int, ...]  # by dart: the face on its clockwise side
     rotations: dict  # vertex -> ccw-ordered outgoing darts (-1 is infinity)
 
@@ -82,72 +67,60 @@ def _ccw_cmp(a: Sequence, b: Sequence) -> int:
     return 0
 
 
-def _dart_direction(diag: TropicalDiagram, d: int) -> Vec:
-    edges, rays = diag.directions
-    e = d >> 1
-    base = edges[e] if e < len(edges) else rays[e - len(edges)]
-    return vneg(base) if d & 1 else base
-
-
 def faces(diag: TropicalDiagram) -> FaceComplex:
     """Enumerate the faces of the planar complement of a d=2 diagram."""
     if diag.dim != 2:
         raise DiagramError("face tracing requires dimension 2")
     if not diag.vertices:
         raise DiagramError("empty diagram has no faces")
-
-    tails = [v for pair in diag.edges for v in pair]
-    for i, _ in diag.rays:
-        tails += (i, -1)
-    rotation: dict[int, list[int]] = {v: [] for v in range(-1, len(diag.vertices))}
-    for d, v in enumerate(tails):
-        rotation[v].append(d)
+    segments = diag.segments
+    ndarts = 2 * len(segments)
 
     # rotation at finite vertices: counterclockwise by outgoing direction
     ccw = functools.cmp_to_key(_ccw_cmp)
-    for v in range(len(diag.vertices)):
-        rotation[v].sort(key=lambda d: ccw(_dart_direction(diag, d)))
 
-    # rotation at infinity: descending ray angle; parallel rays ordered by
-    # ascending perpendicular offset of their source vertex
+    def outgoing(d: int):
+        u = segments[d >> 1][1]
+        return ccw(vneg(u) if d & 1 else u)
+
+    rotation = {v: sorted(ring, key=outgoing) for v, ring in enumerate(diag.rings)}
+
+    # rotation at infinity: the odd ray darts, by descending ray angle;
+    # parallel rays ordered by ascending perpendicular offset of their source
     def inf_cmp(a: int, b: int) -> int:
-        da = _dart_direction(diag, a ^ 1)
-        db = _dart_direction(diag, b ^ 1)
+        (pa, da, _), (pb, db, _) = segments[a >> 1], segments[b >> 1]
         c = _ccw_cmp(da, db)
         if c != 0:
             return -c
-        offa = dot(rot_minus90(da), diag.vertices[tails[a ^ 1]])
-        offb = dot(rot_minus90(db), diag.vertices[tails[b ^ 1]])
+        offa = dot(rot_minus90(da), pa)
+        offb = dot(rot_minus90(db), pb)
         if offa == offb:
             raise DiagramError("two rays share a line; faces are ambiguous")
         return -1 if offa < offb else 1
 
-    rotation[-1].sort(key=functools.cmp_to_key(inf_cmp))
+    rotation[-1] = sorted(range(2 * len(diag.edges) + 1, ndarts, 2), key=functools.cmp_to_key(inf_cmp))
 
-    successor = [0] * len(tails)
+    successor = [0] * ndarts
     for ring in rotation.values():
         for i, d in enumerate(ring):
             successor[d] = ring[(i + 1) % len(ring)]
 
-    first_ray = 2 * len(diag.edges)
-    dart_face: list[Optional[int]] = [None] * len(tails)
-    face_list: list[Face] = []
-    for start in range(len(tails)):
+    dart_face: list[Optional[int]] = [None] * ndarts
+    orbits: list[tuple[int, ...]] = []
+    for start in range(ndarts):
         if dart_face[start] is not None:
             continue
         orbit = []
         d = start
         while True:
             orbit.append(d)
-            dart_face[d] = len(face_list)
+            dart_face[d] = len(orbits)
             d = successor[d ^ 1]
             if d == start:
                 break
-        recession = tuple(sorted({_dart_direction(diag, d & ~1) for d in orbit if d >= first_ray}))
-        bounded = not recession
-        face_list.append(Face(len(face_list), tuple(orbit), bounded, recession))
+        orbits.append(tuple(orbit))
 
-    return FaceComplex(tuple(face_list), tuple(dart_face), rotation)
+    return FaceComplex(tuple(orbits), tuple(dart_face), rotation)
 
 
 # --- dual subdivision --------------------------------------------------------
@@ -227,6 +200,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
         return _pinned(points, (), duality, heights, den)
 
     complex_ = diag.face_complex
+    segments = diag.segments
     nfaces = len(complex_.faces)
 
     # local cell of each vertex: faces in ccw dart order with corner offsets
@@ -245,7 +219,8 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
                 if face_here in offsets and offsets[face_here] != acc:
                     raise DiagramError(f"face pinched at vertex {v}")
                 offsets[face_here] = acc
-            acc = vadd(acc, rot_minus90(_dart_direction(diag, nxt)))
+            step = rot_minus90(segments[nxt >> 1][1])
+            acc = vsub(acc, step) if nxt & 1 else vadd(acc, step)
         if acc != (0, 0):
             raise DiagramError(f"vertex {v} cell does not close up")
         if len(offsets) != len(ring):
@@ -258,13 +233,14 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
     anchor[0] = (0, 0)
     level = [0] * len(xs)
     stack = [0]
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(xs))}
-    for k, (i, j) in enumerate(diag.edges):
-        adj[i].append((j, k))
-        adj[j].append((i, k))
+    first_ray = 2 * len(diag.edges)
     while stack:
         v = stack.pop()
-        for w, k in adj[v]:
+        for d in diag.rings[v]:
+            if d >= first_ray:
+                break  # a ring lists its ray darts last
+            k = d >> 1
+            w = diag.edges[k][~d & 1]
             shared = set(local[v]) & set(local[w])
             if len(shared) != 2:
                 raise DiagramError(f"edge {k} does not separate two faces")
@@ -282,8 +258,6 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
     heights: list[Optional[int]] = [None] * nfaces
     placed_at = [0] * nfaces  # the vertex that placed each face first
     for v in range(len(xs)):
-        if anchor[v] is None:
-            raise DiagramError("diagram fails axioms: connected")
         for f, off in local[v].items():
             p = vadd(anchor[v], off)
             h = level[v] - dot(p, xs[v])
@@ -306,7 +280,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
     duality = []
     for e, ref in enumerate(diag.edge_refs()):
         left, right = complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e]
-        if dot(vsub(positions[left], positions[right]), edge_direction(diag, ref)) != 0:
+        if dot(vsub(positions[left], positions[right]), segments[e][1]) != 0:
             raise DiagramError(f"dual edge of {ref} is not orthogonal")
         duality.append((ref, (left, right)))
     return _pinned(positions, triangles, tuple(duality), heights, den)

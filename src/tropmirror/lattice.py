@@ -80,12 +80,13 @@ def primitive(v: Sequence[int]) -> Vec:
     return tuple(x // g for x in v)
 
 
-def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> Vec:
-    """Primitive integer vector parallel to q - p, for distinct rational points.
+def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Vec, Fraction]:
+    """Primitive integer d and rational s > 0 with q - p = s*d, for distinct rational points.
 
     Entry k of the difference is (q_k.num p_k.den - p_k.num q_k.den) over
     d_k = p_k.den q_k.den; over the product of the d_k every entry is an
-    integer, so no Fraction is built.
+    integer, so d is that integer vector over its content g, and s is g over
+    the product.  The only Fraction built is s.
     """
     nums, dens = [], []
     for a, b in zip(p, q, strict=True):
@@ -94,7 +95,8 @@ def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> Vec:
         nums.append(b.numerator * a.denominator - a.numerator * b.denominator)
         dens.append(a.denominator * b.denominator)
     total = prod(dens)
-    return primitive([x * (total // d) for x, d in zip(nums, dens)])
+    w = [x * (total // d) for x, d in zip(nums, dens)]
+    return primitive(w), Fraction(content(w), total)
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -34,12 +34,10 @@ def edge_covector(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
     dual vertices (left face minus right face) across the edge.  In dimension
     1 every marked point carries the covector (1,).
     """
-    if diag.dim == 1:
-        if ref.kind != "point" or not 0 <= ref.index < len(diag.vertices):
-            raise MonodromyError(f"{ref} is not an edge of the diagram")
-        return (1,)
-    d = edge_direction(diag, ref)
-    return rot_minus90(d)
+    # a point ref on a web falls through to edge_direction: it has no direction
+    if diag.edge_index(ref) is None and (diag.dim == 1 or ref.kind != "point"):
+        raise MonodromyError(f"{ref} is not an edge of the diagram")
+    return (1,) if diag.dim == 1 else rot_minus90(edge_direction(diag, ref))
 
 
 def identity_matrix(n: int) -> Matrix:

@@ -1,13 +1,16 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
 cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, face
 heights, Novikov arithmetic, series accumulation, series comparison, cone
-families, wall crossing, the face walk)."""
+families, wall crossing, the face walk, validation, the transport edge
+predicates)."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import os
 import random
 from enum import Enum
 from fractions import Fraction
@@ -29,17 +32,21 @@ from tropmirror.charges import (
     RegularSubdivision,
     SubdivisionCell,
     _extended_gcd_vector,
+    build_web,
+    charges_from_json,
     integer_kernel_basis,
     regular_subdivision,
     web_from_subdivision,
 )
+from tropmirror.affine import Crossing, CutPresentation, _below, _refuse
 from tropmirror.diagram import (
+    EMPTY_DIAGRAM,
     DiagramError,
     DualSubdivision,
     EdgeRef,
-    Face,
     TropicalDiagram,
-    edge_anchor,
+    ValidationReport,
+    diagram_from_json,
     edge_direction,
     is_smooth,
     validate,
@@ -207,6 +214,18 @@ def random_smooth_web(rng: random.Random, max_points: int = 12) -> TropicalDiagr
             return web
 
 
+def shipped_diagrams() -> list[TropicalDiagram]:
+    """The five diagrams under diagrams/, by file name; charge files are built into webs."""
+    root = os.path.join(os.path.dirname(__file__), "..", "diagrams")
+    out = []
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            data = json.load(fh)
+        out.append(build_web(*charges_from_json(data)).diagram if "charges" in data else diagram_from_json(data))
+    assert len(out) == 5
+    return out
+
+
 def random_unimodular(rng: random.Random):
     """A random 2x2 integer matrix of determinant +-1 (product of shears/swaps)."""
     m = [[1, 0], [0, 1]]
@@ -243,8 +262,10 @@ def interior_point_near_vertex(diag: TropicalDiagram, rng: random.Random):
 
     while True:
         v = rng.randrange(len(diag.vertices))
-        star = diag.stars[v]
-        (_, d1), (_, d2) = rng.sample(star, 2)
+        d1, d2 = (
+            vneg(diag.segments[d >> 1][1]) if d & 1 else diag.segments[d >> 1][1]
+            for d in rng.sample(diag.rings[v], 2)
+        )
         mid = (Q(d1[0] + d2[0]), Q(d1[1] + d2[1]))
         if mid == (0, 0):
             continue
@@ -821,8 +842,10 @@ def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:
 #
 # faces keyed its bookkeeping by a hashed Dart record, found each vertex's
 # outgoing darts by scanning every dart, and stored the sides of each edge.
-# The bodies are unchanged apart from the names, and from returning the four
-# parts of the old FaceComplex as a tuple.
+# The bodies are unchanged apart from the names, from returning the four
+# parts of the old FaceComplex as a tuple, and from listing each face as its
+# tuple of darts (the Face record and its bounded and recession fields, which
+# nothing read, are gone).
 
 # A dart is a directed edge end: (edge ref, tail vertex, head vertex) with
 # head = -1 meaning the point at infinity (rays).  Faces are traced with the
@@ -895,7 +918,7 @@ def faces_oracle(diag: TropicalDiagram):
     successor = {d: ring[(i + 1) % len(ring)] for ring in rotation.values() for i, d in enumerate(ring)}
 
     dart_face: dict[Dart, int] = {}
-    face_list: list[Face] = []
+    face_list: list[tuple[Dart, ...]] = []
     for start in darts:
         if start in dart_face:
             continue
@@ -907,11 +930,7 @@ def faces_oracle(diag: TropicalDiagram):
             d = successor[d.twin()]
             if d == start:
                 break
-        recession = tuple(
-            sorted({edge_direction(diag, d.ref) for d in orbit if d.ref.kind == "ray"})
-        )
-        bounded = not recession
-        face_list.append(Face(len(face_list), tuple(orbit), bounded, recession))
+        face_list.append(tuple(orbit))
 
     edge_sides: dict[EdgeRef, tuple[int, int]] = {}
     for k in range(len(diag.edges)):
@@ -926,3 +945,184 @@ def faces_oracle(diag: TropicalDiagram):
         edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
 
     return tuple(face_list), dart_face, edge_sides, rotation
+
+
+# --- validation and the transport edge predicates before the edge table ------
+#
+# validate walked the vertex stars, a per-vertex list of (edge ref, direction)
+# pairs with rays as stored, and found connectivity through an adjacency dict;
+# transport switched on the edge ref's kind for an edge's anchor, direction
+# and far end, dividing for the far end on every call.  The bodies are
+# unchanged apart from the names: the stars property is _stars_oracle, and
+# edge_direction is edge_direction_oracle, which computes the primitive
+# directions that the cached TropicalDiagram.directions held without reading
+# the edge table.
+
+
+def edge_direction_oracle(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
+    if ref.kind == "edge":
+        i, j = diag.edges[ref.index]
+        return primitive_q_oracle(vsub(diag.vertices[j], diag.vertices[i]))
+    if ref.kind == "ray":
+        return primitive(diag.rays[ref.index][1])
+    raise DiagramError(f"{ref} has no direction")
+
+
+def _stars_oracle(diag: TropicalDiagram) -> tuple[tuple[tuple[EdgeRef, Vec], ...], ...]:
+    """Per vertex, its outgoing (edge reference, direction) pairs: edges, then rays."""
+    stars: list[list[tuple[EdgeRef, Vec]]] = [[] for _ in diag.vertices]
+    for k, (i, j) in enumerate(diag.edges):
+        ref = EdgeRef("edge", k)
+        d = edge_direction_oracle(diag, ref)
+        stars[i].append((ref, d))
+        stars[j].append((ref, vneg(d)))
+    for r, (i, d) in enumerate(diag.rays):
+        stars[i].append((EdgeRef("ray", r), d))
+    return tuple(tuple(s) for s in stars)
+
+
+def validate_oracle(diag: TropicalDiagram) -> ValidationReport:
+    """Check the semi-toric axioms; failures are reported, not raised."""
+    if not diag.vertices:
+        # a web or line with no vertex has one face, so nothing downstream can run
+        return ValidationReport(True, True, True, False, (("connected", EMPTY_DIAGRAM),))
+    if diag.dim == 1:
+        return ValidationReport(True, True, True, True)
+    trivalent = True
+    balanced = True
+    primitive_dirs = True
+    offenders: list[tuple[str, str]] = []
+    for v, star in enumerate(_stars_oracle(diag)):
+        if len(star) != 3:
+            trivalent = False
+            offenders.append(("trivalent", f"vertex {v} has valence {len(star)}"))
+        dirs = [d for _, d in star]
+        total = dirs[0] if dirs else None
+        for d in dirs[1:]:
+            total = vadd(total, d)
+        if dirs and any(c != 0 for c in total):
+            balanced = False
+            offenders.append(("balanced", f"vertex {v} direction sum {tuple(total)}"))
+        seen = set()
+        for ref, d in star:
+            if tuple(d) in seen:
+                # a repeated outgoing direction is a weight-2 edge in disguise
+                primitive_dirs = False
+                offenders.append(("primitive_directions", f"vertex {v} repeats direction {tuple(d)}"))
+            seen.add(tuple(d))
+    for r, (_, d) in enumerate(diag.rays):
+        if not is_primitive(d):
+            primitive_dirs = False
+            offenders.append(("primitive_directions", f"ray {r} direction {tuple(d)} not primitive"))
+    # connectivity over bounded edges
+    n = len(diag.vertices)
+    connected = True
+    if n > 1:
+        adj = {i: set() for i in range(n)}
+        for i, j in diag.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        connected = len(seen) == n
+        if not connected:
+            offenders.append(("connected", f"{n - len(seen)} vertices unreachable"))
+    return ValidationReport(trivalent, balanced, primitive_dirs, connected, tuple(offenders))
+
+
+def edge_anchor(diag: TropicalDiagram, ref: EdgeRef) -> QPoint:
+    if ref.kind == "edge":
+        return diag.vertices[diag.edges[ref.index][0]]
+    if ref.kind == "ray":
+        return diag.vertices[diag.rays[ref.index][0]]
+    return diag.vertices[ref.index]
+
+
+def _edge_param_oracle(diag: TropicalDiagram, ref: EdgeRef, x) -> Optional[Fraction]:
+    """The s with x = anchor + s*d on the line of the edge, or None off it.
+
+    A d=1 marked point is its own line: s is 0 on it.
+    """
+    anchor = edge_anchor(diag, ref)
+    if ref.kind == "point":
+        return Q(0) if x[0] == anchor[0] else None
+    d = edge_direction_oracle(diag, ref)
+    rel = vsub(x, anchor)
+    axis = 0 if d[0] != 0 else 1
+    s = rel[axis] / d[axis]
+    return s if all(ri == s * di for di, ri in zip(d, rel)) else None
+
+
+def edge_end_oracle(diag: TropicalDiagram, ref: EdgeRef) -> Optional[Fraction]:
+    """The parameter of the far end of the edge: 0 for a point, None for a ray."""
+    if ref.kind == "ray":
+        return None
+    if ref.kind == "point":
+        return Q(0)
+    return _edge_param_oracle(diag, ref, diag.vertices[diag.edges[ref.index][1]])
+
+
+def on_edge_oracle(diag: TropicalDiagram, ref: EdgeRef, pt) -> bool:
+    """Is a planar point on the closed edge (segment, ray, or d=1 point)?"""
+    s = _edge_param_oracle(diag, ref, pt)
+    if s is None or s < 0:
+        return False
+    end = edge_end_oracle(diag, ref)
+    return end is None or s <= end
+
+
+def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) -> list[Crossing]:
+    diag = pres.diagram
+    axy, at = a[:-1], a[-1]
+    bxy, bt = b[:-1], b[-1]
+    found: list[tuple[Fraction, Crossing]] = []
+    for cut in pres.cuts:
+        cov = cut.covector
+        anchor = edge_anchor(diag, cut.ref)
+        fa = dot(cov, vsub(axy, anchor))
+        fb = dot(cov, vsub(bxy, anchor))
+        if fa == fb:
+            if fa == 0 and min(at, bt) <= cut.tau:
+                # segment inside the cut plane: reject if its part at or
+                # below the cut height projects onto the edge range
+                lo, hi = _below(a, b, cut.tau)
+                ua, ub = (_edge_param_oracle(diag, cut.ref, x[:-1]) for x in (lo, hi))
+                end = edge_end_oracle(diag, cut.ref)
+                if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
+                    # witness: the first point of that part over the edge
+                    u = max(ua, 0) if end is None else min(max(ua, 0), end)
+                    s = (u - ua) / (ub - ua) if ub != ua else 0
+                    point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
+                    raise _refuse("path runs along a cut", seg, cut.ref, point)
+            continue
+        if fa == 0 or fb == 0:
+            # the plane is met only at an endpoint; error iff that endpoint
+            # is on the actual cut region, otherwise no crossing occurs
+            p = a if fa == 0 else b
+            if p[-1] <= cut.tau and on_edge_oracle(diag, cut.ref, p[:-1]):
+                raise _refuse("path endpoint lies on a cut", seg, cut.ref, p)
+            continue
+        if (fa > 0) == (fb > 0):
+            continue
+        s = fa / (fa - fb)
+        point = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
+        xq, tq = point[:-1], point[-1]
+        u = _edge_param_oracle(diag, cut.ref, xq)
+        end = edge_end_oracle(diag, cut.ref)
+        if u < 0 or (end is not None and u > end):
+            continue
+        if tq > cut.tau:
+            continue  # passes above the cut, through glued regular base
+        # at the cut's height, or in d=2 exactly over an edge endpoint (a
+        # vertex line), the path meets the discriminant
+        if tq == cut.tau or (diag.dim == 2 and u in (0, end)):
+            raise _refuse("path hits discriminant", seg, cut.ref, point)
+        sign = 1 if fb > fa else -1
+        found.append((s, Crossing(cut.ref, sign, point)))
+    found.sort(key=lambda item: item[0])
+    return [c for _, c in found]

@@ -225,7 +225,7 @@ def test_acceptance_8_charge_pipeline(capsys):
     dv = vsub(web.diagram.vertices[j], web.diagram.vertices[i])
     from tropmirror.lattice import primitive_direction
 
-    prim = primitive_direction((0,) * len(dv), dv)
+    prim, _ = primitive_direction((0,) * len(dv), dv)
     axis = 0 if prim[0] != 0 else 1
     length = dv[axis] / prim[axis]
     far = [a for a, c in pres.relation.terms if nov_val(c) > 0]

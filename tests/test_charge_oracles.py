@@ -145,6 +145,9 @@ def test_primitive_q_matches_the_oracle():
     zeros = 0
     for v in vectors:
         got = _outcome(primitive_direction, (0,) * len(v), v)
+        if not isinstance(got, str):
+            got, length = got
+            assert length > 0 and tuple(length * c for c in got) == v, v
         assert got == _outcome(primitive_q_oracle, v), v
         zeros += isinstance(got, str)
     assert zeros >= 20

@@ -72,17 +72,22 @@ def test_structural_invariants_at_construction():
         TropicalDiagram(2, ((Q(0), Q(0)),), (), ((0, (0, 0)),))
 
 
+def _unbounded(diag, face) -> bool:
+    """Does the face's dart orbit run along a ray?"""
+    return any(d >= 2 * len(diag.edges) for d in face)
+
+
 def test_faces_of_c3():
     fc = faces(c3())
     assert len(fc.faces) == 3
-    assert all(not f.bounded for f in fc.faces)
+    assert all(_unbounded(c3(), f) for f in fc.faces)
 
 
 def test_faces_of_conifold():
     fc = faces(conifold())
     assert len(fc.faces) == 4
     # one of the faces spans the two parallel-ish sides but none is bounded
-    assert all(not f.bounded for f in fc.faces)
+    assert all(_unbounded(conifold(), f) for f in fc.faces)
 
 
 def test_dual_subdivision_c3():
@@ -193,18 +198,19 @@ def test_dual_cone_gauge():
     for diag in (c3(), conifold()):
         fc = faces(diag)
         dual = dual_subdivision(diag)
-        for face in fc.faces:
-            alpha = dual.lattice_points[face.id]
+        for f, face in enumerate(fc.faces):
+            alpha = dual.lattice_points[f]
+            recession = {diag.segments[d >> 1][1] for d in face if d >= 2 * len(diag.edges)}
             for ref, (left, right) in dual.edge_duality:
                 other = None
-                if left == face.id:
+                if left == f:
                     other = right
-                elif right == face.id:
+                elif right == f:
                     other = left
                 if other is None:
                     continue
                 w = vsub(dual.lattice_points[other], alpha)
-                for r in face.recession:
+                for r in recession:
                     assert dot(w, r) >= 0
 
 

@@ -6,20 +6,15 @@ of the vertex's dual cell; at a marked point of a d=1 diagram, exactly by
 its two neighbouring faces.
 """
 
-import glob
-import json
-import os
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from helpers import _walk_heights, random_smooth_web
-from tropmirror.charges import build_web, charges_from_json
-from tropmirror.diagram import TropicalDiagram, diagram_from_json
+from helpers import _walk_heights, random_smooth_web, shipped_diagrams
+from tropmirror.diagram import TropicalDiagram
 from tropmirror.lattice import dot
 
-SHIPPED = os.path.join(os.path.dirname(__file__), "..", "diagrams")
 LINES = (
     TropicalDiagram(1, ((Q(0),), (Q(3, 2),), (Q(-2),))),
     TropicalDiagram(1, ((Q(7, 3),), (Q(-1, 5),), (Q(4),), (Q(-9),))),
@@ -27,21 +22,11 @@ LINES = (
 )
 
 
-def _shipped() -> list:
-    out = []
-    for name in sorted(glob.glob(os.path.join(SHIPPED, "*.json"))):
-        with open(name, encoding="utf-8") as fh:
-            data = json.load(fh)
-        out.append(build_web(*charges_from_json(data)).diagram if "charges" in data else diagram_from_json(data))
-    assert len(out) == 5
-    return out
-
-
 @pytest.fixture(scope="module")
 def webs() -> list:
     """The shipped diagrams, three d=1 lines and 300 seeded random smooth webs."""
     rng = random.Random(1)
-    return _shipped() + list(LINES) + [random_smooth_web(rng) for _ in range(300)]
+    return shipped_diagrams() + list(LINES) + [random_smooth_web(rng) for _ in range(300)]
 
 
 def test_heights_match_the_walk_across_the_dual_edges(webs):

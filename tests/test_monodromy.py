@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from helpers import random_smooth_web
-from tropmirror.diagram import EdgeRef, TropicalDiagram, dual_subdivision
+from tropmirror.diagram import DiagramError, EdgeRef, TropicalDiagram, dual_subdivision, edge_direction
 from tropmirror.lattice import vsub
 from tropmirror.monodromy import (
     MonodromyError,
@@ -37,6 +37,41 @@ def test_edge_covector_orthogonal_and_gauge():
     assert edge_covector(diag, EdgeRef("ray", 2)) == (-1, 1)  # ray (-1,-1)
     d1 = TropicalDiagram(1, ((Q(0),),))
     assert edge_covector(d1, EdgeRef("point", 0)) == (1,)
+
+
+# the conifold has edge0 and ray0..ray3; the line has point0..point2
+OUTSIDE = [
+    ("conifold", EdgeRef("edge", -1)),
+    ("conifold", EdgeRef("edge", 1)),
+    ("conifold", EdgeRef("edge", 7)),
+    ("conifold", EdgeRef("ray", -1)),
+    ("conifold", EdgeRef("ray", -4)),
+    ("conifold", EdgeRef("ray", 4)),
+    ("line", EdgeRef("point", -1)),
+    ("line", EdgeRef("point", 3)),
+    ("line", EdgeRef("edge", 0)),
+]
+
+
+@pytest.mark.parametrize("name, ref", OUTSIDE, ids=[f"{name}-{ref}" for name, ref in OUTSIDE])
+def test_edge_refs_outside_the_diagram_are_refused(name, ref):
+    line = TropicalDiagram(1, ((Q(0),), (Q(3, 2),), (Q(-2),)))
+    diag = conifold() if name == "conifold" else line
+    message = f"^{ref} is not an edge of the diagram$"
+    with pytest.raises(MonodromyError, match=message):
+        edge_covector(diag, ref)
+    with pytest.raises(MonodromyError, match=message):
+        loop_monodromy(diag, ((ref, 1),))
+    if diag.dim == 2:
+        with pytest.raises(DiagramError, match=message):
+            edge_direction(diag, ref)
+
+
+def test_point_refs_on_a_web_have_no_direction():
+    for index in (0, -1, 9):
+        ref = EdgeRef("point", index)
+        with pytest.raises(DiagramError, match=f"^{ref} has no direction$"):
+            edge_covector(conifold(), ref)
 
 
 def test_covector_is_dual_edge_difference():
