@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dual", help="dual subdivision, embedding, and edge covectors")
     sp.add_argument("diagram")
     sp.add_argument("--root-face", type=int, default=None)
-    sp.add_argument("--flip-sign", action="store_true")
+    sp.add_argument("--flip-sign", action="store_true", help="reflect the dual points through the origin")
     sp.add_argument("--format", choices=["json", "svg"], default="json")
 
     sp = sub.add_parser("web", help="build a web from a charge matrix and heights")
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base-point", metavar="P", help='rational point "p/q,p/q"')
     sp.add_argument("-E", "--truncation", default="10")
     sp.add_argument("--root-face", type=int, default=None)
-    sp.add_argument("--flip-sign", action="store_true")
+    sp.add_argument("--flip-sign", action="store_true", help="the u -> u^-1 image of the relation, re-rooted")
     sp.add_argument("--raw", action="store_true", help="skip normalization")
 
     sp = sub.add_parser("transport", help="parallel transport a covector along a path")

@@ -12,9 +12,11 @@ plain power of t.
 The mirror algebra is Lambda[u_1^{+-1}, ..., u_{n-1}^{+-1}, x, y] / (x y - g)
 with winding gradings |u_i| = 0, |x| = 1, |y| = -1.  Normalization makes the
 presentation canonical: the distinguished vertex goes to the lattice origin
-and the affine-linear part of f is absorbed into rescalings of the u_i and an
-overall power of t, which also makes the result independent of the base
-point.
+and f becomes the heights seen from the web vertex whose dual cell is the
+chosen cell at the root.  The faces of that cell tie there, so the normal form
+is 0 on the cell and positive elsewhere; the change is affine-linear in the
+exponent, absorbed into rescalings of the u_i and an overall power of t, which
+also makes the result independent of the base point.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .charges import regular_subdivision
 from .diagram import TropicalDiagram
-from .dual import dual_subdivision, face_heights
-from .lattice import MALFORMED, Vec, coords_from_json, malformed, read_int, vsub
+from .dual import DualSubdivision, dual_subdivision, face_heights
+from .lattice import MALFORMED, QPoint, Vec, coords_from_json, dot, malformed, read_int, vsub
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -110,6 +111,9 @@ class Superpotential:
     terms: tuple[tuple[Vec, NovikovElement], ...]  # (dual vertex, coefficient)
     root: Vec
     truncation: Fraction
+    # what normalization subtracts per unit of alpha - root: sign * (b - x_v)
+    # for base point b and the root cell's web vertex x_v (not in the JSON)
+    slope: tuple[Fraction, ...]
 
     @cached_property
     def _by_vertex(self) -> dict[Vec, NovikovElement]:
@@ -156,9 +160,9 @@ def superpotential(
     if truncation <= 0:
         raise MirrorError("truncation must be positive")
     dual = dual_subdivision(diag, root_face=root_face, sign=sign)
-    # the sign gauge reflects the dual points and so negates every height;
-    # pinning the root face adds a constant, which cancels in h - min h
-    heights = {f: sign * h for f, h in face_heights(diag, base).items()}
+    # the gauge moves only the dual points; pinning the root face adds a
+    # constant to the heights, which cancels in h - min h
+    heights = face_heights(diag, base)
     fmin = min(heights.values())
     corrections = corrections or CorrectionMap(())
     known = set(dual.lattice_points)
@@ -172,7 +176,26 @@ def superpotential(
         terms.append((alpha, coeff))
     terms.sort(key=lambda item: _term_sort_key(item[0]))
     root = dual.lattice_points[dual.root_face]
-    return Superpotential(diag.dim, tuple(terms), root, truncation)
+    base = (Q(0),) * diag.dim if base is None else tuple(Q(c) for c in base)
+    slope = tuple(sign * (b - x) for b, x in zip(base, _root_cell_vertex(diag, dual)))
+    return Superpotential(diag.dim, tuple(terms), root, truncation, slope)
+
+
+def _root_cell_vertex(diag: TropicalDiagram, dual: DualSubdivision) -> QPoint:
+    """The web vertex dual to the lex-least cell at the root, its points in term order.
+
+    The cells are the dual triangles in dimension 2 and, in dimension 1, the
+    face pair on either side of each marked point.
+    """
+    if diag.dim == 1:
+        cells = [(ref.index, pair) for ref, pair in dual.edge_duality]
+    else:
+        cells = list(enumerate(dual.triangles))
+    points = dual.lattice_points
+    _, v = min(
+        (sorted((points[f] for f in cell), key=_term_sort_key), v) for v, cell in cells if dual.root_face in cell
+    )
+    return diag.vertices[v]
 
 
 @frozen
@@ -223,61 +246,29 @@ def winding_degree(pres: MirrorPresentation, word: Sequence[tuple[str, int]]) ->
 # --- normalization -----------------------------------------------------------
 
 
-def _affine_on_root_cell(support, vals, root_index, dim):
-    """The affine function interpolating vals on the lex-least hull cell at the root.
-
-    In dimension 1 the support is sorted, and the cells at the root are read
-    off the slopes from it: the root is on the lower hull iff the steepest
-    slope to a point on its left is at most the shallowest slope to a point
-    on its right, and the lex-least cell is the left one whenever the root
-    has a left neighbour.
-    """
-    if dim == 1:
-        (x0,), v0 = support[root_index], vals[root_index]
-        left = [(v - v0) / (x - x0) for (x,), v in zip(support, vals) if x < x0]
-        right = [(v - v0) / (x - x0) for (x,), v in zip(support, vals) if x > x0]
-        if not (left or right) or (left and right and max(left) > min(right)):
-            raise MirrorError("root vertex is not on the lower hull")
-        slope = max(left) if left else min(right)
-        return lambda a: v0 + slope * (a[0] - x0)
-    containing = [c for c in regular_subdivision(support, vals).cells if root_index in c.indices]
-    if not containing:
-        raise MirrorError("root vertex is not on the lower hull")
-    cell = min(containing, key=lambda c: tuple(support[i] for i in c.indices))
-    (sx, sy), c0 = cell.gradient, cell.constant
-    return lambda a: sx * a[0] + sy * a[1] + c0
-
-
 def normalize_presentation(pres: MirrorPresentation) -> MirrorPresentation:
-    """Canonical form: root vertex at the origin, affine part of f absorbed.
+    """Canonical form: root vertex at the origin, heights seen from the root cell's vertex.
 
-    Shifting the support moves the root to 0; subtracting the affine function
-    that interpolates the t-exponents on the hull cell at the root rescales
-    the u_i and the overall power of t.  The result is idempotent and
+    Shifting the support moves the root to 0; subtracting the root's
+    t-exponent and the pairing of alpha with the relation's slope rescales
+    the overall power of t and the u_i.  The result is idempotent and
     independent of the base point used to build the superpotential.
     """
     g = pres.relation
-    shift = g.root
-    support = [vsub(a, shift) for a, _ in g.terms]
-    coeffs = [c for _, c in g.terms]
-    vals = []
-    for c in coeffs:
-        v = nov_val(c)
-        if v is None:
-            raise MirrorError("superpotential coefficient vanished")
-        vals.append(v)
-    root_index = support.index(tuple(0 for _ in range(g.dim)))
-    ell = _affine_on_root_cell(support, vals, root_index, g.dim)
+    zero = (0,) * g.dim
+    support = [vsub(a, g.root) for a, _ in g.terms]
+    vals = [nov_val(c) for _, c in g.terms]
+    if None in vals:
+        raise MirrorError("superpotential coefficient vanished")
+    v0 = vals[support.index(zero)]
     new_terms = []
-    for alpha, c in zip(support, coeffs):
-        delta = ell(alpha)
-        new_terms.append((alpha, nov_shift(-delta, c)))
-    for alpha, c in new_terms:
-        v = nov_val(c)
-        if v is None or v < 0:
+    for alpha, (_, c), v in zip(support, g.terms, vals):
+        delta = v0 + dot(alpha, g.slope)
+        if v < delta:
             raise MirrorError("normalization produced a negative valuation")
+        new_terms.append((alpha, nov_shift(-delta, c)))
     new_terms.sort(key=lambda item: _term_sort_key(item[0]))
-    new_g = Superpotential(g.dim, tuple(new_terms), tuple(0 for _ in range(g.dim)), g.truncation)
+    new_g = Superpotential(g.dim, tuple(new_terms), zero, g.truncation, zero)
     return replace(pres, relation=new_g)
 
 

@@ -82,7 +82,8 @@ from tropmirror.novikov import (
     nov_truncate,
     nov_val,
 )
-from tropmirror.record import frozen
+from tropmirror.mirror import MirrorError, MirrorPresentation, Superpotential, _term_sort_key
+from tropmirror.record import frozen, replace
 
 Q = Fraction
 
@@ -212,6 +213,40 @@ def random_smooth_web(rng: random.Random, max_points: int = 12) -> TropicalDiagr
             continue
         if validate(web).ok and is_smooth(web):
             return web
+
+
+def charge_ladder_webs(seed: int) -> list[TropicalDiagram]:
+    """Local P^2 of degree 2-5 and five lattice rectangles, built from their charges.
+
+    Each charge row is the affine relation (1-x-y, x, y, -1) of one lattice
+    point against the corner (0,0), (1,0), (0,1).  The heights are a strictly
+    convex quadratic (with an xy tilt on the rectangles, so no unit square is
+    cocircular) plus a seeded perturbation of about 1e-8 that leaves the
+    triangulation alone.
+    """
+    rng = random.Random(seed)
+    tilt = Q(5 * 10**6, 10**14 + 31)
+    family = [
+        ([(x, y) for x in range(k + 1) for y in range(k + 1 - x)], lambda x, y: Q(x * x + x * y + y * y))
+        for k in range(2, 6)
+    ] + [
+        ([(x, y) for x in range(w + 1) for y in range(h + 1)], lambda x, y: x * x + y * y + tilt * x * y)
+        for w, h in ((4, 1), (3, 2), (4, 2), (1, 4), (2, 3))
+    ]
+    webs = []
+    for points, quadratic in family:
+        corner = [(0, 0), (1, 0), (0, 1)]
+        order = corner + sorted(p for p in points if p not in corner)
+        rows = []
+        for i, (x, y) in enumerate(order[3:], 3):
+            row = [1 - x - y, x, y] + [0] * (len(order) - 3)
+            row[i] = -1
+            rows.append(tuple(row))
+        heights = [
+            quadratic(x, y) + Q(rng.choice((-1, 1)) * rng.randint(5 * 10**5, 10**6), 10**14 + 31) for x, y in order
+        ]
+        webs.append(build_web(ChargeMatrix(tuple(rows), len(order)), heights).diagram)
+    return webs
 
 
 def shipped_diagrams() -> list[TropicalDiagram]:
@@ -606,6 +641,72 @@ def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
     if len(heights) != len(dual.lattice_points):
         raise DiagramError("dual graph is not connected")
     return tuple(heights[f] for f in range(len(heights)))
+
+
+# --- the replaced normalization, as an oracle ---------------------------------
+#
+# normalize_presentation as it was when it ran the lower hull of the support
+# and its t-exponents a second time, to find the cell at the root.  The only
+# change is the zero slope of the result, which the record now carries.
+
+
+def _affine_on_root_cell(support, vals, root_index, dim):
+    """The affine function interpolating vals on the lex-least hull cell at the root.
+
+    In dimension 1 the support is sorted, and the cells at the root are read
+    off the slopes from it: the root is on the lower hull iff the steepest
+    slope to a point on its left is at most the shallowest slope to a point
+    on its right, and the lex-least cell is the left one whenever the root
+    has a left neighbour.
+    """
+    if dim == 1:
+        (x0,), v0 = support[root_index], vals[root_index]
+        left = [(v - v0) / (x - x0) for (x,), v in zip(support, vals) if x < x0]
+        right = [(v - v0) / (x - x0) for (x,), v in zip(support, vals) if x > x0]
+        if not (left or right) or (left and right and max(left) > min(right)):
+            raise MirrorError("root vertex is not on the lower hull")
+        slope = max(left) if left else min(right)
+        return lambda a: v0 + slope * (a[0] - x0)
+    containing = [c for c in regular_subdivision(support, vals).cells if root_index in c.indices]
+    if not containing:
+        raise MirrorError("root vertex is not on the lower hull")
+    cell = min(containing, key=lambda c: tuple(support[i] for i in c.indices))
+    (sx, sy), c0 = cell.gradient, cell.constant
+    return lambda a: sx * a[0] + sy * a[1] + c0
+
+
+def normalize_oracle(pres: MirrorPresentation) -> MirrorPresentation:
+    """Canonical form: root vertex at the origin, affine part of f absorbed.
+
+    Shifting the support moves the root to 0; subtracting the affine function
+    that interpolates the t-exponents on the hull cell at the root rescales
+    the u_i and the overall power of t.  The result is idempotent and
+    independent of the base point used to build the superpotential.
+    """
+    g = pres.relation
+    shift = g.root
+    support = [vsub(a, shift) for a, _ in g.terms]
+    coeffs = [c for _, c in g.terms]
+    vals = []
+    for c in coeffs:
+        v = nov_val(c)
+        if v is None:
+            raise MirrorError("superpotential coefficient vanished")
+        vals.append(v)
+    root_index = support.index(tuple(0 for _ in range(g.dim)))
+    ell = _affine_on_root_cell(support, vals, root_index, g.dim)
+    new_terms = []
+    for alpha, c in zip(support, coeffs):
+        delta = ell(alpha)
+        new_terms.append((alpha, nov_shift(-delta, c)))
+    for alpha, c in new_terms:
+        v = nov_val(c)
+        if v is None or v < 0:
+            raise MirrorError("normalization produced a negative valuation")
+    new_terms.sort(key=lambda item: _term_sort_key(item[0]))
+    zero = tuple(0 for _ in range(g.dim))
+    new_g = Superpotential(g.dim, tuple(new_terms), zero, g.truncation, zero)
+    return replace(pres, relation=new_g)
 
 
 # --- the replaced Novikov kernels and series accumulation, as oracles -------

@@ -9,7 +9,11 @@ the dual points move by M^-T up to a translation, for either determinant
 (the rotation by -90 degrees that turns an edge direction into its dual edge
 conjugates M to det(M) M^-T, and the reversal swaps the sides of every edge),
 and the t-exponents change by an affine function of the exponent, because
-the corner locus of min h(F) + <alpha_F, x> is moved by x -> Mx + t.
+the corner locus of min h(F) + <alpha_F, x> is moved by x -> Mx + t.  Seen
+from corresponding base points, x and Mx + t, the t-exponents are equal face
+by face, which makes the normal form (the relation seen from a web vertex)
+covariant.  Transport commutes with the map: covectors move by M^-T on their
+first two entries and keep the last.
 """
 
 import itertools
@@ -19,6 +23,7 @@ import random
 from fractions import Fraction as Q
 
 from helpers import apply_matrix, random_smooth_web, random_unimodular
+from tropmirror.affine import build_cut_presentation, transport_covector
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.diagram import TropicalDiagram, is_smooth, validate
 from tropmirror.lattice import cross2, vadd, vsub
@@ -75,9 +80,9 @@ def _is_affine(points, values) -> bool:
     return all(v0 + grad[0] * (p[0] - p0[0]) + grad[1] * (p[1] - p0[1]) == v for p, v in zip(points, values))
 
 
-def _exponents(diag: TropicalDiagram, normalized: bool) -> list:
+def _exponents(diag: TropicalDiagram, normalized: bool, base=None) -> list:
     """The t-exponent of each face's dual point, raw or normalized."""
-    pres = presentation(diag)
+    pres = presentation(diag, base)
     if normalized:
         pres = normalize_presentation(pres)
     by_alpha = {alpha: nov_val(c) for alpha, c in pres.relation.terms}
@@ -99,20 +104,64 @@ def _check(web: TropicalDiagram, m, t) -> TropicalDiagram:
         raw, mapped = _exponents(web, normalized), _exponents(image, normalized)
         diff = [mapped[phi[f]] - raw[f] for f in range(len(points))]
         assert _is_affine(list(points), diff)
+    for x in web.vertices:
+        raw, mapped = _exponents(web, False, x), _exponents(image, False, vadd(apply_matrix(m, x), t))
+        assert [mapped[phi[f]] for f in range(len(points))] == raw
     return image
+
+
+def _random_translation(rng: random.Random):
+    return Q(rng.randint(-9, 9), rng.randint(1, 5)), Q(rng.randint(-9, 9), rng.randint(1, 5))
 
 
 def test_unimodular_maps_of_random_webs():
     dets = []
+    vertices = 0
     for seed in (5, 7):
         rng = random.Random(seed)
         for _ in range(60):
             web = random_smooth_web(rng)
             m = random_unimodular(rng)
-            t = (Q(rng.randint(-9, 9), rng.randint(1, 5)), Q(rng.randint(-9, 9), rng.randint(1, 5)))
-            _check(web, m, t)
+            _check(web, m, _random_translation(rng))
             dets.append(_det(m))
+            vertices += len(web.vertices)
     assert dets.count(-1) >= 20 and dets.count(1) >= 20
+    assert vertices >= 1000
+
+
+def test_transport_commutes_with_the_map():
+    # open and closed generic polylines, half of the webs with raised cut
+    # heights; the path moves by x -> Mx + t and keeps its last coordinate
+    rng = random.Random(1507)
+    checks = changed = 0
+    for i in range(40):
+        web = random_smooth_web(rng)
+        m = random_unimodular(rng)
+        if _det(m) != (1 if i % 2 else -1):
+            m = [m[1], m[0]]
+        t = _random_translation(rng)
+        image = _image(web, m, t)
+        tau = {ref: Q(rng.randint(0, 40), 17) for ref in web.edge_refs()} if i % 4 >= 2 else None
+        pres, image_pres = build_cut_presentation(web, tau), build_cut_presentation(image, tau)
+        xs = [c for v in web.vertices for c in v]
+        lo, hi = int(min(xs)) - 2, int(max(xs)) + 2
+        mt = _inverse_transpose(m)
+        for k in range(8):
+            path = [
+                (Q(rng.randint(997 * lo, 997 * hi), 997), Q(rng.randint(997 * lo, 997 * hi), 997),
+                 Q(rng.randint(-3000, 6000), 991))
+                for _ in range(rng.randint(2, 5))
+            ]
+            if k % 2:
+                path.append(path[0])
+            image_path = [vadd(apply_matrix(m, p[:2]), t) + p[2:] for p in path]
+            for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                r = transport_covector(pres, path, g)
+                moved = transport_covector(image_pres, image_path, apply_matrix(mt, g) + g[2:])
+                assert moved == apply_matrix(mt, r) + r[2:]
+                checks += 1
+                changed += r != g
+    assert checks == 960 and changed >= 100, changed
 
 
 def test_a_reflection_maps_dual_points_by_the_inverse_transpose_not_its_negative():

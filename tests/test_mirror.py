@@ -1,16 +1,24 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from helpers import _lower_hull_cells_1d, interior_point_near_vertex, random_smooth_web
+from helpers import (
+    _affine_on_root_cell,
+    _lower_hull_cells_1d,
+    charge_ladder_webs,
+    interior_point_near_vertex,
+    normalize_oracle,
+    random_smooth_web,
+    shipped_diagrams,
+)
 from tropmirror.charges import ChargeMatrix, build_web, regular_subdivision
 from tropmirror.diagram import TropicalDiagram, dual_subdivision
 from tropmirror.lattice import vsub
 from tropmirror.mirror import (
     CorrectionMap,
     MirrorError,
-    _affine_on_root_cell,
     face_distance,
     normalize_presentation,
     presentation,
@@ -268,3 +276,20 @@ def test_slope_rule_matches_the_monotone_scan_hull():
     refusals = sum(isinstance(o, str) for o in outcomes)
     assert refusals >= 40 and len(outcomes) - refusals >= 200
     assert "root vertex is not on the lower hull" in outcomes
+
+
+def test_normalization_matches_the_hull_oracle():
+    # the relation seen from the root cell's web vertex is the one the second
+    # lower hull of the support and its t-exponents gave, in every gauge
+    rng = random.Random(1505)
+    webs = shipped_diagrams() + [TropicalDiagram(1, ((Q(0),), (Q(3, 2),), (Q(-2),)))]
+    webs += [random_smooth_web(rng) for _ in range(150)]
+    webs += charge_ladder_webs(1) + charge_ladder_webs(2)
+    cases = 0
+    for web in webs:
+        last = len(web.dual.lattice_points) - 1
+        for sign, root, base in itertools.product((1, -1), (None, 0, last), (None, (Q(2, 7),) * web.dim)):
+            raw = presentation(web, base, root_face=root, sign=sign)
+            assert normalize_presentation(raw) == normalize_oracle(raw)
+            cases += 1
+    assert cases == 2088

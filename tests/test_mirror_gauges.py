@@ -10,11 +10,12 @@ from fractions import Fraction as Q
 import pytest
 
 import tropmirror.diagram
-from helpers import edge_sample_points, random_smooth_web
+from helpers import _lower_hull_cells_1d, edge_sample_points, random_smooth_web, shipped_diagrams
+from tropmirror.charges import build_web, charges_from_json, regular_subdivision
 from tropmirror.cli import run
-from tropmirror.diagram import dual_subdivision
+from tropmirror.diagram import TropicalDiagram, dual_subdivision
 from tropmirror.lattice import dot, vsub
-from tropmirror.mirror import presentation, superpotential
+from tropmirror.mirror import normalize_presentation, presentation, relation_text, superpotential
 from tropmirror.novikov import nov_val
 from tropmirror.record import replace
 
@@ -33,7 +34,7 @@ MIRROR_DIGESTS = {
     "c3.json --flip-sign": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
     "c3.json --flip-sign --raw": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
     "c3.json --flip-sign --base-point=1/3,-5/7": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
-    "c3.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "268bc2a00ef0dbde55dbd3f695c398b6f26d34dea60004a3f962b05d80eeeeac"),
+    "c3.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "d3c86cc6971c993cc4361bf5d90d483e212f711b66040e2e2e5205b11f54490e"),
     "c3.json --root-face 0": (0, "9690752d1b279d68095f0bb42b06ef9d7d6bb1873bd1e174c9eb7ea9b9cb5ff9"),
     "c3.json --root-face 0 --raw": (0, "9690752d1b279d68095f0bb42b06ef9d7d6bb1873bd1e174c9eb7ea9b9cb5ff9"),
     "c3.json --root-face 0 --base-point=1/3,-5/7": (0, "9690752d1b279d68095f0bb42b06ef9d7d6bb1873bd1e174c9eb7ea9b9cb5ff9"),
@@ -41,23 +42,23 @@ MIRROR_DIGESTS = {
     "c3.json --root-face 2 --flip-sign": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
     "c3.json --root-face 2 --flip-sign --raw": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
     "c3.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "fa1e278043ea2f871398cbf6e47f38455eef35f937b7d3c840a81289ec875a24"),
-    "c3.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "268bc2a00ef0dbde55dbd3f695c398b6f26d34dea60004a3f962b05d80eeeeac"),
+    "c3.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "d3c86cc6971c993cc4361bf5d90d483e212f711b66040e2e2e5205b11f54490e"),
     "conifold.json": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
     "conifold.json --raw": (0, "ab6254dd4c8b6d06799aa3f8400a67ab9667617f02b75bb8537d4a2c73946274"),
     "conifold.json --base-point=1/3,-5/7": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
     "conifold.json --base-point=1/3,-5/7 --raw": (0, "b1203d4e5e12238829d2b0a336998248db359d6b29355224382c1db9e393f49c"),
-    "conifold.json --flip-sign": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
-    "conifold.json --flip-sign --raw": (0, "baa13fb685a98acc32157b8208c1760f82d64619e735bd239bd8281dc392b5e7"),
-    "conifold.json --flip-sign --base-point=1/3,-5/7": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
-    "conifold.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "7f458ee77df9aa8a361919b58f659fac07b76f6a3457377e8d2c213f6301af44"),
+    "conifold.json --flip-sign": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --flip-sign --raw": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --flip-sign --base-point=1/3,-5/7": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "1fefa008e38620f4ee7f348e938332044488b6f555782db5f00912fb402f08d9"),
     "conifold.json --root-face 0": (0, "b7c27561eef9f17b76db8cab55f1c3781dec439637774ffa3cc1a80e42af4c46"),
     "conifold.json --root-face 0 --raw": (0, "1e89132d1b63f0d32300bc4508302cf37e1902baacc3c50984866d0468f958e2"),
     "conifold.json --root-face 0 --base-point=1/3,-5/7": (0, "b7c27561eef9f17b76db8cab55f1c3781dec439637774ffa3cc1a80e42af4c46"),
     "conifold.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "761f26e4ca20c9a07f0c6afd1faf99e26d6aac939e4a23e40fdca6142bba52f5"),
-    "conifold.json --root-face 2 --flip-sign": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
-    "conifold.json --root-face 2 --flip-sign --raw": (0, "baa13fb685a98acc32157b8208c1760f82d64619e735bd239bd8281dc392b5e7"),
-    "conifold.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "cde3b07ae0f1b16c9af00b7d4c98031659150c8696ae94f20fbf70d33cec58d1"),
-    "conifold.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "7f458ee77df9aa8a361919b58f659fac07b76f6a3457377e8d2c213f6301af44"),
+    "conifold.json --root-face 2 --flip-sign": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --root-face 2 --flip-sign --raw": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "dcc3d43e2f4cee900225e8fac7724216416c5cf5149b35cd4668a466efd4ce68"),
+    "conifold.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "1fefa008e38620f4ee7f348e938332044488b6f555782db5f00912fb402f08d9"),
     "focus_focus.json": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
     "focus_focus.json --raw": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
     "focus_focus.json --base-point=-5/7": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
@@ -65,7 +66,7 @@ MIRROR_DIGESTS = {
     "focus_focus.json --flip-sign": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
     "focus_focus.json --flip-sign --raw": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
     "focus_focus.json --flip-sign --base-point=-5/7": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
-    "focus_focus.json --flip-sign --base-point=-5/7 --raw": (0, "b547155a5d07b7defb4b764d0597826233e0d2feb3b36ae4a409c8ec9a3efd68"),
+    "focus_focus.json --flip-sign --base-point=-5/7 --raw": (0, "c0c350823c42a71cd9d6ef5d2412031efee5f214d767924d52c09496ab814e96"),
     "focus_focus.json --root-face 0": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
     "focus_focus.json --root-face 0 --raw": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
     "focus_focus.json --root-face 0 --base-point=-5/7": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
@@ -78,50 +79,50 @@ MIRROR_DIGESTS = {
     "kp1p1.json --raw": (0, "975890972673e81498cc1832cea50f4c0303eeec8842ea0ba9fffde52ae79b32"),
     "kp1p1.json --base-point=1/3,-5/7": (0, "d78d7fa406125c88abbf0597d28fa44487db5de9a0e0ccc0bc838bdbe68075e6"),
     "kp1p1.json --base-point=1/3,-5/7 --raw": (0, "a0029b9b17bc53106adda87c3583d7966e5abb1b44d08312363822cd357e2a05"),
-    "kp1p1.json --flip-sign": (0, "bcc1859251298660a8457ca15fe60b6eb0b777d52ff097283b6f21fdd1703491"),
-    "kp1p1.json --flip-sign --raw": (0, "bcc1859251298660a8457ca15fe60b6eb0b777d52ff097283b6f21fdd1703491"),
-    "kp1p1.json --flip-sign --base-point=1/3,-5/7": (0, "bcc1859251298660a8457ca15fe60b6eb0b777d52ff097283b6f21fdd1703491"),
-    "kp1p1.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "1ab1d6e94be4567651e0c58b5f34120cc68c5d2d11ca426de91a19b858897ed7"),
+    "kp1p1.json --flip-sign": (0, "d78d7fa406125c88abbf0597d28fa44487db5de9a0e0ccc0bc838bdbe68075e6"),
+    "kp1p1.json --flip-sign --raw": (0, "975890972673e81498cc1832cea50f4c0303eeec8842ea0ba9fffde52ae79b32"),
+    "kp1p1.json --flip-sign --base-point=1/3,-5/7": (0, "d78d7fa406125c88abbf0597d28fa44487db5de9a0e0ccc0bc838bdbe68075e6"),
+    "kp1p1.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "db87da6c8f46c9ce2444215d6ae07b694e6e6b49c6d2f78744d16265d9497245"),
     "kp1p1.json --root-face 0": (0, "1484ec1b2671ac3eaba9355e22d5bb6eb62c7edd55eef7941d8ddf9bbfa85ace"),
     "kp1p1.json --root-face 0 --raw": (0, "17b32afd175b991adcacd86d407e1609470d12de989aeaebd593c6a713ba1d77"),
     "kp1p1.json --root-face 0 --base-point=1/3,-5/7": (0, "1484ec1b2671ac3eaba9355e22d5bb6eb62c7edd55eef7941d8ddf9bbfa85ace"),
     "kp1p1.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "be72ecc0eb3a4a488d52b36e37d9027be984d137e87eb4bb17bf68d0d8aedd7c"),
-    "kp1p1.json --root-face 2 --flip-sign": (0, "d0c288b6b573da06719145888ef405209d424260d693bff3b9e0edaf1566122f"),
-    "kp1p1.json --root-face 2 --flip-sign --raw": (0, "d0c288b6b573da06719145888ef405209d424260d693bff3b9e0edaf1566122f"),
-    "kp1p1.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "d0c288b6b573da06719145888ef405209d424260d693bff3b9e0edaf1566122f"),
-    "kp1p1.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "0cdf13fc9a61b3cf201ebffe217b9e8739a7b7779b2928bdbfbe158daa34b91c"),
+    "kp1p1.json --root-face 2 --flip-sign": (0, "1484ec1b2671ac3eaba9355e22d5bb6eb62c7edd55eef7941d8ddf9bbfa85ace"),
+    "kp1p1.json --root-face 2 --flip-sign --raw": (0, "17b32afd175b991adcacd86d407e1609470d12de989aeaebd593c6a713ba1d77"),
+    "kp1p1.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "1484ec1b2671ac3eaba9355e22d5bb6eb62c7edd55eef7941d8ddf9bbfa85ace"),
+    "kp1p1.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "0d86544c063d60651a895b2f3628d5931fed2caf77f683705eff139a0a56bf01"),
     "kp2.json": (0, "e8cd10ad60b190f82e07f696f7505aed053a5d1ff7a2a2558e17a5f5ee43ad2c"),
     "kp2.json --raw": (0, "b9321b003ef3575feab9901265969b552b0f342a1347391663a3bc284d43d6bf"),
     "kp2.json --base-point=1/3,-5/7": (0, "e8cd10ad60b190f82e07f696f7505aed053a5d1ff7a2a2558e17a5f5ee43ad2c"),
     "kp2.json --base-point=1/3,-5/7 --raw": (0, "f4716b4f6a8cee787b3f31d58f76cd230ca1a3c3c8cdae16d97f102cd2de3251"),
-    "kp2.json --flip-sign": (0, "c4bae6debdd160464adfef1d828b46ce8673364eb559d465dd07a9eb9ed0b9b6"),
-    "kp2.json --flip-sign --raw": (0, "c4bae6debdd160464adfef1d828b46ce8673364eb559d465dd07a9eb9ed0b9b6"),
-    "kp2.json --flip-sign --base-point=1/3,-5/7": (0, "c4bae6debdd160464adfef1d828b46ce8673364eb559d465dd07a9eb9ed0b9b6"),
-    "kp2.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "d3b7548ac6774cf7aaaa867b38537a521a577ceb02addf4edc7df14d61533a48"),
+    "kp2.json --flip-sign": (0, "1da40a88027a2cb716211aff4e8daba5dfdd98706c7fcb3ea344faf1f2a12b4b"),
+    "kp2.json --flip-sign --raw": (0, "b80ea9a3c080d1e396069c8b47d21ba8d14be709b84643204964aa93865d3f96"),
+    "kp2.json --flip-sign --base-point=1/3,-5/7": (0, "1da40a88027a2cb716211aff4e8daba5dfdd98706c7fcb3ea344faf1f2a12b4b"),
+    "kp2.json --flip-sign --base-point=1/3,-5/7 --raw": (0, "2ac53834979c1063d8d5e66646b7f9ddd9bd791c52476ede6762c9f2a1e5b709"),
     "kp2.json --root-face 0": (0, "228f82fd6c7b1ff1d87c100dbba1faf8df69879871a5cbe8ebeaee3b961899b7"),
     "kp2.json --root-face 0 --raw": (0, "6c82efca2341720e33fc8e1eb746f126001eaaf734f77af11a65d7464847b5c3"),
     "kp2.json --root-face 0 --base-point=1/3,-5/7": (0, "228f82fd6c7b1ff1d87c100dbba1faf8df69879871a5cbe8ebeaee3b961899b7"),
     "kp2.json --root-face 0 --base-point=1/3,-5/7 --raw": (0, "6db0518ebe2d896a1637567f97981355871ff964ae21446072eb8136390c9523"),
-    "kp2.json --root-face 2 --flip-sign": (0, "257cd5d664c9c76bf61d3ae7a38d37bf8cdc03a3cce022729da034b32dcbea6c"),
-    "kp2.json --root-face 2 --flip-sign --raw": (0, "257cd5d664c9c76bf61d3ae7a38d37bf8cdc03a3cce022729da034b32dcbea6c"),
-    "kp2.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "257cd5d664c9c76bf61d3ae7a38d37bf8cdc03a3cce022729da034b32dcbea6c"),
-    "kp2.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "3675839eb60747dc50eeb7e805e973e7a14cabc90d6e72e105ad2524ab93d81f"),
+    "kp2.json --root-face 2 --flip-sign": (0, "9c711e179bf72eafec6c9c578f6c9fabd5d66f56599b2665efba4e9178195bbd"),
+    "kp2.json --root-face 2 --flip-sign --raw": (0, "a7f39dd0d9a083b8b91b678ba6fc757af4a0461bf7cbeec93ad810cbff0c93bd"),
+    "kp2.json --root-face 2 --flip-sign --base-point=1/3,-5/7": (0, "9c711e179bf72eafec6c9c578f6c9fabd5d66f56599b2665efba4e9178195bbd"),
+    "kp2.json --root-face 2 --flip-sign --base-point=1/3,-5/7 --raw": (0, "a007a1183c11a8802112e86a2858ebe1f8837e9af3a4d6e3f8eb6dcd5e0b4d98"),
     "line.json": (0, "dfb7a0535a81e66762c818ae934c00dd54c43bebf1cb1840f9740ac8aace4699"),
     "line.json --raw": (0, "ca2ce17121203f08cc73c8023b5dff6f9d758d3e329a8c4a845f44dcf15a989b"),
     "line.json --base-point=-5/7": (0, "dfb7a0535a81e66762c818ae934c00dd54c43bebf1cb1840f9740ac8aace4699"),
     "line.json --base-point=-5/7 --raw": (0, "4e7f9cca72f967ecf7b48b1470652c49cbc2d36ea6a70af845457d1030580523"),
-    "line.json --flip-sign": (0, "48f92f0e27abf5693f2d08fa38ed56eff64349f330dd3f6c1780f7d29c5c788b"),
-    "line.json --flip-sign --raw": (0, "0527a54bdea0d41a577adcbab71c5277895514d71826086c9f7410b5311abea8"),
-    "line.json --flip-sign --base-point=-5/7": (0, "48f92f0e27abf5693f2d08fa38ed56eff64349f330dd3f6c1780f7d29c5c788b"),
-    "line.json --flip-sign --base-point=-5/7 --raw": (0, "2cbea68c3c952b571715b4f85ee31424498ef7d2ef58fcaf796d3c60b68d699b"),
+    "line.json --flip-sign": (0, "15ada71e076cf54ad12c134260e31c64b9b755a2e148a672ed4f7dd76729bef7"),
+    "line.json --flip-sign --raw": (0, "756e03eef77b0a102ba64662668b334253e43299600f3f73a4dc20d7a823d7f6"),
+    "line.json --flip-sign --base-point=-5/7": (0, "15ada71e076cf54ad12c134260e31c64b9b755a2e148a672ed4f7dd76729bef7"),
+    "line.json --flip-sign --base-point=-5/7 --raw": (0, "c96df5c638f68391e48d8cb9ce4a5e35b19bcc18fa69fda001e5674b09c4f9b7"),
     "line.json --root-face 0": (0, "435767588909484632bcc25cea8c1174448b1514e5c874d5556120f7268d8736"),
     "line.json --root-face 0 --raw": (0, "c1c2934f843acbe19b2ef09589d1d2083a2c33d6b2df5d9705f1ca03951cecdc"),
     "line.json --root-face 0 --base-point=-5/7": (0, "435767588909484632bcc25cea8c1174448b1514e5c874d5556120f7268d8736"),
     "line.json --root-face 0 --base-point=-5/7 --raw": (0, "366a9758bf7d4f28906f524ab350e87df360e20b11456411ad200d218521a0f4"),
-    "line.json --root-face 2 --flip-sign": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "line.json --root-face 2 --flip-sign --raw": (0, "38d324c1e53f5b53e8ba6d4bf50148a6f2d11b46ee76ef501573425b66ff649b"),
-    "line.json --root-face 2 --flip-sign --base-point=-5/7": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "line.json --root-face 2 --flip-sign --base-point=-5/7 --raw": (0, "2011b1688a3443373f3cd8dc694492be52769990f2c933d1d055e741252fa14a"),
+    "line.json --root-face 2 --flip-sign": (0, "1fb92e8e0798e849e91fcaefd32e666710756bbcccfd525d71fdfeda7d1d4de3"),
+    "line.json --root-face 2 --flip-sign --raw": (0, "1fb92e8e0798e849e91fcaefd32e666710756bbcccfd525d71fdfeda7d1d4de3"),
+    "line.json --root-face 2 --flip-sign --base-point=-5/7": (0, "1fb92e8e0798e849e91fcaefd32e666710756bbcccfd525d71fdfeda7d1d4de3"),
+    "line.json --root-face 2 --flip-sign --base-point=-5/7 --raw": (0, "34bddefd79beb61ba3190a48feff8ac2076448784aead5c2d3b4f64f3073ab2c"),
 }
 
 
@@ -208,7 +209,9 @@ def test_dual_output_is_pinned(capsys, name, gauge, fmt):
 
 def test_raw_exponents_follow_the_edges_in_every_gauge():
     # min exponent 0, and across each dual edge the exponent drop is the
-    # pairing of the gauged dual edge with any point of the diagram edge
+    # pairing of the dual edge with any point of the diagram edge: the gauge
+    # reflects the dual points, not the heights, so the gauged edge pairs
+    # with the sign
     rng = random.Random(4242)
     for _ in range(20):
         web = random_smooth_web(rng)
@@ -224,7 +227,7 @@ def test_raw_exponents_follow_the_edges_in_every_gauge():
             for ref, (left, right) in dual.edge_duality:
                 a_left, a_right = dual.lattice_points[left], dual.lattice_points[right]
                 for p in edge_sample_points(web, ref):
-                    assert exps[a_left] - exps[a_right] == dot(vsub(a_right, a_left), vsub(p, base))
+                    assert exps[a_left] - exps[a_right] == sign * dot(vsub(a_right, a_left), vsub(p, base))
 
 
 def test_presentations_share_one_face_walk(monkeypatch):
@@ -248,3 +251,64 @@ def test_presentations_share_one_face_walk(monkeypatch):
         root = rng.choice((None, rng.randrange(nfaces)))
         presentation(web, base=base, root_face=root, sign=rng.choice((1, -1)))
     assert len(calls) == 1 and calls[0] is web
+
+
+def _gauge_cases():
+    """(web, root face, base point) over the shipped diagrams, LINE and seeded smooth webs."""
+    rng = random.Random(1506)
+    webs = shipped_diagrams() + [TropicalDiagram(1, tuple((Q(c),) for (c,) in LINE["vertices"]))]
+    webs += [random_smooth_web(rng) for _ in range(40)]
+    for web in webs:
+        last = len(web.dual.lattice_points) - 1
+        for root, base in itertools.product((None, 0, last), (None, (Q(2, 7),) * web.dim)):
+            yield web, root, base
+
+
+def test_flip_sign_reflects_the_raw_relation():
+    # the sign gauge reflects the support through the origin and re-roots it;
+    # every coefficient stays with its face
+    for web, root, base in _gauge_cases():
+        default = superpotential(web, base)
+        flipped = superpotential(web, base, root_face=root, sign=-1)
+        a_root = web.dual.lattice_points[dual_subdivision(web, root_face=root, sign=-1).root_face]
+        assert len(flipped.terms) == len(default.terms)
+        assert dict(flipped.terms) == {vsub(a_root, a): c for a, c in default.terms}
+
+
+def test_normal_form_is_lifted_over_the_gauged_dual_cells():
+    # in both sign gauges the normalized exponents are >= 0, 0 at the root, and
+    # their lower hull is the gauged dual subdivision: the reflected one under
+    # --flip-sign
+    for web, root, base in _gauge_cases():
+        for sign in (1, -1):
+            dual = dual_subdivision(web, root_face=root, sign=sign)
+            g = normalize_presentation(presentation(web, base, root_face=root, sign=sign)).relation
+            support = [a for a, _ in g.terms]
+            exps = [nov_val(c) for _, c in g.terms]
+            assert min(exps) == 0 and exps[support.index(g.root)] == 0
+            points = dual.lattice_points
+            if web.dim == 2:
+                hull = [[support[i] for i in c.indices] for c in regular_subdivision(support, exps).cells]
+                cells = [[points[f] for f in cell] for cell in dual.triangles]
+            else:
+                hull = [[support[i] for i in c] for c in _lower_hull_cells_1d(support, exps)]
+                cells = [[points[f] for f in pair] for _, pair in dual.edge_duality]
+            assert {frozenset(c) for c in hull} == {frozenset(c) for c in cells}
+
+
+def test_kp2_relations_in_both_sign_gauges():
+    # --flip-sign prints the u -> u^-1 image of the default relation, re-rooted
+    with open(os.path.join(DIAGRAMS, "kp2.json"), encoding="utf-8") as fh:
+        web = build_web(*charges_from_json(json.load(fh))).diagram
+    texts = {}
+    for sign in (1, -1):
+        raw = presentation(web, sign=sign)
+        texts[sign] = relation_text(raw), relation_text(normalize_presentation(raw))
+    assert texts[1] == (
+        "x*y - (t^{1} + t^{1}*u1 + u2 + t^{1}*u1^-1*u2^3)",
+        "x*y - (1 + t^{3}*u1 + u2 + u1^-1*u2^3)",
+    )
+    assert texts[-1] == (
+        "x*y - (t^{1} + u1^-1*u2^2 + t^{1}*u1^-2*u2^3 + t^{1}*u1^-1*u2^3)",
+        "x*y - (1 + u1^-1*u2^2 + u1^-2*u2^3 + t^{3}*u1^-1*u2^3)",
+    )
