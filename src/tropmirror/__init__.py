@@ -10,8 +10,9 @@ pipeline.  All arithmetic is exact.
 __version__ = "0.1.0"
 
 # diagram loads before dual: dual imports from it, and it imports dual back at
-# its end.  analytic, the largest module, comes next (it loads mirror and
-# novikov), so that its compile runs with the fewest modules already in memory.
+# its end.  analytic, the largest module, comes next (it loads affine, mirror
+# and novikov), so that its compile runs with the fewest modules already in
+# memory.
 from .diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
 from .analytic import focus_focus_demo, wall_cross
 from .charges import ChargeMatrix, build_web, diagram_from_charges

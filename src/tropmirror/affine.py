@@ -2,11 +2,11 @@
 
 The base is R^(d+1): moment coordinates over the diagram plane plus one extra
 coordinate.  Each diagram edge e at height tau(e) hangs a cut
-P_e = {(x, t) : x on e, t <= tau(e)}; gluing across a cut is the unipotent
-standard-form matrix of the edge covector.  Transporting a covector along a
-polyline applies the gluing matrix (or its inverse) at each transversal
-crossing; the crossing sign is positive when the path moves with the edge
-covector increasing.
+P_e = {(x, t) : x on e, t <= tau(e)}; gluing across a cut is the shear of the
+edge covector (``monodromy.shear``).  The shears commute, so transporting a
+covector along a polyline applies once the shear of the signed sum of the
+covectors it crosses; the crossing sign is positive when the path moves with
+the edge covector increasing.
 
 Chambers: points with last coordinate above every relevant cut height are in
 V_plus, below in V_minus, and points at the wall level over a face are wall
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .diagram import EdgeRef, TropicalDiagram, parse_edge_ref
 from .dual import locate_face
 from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
-from .monodromy import crossing_matrix, edge_covector, mat_apply
+from .monodromy import edge_covector, signed_sum
 from .record import frozen
 
 Q = Fraction
@@ -89,7 +89,7 @@ def tau_from_json(data) -> dict[EdgeRef, Fraction]:
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:
-    """One cut per bounded edge and ray, glued by the standard-form matrices."""
+    """One cut per bounded edge and ray, glued by the shear of its covector."""
     report = diag.report
     if not report.ok:
         raise AffineError("diagram fails axioms: " + ", ".join(report.failed_axioms()))
@@ -229,17 +229,15 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
 def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) -> Vec:
     """Parallel transport of an integer covector along a polyline.
 
-    The covector is written in the basis (eta_1, ..., eta_{n-1}, g_0); each
-    signed cut crossing applies the gluing matrix or its inverse.
+    The covector is written in the basis (eta_1, ..., eta_{n-1}, g_0); the
+    path adds g_0 times the signed sum of the covectors it crosses to eta.
     """
     crossings = transport_crossings(pres, path)
     v = tuple(int(c) for c in g)
     if len(v) != pres.n:
         raise AffineError("covector dimension mismatch")
-    for crossing in crossings:
-        cov = pres.cut_of[crossing.ref].covector
-        v = mat_apply(crossing_matrix(cov, crossing.sign, pres.n), v)
-    return v
+    total = signed_sum(((pres.cut_of[c.ref].covector, c.sign) for c in crossings), pres.n - 1)
+    return tuple(e + v[-1] * c for e, c in zip(v, total)) + v[-1:]
 
 
 def transport_crossings(pres: CutPresentation, path: Sequence) -> list[Crossing]:

@@ -24,8 +24,9 @@ the chamber box.
 
 The focus-focus demo runs the whole pipeline in dimension 1: transporting the
 negative generator into the upper chamber through both windows (one route is a
-pure cluster factor, the other first crosses the cut inside the lower chamber
-and picks up the monodromy shear), checking the two routes agree, multiplying
+pure cluster factor, the other first crosses the marked point's cut inside the
+lower chamber, transporting each exponent through the cut presentation, and
+so picks up the monodromy shear), checking the two routes agree, multiplying
 with the positive generator, and comparing with the mirror relation 1 + u.
 """
 
@@ -35,11 +36,12 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .affine import build_cut_presentation, chamber_of, transport_covector
 from .diagram import TropicalDiagram
 from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_rational, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
 from .novikov import NovikovElement, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
-from .record import frozen, replace
+from .record import frozen
 
 Q = Fraction
 
@@ -185,8 +187,6 @@ def flux_monomial(
     b = tuple(Q(c) for c in base)
     alpha = tuple(int(a) for a in alpha)
     if presentation is not None:
-        from .affine import chamber_of
-
         found = chamber_of(presentation, b)  # raises "on wall" on walls
         if str(found) != chamber:
             raise AnalyticError(f"base point lies in {found}, not {chamber}")
@@ -274,7 +274,8 @@ def focus_focus_demo(E) -> FocusFocusReport:
     Exponents live in Z^2 = (fiber class, winding class).  x evaluates to
     z1 = z^{(0,1)} on V_plus and y to z1^{-1} on V_minus.  Transporting y up
     through the left window multiplies by (1 + z2); the right route first
-    crosses the cut inside V_minus (monodromy shear) and then corrects in the
+    crosses the cut inside V_minus, transporting each exponent along a path
+    under the marked point (monodromy shear), and then corrects in the
     inverted fiber class.  Both give z1^{-1}(1 + z2), the product with x is
     1 + z2, and identifying z2 with u reproduces the mirror relation.
     """
@@ -289,7 +290,6 @@ def focus_focus_demo(E) -> FocusFocusReport:
     box_plus = Box(((Q(1, 4), Q(2)), (Q(1, 4), Q(2))))
     box_minus = Box(((Q(1, 4), Q(2)), (Q(-2), Q(-1, 4))))
     cross_left = WallTransformation(0, (1, 0), (0, -1), "corrected")
-    shear = WallTransformation(1, (1, 0), (0, -1), "affine")
     cross_right = WallTransformation(1, (-1, 0), (0, -1), "corrected")
 
     one = nov([(0, 1)])
@@ -298,9 +298,14 @@ def focus_focus_demo(E) -> FocusFocusReport:
 
     via_left = wall_cross(h_minus_y, cross_left, E, target_box=box_plus)
     # right route: the cut crossing stays inside V_minus, then the window
-    # crossing lands in V_plus; each wall_cross flips the tag, so fix it
-    shear_step = wall_cross(h_minus_y, shear, E, target_box=box_minus)
-    shear_step = replace(shear_step, chamber="V_minus")
+    # crossing lands in V_plus
+    cuts = build_cut_presentation(diag)
+    shear_step = series(
+        [Monomial(m.coeff, transport_covector(cuts, ((1, -1), (-1, -1)), m.expo)) for m in h_minus_y.terms],
+        "V_minus",
+        box_minus,
+        E,
+    )
     via_right = wall_cross(shear_step, cross_right, E, target_box=box_plus)
 
     routes_agree = via_left.terms == via_right.terms

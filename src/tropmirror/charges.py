@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .diagram import TropicalDiagram
 from .hull import ChargeError, RegularSubdivision, SubdivisionCell, _cell_boundary_edges, regular_subdivision
-from .lattice import Vec, dot, exact_key, malformed, primitive, read_int, read_rational, vneg
+from .lattice import Vec, dot, malformed, primitive, read_int, read_rational, vneg
 from .record import frozen
 
 
@@ -157,9 +157,8 @@ class ChargeWeb:
 
 def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) -> TropicalDiagram:
     cells = sub.cells
+    # distinct lower faces have distinct gradients, so the vertices are distinct
     vertices = [(-gx, -gy) for gx, gy in (c.gradient for c in cells)]
-    if len(set(map(exact_key, vertices))) != len(vertices):
-        raise ChargeError("coincident web vertices; perturb the heights")
     edge_cells: dict[tuple[int, int], list[int]] = {}
     for ci, c in enumerate(cells):
         for e in _cell_boundary_edges(sub, c):
@@ -209,9 +208,23 @@ def diagram_from_charges(q: ChargeMatrix, heights: Sequence, allow_singular: boo
     return build_web(q, heights, allow_singular).diagram
 
 
+# columns or rows of a charge file; the web takes time and memory about
+# quadratic in the columns, some 2 s at the limit
+MAX_CHARGE_SIZE = 1000
+
+
 def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
+    """The charge matrix and heights of a charge file.
+
+    A file with more than MAX_CHARGE_SIZE columns or rows is refused before
+    any entry is read.
+    """
     with malformed("charge", ChargeError):
-        rows = tuple(tuple(read_int(x) for x in row) for row in data["charges"])
+        charges = data["charges"]
+        width = len(charges[0]) if charges else len(data["heights"])
+        if max(width, len(charges)) > MAX_CHARGE_SIZE:
+            shape = f"{len(charges)} x {width}"
+            raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
+        rows = tuple(tuple(read_int(x) for x in row) for row in charges)
         heights = [read_rational(h) for h in data["heights"]]
-    width = len(rows[0]) if rows else len(heights)
     return ChargeMatrix(rows, width), heights

@@ -221,8 +221,8 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
                 offsets[face_here] = acc
             step = rot_minus90(segments[nxt >> 1][1])
             acc = vsub(acc, step) if nxt & 1 else vadd(acc, step)
-        if acc != (0, 0):
-            raise DiagramError(f"vertex {v} cell does not close up")
+        # acc is back at (0, 0): the steps are the turned outgoing directions,
+        # which balancing makes sum to zero
         if len(offsets) != len(ring):
             raise DiagramError(f"face pinched at vertex {v}")
         local.append(offsets)

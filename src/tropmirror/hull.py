@@ -39,18 +39,6 @@ class RegularSubdivision:
     def is_simplicial(self) -> bool:
         return all(len(c.indices) == 3 for c in self.cells)
 
-    def is_unimodular(self) -> bool:
-        if not self.is_simplicial():
-            return False
-        for c in self.cells:
-            a, b, d = (self.points[i] for i in c.indices)
-            if abs(cross2(vsub(b, a), vsub(d, a))) != 1:
-                return False
-        return True
-
-    def used_points(self) -> set[int]:
-        return {i for c in self.cells for i in c.indices}
-
 
 def _wrap(lifted: Sequence[Vec], a: int, b: int) -> tuple[Vec, tuple[int, ...]]:
     """The lower cell left of the lifted lower edge a -> b, as (normal, points).

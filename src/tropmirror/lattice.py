@@ -231,7 +231,3 @@ class Box:
     def corners(self) -> Iterator[QPoint]:
         for picks in itertools.product(*self.intervals):
             yield tuple(picks)
-
-
-def box(*intervals) -> Box:
-    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))

@@ -1,19 +1,20 @@
 """Monodromy representation and the embedded dual graph.
 
 Each edge of a validated diagram carries a primitive integer covector (the
-annihilator of its direction, oriented by the global gauge).  The monodromy
-around an edge is unipotent: in the basis (eta_1, ..., eta_{n-1}, g_0) it is
-the identity matrix plus the covector in the upper part of the last column,
-acting by g_0 -> g_0 + (a, b).  Loops are combinatorial words of signed edge
-crossings; their monodromy is the ordered product of the standard-form
-matrices.  The dual graph is embedded by summing edge covectors along a
-spanning tree of the face adjacency graph, which is well defined because the
-covectors around any diagram vertex sum to zero.
+annihilator of its direction, oriented by the global gauge).  Crossing the
+cut of an edge glues by the shear I + c e_n^T in the basis
+(eta_1, ..., eta_{n-1}, g_0): the covector c sits in the upper part of the
+last column and acts by g_0 -> g_0 + c.  Every c has c_n = 0, so these shears
+commute and composing them adds their c.  A loop is a combinatorial word of
+signed edge crossings; its monodromy is the shear of the signed covector sum.
+The dual graph is embedded by summing edge covectors along a spanning tree
+of the face adjacency graph, which is well defined because the covectors
+around any diagram vertex sum to zero.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .diagram import EdgeRef, TropicalDiagram, edge_direction
 from .dual import gauge_points, is_smooth
@@ -40,23 +41,16 @@ def edge_covector(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
     return (1,) if diag.dim == 1 else rot_minus90(edge_direction(diag, ref))
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
+def shear(cov: Sequence[int]) -> Matrix:
+    """I + cov e_n^T, n = len(cov) + 1, for any integer cov (unchecked)."""
+    n = len(cov) + 1
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+        tuple(1 if i == j else 0 for j in range(n - 1)) + (cov[i] if i < n - 1 else 1,) for i in range(n)
     )
 
 
-def mat_apply(a: Matrix, v: Sequence[int]) -> Vec:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 def standard_form_matrix(cov: Sequence[int], n: int) -> Matrix:
-    """Unipotent matrix with the covector in the upper last column."""
+    """Unipotent matrix with the primitive covector in the upper last column."""
     cov = tuple(int(c) for c in cov)
     if n not in (2, 3):
         raise MonodromyError("standard form defined for n in {2, 3}")
@@ -64,36 +58,29 @@ def standard_form_matrix(cov: Sequence[int], n: int) -> Matrix:
         raise MonodromyError("covector length must be n - 1")
     if not is_primitive(cov):
         raise MonodromyError(f"covector {cov} is not primitive")
-    rows = []
-    for i in range(n):
-        row = [1 if i == j else 0 for j in range(n)]
-        if i < n - 1:
-            row[n - 1] = cov[i]
-        rows.append(tuple(row))
-    return tuple(rows)
+    return shear(cov)
 
 
-def crossing_matrix(cov: Sequence[int], sign: int, n: int) -> Matrix:
-    """Gluing matrix of a signed crossing: M(cov) forward, M(-cov) = M(cov)^-1 back."""
-    if sign not in (1, -1):
-        raise MonodromyError("crossing signs must be +1 or -1")
-    return standard_form_matrix(tuple(sign * c for c in cov), n)
+def signed_sum(crossings: Iterable[tuple[Vec, int]], dim: int) -> Vec:
+    """Sum of sign * cov over (cov, sign) crossings, each sign +1 or -1, in order."""
+    total = (0,) * dim
+    for cov, sign in crossings:
+        if sign not in (1, -1):
+            raise MonodromyError("crossing signs must be +1 or -1")
+        total = vadd(total, cov) if sign == 1 else vsub(total, cov)
+    return total
 
 
 Loop = tuple[tuple[EdgeRef, int], ...]
 
 
 def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
-    """Ordered product of signed standard-form matrices along a crossing word.
+    """Shear of the signed covector sum of a crossing word.
 
-    The first crossing acts first: the result applied to a covector gives its
-    parallel transport around the loop.
+    The result applied to a covector gives its parallel transport around
+    the loop; the sum need not be primitive.
     """
-    n = diag.dim + 1
-    total = identity_matrix(n)
-    for ref, sign in loop:
-        total = mat_mul(crossing_matrix(edge_covector(diag, ref), sign, n), total)
-    return total
+    return shear(signed_sum(((edge_covector(diag, ref), sign) for ref, sign in loop), diag.dim))
 
 
 @frozen
@@ -142,14 +129,3 @@ def build_dual_graph(
     final, root = gauge_points(positions, root_face, sign)
     pairs = tuple(sorted({(min(l, r), max(l, r)) for l, r, _ in edge_pairs}))
     return DualGraphEmbedding(final, pairs, root)
-
-
-def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
-    """The loop crossing the three edges around a vertex counterclockwise.
-
-    Its monodromy is the identity: this is the cocycle relation in matrix form.
-    """
-    refs = diag.edge_refs()
-    # crossing counterclockwise around v passes each edge in its canonical
-    # direction when v's dart along it is even, against it when odd
-    return tuple((refs[d >> 1], -1 if d & 1 else 1) for d in diag.face_complex.rotations[v])

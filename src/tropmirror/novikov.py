@@ -169,13 +169,6 @@ def nov_neg(a: NovikovElement) -> NovikovElement:
     return _trusted(tuple((e, -c) for e, c in a.terms), a.truncation)
 
 
-def nov_scale(k, a: NovikovElement) -> NovikovElement:
-    k = _q(k)
-    if k == 0:
-        return nov_zero(a.truncation)
-    return _trusted(tuple((e, k * c) for e, c in a.terms), a.truncation)
-
-
 def nov_shift(delta, a: NovikovElement) -> NovikovElement:
     """Multiply by t^delta (shifts the truncation window along)."""
     delta = _q(delta)

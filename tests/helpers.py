@@ -2,7 +2,8 @@
 cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, face
 heights, Novikov arithmetic, series accumulation, series comparison, cone
 families, wall crossing, the face walk, validation, the transport edge
-predicates)."""
+predicates, cut gluing by matrix products), and small helpers that only the
+tests use."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from tropmirror.charges import (
     regular_subdivision,
     web_from_subdivision,
 )
-from tropmirror.affine import Crossing, CutPresentation, _below, _refuse
+from tropmirror.affine import AffineError, Crossing, CutPresentation, _below, _refuse, transport_crossings
 from tropmirror.diagram import (
     EMPTY_DIAGRAM,
     DiagramError,
@@ -77,12 +78,12 @@ from tropmirror.novikov import (
     nov_add,
     nov_mul,
     nov_neg,
-    nov_scale,
     nov_shift,
     nov_truncate,
     nov_val,
 )
 from tropmirror.mirror import MirrorError, MirrorPresentation, Superpotential, _term_sort_key
+from tropmirror.monodromy import Loop, Matrix, MonodromyError, edge_covector, standard_form_matrix
 from tropmirror.record import frozen, replace
 
 Q = Fraction
@@ -206,7 +207,7 @@ def random_smooth_web(rng: random.Random, max_points: int = 12) -> TropicalDiagr
         ]
         try:
             sub = regular_subdivision(pts, heights)
-            if not sub.is_unimodular() or sub.used_points() != set(range(len(pts))):
+            if not is_unimodular(sub) or used_points(sub) != set(range(len(pts))):
                 continue
             web = web_from_subdivision(sub)
         except ChargeError:
@@ -1227,3 +1228,102 @@ def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoi
         found.append((s, Crossing(cut.ref, sign, point)))
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
+
+
+# --- cut gluing by matrix products, as an oracle -------------------------------
+#
+# Before every crossing word was summed as one signed covector, loops
+# multiplied one standard-form matrix per crossing and transport applied one
+# per cut crossing.  The matrices commute, so the product is the shear of the
+# sum; these keep the products.
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def mat_apply(a: Matrix, v: Sequence[int]) -> Vec:
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+def crossing_matrix(cov: Sequence[int], sign: int, n: int) -> Matrix:
+    """Gluing matrix of a signed crossing: M(cov) forward, M(-cov) = M(cov)^-1 back."""
+    if sign not in (1, -1):
+        raise MonodromyError("crossing signs must be +1 or -1")
+    return standard_form_matrix(tuple(sign * c for c in cov), n)
+
+
+def loop_monodromy_oracle(diag: TropicalDiagram, loop: Loop) -> Matrix:
+    """Ordered product of signed standard-form matrices along a crossing word.
+
+    The first crossing acts first: the result applied to a covector gives its
+    parallel transport around the loop.
+    """
+    n = diag.dim + 1
+    total = identity_matrix(n)
+    for ref, sign in loop:
+        total = mat_mul(crossing_matrix(edge_covector(diag, ref), sign, n), total)
+    return total
+
+
+def transport_covector_oracle(pres: CutPresentation, path: Sequence, g: Sequence[int]) -> Vec:
+    """Parallel transport of an integer covector along a polyline.
+
+    The covector is written in the basis (eta_1, ..., eta_{n-1}, g_0); each
+    signed cut crossing applies the gluing matrix or its inverse.
+    """
+    crossings = transport_crossings(pres, path)
+    v = tuple(int(c) for c in g)
+    if len(v) != pres.n:
+        raise AffineError("covector dimension mismatch")
+    for crossing in crossings:
+        cov = pres.cut_of[crossing.ref].covector
+        v = mat_apply(crossing_matrix(cov, crossing.sign, pres.n), v)
+    return v
+
+
+def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
+    """The loop crossing the three edges around a vertex counterclockwise.
+
+    Its monodromy is the identity: this is the cocycle relation in matrix form.
+    """
+    refs = diag.edge_refs()
+    # crossing counterclockwise around v passes each edge in its canonical
+    # direction when v's dart along it is even, against it when odd
+    return tuple((refs[d >> 1], -1 if d & 1 else 1) for d in diag.face_complex.rotations[v])
+
+
+# --- small helpers that only the tests use ------------------------------------
+
+
+def nov_scale(k, a: NovikovElement) -> NovikovElement:
+    """k times a, through the public constructor."""
+    k = Q(k)
+    return nov([(e, k * c) for e, c in a.terms], a.truncation)
+
+
+def box(*intervals) -> Box:
+    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
+
+
+def is_unimodular(sub: RegularSubdivision) -> bool:
+    """Is every cell a triangle of lattice area 1/2?"""
+    if not sub.is_simplicial():
+        return False
+    for c in sub.cells:
+        a, b, d = (sub.points[i] for i in c.indices)
+        if abs(cross2(vsub(b, a), vsub(d, a))) != 1:
+            return False
+    return True
+
+
+def used_points(sub: RegularSubdivision) -> set[int]:
+    """The indices of the points that some cell uses: those on the lower hull."""
+    return {i for c in sub.cells for i in c.indices}

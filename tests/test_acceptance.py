@@ -9,7 +9,15 @@ import random
 import time
 from fractions import Fraction as Q
 
-from helpers import dual_vertex_cone, interior_point_near_vertex, intersect_shifted_cones, random_smooth_web
+from helpers import (
+    box,
+    dual_vertex_cone,
+    identity_matrix,
+    interior_point_near_vertex,
+    intersect_shifted_cones,
+    random_smooth_web,
+    vertex_loop,
+)
 from tropmirror.analytic import focus_focus_demo
 from tropmirror.charges import ChargeError, ChargeMatrix, build_web
 from tropmirror.cli import run
@@ -19,7 +27,6 @@ from tropmirror.diagram import (
     validate,
 )
 from tropmirror.lattice import (
-    box,
     lattice_triangle_area,
     vsub,
 )
@@ -31,9 +38,7 @@ from tropmirror.mirror import (
 )
 from tropmirror.monodromy import (
     build_dual_graph,
-    identity_matrix,
     loop_monodromy,
-    vertex_loop,
 )
 from tropmirror.novikov import nov, nov_eq_mod, nov_inv, nov_mul, nov_val
 

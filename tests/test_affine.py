@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import random_smooth_web
+from helpers import identity_matrix, loop_monodromy_oracle, mat_apply, random_smooth_web
 from tropmirror.affine import (
     AffineError,
     V_MINUS,
@@ -15,7 +15,7 @@ from tropmirror.affine import (
     wall,
 )
 from tropmirror.diagram import EdgeRef, TropicalDiagram
-from tropmirror.monodromy import identity_matrix, loop_monodromy, mat_apply, standard_form_matrix
+from tropmirror.monodromy import standard_form_matrix
 
 
 def c3():
@@ -252,7 +252,8 @@ def test_endpoint_refusal_names_its_witness():
 
 def test_transport_around_a_loop_is_the_monodromy_of_its_crossing_word():
     # generic closed polylines on seeded smooth webs, half with raised cut
-    # heights: transport is loop_monodromy of the recorded crossing word.
+    # heights: transport is the ordered matrix product of the recorded
+    # crossing word (the oracle, so the check does not go through the sum).
     # A loop below every cut stays in a half-space that misses the
     # discriminant, so its word multiplies out to the identity; a loop that
     # passes above some cuts may link the discriminant.
@@ -274,7 +275,7 @@ def test_transport_around_a_loop_is_the_monodromy_of_its_crossing_word():
             ]
             loop.append(loop[0])
             word = tuple((c.ref, c.sign) for c in transport_crossings(pres, loop))
-            monodromy = loop_monodromy(web, word)
+            monodromy = loop_monodromy_oracle(web, word)
             for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 assert transport_covector(pres, loop, g) == mat_apply(monodromy, g)
             if below:

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import ConeKind, IntegralCone, cone_family_converges, dual_vertex_cone
+from helpers import ConeKind, IntegralCone, box, cone_family_converges, dual_vertex_cone
 from tropmirror.analytic import (
     AnalyticError,
     Monomial,
@@ -20,7 +20,6 @@ from tropmirror.analytic import (
     wall_cross,
 )
 from tropmirror.diagram import TropicalDiagram, dual_subdivision
-from tropmirror.lattice import box
 from tropmirror.novikov import nov, nov_val
 
 ONE = nov([(0, 1)])

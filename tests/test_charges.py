@@ -3,10 +3,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import brute_force_subdivision, random_lattice_polygon
+from helpers import brute_force_subdivision, is_unimodular, random_lattice_polygon, used_points
 from tropmirror.charges import (
     ChargeError,
     ChargeMatrix,
+    RegularSubdivision,
+    SubdivisionCell,
     build_web,
     charges_from_json,
     diagram_from_charges,
@@ -15,7 +17,7 @@ from tropmirror.charges import (
     regular_subdivision,
     web_from_subdivision,
 )
-from tropmirror.diagram import dual_subdivision, is_smooth, validate
+from tropmirror.diagram import DiagramError, dual_subdivision, is_smooth, validate
 from tropmirror.lattice import cross2, vsub
 
 
@@ -96,7 +98,7 @@ def test_conifold_zero_heights_degenerate():
 def test_allow_singular_returns_subdivision_for_inspection():
     web = build_web(CONIFOLD, [0, 0, 0, 0], allow_singular=True)
     assert not web.simplicial
-    assert not web.subdivision.is_unimodular()
+    assert not is_unimodular(web.subdivision)
     assert len(web.diagram.vertices) == 1  # a single 4-valent vertex
     assert not validate(web.diagram).trivalent
 
@@ -158,9 +160,9 @@ def test_smoothness_three_way_agreement():
                 web = build_web(q, heights)
             except ChargeError:
                 continue
-            sub_unimodular = web.subdivision.is_unimodular()
+            sub_unimodular = is_unimodular(web.subdivision)
             assert is_smooth(web.diagram) == sub_unimodular
-            if sub_unimodular and web.subdivision.used_points() == set(range(m)):
+            if sub_unimodular and used_points(web.subdivision) == set(range(m)):
                 # the reconstructed dual is the generating point set up to translation
                 dual = dual_subdivision(web.diagram)
                 assert _translate_to_lex_min(dual.lattice_points) == _translate_to_lex_min(
@@ -181,12 +183,31 @@ def test_charges_json():
     assert q2.width == 3
 
 
+def test_lower_faces_have_distinct_gradients():
+    # the web's vertices are minus the gradients, so they never coincide for
+    # a subdivision that regular_subdivision built
+    rng = random.Random(77)
+    for _ in range(40):
+        pts = random_lattice_polygon(rng)
+        sub = regular_subdivision(pts, [Q(rng.randint(-50, 50), rng.randint(1, 7)) for _ in pts])
+        grads = [c.gradient for c in sub.cells]
+        assert len(set(grads)) == len(grads)
+
+
+def test_hand_built_subdivision_with_a_shared_gradient_is_refused():
+    # two cells of one plane: the web would put both vertices at the origin
+    cells = (SubdivisionCell((0, 1, 2), (Q(0), Q(0)), Q(0)), SubdivisionCell((1, 2, 3), (Q(0), Q(0)), Q(0)))
+    sub = RegularSubdivision(((0, 0), (1, 0), (0, 1), (1, 1)), (Q(0),) * 4, cells)
+    with pytest.raises(DiagramError, match="^two vertices coincide$"):
+        web_from_subdivision(sub)
+
+
 def test_long_edge_polygon_web():
     # polygon with a length-2 boundary edge: parallel rays, half-plane cone
     pts = [(0, 0), (1, 0), (2, 0), (0, 1)]
     hs = [Q(0), Q(-1, 2), Q(1, 10), Q(0)]
     sub = regular_subdivision(pts, hs)
-    assert sub.is_unimodular()
+    assert is_unimodular(sub)
     web = web_from_subdivision(sub)
     assert validate(web).ok and is_smooth(web)
     dirs = [d for _, d in web.rays]
@@ -199,7 +220,7 @@ def test_singular_cell_with_interior_point():
     web = build_web(ChargeMatrix(((1, 1, 1, -3),), 4), [0, 0, 0, 0], allow_singular=True)
     assert len(web.diagram.vertices) == 1
     assert len(web.diagram.rays) == 3
-    assert not web.subdivision.is_unimodular()
+    assert not is_unimodular(web.subdivision)
     report = validate(web.diagram)
     assert report.trivalent and report.balanced
     assert not is_smooth(web.diagram)

@@ -1,0 +1,106 @@
+"""Loop monodromy and transport as one signed covector sum, against the matrix products.
+
+Every cut glues by a shear ``I + c e_n^T`` with ``c_n = 0``; such shears
+commute and compose by adding their ``c``.  ``loop_monodromy`` and
+``transport_covector`` therefore form one signed covector sum each, where
+``loop_monodromy_oracle`` and ``transport_covector_oracle`` multiply one
+standard-form matrix per crossing.  They are compared on the shipped
+diagrams, seeded smooth webs and d=1 lines: on crossing words drawn from a
+few edges, so that edges repeat and the sums are mostly not primitive, on
+seeded polylines, and on every refusal (a bad ref, a sign of 0 or 2, a class
+of the wrong length), including which of two faults is named first.
+"""
+
+import random
+from fractions import Fraction as Q
+
+from helpers import (
+    loop_monodromy_oracle,
+    random_smooth_web,
+    shipped_diagrams,
+    transport_covector_oracle,
+)
+from tropmirror.affine import build_cut_presentation, transport_covector, transport_crossings
+from tropmirror.diagram import EdgeRef, TropicalDiagram
+from tropmirror.lattice import is_primitive
+from tropmirror.monodromy import loop_monodromy
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _line(rng: random.Random) -> TropicalDiagram:
+    xs = sorted({Q(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))})
+    rng.shuffle(xs)
+    return TropicalDiagram(1, tuple((x,) for x in xs))
+
+
+def _diagrams(rng: random.Random) -> list[TropicalDiagram]:
+    return shipped_diagrams() + [random_smooth_web(rng, 8) for _ in range(5)] + [_line(rng) for _ in range(4)]
+
+
+def _bad_ref(diag: TropicalDiagram, rng: random.Random) -> EdgeRef:
+    if diag.dim == 1:
+        return rng.choice((EdgeRef("point", len(diag.vertices)), EdgeRef("point", -1), EdgeRef("edge", 0)))
+    return rng.choice((EdgeRef("ray", len(diag.rays)), EdgeRef("edge", len(diag.edges)), EdgeRef("edge", -1)))
+
+
+def test_loop_monodromy_matches_the_matrix_product():
+    rng = random.Random(1601)
+    counts = {"not primitive": 0, "primitive": 0, "bad ref": 0, "bad sign": 0}
+    for diag in _diagrams(rng):
+        refs = diag.edge_refs()
+        for _ in range(30):
+            pool = rng.sample(refs, min(len(refs), rng.randint(1, 3)))
+            word = [(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 9))]
+            got = loop_monodromy(diag, tuple(word))
+            assert got == loop_monodromy_oracle(diag, tuple(word)), word
+            counts["primitive" if is_primitive(tuple(row[-1] for row in got[:-1])) else "not primitive"] += 1
+            # one or two faults spliced in: a bad ref, a sign of 0 or 2, or
+            # both on one crossing; the first fault in word order is named
+            for _ in range(rng.randint(1, 2)):
+                ref = _bad_ref(diag, rng) if rng.random() < 0.6 else rng.choice(refs)
+                sign = rng.choice((0, 2)) if ref in refs or rng.random() < 0.5 else rng.choice((1, -1))
+                word.insert(rng.randint(0, len(word)), (ref, sign))
+            want = _outcome(loop_monodromy_oracle, diag, tuple(word))
+            assert _outcome(loop_monodromy, diag, tuple(word)) == want, word
+            counts["bad ref" if "is not an edge" in want[1] else "bad sign"] += 1
+    assert min(counts.values()) >= 100, counts
+
+
+def _point(rng: random.Random, lo: int, hi: int, dim: int, floor: Q) -> tuple:
+    xs = tuple(Q(rng.randint(997 * lo, 997 * hi), 997) for _ in range(dim))
+    return xs + (floor - Q(rng.randint(1, 3000), 991) if rng.random() < 0.7 else Q(rng.randint(-3000, 6000), 991),)
+
+
+def test_transport_matches_the_matrix_product():
+    rng = random.Random(1602)
+    counts = {"sheared": 0, "several cuts": 0, "path refused": 0, "class refused": 0}
+    for i, diag in enumerate(_diagrams(rng)):
+        refs = diag.edge_refs()
+        tau = {ref: Q(rng.randint(0, 40), 17) for ref in refs} if i % 2 else None
+        pres = build_cut_presentation(diag, tau)
+        floor = min(cut.tau for cut in pres.cuts)
+        xs = [c for v in diag.vertices for c in v]
+        lo, hi = int(min(xs)) - 2, int(max(xs)) + 2
+        for k in range(10):
+            path = [_point(rng, lo, hi, diag.dim, floor) for _ in range(rng.randint(2, 5))]
+            if k % 3 == 2:
+                # a point over a vertex and under its cuts: the path is refused
+                j = rng.randrange(len(path))
+                path[j] = rng.choice(diag.vertices) + (floor - 1,)
+            if k % 2:
+                path.append(path[0])
+            g = tuple(rng.randint(-3, 3) for _ in range(pres.n)) + ((1,) if k % 5 == 4 else ())
+            want = _outcome(transport_covector_oracle, pres, path, g)
+            assert _outcome(transport_covector, pres, path, g) == want, (path, g)
+            if isinstance(want[0], type):
+                counts["class refused" if want[1] == "covector dimension mismatch" else "path refused"] += 1
+                continue
+            counts["sheared"] += want != g
+            counts["several cuts"] += len(transport_crossings(pres, path)) >= 2
+    assert min(counts.values()) >= 20, counts

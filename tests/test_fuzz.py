@@ -8,7 +8,7 @@ import re
 import time
 from fractions import Fraction as Q
 
-from helpers import dual_vertex_cone, intersect_shifted_cones, random_smooth_web
+from helpers import box, dual_vertex_cone, intersect_shifted_cones, is_unimodular, random_smooth_web
 from tropmirror.cli import run
 from tropmirror.diagram import (
     dual_subdivision,
@@ -16,7 +16,7 @@ from tropmirror.diagram import (
     is_smooth,
     validate,
 )
-from tropmirror.lattice import box, dot, vsub
+from tropmirror.lattice import dot, vsub
 from tropmirror.mirror import normalize_presentation, presentation
 from tropmirror.monodromy import build_dual_graph, edge_covector
 from tropmirror.novikov import nov_val
@@ -93,7 +93,7 @@ def test_rectangles_with_many_parallel_rays():
             ]
             try:
                 sub = regular_subdivision(pts, heights)
-                if not sub.is_unimodular():
+                if not is_unimodular(sub):
                     continue
                 web = web_from_subdivision(sub)
             except ChargeError:

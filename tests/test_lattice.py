@@ -8,6 +8,7 @@ from helpers import (
     ConeKind,
     IntegralCone,
     apply_matrix,
+    box,
     cone_contains,
     intersect_shifted_cones,
     lattice_points,
@@ -17,7 +18,6 @@ from tropmirror.lattice import (
     DIGITS,
     Box,
     LatticeError,
-    box,
     convex_hull,
     lattice_triangle_area,
     malformed,

@@ -3,18 +3,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import random_smooth_web
+from helpers import identity_matrix, mat_mul, random_smooth_web, vertex_loop
 from tropmirror.diagram import DiagramError, EdgeRef, TropicalDiagram, dual_subdivision, edge_direction
 from tropmirror.lattice import vsub
 from tropmirror.monodromy import (
     MonodromyError,
     build_dual_graph,
     edge_covector,
-    identity_matrix,
     loop_monodromy,
-    mat_mul,
     standard_form_matrix,
-    vertex_loop,
 )
 
 

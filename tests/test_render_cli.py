@@ -176,6 +176,31 @@ def test_cli_web_degenerate(tmp_path, capsys):
     assert run(["web", "--charges", str(f), "--allow-singular"]) == 0
 
 
+OVERSIZED = {
+    "wide": ({"charges": [[1, -1] + ["x"] * 999], "heights": ["0"] * 1001}, "1 x 1001"),
+    "long": ({"charges": [[1, 1, -1, "x"]] * 1001, "heights": ["0"] * 4}, "1001 x 4"),
+}
+
+
+@pytest.mark.parametrize("argv", [["web", "--charges"], ["dual"]], ids=["web", "dual"])
+@pytest.mark.parametrize("shape", sorted(OVERSIZED))
+def test_cli_refuses_an_oversized_charge_file_before_reading_it(tmp_path, capsys, argv, shape):
+    # the entries "x" are never read: the size is refused first
+    doc, size = OVERSIZED[shape]
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc))
+    assert run(argv + [str(f)]) == 1
+    message = f"malformed charge JSON: charge matrix is {size}, over the limit of 1000 rows or columns"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_reads_a_charge_file_at_the_size_limit(tmp_path, capsys):
+    f = tmp_path / "edge.json"
+    f.write_text(json.dumps({"charges": [[1, -1] + [0] * 998], "heights": ["0"] * 1000}))
+    assert run(["web", "--charges", str(f)]) == 1
+    assert capsys.readouterr() == ("", "error: charge matrix has corank 999, need 3\n")
+
+
 def test_cli_wallcross_demo(capsys):
     assert run(["wallcross-demo", "-E", "10"]) == 0
     out = capsys.readouterr().out
