@@ -2,12 +2,13 @@
 
 A monomial c z^u is a Novikov coefficient together with an integer exponent
 vector; its valuation over a box is val(c) plus the minimum of <u, x> over
-the box, attained at a corner.  Series are finite term lists tagged with a
-chamber and a valuation box.  The one infinite expansion, a negative power
-(1 + z^gamma)^{-m} z^{apex}, is a cone family (apex, vanishing class gamma,
-power m, coefficient) that is materialized up to the energy level before any
-arithmetic, as (exponent, integer) pairs: c_0 = 1 and
-c_{k+1} = -c_k (m+k)/(k+1) on z^{apex + k*gamma}.
+the box, which is the sum over the axes of min(u_i lo_i, u_i hi_i).  Series
+are finite term lists tagged with a chamber and a valuation box.  The one
+infinite expansion, a negative power (1 + z^gamma)^{-m} z^{apex}, is a cone
+family (apex, vanishing class gamma, power m, coefficient) that is
+materialized up to the energy level before any arithmetic, as (exponent,
+integer) pairs: c_0 = 1 and c_{k+1} = -c_k (m+k)/(k+1) on
+z^{apex + k*gamma}.
 
 Every series is summed in one pass by ``_collect``: it reads items
 (exponent, integer k, coefficient) once and adds k times each coefficient
@@ -16,11 +17,10 @@ its summands and is dropped when it is zero.  ``series``, ``series_mul``,
 ``wall_cross`` and ``series_eq_mod`` (which collects a - b) all go through
 it.
 
-Wall crossing acts per monomial: the affine mode is the monodromy
-substitution z^u -> z^{u + <u,m> gamma}; the corrected mode is the cluster
-substitution z^u -> z^u (1 + z^gamma)^{<u,m>}, a ring homomorphism modulo the
-truncation.  Negative powers expand geometrically and are truncated against
-the chamber box.
+Wall crossing acts per monomial by the cluster substitution
+z^u -> z^u (1 + z^gamma)^{<u,m>}, a ring homomorphism modulo the truncation.
+Negative powers expand geometrically and are truncated against the chamber
+box.  The monodromy shear of a cut is ``affine.transport_covector``'s.
 
 The focus-focus demo runs the whole pipeline in dimension 1: transporting the
 negative generator into the upper chamber through both windows (one route is a
@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import build_cut_presentation, chamber_of, transport_covector
+from .affine import build_cut_presentation, transport_covector
 from .diagram import TropicalDiagram
 from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_rational, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
@@ -62,7 +62,7 @@ class Monomial:
 
 
 def expo_val_on_box(expo: Vec, box: Box) -> Fraction:
-    return min(dot(expo, corner) for corner in box.corners())
+    return sum(min(u * lo, u * hi) for u, (lo, hi) in zip(expo, box.intervals, strict=True))
 
 
 @frozen
@@ -136,12 +136,11 @@ def _collect(items) -> tuple[Monomial, ...]:
 
 
 def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
-    """Build a series from monomials or (coeff, expo) pairs.
+    """Build a series from monomials.
 
     Duplicate exponents are merged and zero sums dropped, in one pass.
     """
-    monos = (m if isinstance(m, Monomial) else Monomial(m[0], m[1]) for m in terms)
-    kept = _collect((m.expo, 1, m.coeff) for m in monos)
+    kept = _collect((m.expo, 1, m.coeff) for m in terms)
     if dim is None:
         if not kept:
             raise AnalyticError("cannot infer dimension of an empty series")
@@ -175,37 +174,19 @@ def eval_series(a: AnalyticSeries, point: Sequence) -> NovikovElement:
     return nov([(e + s, v) for s, c in shifted for e, v in c.terms], trunc)
 
 
-def flux_monomial(
-    base: Sequence, alpha: Sequence[int], chamber: str, presentation=None
-) -> Monomial:
-    """The unit-coefficient flux monomial t^{<alpha, b>} z^alpha at base b.
-
-    Satisfies the translation rule flux(b + c, alpha) equals
-    t^{<alpha, c>} flux(b, alpha) exactly.  With a cut presentation supplied,
-    the base point is checked to lie in the named chamber.
-    """
-    b = tuple(Q(c) for c in base)
-    alpha = tuple(int(a) for a in alpha)
-    if presentation is not None:
-        found = chamber_of(presentation, b)  # raises "on wall" on walls
-        if str(found) != chamber:
-            raise AnalyticError(f"base point lies in {found}, not {chamber}")
-    return Monomial(nov([(dot(alpha, b), 1)]), alpha)
-
-
 @frozen
 class WallTransformation:
     wall: int  # face index of the window being crossed
     gamma: Vec  # vanishing class
     normal: Vec  # pairing covector m
-    mode: str  # "affine" | "corrected"
+    mode: str  # "corrected", the cluster substitution; the only mode
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", tuple(int(c) for c in self.gamma))
         object.__setattr__(self, "normal", tuple(int(c) for c in self.normal))
         if not is_primitive(self.gamma):
             raise AnalyticError(f"vanishing class {self.gamma} is not primitive")
-        if self.mode not in ("affine", "corrected"):
+        if self.mode != "corrected":
             raise AnalyticError(f"unknown wall-crossing mode {self.mode}")
 
 
@@ -222,7 +203,6 @@ def wall_cross(
 ) -> AnalyticSeries:
     """Apply the wall-crossing substitution monomial by monomial.
 
-    Affine mode: z^u -> z^{u + <u,m> gamma}.  Corrected mode:
     z^u -> z^u (1 + z^gamma)^{<u,m>}, expanded.  Non-negative powers expand
     exactly (truncation immaterial); negative powers are cone families
     materialized up to t^E against the target chamber box, so the result is a
@@ -239,9 +219,7 @@ def wall_cross(
         # one monomial's image at a time, so _collect never holds them all
         for m in a.terms:
             k = dot(m.expo, w.normal)
-            if w.mode == "affine":
-                yield vadd(m.expo, tuple(k * g for g in w.gamma)), 1, m.coeff
-            elif k >= 0:
+            if k >= 0:
                 for i in range(k + 1):
                     yield vadd(m.expo, tuple(i * g for g in w.gamma)), math.comb(k, i), m.coeff
             else:

@@ -150,7 +150,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 class ChargeWeb:
     diagram: TropicalDiagram
     points: tuple[Vec, ...]
-    heights: tuple[Fraction, ...]
     subdivision: RegularSubdivision
     simplicial: bool
 
@@ -201,7 +200,7 @@ def build_web(q: ChargeMatrix, heights: Sequence, allow_singular: bool = False) 
     if not simplicial and not allow_singular:
         raise ChargeError("degenerate Kähler parameters")
     diagram = web_from_subdivision(sub, allow_weighted=allow_singular)
-    return ChargeWeb(diagram, tuple(points), sub.heights, sub, simplicial)
+    return ChargeWeb(diagram, tuple(points), sub, simplicial)
 
 
 def diagram_from_charges(q: ChargeMatrix, heights: Sequence, allow_singular: bool = False) -> TropicalDiagram:

@@ -37,6 +37,9 @@ def _load_json(path: str):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValueError(f"{path}: not a JSON file: {exc}") from None
+        except RecursionError:
+            limit = sys.getrecursionlimit()
+            raise ValueError(f"{path}: not a JSON file: nested deeper than the recursion limit ({limit})") from None
 
 
 def _load_diagram(path: str):

@@ -27,7 +27,6 @@ class ChargeError(ValueError):
 class SubdivisionCell:
     indices: tuple[int, ...]  # point indices with equality on the lower hull
     gradient: tuple[Fraction, Fraction]
-    constant: Fraction
 
 
 @frozen
@@ -91,7 +90,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     across the corner-to-corner edges of each cell, once per cell, in O(F m)
     predicates for F cells and m points.  Each cell lists every point on its
     plane, so non-simplicial cells keep their interior and edge points, and
-    its gradient and constant are read off the plane's integer normal.
+    its gradient is read off the plane's integer normal.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     hts = [Q(h) for h in heights]
@@ -136,9 +135,8 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
         if cells and (min(a, b), max(a, b)) not in unmatched:
             continue  # the cell across was found after this edge was queued
         (n0, n1, n2), key = _wrap(lifted, a, b)
-        ax, ay, az = lifted[a]
         den = n2 * scale
-        cells[key] = SubdivisionCell(key, (Q(-n0, den), Q(-n1, den)), Q(n2 * az + n0 * ax + n1 * ay, den))
+        cells[key] = SubdivisionCell(key, (Q(-n0, den), Q(-n1, den)))
         if len(key) == 3:
             corners = [a, b, next(t for t in key if t != a and t != b)]  # counterclockwise
         else:

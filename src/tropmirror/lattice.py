@@ -15,7 +15,6 @@ one guard, ``malformed``.
 
 from __future__ import annotations
 
-import itertools
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -227,7 +226,3 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    def corners(self) -> Iterator[QPoint]:
-        for picks in itertools.product(*self.intervals):
-            yield tuple(picks)

@@ -115,18 +115,6 @@ class Superpotential:
     # for base point b and the root cell's web vertex x_v (not in the JSON)
     slope: tuple[Fraction, ...]
 
-    @cached_property
-    def _by_vertex(self) -> dict[Vec, NovikovElement]:
-        return dict(self.terms)
-
-    def coefficient(self, alpha: Vec) -> NovikovElement:
-        if alpha not in self._by_vertex:
-            raise MirrorError(f"{alpha} is not in the superpotential support")
-        return self._by_vertex[alpha]
-
-    def support(self) -> tuple[Vec, ...]:
-        return tuple(a for a, _ in self.terms)
-
 
 def face_distance(diag: TropicalDiagram, alpha: Sequence[int], base: Optional[Sequence] = None) -> Fraction:
     """The t-exponent of the dual vertex alpha (default gauge) relative to a base point.
@@ -211,12 +199,6 @@ class MirrorPresentation:
     def n(self) -> int:
         return self.dim + 1
 
-    def grading(self, name: str) -> int:
-        for k, v in self.gradings:
-            if k == name:
-                return v
-        raise MirrorError(f"unknown generator {name}")
-
 
 def _variables(dim: int) -> tuple[str, ...]:
     return ("u",) if dim == 1 else tuple(f"u{i + 1}" for i in range(dim))
@@ -233,14 +215,7 @@ def presentation(
     g = superpotential(diag, base, corrections, truncation, root_face, sign)
     variables = _variables(diag.dim)
     gradings = tuple((v, 0) for v in variables) + (("x", 1), ("y", -1))
-    pres = MirrorPresentation(diag.dim, variables, gradings, g)
-    assert pres.grading("x") + pres.grading("y") == 0  # |xy| = |g| = 0
-    return pres
-
-
-def winding_degree(pres: MirrorPresentation, word: Sequence[tuple[str, int]]) -> int:
-    """Winding degree of a monomial word [(generator, exponent), ...]."""
-    return sum(pres.grading(name) * e for name, e in word)
+    return MirrorPresentation(diag.dim, variables, gradings, g)
 
 
 # --- normalization -----------------------------------------------------------

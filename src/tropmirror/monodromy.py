@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .diagram import EdgeRef, TropicalDiagram, edge_direction
-from .dual import gauge_points, is_smooth
+from .dual import gauge_points
 from .lattice import Vec, is_primitive, rot_minus90, vadd, vneg, vsub
 from .record import frozen
 
@@ -86,7 +86,6 @@ def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
 @frozen
 class DualGraphEmbedding:
     positions: tuple[Vec, ...]  # indexed by face id
-    adjacency: tuple[tuple[int, int], ...]
     root_face: int
 
 
@@ -102,8 +101,6 @@ def build_dual_graph(
     of its lattice points.  The sum runs in the default sign gauge; the final
     gauging is dual.gauge_points, as for the subdivision.
     """
-    if not is_smooth(diag):
-        raise MonodromyError("diagram is not smooth")
     nfaces = len(diag.dual.lattice_points)
     positions: list[Optional[Vec]] = [None] * nfaces
     positions[0] = (0,) * diag.dim
@@ -126,6 +123,4 @@ def build_dual_graph(
     for left, right, cov in edge_pairs:
         if vsub(positions[left], positions[right]) != cov:
             raise MonodromyError("covector cocycle fails: embedding depends on the tree")
-    final, root = gauge_points(positions, root_face, sign)
-    pairs = tuple(sorted({(min(l, r), max(l, r)) for l, r, _ in edge_pairs}))
-    return DualGraphEmbedding(final, pairs, root)
+    return DualGraphEmbedding(*gauge_points(positions, root_face, sign))

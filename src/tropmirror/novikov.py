@@ -118,10 +118,6 @@ def nov(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
     return _from_sums(acc, trunc)
 
 
-def nov_zero(truncation=None) -> NovikovElement:
-    return nov((), truncation)
-
-
 NOV_ONE = nov([(0, 1)])
 
 

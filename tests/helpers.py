@@ -39,7 +39,7 @@ from tropmirror.charges import (
     regular_subdivision,
     web_from_subdivision,
 )
-from tropmirror.affine import AffineError, Crossing, CutPresentation, _below, _refuse, transport_crossings
+from tropmirror.affine import AffineError, Crossing, CutPresentation, _below, _refuse, chamber_of, transport_crossings
 from tropmirror.diagram import (
     EMPTY_DIAGRAM,
     DiagramError,
@@ -128,7 +128,7 @@ def brute_force_subdivision(points, heights) -> RegularSubdivision:
             continue
         key = tuple(sorted(equal))
         if key not in cells:
-            cells[key] = SubdivisionCell(key, (sx, sy), c0)
+            cells[key] = SubdivisionCell(key, (sx, sy))
     if not cells:
         raise ChargeError("point configuration is degenerate (all collinear)")
     ordered = tuple(cells[k] for k in sorted(cells))
@@ -574,8 +574,7 @@ def cell_plane_oracle(
     rh2 = hts[k] - hts[i]
     sx = Q(rh1 * d2[1] - rh2 * d1[1], det)
     sy = Q(rh2 * d1[0] - rh1 * d2[0], det)
-    c0 = hts[i] - (sx * pts[i][0] + sy * pts[i][1])
-    return SubdivisionCell(key, (sx, sy), c0)
+    return SubdivisionCell(key, (sx, sy))
 
 
 def primitive_q_oracle(v: Sequence[Fraction]) -> Vec:
@@ -668,11 +667,12 @@ def _affine_on_root_cell(support, vals, root_index, dim):
             raise MirrorError("root vertex is not on the lower hull")
         slope = max(left) if left else min(right)
         return lambda a: v0 + slope * (a[0] - x0)
-    containing = [c for c in regular_subdivision(support, vals).cells if root_index in c.indices]
+    sub = regular_subdivision(support, vals)
+    containing = [c for c in sub.cells if root_index in c.indices]
     if not containing:
         raise MirrorError("root vertex is not on the lower hull")
     cell = min(containing, key=lambda c: tuple(support[i] for i in c.indices))
-    (sx, sy), c0 = cell.gradient, cell.constant
+    (sx, sy), c0 = cell.gradient, plane_constant(sub, cell)
     return lambda a: sx * a[0] + sy * a[1] + c0
 
 
@@ -1327,3 +1327,62 @@ def is_unimodular(sub: RegularSubdivision) -> bool:
 def used_points(sub: RegularSubdivision) -> set[int]:
     """The indices of the points that some cell uses: those on the lower hull."""
     return {i for c in sub.cells for i in c.indices}
+
+
+def plane_constant(sub: RegularSubdivision, cell: SubdivisionCell) -> Fraction:
+    """The constant term of a cell's plane: h_i - <gradient, p_i> at any of its points."""
+    i = cell.indices[0]
+    return sub.heights[i] - dot(cell.gradient, sub.points[i])
+
+
+def nov_zero(truncation=None) -> NovikovElement:
+    return nov((), truncation)
+
+
+def superpotential_coefficient(g: Superpotential, alpha: Vec) -> NovikovElement:
+    """The coefficient of u^alpha in g; alpha must be a dual vertex."""
+    found = dict(g.terms)
+    if alpha not in found:
+        raise MirrorError(f"{alpha} is not in the superpotential support")
+    return found[alpha]
+
+
+def superpotential_support(g: Superpotential) -> tuple[Vec, ...]:
+    return tuple(a for a, _ in g.terms)
+
+
+def winding_degree(pres: MirrorPresentation, word: Sequence[tuple[str, int]]) -> int:
+    """Winding degree of a monomial word [(generator, exponent), ...]."""
+    gradings = dict(pres.gradings)
+    return sum(gradings[name] * e for name, e in word)
+
+
+def flux_monomial(
+    base: Sequence, alpha: Sequence[int], chamber: str, presentation=None
+) -> Monomial:
+    """The unit-coefficient flux monomial t^{<alpha, b>} z^alpha at base b.
+
+    Satisfies the translation rule flux(b + c, alpha) equals
+    t^{<alpha, c>} flux(b, alpha) exactly.  With a cut presentation supplied,
+    the base point is checked to lie in the named chamber.
+    """
+    b = tuple(Q(c) for c in base)
+    alpha = tuple(int(a) for a in alpha)
+    if presentation is not None:
+        found = chamber_of(presentation, b)  # raises "on wall" on walls
+        if str(found) != chamber:
+            raise AnalyticError(f"base point lies in {found}, not {chamber}")
+    return Monomial(nov([(dot(alpha, b), 1)]), alpha)
+
+
+@frozen
+class AffineWall:
+    """The retired affine mode of a wall crossing, z^u -> z^{u + <u,m> gamma}.
+
+    ``WallTransformation`` refuses this mode; ``wall_cross_oracle`` still
+    applies it, and the tests check it against ``transport_covector``.
+    """
+
+    gamma: Vec
+    normal: Vec
+    mode: str = "affine"

@@ -1,16 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from helpers import ConeKind, IntegralCone, box, cone_family_converges, dual_vertex_cone
+from helpers import ConeKind, IntegralCone, box, cone_family_converges, dual_vertex_cone, flux_monomial
 from tropmirror.analytic import (
     AnalyticError,
     Monomial,
     WallTransformation,
     eval_series,
     expo_val_on_box,
-    flux_monomial,
     focus_focus_demo,
     series,
     series_eq_mod,
@@ -55,6 +55,26 @@ def test_monomial_val_against_dense_sampling():
                 x = (a1 + (b1 - a1) * Q(i, 10), a2 + (b2 - a2) * Q(j, 10))
                 samples.append(c.terms[0][0] + expo[0] * x[0] + expo[1] * x[1])
         assert val == min(samples)
+
+
+def test_box_valuation_is_the_least_corner():
+    # min over the box of a linear form, against every corner of the box
+    rng = random.Random(1701)
+    points = 0
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        intervals = []
+        for _ in range(dim):
+            lo = Q(rng.randint(-30, 30), rng.randint(1, 6))
+            hi = lo if rng.random() < 0.3 else lo + Q(rng.randint(1, 40), rng.randint(1, 6))
+            intervals.append((lo, hi))
+            points += lo == hi
+        b = box(*intervals)
+        expo = tuple(rng.choice((0, rng.randint(-5, 5))) for _ in range(dim))
+        corners = itertools.product(*b.intervals)
+        want = min(sum(u * x for u, x in zip(expo, corner)) for corner in corners)
+        assert expo_val_on_box(expo, b) == want, (expo, b)
+    assert points >= 100
 
 
 def test_cone_family_converges_examples():
@@ -124,17 +144,20 @@ def test_flux_monomial_wall_check():
 
 def test_wall_cross_examples():
     z1 = series([Monomial(ONE, (0, 1))], "V_plus", BOX_P, 10)
-    affine = WallTransformation(0, (1, 0), (0, 1), "affine")
     corrected = WallTransformation(0, (1, 0), (0, 1), "corrected")
-    moved = wall_cross(z1, affine, 10)
-    assert [m.expo for m in moved.terms] == [(1, 1)]
-    assert moved.chamber == "V_minus"
     expanded = wall_cross(z1, corrected, 10)
     assert [m.expo for m in expanded.terms] == [(0, 1), (1, 1)]
+    assert expanded.chamber == "V_minus"
     const = series([Monomial(ONE, (0, 0))], "V_plus", BOX_P, 10)
-    for w in (affine, corrected):
-        out = wall_cross(const, w, 10)
-        assert [m.expo for m in out.terms] == [(0, 0)]
+    out = wall_cross(const, corrected, 10)
+    assert [m.expo for m in out.terms] == [(0, 0)]
+
+
+def test_wall_cross_refuses_every_mode_but_corrected():
+    # the monodromy shear of a cut is transport_covector's, not a wall mode
+    for mode in ("affine", "Corrected", "", "cluster"):
+        with pytest.raises(AnalyticError, match=f"^unknown wall-crossing mode {mode}$"):
+            WallTransformation(0, (1, 0), (0, 1), mode)
 
 
 def test_wall_cross_gamma_must_be_primitive():
@@ -147,9 +170,8 @@ def test_wall_cross_refuses_data_of_another_dimension():
     s = series([Monomial(ONE, (0, 1)), Monomial(ONE, (1, -1))], "V_plus", BOX_P, 10)
     cases = [((1, 0, 0), (0, 1), "gamma has length 3"), ((1, 0), (0, 1, 0), "normal has length 3")]
     for gamma, normal, message in cases:
-        for mode in ("affine", "corrected"):
-            with pytest.raises(AnalyticError, match=f"{message}, the series has dimension 2"):
-                wall_cross(s, WallTransformation(0, gamma, normal, mode), 10)
+        with pytest.raises(AnalyticError, match=f"{message}, the series has dimension 2"):
+            wall_cross(s, WallTransformation(0, gamma, normal, "corrected"), 10)
 
 
 def test_series_refuses_exponents_and_boxes_of_another_dimension():

@@ -4,7 +4,7 @@ and its covariance under a change of charge basis and a relabeling of the points
 import random
 from fractions import Fraction as Q
 
-from helpers import cell_plane_oracle, kernel_points_oracle, primitive_q_oracle, random_lattice_polygon
+from helpers import cell_plane_oracle, kernel_points_oracle, plane_constant, primitive_q_oracle, random_lattice_polygon
 from tropmirror.charges import (
     ChargeError,
     ChargeMatrix,
@@ -181,7 +181,7 @@ def test_cell_planes_match_the_oracle_and_support_the_lift():
         non_simplicial += not sub.is_simplicial()
         for cell in sub.cells:
             assert cell == cell_plane_oracle(sub.points, hts, cell.indices)
-            (gx, gy), c0 = cell.gradient, cell.constant
+            (gx, gy), c0 = cell.gradient, plane_constant(sub, cell)
             vals = [gx * x + gy * y + c0 for x, y in sub.points]
             assert all(v <= h for v, h in zip(vals, hts))
             assert tuple(t for t, (v, h) in enumerate(zip(vals, hts)) if v == h) == cell.indices

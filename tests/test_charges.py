@@ -196,7 +196,7 @@ def test_lower_faces_have_distinct_gradients():
 
 def test_hand_built_subdivision_with_a_shared_gradient_is_refused():
     # two cells of one plane: the web would put both vertices at the origin
-    cells = (SubdivisionCell((0, 1, 2), (Q(0), Q(0)), Q(0)), SubdivisionCell((1, 2, 3), (Q(0), Q(0)), Q(0)))
+    cells = (SubdivisionCell((0, 1, 2), (Q(0), Q(0))), SubdivisionCell((1, 2, 3), (Q(0), Q(0))))
     sub = RegularSubdivision(((0, 0), (1, 0), (0, 1), (1, 1)), (Q(0),) * 4, cells)
     with pytest.raises(DiagramError, match="^two vertices coincide$"):
         web_from_subdivision(sub)

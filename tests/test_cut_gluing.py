@@ -9,18 +9,26 @@ diagrams, seeded smooth webs and d=1 lines: on crossing words drawn from a
 few edges, so that edges repeat and the sums are mostly not primitive, on
 seeded polylines, and on every refusal (a bad ref, a sign of 0 or 2, a class
 of the wrong length), including which of two faults is named first.
+
+The retired affine wall-crossing mode, z^u -> z^{u + <u,m> gamma}, survives
+in ``wall_cross_oracle``; across one cut it is the same shear as transport.
 """
 
 import random
 from fractions import Fraction as Q
 
 from helpers import (
+    AffineWall,
+    box,
     loop_monodromy_oracle,
+    random_novikov,
     random_smooth_web,
     shipped_diagrams,
     transport_covector_oracle,
+    wall_cross_oracle,
 )
 from tropmirror.affine import build_cut_presentation, transport_covector, transport_crossings
+from tropmirror.analytic import Monomial, series
 from tropmirror.diagram import EdgeRef, TropicalDiagram
 from tropmirror.lattice import is_primitive
 from tropmirror.monodromy import loop_monodromy
@@ -104,3 +112,47 @@ def test_transport_matches_the_matrix_product():
             counts["sheared"] += want != g
             counts["several cuts"] += len(transport_crossings(pres, path)) >= 2
     assert min(counts.values()) >= 20, counts
+
+
+def _one_cut_shear_agrees(rng: random.Random, pres, path) -> None:
+    """The affine substitution across the one cut a path crosses, against transport.
+
+    For the cut of edge e crossed with sign s the substitution has
+    gamma = (c_e, 0) and normal = s*e_n, so z^u -> z^{u + s u_n (c_e, 0)}.
+    """
+    (crossing,) = transport_crossings(pres, path)
+    cov, n = pres.cut_of[crossing.ref].covector, pres.n
+    wall = AffineWall(cov + (0,), (0,) * (n - 1) + (crossing.sign,))
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        coeff = random_novikov(rng)
+        if not coeff.is_zero():
+            terms.append(Monomial(coeff, tuple(rng.randint(-4, 4) for _ in range(n))))
+    a = series(terms, "V_minus", box(*[(0, 1)] * n), 10, n)
+    moved = [Monomial(m.coeff, transport_covector(pres, path, m.expo)) for m in a.terms]
+    assert wall_cross_oracle(a, wall, 10) == series(moved, "V_plus", a.box, 10, n), (path, a)
+
+
+def test_the_affine_wall_substitution_is_the_transport_shear_on_the_demo_line():
+    rng = random.Random(1603)
+    pres = build_cut_presentation(TropicalDiagram(1, ((Q(0),),)))
+    for path in (((1, -1), (-1, -1)), ((-1, -1), (1, -1))):
+        for _ in range(20):
+            _one_cut_shear_agrees(rng, pres, path)
+
+
+def test_the_affine_wall_substitution_is_the_transport_shear_on_seeded_webs():
+    # a short path at t = -1 through a point inside one edge, across that edge only
+    rng = random.Random(1604)
+    crossed = 0
+    for _ in range(12):
+        diag = random_smooth_web(rng, 8)
+        pres = build_cut_presentation(diag)
+        for anchor, d, end in diag.segments:
+            s = (end if end is not None else 3) * Q(rng.randint(1, 9), 10)
+            eps = Q(rng.choice((1, -1)), 10**6)
+            p = (anchor[0] + s * d[0], anchor[1] + s * d[1])
+            path = ((p[0] + eps * d[1], p[1] - eps * d[0], Q(-1)), (p[0] - eps * d[1], p[1] + eps * d[0], Q(-1)))
+            _one_cut_shear_agrees(rng, pres, path)
+            crossed += 1
+    assert crossed >= 100

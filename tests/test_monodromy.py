@@ -3,9 +3,18 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import identity_matrix, mat_mul, random_smooth_web, vertex_loop
-from tropmirror.diagram import DiagramError, EdgeRef, TropicalDiagram, dual_subdivision, edge_direction
-from tropmirror.lattice import vsub
+from helpers import identity_matrix, mat_mul, random_lattice_polygon, random_smooth_web, vertex_loop
+from tropmirror.charges import regular_subdivision, web_from_subdivision
+from tropmirror.diagram import (
+    DiagramError,
+    EdgeRef,
+    TropicalDiagram,
+    dual_subdivision,
+    edge_direction,
+    is_smooth,
+    validate,
+)
+from tropmirror.lattice import is_primitive, vsub
 from tropmirror.monodromy import (
     MonodromyError,
     build_dual_graph,
@@ -118,10 +127,45 @@ def test_build_dual_graph_examples():
     assert set(embc.positions) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
-def test_build_dual_graph_requires_smooth():
+def test_build_dual_graph_embeds_a_non_smooth_web():
+    # the covector sum needs only balancing: a dual triangle of area 3/2 embeds too
     coarse = TropicalDiagram(2, ((Q(0), Q(0)),), (), ((0, (0, 1)), (0, (-3, 1)), (0, (3, -2))))
-    with pytest.raises(MonodromyError, match="smooth"):
-        build_dual_graph(coarse)
+    assert not is_smooth(coarse)
+    assert build_dual_graph(coarse).positions == dual_subdivision(coarse).lattice_points
+
+
+def _non_smooth_webs(rng: random.Random) -> list[TropicalDiagram]:
+    """Valid non-smooth webs: one vertex with balanced primitive rays, and lower hulls that skip points."""
+    out = []
+    while len(out) < 80:
+        rays = [tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(rng.randint(2, 4))]
+        rays.append((-sum(r[0] for r in rays), -sum(r[1] for r in rays)))
+        if all(is_primitive(r) for r in rays):
+            diag = TropicalDiagram(2, ((Q(0), Q(0)),), (), tuple((0, r) for r in rays))
+            if validate(diag).ok and not is_smooth(diag):
+                out.append(diag)
+    while len(out) < 120:
+        pts = random_lattice_polygon(rng)
+        try:
+            diag = web_from_subdivision(regular_subdivision(pts, [Q(rng.randint(-20, 20), 7) for _ in pts]))
+        except ValueError:
+            continue
+        if len(diag.vertices) > 1 and validate(diag).ok and not is_smooth(diag):
+            out.append(diag)
+    return out
+
+
+def test_embedding_matches_subdivision_on_non_smooth_webs():
+    rng = random.Random(1702)
+    several = 0
+    for diag in _non_smooth_webs(rng):
+        several += len(diag.vertices) > 1
+        nfaces = len(dual_subdivision(diag).lattice_points)
+        for root_face, sign in ((None, 1), (rng.randrange(nfaces), rng.choice((1, -1)))):
+            emb = build_dual_graph(diag, root_face, sign)
+            dual = dual_subdivision(diag, root_face, sign)
+            assert (emb.positions, emb.root_face) == (dual.lattice_points, dual.root_face), diag
+    assert several == 40
 
 
 def test_embedding_matches_subdivision_on_random_webs():

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import random_novikov
+from helpers import nov_zero, random_novikov
 from tropmirror.novikov import (
     NovikovError,
     nov,
@@ -16,7 +16,6 @@ from tropmirror.novikov import (
     nov_to_text,
     nov_truncate,
     nov_val,
-    nov_zero,
 )
 
 

@@ -85,8 +85,8 @@ def _harvest():
     corrections = corrections_from_json([{"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}])
     roots += [corrections, presentation(diagram_from_json(_load("c3.json")), corrections=corrections)]
     roots.append(focus_focus_demo(6))
-    walls = [WallTransformation(0, (0, 1), (1, 0), mode) for mode in ("affine", "corrected")]
-    roots += walls + [wall_cross(focus_focus_demo(4).h_minus_y, w, 4) for w in walls]
+    wall = WallTransformation(0, (0, 1), (1, 0), "corrected")
+    roots += [wall, wall_cross(focus_focus_demo(4).h_minus_y, wall, 4)]
     roots += [ConeFamily((0, k), (0, 1), k, nov([(k, 1)])) for k in (1, 2)]
     roots += [random_novikov(rng, truncation=rng.choice([None, Q(7)])) for _ in range(20)]
     found = defaultdict(list)

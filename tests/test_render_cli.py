@@ -160,6 +160,19 @@ def test_cli_dual_c3(capsys):
     assert len(out["covectors"]) == 3
 
 
+def test_cli_dual_reports_a_non_smooth_web(tmp_path, capsys):
+    # one vertex whose dual triangle has area 3/2: valid, balanced, not smooth
+    f = tmp_path / "coarse.json"
+    f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0]], "rays": [{"at": 0, "dir": d} for d in ([1, 2], [1, -1], [-2, -1])]}))
+    assert run(["dual", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    out = json.loads(out)
+    assert out["smooth"] is False
+    assert out["embedding_matches_subdivision"] is True
+    assert sorted(map(tuple, out["lattice_points"])) == [(0, 0), (1, 1), (2, -1)]  # area 3/2
+
+
 def test_cli_web_conifold(capsys):
     assert run(["web", "--charges", path("conifold.json")]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -459,6 +472,34 @@ def test_cli_input_errors_name_their_source(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message.format(**names)}\n"
+
+
+NESTED_INPUTS = [
+    ["validate", "{deep}"],
+    ["dual", "{deep}"],
+    ["mirror", "{deep}"],
+    ["render", "{deep}"],
+    ["transport", "{deep}", "--path", "{loop}", "--class", "0,1"],
+    ["web", "--charges", "{deep}"],
+    ["transport", "{ff}", "--path", "{deep}", "--class", "0,1"],
+    ["transport", "{ff}", "--path", "{loop}", "--tau", "{deep}", "--class", "0,1"],
+    ["mirror", "{c3}", "--corrections", "{deep}"],
+    ["eval", "{deep}", "--point", "0,0"],
+]
+
+
+@pytest.mark.parametrize("argv", NESTED_INPUTS, ids=[" ".join(argv) for argv in NESTED_INPUTS])
+def test_cli_refuses_deeply_nested_json_in_one_line(tmp_path, capsys, argv):
+    """Nesting beyond the recursion limit exits 1 with one line naming the limit, not a traceback."""
+    (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
+    (tmp_path / "loop.json").write_text(json.dumps(LOOP))
+    names = {"deep": str(tmp_path / "deep.json"), "loop": str(tmp_path / "loop.json")}
+    names.update(ff=path("focus_focus.json"), c3=path("c3.json"))
+    assert run([arg.format(**names) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    limit = f"nested deeper than the recursion limit ({sys.getrecursionlimit()})"
+    assert (out, err) == ("", f"error: {names['deep']}: not a JSON file: {limit}\n")
+    assert "Traceback" not in err
 
 
 # Documents with one value "@"; each case puts raw JSON text there.

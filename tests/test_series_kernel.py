@@ -98,7 +98,7 @@ def test_series_eq_mod_matches_the_oracle():
             b = series(list(a.terms) + [bump], "V_plus", BOX_PLUS, a.truncation, 2)
         elif kind == "retruncated":
             terms = [(nov_truncate(m.coeff, Q(rng.randint(0, 24), 2)), m.expo) for m in a.terms]
-            b = series([(c, u) for c, u in terms if c], "V_plus", BOX_PLUS, a.truncation, 2)
+            b = series([Monomial(c, u) for c, u in terms if c], "V_plus", BOX_PLUS, a.truncation, 2)
         elif kind == "disjoint":
             a = _series(rng, LEFT, rng.randint(1, 4))
             b = _series(rng, RIGHT, rng.randint(1, 4))
