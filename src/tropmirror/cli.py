@@ -264,6 +264,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "render" and args.dual and args.format == "dot":
+            parser.error("render: --dual is drawn only by --format svg, not --format dot")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,9 +7,13 @@ Validation checks the semi-toric axioms: trivalence, balancing (the primitive
 outgoing directions at each vertex sum to zero), primitivity of ray
 directions, and connectivity.
 
-The edge table, ``TropicalDiagram.rings`` (the darts leaving each vertex) and
-``TropicalDiagram.segments`` (where each edge sits), is built once per
-diagram; validation, the face walk, the gluing and transport all read it.
+The vertex table, ``TropicalDiagram.scaled`` (the vertices as integer points
+over one common denominator), is where a diagram's rationals become
+integers: the duplicate-vertex check, the edge directions and the gluing's
+sums read it.  The edge table, ``TropicalDiagram.rings`` (the darts leaving
+each vertex) and ``TropicalDiagram.segments`` (where each edge sits), is
+built once per diagram; validation, the face walk, the gluing and transport
+all read it.
 
 The faces of the complement, the dual subdivision, the face heights and point
 location are in ``tropmirror.dual``; their public names are bound here too.
@@ -24,15 +28,16 @@ from typing import Optional
 from .lattice import (
     QPoint,
     Vec,
+    common_denominator,
+    content,
     coords_from_json,
-    exact_key,
     is_primitive,
     malformed,
     primitive,
-    primitive_direction,
     read_int,
     vadd,
     vneg,
+    vsub,
 )
 from .record import frozen
 
@@ -85,7 +90,8 @@ class TropicalDiagram:
         for v in verts:
             if len(v) != self.dim:
                 raise DiagramError("vertex dimension mismatch")
-        if len(set(map(exact_key, verts))) != len(verts):
+        xs = self.scaled[1]
+        if len(set(xs)) != len(xs):
             raise DiagramError("two vertices coincide")
         edges = tuple((int(i), int(j)) for i, j in self.edges)
         object.__setattr__(self, "edges", edges)
@@ -123,6 +129,18 @@ class TropicalDiagram:
         return validate(self)
 
     @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[Vec, ...]]:
+        """(den, xs): the vertices as integer points over one common denominator.
+
+        den is the lcm of every coordinate's denominator and xs[v] is vertex v
+        times den, so equal vertices have equal rows, and the duplicate check,
+        the edge directions and the gluing's sums are integer operations.
+        Construction refuses a den of more than DIGITS digits.
+        """
+        den = common_denominator((c for v in self.vertices for c in v), "vertices", DiagramError)
+        return den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in self.vertices)
+
+    @functools.cached_property
     def rings(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its outgoing darts in dart order.
 
@@ -145,12 +163,16 @@ class TropicalDiagram:
         """Per edge_refs() entry, (anchor, primitive direction, end).
 
         The edge is anchor + s*direction for 0 <= s <= end; end is None for a
-        ray.  A d=1 marked point is (v, None, 0).
+        ray.  A d=1 marked point is (v, None, 0).  A bounded edge's direction
+        is primitive(w) and its end content(w) / den, for w the difference of
+        its ends' rows of ``scaled``.
         """
         verts = self.vertices
         if self.dim == 1:
             return tuple((v, None, 0) for v in verts)
-        edges = tuple((verts[i], *primitive_direction(verts[i], verts[j])) for i, j in self.edges)
+        den, xs = self.scaled
+        diffs = [(i, vsub(xs[j], xs[i])) for i, j in self.edges]
+        edges = tuple((verts[i], primitive(w), Q(content(w), den)) for i, w in diffs)
         return edges + tuple((verts[i], primitive(d), None) for i, d in self.rays)
 
     def edge_index(self, ref: EdgeRef) -> Optional[int]:

@@ -16,12 +16,14 @@ reflects the subdivision through the origin.
 
 ``TropicalDiagram`` computes each of these once per diagram through its cached
 properties; ``tropmirror.diagram`` binds the public names of this module too.
+The gluing walk sums on integers, on the vertices over their common
+denominator (``TropicalDiagram.scaled``), and builds one ``Fraction`` per
+face height.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -176,7 +178,8 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
     h(F) + <alpha_F, x>, pinned by h(root) = 0.  At a vertex v that minimum
     is attained by the three faces around v, so one value level[v] per
     vertex, carried along the gluing walk, gives every height.  The sums are
-    taken on integers, over one common denominator of the vertices.
+    taken on integers, on the vertices over their common denominator
+    (``diag.scaled``).
     """
     if not diag.vertices:
         raise DiagramError(EMPTY_DIAGRAM)
@@ -185,8 +188,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
     failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
     if failed:
         raise DiagramError("diagram fails axioms: " + ", ".join(failed))
-    den = math.lcm(*(c.denominator for x in diag.vertices for c in x))
-    xs = [tuple(c.numerator * (den // c.denominator) for c in x) for x in diag.vertices]
+    den, xs = diag.scaled
     if diag.dim == 1:
         order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
         k = len(order)
@@ -245,13 +247,15 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
             if len(shared) != 2:
                 raise DiagramError(f"edge {k} does not separate two faces")
             if anchor[w] is None:
-                f0, f1 = sorted(shared)
-                cand = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
-                check = vadd(anchor[v], vsub(local[v][f1], local[w][f1]))
-                if cand != check:
-                    raise DiagramError(f"gluing across edge {k} is inconsistent")
-                anchor[w] = cand
-                level[w] = level[v] + dot(vadd(cand, local[w][f0]), vsub(xs[w], xs[v]))
+                # The shared faces are the two sides of edge k, which the pinch
+                # check made distinct.  At either end, stepping from one side
+                # to the other adds the same vector: the quarter-turned
+                # direction of edge k, whose sign flips with the dart's parity
+                # as the sides swap.  So the other shared face gives this
+                # anchor too, and needs no check.
+                f0 = min(shared)
+                anchor[w] = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
+                level[w] = level[v] + dot(vadd(anchor[w], local[w][f0]), vsub(xs[w], xs[v]))
                 stack.append(w)
 
     positions: list[Optional[Vec]] = [None] * nfaces

@@ -9,11 +9,10 @@ binds the public names of this module too, ``ChargeError`` among them.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Vec, convex_hull, cross2, dot, vsub
+from .lattice import Vec, common_denominator, convex_hull, cross2, dot, vsub
 from .record import frozen
 
 Q = Fraction
@@ -86,11 +85,12 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
 
     The cells are the lower faces of the points lifted by their heights
     (scaled by the lcm of the height denominators, so every predicate is an
-    integer determinant).  They are found by gift wrapping from face to face
-    across the corner-to-corner edges of each cell, once per cell, in O(F m)
-    predicates for F cells and m points.  Each cell lists every point on its
-    plane, so non-simplicial cells keep their interior and edge points, and
-    its gradient is read off the plane's integer normal.
+    integer determinant; an lcm of more than DIGITS digits is refused).  They
+    are found by gift wrapping from face to face across the corner-to-corner
+    edges of each cell, once per cell, in O(F m) predicates for F cells and
+    m points.  Each cell lists every point on its plane, so non-simplicial
+    cells keep their interior and edge points, and its gradient is read off
+    the plane's integer normal.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     hts = [Q(h) for h in heights]
@@ -106,7 +106,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     hull = convex_hull(pts)
     if len(hull) < 3:
         raise ChargeError("point configuration is degenerate (all collinear)")
-    scale = math.lcm(*(h.denominator for h in hts))
+    scale = common_denominator(hts, "heights", ChargeError)
     lifted = [(x, y, h.numerator * (scale // h.denominator)) for (x, y), h in zip(pts, hts)]
     # bit i of on_hull[t] is set iff point t lies on the line of hull edge i;
     # a cell edge with both ends on one such line bounds the polygon

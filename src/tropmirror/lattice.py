@@ -10,7 +10,8 @@ Vectors and points are plain tuples (``int`` entries for lattice vectors,
 
 The file readers of every module read their numbers here (``read_int``,
 ``read_rational``, ``coords_from_json``) and report a malformed value through
-one guard, ``malformed``.
+one guard, ``malformed``; ``common_denominator`` bounds the lcm over which a
+set of read rationals is scaled to integers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, prod
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .record import frozen
 
@@ -79,37 +80,8 @@ def primitive(v: Sequence[int]) -> Vec:
     return tuple(x // g for x in v)
 
 
-def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Vec, Fraction]:
-    """Primitive integer d and rational s > 0 with q - p = s*d, for distinct rational points.
-
-    Entry k of the difference is (q_k.num p_k.den - p_k.num q_k.den) over
-    d_k = p_k.den q_k.den; over the product of the d_k every entry is an
-    integer, so d is that integer vector over its content g, and s is g over
-    the product.  The only Fraction built is s.
-    """
-    nums, dens = [], []
-    for a, b in zip(p, q, strict=True):
-        a = a if isinstance(a, (int, Fraction)) else Fraction(a)
-        b = b if isinstance(b, (int, Fraction)) else Fraction(b)
-        nums.append(b.numerator * a.denominator - a.numerator * b.denominator)
-        dens.append(a.denominator * b.denominator)
-    total = prod(dens)
-    w = [x * (total // d) for x, d in zip(nums, dens)]
-    return primitive(w), Fraction(content(w), total)
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     return not is_zero(v) and content(v) == 1
-
-
-def exact_key(v: Sequence[Fraction]) -> tuple:
-    """A hashable key equal for equal rational vectors, without Fraction.__hash__.
-
-    Hashing a Fraction inverts its denominator modulo a prime, which is slow
-    for the large denominators of perturbed heights; reduced Fractions are
-    equal exactly when their numerators and denominators are.
-    """
-    return tuple((c.numerator, c.denominator) for c in v)
 
 
 def lattice_triangle_area(a: Sequence, b: Sequence, c: Sequence) -> Fraction:
@@ -198,6 +170,22 @@ def read_rational(value) -> Fraction:
         if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
             return q
     raise ValueError(f"{value!r} is over the limit of {DIGITS} digits")
+
+
+def common_denominator(values: Iterable[Fraction], kind: str, error: type) -> int:
+    """The lcm of the values' denominators, refused with ``error`` once it has more than DIGITS digits.
+
+    Every integer predicate on the scaled values grows with this lcm, which a
+    few inputs each within DIGITS digits can push to any size.  It is
+    accumulated one value at a time and checked after each step, so a
+    refused input costs at most one lcm of two numbers under the limit.
+    """
+    den = 1
+    for q in values:
+        den = lcm(den, q.denominator)
+        if den >= _TOO_LARGE:
+            raise error(f"the common denominator of the {kind} is over the limit of {DIGITS} digits")
+    return den
 
 
 def coords_from_json(value, parse=read_rational) -> tuple:

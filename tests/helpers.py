@@ -15,7 +15,7 @@ import os
 import random
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from tropmirror.analytic import (
@@ -52,12 +52,13 @@ from tropmirror.diagram import (
     is_smooth,
     validate,
 )
-from tropmirror.dual import _ccw_cmp
+from tropmirror.dual import _ccw_cmp, _pinned
 from tropmirror.lattice import (
     Box,
     LatticeError,
     QPoint,
     Vec,
+    content,
     convex_hull,
     cross2,
     dot,
@@ -1298,6 +1299,208 @@ def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
     # crossing counterclockwise around v passes each edge in its canonical
     # direction when v's dart along it is even, against it when odd
     return tuple((refs[d >> 1], -1 if d & 1 else 1) for d in diag.face_complex.rotations[v])
+
+
+# --- a diagram's rationals before one table of integers held them, as oracles
+#
+# The duplicate-vertex check compared (numerator, denominator) pairs, each
+# bounded edge cleared the denominators of its own two ends, and the gluing
+# took its own lcm of the vertex denominators.  The bodies are unchanged,
+# except that ``diagram_checks_oracle`` (the old ``__post_init__``) runs on any
+# object with the four fields, ``segments_oracle`` (the old ``segments``)
+# takes the diagram as an argument, and ``glue_oracle`` reads
+# ``segments_oracle`` where ``_glue`` read ``diag.segments``.
+
+
+def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Vec, Fraction]:
+    """Primitive integer d and rational s > 0 with q - p = s*d, for distinct rational points.
+
+    Entry k of the difference is (q_k.num p_k.den - p_k.num q_k.den) over
+    d_k = p_k.den q_k.den; over the product of the d_k every entry is an
+    integer, so d is that integer vector over its content g, and s is g over
+    the product.  The only Fraction built is s.
+    """
+    nums, dens = [], []
+    for a, b in zip(p, q, strict=True):
+        a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+        b = b if isinstance(b, (int, Fraction)) else Fraction(b)
+        nums.append(b.numerator * a.denominator - a.numerator * b.denominator)
+        dens.append(a.denominator * b.denominator)
+    total = prod(dens)
+    w = [x * (total // d) for x, d in zip(nums, dens)]
+    return primitive(w), Fraction(content(w), total)
+
+
+def exact_key(v: Sequence[Fraction]) -> tuple:
+    """A hashable key equal for equal rational vectors, without Fraction.__hash__.
+
+    Hashing a Fraction inverts its denominator modulo a prime, which is slow
+    for the large denominators of perturbed heights; reduced Fractions are
+    equal exactly when their numerators and denominators are.
+    """
+    return tuple((c.numerator, c.denominator) for c in v)
+
+
+def diagram_checks_oracle(self) -> None:
+    if self.dim not in (1, 2):
+        raise DiagramError("dimension must be 1 or 2")
+    verts = tuple(tuple(c if c.__class__ is Q else Q(c) for c in v) for v in self.vertices)
+    object.__setattr__(self, "vertices", verts)
+    for v in verts:
+        if len(v) != self.dim:
+            raise DiagramError("vertex dimension mismatch")
+    if len(set(map(exact_key, verts))) != len(verts):
+        raise DiagramError("two vertices coincide")
+    edges = tuple((int(i), int(j)) for i, j in self.edges)
+    object.__setattr__(self, "edges", edges)
+    rays = tuple((int(i), tuple(int(c) for c in d)) for i, d in self.rays)
+    object.__setattr__(self, "rays", rays)
+    if self.dim == 1 and (edges or rays):
+        raise DiagramError("d=1 diagrams carry no edges or rays")
+    n = len(verts)
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise DiagramError("edge endpoint out of range")
+        if i == j:
+            raise DiagramError("edge endpoints must be distinct")
+    for i, d in rays:
+        if not 0 <= i < n:
+            raise DiagramError("ray vertex out of range")
+        if len(d) != self.dim:
+            raise DiagramError("ray direction dimension mismatch")
+        if all(c == 0 for c in d):
+            raise DiagramError("ray direction is zero")
+
+
+def segments_oracle(self) -> tuple[tuple[QPoint, Optional[Vec], Optional[Fraction]], ...]:
+    """Per edge_refs() entry, (anchor, primitive direction, end).
+
+    The edge is anchor + s*direction for 0 <= s <= end; end is None for a
+    ray.  A d=1 marked point is (v, None, 0).
+    """
+    verts = self.vertices
+    if self.dim == 1:
+        return tuple((v, None, 0) for v in verts)
+    edges = tuple((verts[i], *primitive_direction(verts[i], verts[j])) for i, j in self.edges)
+    return edges + tuple((verts[i], primitive(d), None) for i, d in self.rays)
+
+
+def glue_oracle(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]:
+    """Glue the local vertex cells into the dual subdivision, and lift it.
+
+    Returns the subdivision in the default gauge and the face heights h at
+    the zero base point: the diagram is the corner locus of min over faces of
+    h(F) + <alpha_F, x>, pinned by h(root) = 0.  At a vertex v that minimum
+    is attained by the three faces around v, so one value level[v] per
+    vertex, carried along the gluing walk, gives every height.  The sums are
+    taken on integers, over one common denominator of the vertices.
+    """
+    if not diag.vertices:
+        raise DiagramError(EMPTY_DIAGRAM)
+    report = diag.report
+    # connectivity is named only when the local axioms hold
+    failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
+    if failed:
+        raise DiagramError("diagram fails axioms: " + ", ".join(failed))
+    den = math.lcm(*(c.denominator for x in diag.vertices for c in x))
+    xs = [tuple(c.numerator * (den // c.denominator) for c in x) for x in diag.vertices]
+    if diag.dim == 1:
+        order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
+        k = len(order)
+        # face j is the j-th interval from the left; its dual coordinate is k-j,
+        # so crossing marked point p to the right adds p to the height
+        points = [(k - j,) for j in range(k + 1)]
+        heights = [0]
+        for i in order:
+            heights.append(heights[-1] + xs[i][0])
+        duality = tuple((EdgeRef("point", i), (pos, pos + 1)) for pos, i in enumerate(order))
+        return _pinned(points, (), duality, heights, den)
+
+    complex_ = diag.face_complex
+    segments = segments_oracle(diag)
+    nfaces = len(complex_.faces)
+
+    # local cell of each vertex: faces in ccw dart order with corner offsets
+    local: list[dict[int, Vec]] = []
+    for v in range(len(xs)):
+        ring = complex_.rotations[v]
+        offsets: dict[int, Vec] = {}
+        acc = (0, 0)
+        # sector after dart ring[i] (ccw) lies clockwise of ring[i+1]
+        for idx in range(len(ring)):
+            nxt = ring[(idx + 1) % len(ring)]
+            face_here = complex_.dart_face[nxt]  # face on the clockwise side of nxt
+            if idx == 0:
+                offsets[face_here] = acc
+            else:
+                if face_here in offsets and offsets[face_here] != acc:
+                    raise DiagramError(f"face pinched at vertex {v}")
+                offsets[face_here] = acc
+            step = rot_minus90(segments[nxt >> 1][1])
+            acc = vsub(acc, step) if nxt & 1 else vadd(acc, step)
+        # acc is back at (0, 0): the steps are the turned outgoing directions,
+        # which balancing makes sum to zero
+        if len(offsets) != len(ring):
+            raise DiagramError(f"face pinched at vertex {v}")
+        local.append(offsets)
+
+    # glue local cells along bounded edges; level[w] follows from the face f0
+    # that w shares with v: h(f0) + <alpha_f0, x> at x_w minus at x_v
+    anchor: list[Optional[Vec]] = [None] * len(xs)
+    anchor[0] = (0, 0)
+    level = [0] * len(xs)
+    stack = [0]
+    first_ray = 2 * len(diag.edges)
+    while stack:
+        v = stack.pop()
+        for d in diag.rings[v]:
+            if d >= first_ray:
+                break  # a ring lists its ray darts last
+            k = d >> 1
+            w = diag.edges[k][~d & 1]
+            shared = set(local[v]) & set(local[w])
+            if len(shared) != 2:
+                raise DiagramError(f"edge {k} does not separate two faces")
+            if anchor[w] is None:
+                f0, f1 = sorted(shared)
+                cand = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
+                check = vadd(anchor[v], vsub(local[v][f1], local[w][f1]))
+                if cand != check:
+                    raise DiagramError(f"gluing across edge {k} is inconsistent")
+                anchor[w] = cand
+                level[w] = level[v] + dot(vadd(cand, local[w][f0]), vsub(xs[w], xs[v]))
+                stack.append(w)
+
+    positions: list[Optional[Vec]] = [None] * nfaces
+    heights: list[Optional[int]] = [None] * nfaces
+    placed_at = [0] * nfaces  # the vertex that placed each face first
+    for v in range(len(xs)):
+        for f, off in local[v].items():
+            p = vadd(anchor[v], off)
+            h = level[v] - dot(p, xs[v])
+            if positions[f] is None:
+                positions[f], heights[f], placed_at[f] = p, h, v
+            elif positions[f] != p:
+                raise DiagramError(
+                    "dual positions are inconsistent (monodromy obstruction): face"
+                    f" {f} is at {positions[f]} from vertex {placed_at[f]} and at {p} from vertex {v}"
+                )
+            elif heights[f] != h:
+                raise DiagramError(
+                    f"face heights are inconsistent around a loop: face {f} has height"
+                    f" {Q(heights[f], den)} at vertex {placed_at[f]} and {Q(h, den)} at vertex {v}"
+                )
+    if any(p is None for p in positions):
+        raise DiagramError("a face received no dual position")
+
+    triangles = tuple(tuple(sorted(cell)) for cell in local)
+    duality = []
+    for e, ref in enumerate(diag.edge_refs()):
+        left, right = complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e]
+        if dot(vsub(positions[left], positions[right]), segments[e][1]) != 0:
+            raise DiagramError(f"dual edge of {ref} is not orthogonal")
+        duality.append((ref, (left, right)))
+    return _pinned(positions, triangles, tuple(duality), heights, den)
 
 
 # --- small helpers that only the tests use ------------------------------------

@@ -15,6 +15,7 @@ from helpers import (
     identity_matrix,
     interior_point_near_vertex,
     intersect_shifted_cones,
+    primitive_q_oracle,
     random_smooth_web,
     vertex_loop,
 )
@@ -228,9 +229,7 @@ def test_acceptance_8_charge_pipeline(capsys):
     # Q the lattice length of the bounded edge
     (i, j) = web.diagram.edges[0]
     dv = vsub(web.diagram.vertices[j], web.diagram.vertices[i])
-    from tropmirror.lattice import primitive_direction
-
-    prim, _ = primitive_direction((0,) * len(dv), dv)
+    prim = primitive_q_oracle(dv)
     axis = 0 if prim[0] != 0 else 1
     length = dv[axis] / prim[axis]
     far = [a for a, c in pres.relation.terms if nov_val(c) > 0]

@@ -13,7 +13,8 @@ from tropmirror.charges import (
     kernel_points,
     regular_subdivision,
 )
-from tropmirror.lattice import LatticeError, cross2, primitive_direction, vsub
+from tropmirror.diagram import TropicalDiagram
+from tropmirror.lattice import LatticeError, cross2, vadd, vsub
 
 PRIME = 10**14 + 31  # the denominator of the benchmark's height perturbations
 
@@ -132,25 +133,21 @@ def _rational(rng: random.Random):
 
 def test_primitive_q_matches_the_oracle():
     rng = random.Random(82)
-    vectors = [(), (0,), (0, 0), (Q(0), 0, Q(0, 5)), (Q(3, PRIME), Q(-6, PRIME))]
-    while len(vectors) < 520:
-        v = tuple(_rational(rng) for _ in range(rng.randint(1, 3)))
-        if rng.random() < 0.1:
-            v = tuple(0 * x for x in v)
-        elif rng.random() < 0.2:
+    pairs = [((0, 0), (Q(3, PRIME), Q(-6, PRIME))), ((Q(1, 2), 0), (Q(6, 4), Q(0, 5)))]
+    while len(pairs) < 520:
+        p = tuple(_rational(rng) for _ in range(2))
+        v = tuple(_rational(rng) for _ in range(2))
+        if rng.random() < 0.2:
             # a rational multiple of a primitive vector: the multiple is divided out
             s = Q(rng.randint(1, 50), rng.choice((1, 7, PRIME)))
             v = tuple(s * x for x in v)
-        vectors.append(v)
-    zeros = 0
-    for v in vectors:
-        got = _outcome(primitive_direction, (0,) * len(v), v)
-        if not isinstance(got, str):
-            got, length = got
-            assert length > 0 and tuple(length * c for c in got) == v, v
-        assert got == _outcome(primitive_q_oracle, v), v
-        zeros += isinstance(got, str)
-    assert zeros >= 20
+        if any(v):
+            pairs.append((p, vadd(p, v)))
+    for p, q in pairs:
+        (anchor, direction, length), = TropicalDiagram(2, (p, q), ((0, 1),)).segments
+        v = vsub(q, p)
+        assert anchor == p and direction == primitive_q_oracle(v), (p, q)
+        assert length > 0 and tuple(length * c for c in direction) == v, (p, q)
 
 
 def _planes_cases(rng: random.Random) -> list:

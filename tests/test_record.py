@@ -234,7 +234,8 @@ def test_replace_on_a_diagram_caches_nothing():
     assert set(derived) <= set(vars(warm))
     fresh = replace(warm)
     assert fresh == warm and fresh is not warm
-    assert set(vars(fresh)) == set(TropicalDiagram._fields)
+    assert set(vars(fresh)) == set(TropicalDiagram._fields) | {"scaled"}
+    assert fresh.scaled == warm.scaled
     assert fresh.heights == warm.heights and fresh.dual == warm.dual
     with pytest.raises(diagram.DiagramError, match="dimension must be 1 or 2"):
         replace(warm, dim=3)

@@ -14,6 +14,7 @@ from tropmirror.charges import ChargeMatrix, build_web
 from tropmirror import cli
 from tropmirror.cli import run
 from tropmirror.diagram import TropicalDiagram, diagram_to_json
+from tropmirror.lattice import DIGITS
 from tropmirror.record import FrozenInstanceError
 from tropmirror.render import RenderError, render
 
@@ -252,6 +253,24 @@ def test_cli_render_formats(capsys):
     assert svg.startswith("<svg")
     assert run(["render", path("c3.json"), "--format", "dot"]) == 0
     assert capsys.readouterr().out.startswith("graph web")
+
+
+def test_cli_render_refuses_dual_with_dot_before_reading_the_diagram(tmp_path, capsys):
+    # a crossing diagram that dot draws, but whose dual subdivision is refused
+    crossing = {"dim": 2, "vertices": [["0", "0"], ["2", "2"], ["3", "2"]], "edges": [[0, 1], [1, 2]],
+                "rays": [{"at": 0, "dir": [-1, 0]}, {"at": 0, "dir": [0, -1]}, {"at": 1, "dir": [0, 1]},
+                         {"at": 2, "dir": [-2, -1]}, {"at": 2, "dir": [3, 1]}]}
+    drawn = tmp_path / "crossing.json"
+    drawn.write_text(json.dumps(crossing))
+    assert run(["render", str(drawn), "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("graph web")
+    for diagram in (str(drawn), path("kp2.json"), str(tmp_path / "missing.json")):
+        for argv in (["--format", "dot", "--dual"], ["--dual", "--format", "dot"]):
+            assert run(["render", diagram, *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith("error: render: --dual is drawn only by --format svg, not --format dot\n")
+    assert run(["render", path("kp2.json"), "--format", "svg", "--dual"]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
 
 
 def test_cli_usage_errors(capsys):
@@ -570,3 +589,22 @@ def test_cli_rational_size_bound_names_the_limit(tmp_path, capsys):
     f.write_text(json.dumps({"dim": 1, "vertices": [["1e4299"]]}))
     assert run(["validate", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("fives, code", [(DIGITS - 1, 0), (DIGITS, 1)], ids=["below", "past"])
+def test_cli_common_denominator_bound_names_the_limit(tmp_path, capsys, fives, code):
+    # 2^DIGITS and 5^fives are each under the size bound of a number; their
+    # lcm, 2 * 10^(DIGITS-1) or 10^DIGITS, is just below or just past the bound
+    # of a common denominator
+    tiny, tinier = f"1/{2**DIGITS}", f"1/{5**fives}"
+    charges = {"charges": [[1, 1, -1, -1]], "heights": [tiny, "1", tinier, "0"]}
+    c3 = {"dim": 2, "vertices": [[tiny, tinier]], "rays": [{"at": 0, "dir": d} for d in ([1, 0], [0, 1], [-1, -1])]}
+    f = tmp_path / "near.json"
+    for argv, data, kind in ((["web", "--charges"], charges, "heights"), (["dual"], c3, "vertices")):
+        f.write_text(json.dumps(data))
+        assert run([*argv, str(f)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", f"error: the common denominator of the {kind} is over the limit of {DIGITS} digits\n")
+        else:
+            assert err == "" and isinstance(json.loads(out), dict)
