@@ -3,27 +3,28 @@
 The base is R^(d+1): moment coordinates over the diagram plane plus one extra
 coordinate.  Each diagram edge e at height tau(e) hangs a cut
 P_e = {(x, t) : x on e, t <= tau(e)}; gluing across a cut is the shear of the
-edge covector (``monodromy.shear``).  The shears commute, so transporting a
-covector along a polyline applies once the shear of the signed sum of the
-covectors it crosses; the crossing sign is positive when the path moves with
-the edge covector increasing.
+edge covector (``monodromy.shear``).  A presentation is the diagram and one
+height per edge, ``taus``, indexed like its edge table (``segments`` and
+``covectors``).  The shears commute, so transporting a covector along a
+polyline applies once the shear of the signed sum of the covectors it
+crosses; the crossing sign is positive when the path moves with the edge
+covector increasing.
 
 Chambers: points with last coordinate above every relevant cut height are in
-V_plus, below in V_minus, and points at the wall level over a face are wall
-points tagged by the face.  tau defaults to zero on every edge, putting the
-diagram in the plane {t = 0}; users may supply per-edge constants.
+``"V_plus"``, below in ``"V_minus"``, and points at the wall level over a
+face are in ``"wall(<face>)"``.  tau defaults to zero on every edge, putting
+the diagram in the plane {t = 0}; users may supply per-edge constants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import EdgeRef, TropicalDiagram, parse_edge_ref
 from .dual import locate_face
 from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
-from .monodromy import edge_covector, signed_sum
+from .monodromy import signed_sum
 from .record import frozen
 
 Q = Fraction
@@ -34,46 +35,13 @@ class AffineError(ValueError):
 
 
 @frozen
-class ChamberId:
-    tag: str  # "V_plus" | "V_minus" | "wall"
-    face: Optional[int] = None
-
-    def __str__(self):
-        return self.tag if self.face is None else f"wall({self.face})"
-
-
-V_PLUS = ChamberId("V_plus")
-V_MINUS = ChamberId("V_minus")
-
-
-def wall(face: int) -> ChamberId:
-    return ChamberId("wall", face)
-
-
-@frozen
-class Cut:
-    ref: EdgeRef
-    covector: Vec
-    tau: Fraction
-
-
-@frozen
 class CutPresentation:
     diagram: TropicalDiagram
-    cuts: tuple[Cut, ...]  # one per diagram.edge_refs() entry, in that order
+    taus: tuple[Fraction, ...]  # the cut height of each edge, indexed like diagram.segments
 
     @property
     def n(self) -> int:
         return self.diagram.dim + 1
-
-    @cached_property
-    def cut_of(self) -> dict[EdgeRef, Cut]:
-        return {c.ref: c for c in self.cuts}
-
-    def tau_of(self, ref: EdgeRef) -> Fraction:
-        if ref not in self.cut_of:
-            raise AffineError(f"{ref} has no cut")
-        return self.cut_of[ref].tau
 
 
 def path_from_json(data) -> list[QPoint]:
@@ -89,7 +57,7 @@ def tau_from_json(data) -> dict[EdgeRef, Fraction]:
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:
-    """One cut per bounded edge and ray, glued by the shear of its covector."""
+    """One cut per edge, glued by the shear of its covector; tau defaults to 0."""
     report = diag.report
     if not report.ok:
         raise AffineError("diagram fails axioms: " + ", ".join(report.failed_axioms()))
@@ -98,13 +66,13 @@ def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) ->
     for ref in tau:
         if ref not in refs:
             raise AffineError(f"tau defined on a non-edge {ref}")
-    cuts = tuple(Cut(ref, edge_covector(diag, ref), Q(tau.get(ref, 0))) for ref in refs)
-    return CutPresentation(diag, cuts)
+    return CutPresentation(diag, tuple(Q(tau.get(ref, 0)) for ref in refs))
 
 
-def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
-    """Classify a base point: V_plus above the wall slab of its face, V_minus
-    below, wall(face) inside it.  Points over the diagram itself error out.
+def chamber_of(pres: CutPresentation, p: Sequence) -> str:
+    """Name the chamber of a base point: "V_plus" above the wall slab of its
+    face, "V_minus" below, "wall(<face>)" inside it.  Points over the diagram
+    itself error out.
     """
     p = tuple(Q(c) for c in p)
     if len(p) != pres.n:
@@ -116,12 +84,12 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> ChamberId:
         where = ", ".join(str(c) for c in p)
         raise AffineError(f"on wall: ({where}) lies over {_diagram_part_at(diag, x)}")
     # the cuts bounding the face are the edges dual to its sides
-    taus = [pres.tau_of(ref) for ref, sides in diag.dual.edge_duality if face in sides]
+    taus = [pres.taus[diag.edge_index(ref)] for ref, sides in diag.dual.edge_duality if face in sides]
     if t > max(taus):
-        return V_PLUS
+        return "V_plus"
     if t < min(taus):
-        return V_MINUS
-    return wall(face)
+        return "V_minus"
+    return f"wall({face})"
 
 
 def _diagram_part_at(diag: TropicalDiagram, x) -> str:
@@ -181,30 +149,29 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
     axy, at = a[:-1], a[-1]
     bxy, bt = b[:-1], b[-1]
     found: list[tuple[Fraction, Crossing]] = []
-    for cut, segment in zip(pres.cuts, diag.segments):
-        cov = cut.covector
+    for ref, cov, tau, segment in zip(diag.edge_refs(), diag.covectors, pres.taus, diag.segments):
         anchor, _, end = segment
         fa = dot(cov, vsub(axy, anchor))
         fb = dot(cov, vsub(bxy, anchor))
         if fa == fb:
-            if fa == 0 and min(at, bt) <= cut.tau:
+            if fa == 0 and min(at, bt) <= tau:
                 # segment inside the cut plane: reject if its part at or
                 # below the cut height projects onto the edge range
-                lo, hi = _below(a, b, cut.tau)
+                lo, hi = _below(a, b, tau)
                 ua, ub = (_edge_param(segment, x[:-1]) for x in (lo, hi))
                 if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
                     # witness: the first point of that part over the edge
                     u = max(ua, 0) if end is None else min(max(ua, 0), end)
                     s = (u - ua) / (ub - ua) if ub != ua else 0
                     point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
-                    raise _refuse("path runs along a cut", seg, cut.ref, point)
+                    raise _refuse("path runs along a cut", seg, ref, point)
             continue
         if fa == 0 or fb == 0:
             # the plane is met only at an endpoint; error iff that endpoint
             # is on the actual cut region, otherwise no crossing occurs
             p = a if fa == 0 else b
-            if p[-1] <= cut.tau and _on_edge(segment, p[:-1]):
-                raise _refuse("path endpoint lies on a cut", seg, cut.ref, p)
+            if p[-1] <= tau and _on_edge(segment, p[:-1]):
+                raise _refuse("path endpoint lies on a cut", seg, ref, p)
             continue
         if (fa > 0) == (fb > 0):
             continue
@@ -214,14 +181,14 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
         u = _edge_param(segment, xq)
         if u < 0 or (end is not None and u > end):
             continue
-        if tq > cut.tau:
+        if tq > tau:
             continue  # passes above the cut, through glued regular base
         # at the cut's height, or in d=2 exactly over an edge endpoint (a
         # vertex line), the path meets the discriminant
-        if tq == cut.tau or (diag.dim == 2 and u in (0, end)):
-            raise _refuse("path hits discriminant", seg, cut.ref, point)
+        if tq == tau or (diag.dim == 2 and u in (0, end)):
+            raise _refuse("path hits discriminant", seg, ref, point)
         sign = 1 if fb > fa else -1
-        found.append((s, Crossing(cut.ref, sign, point)))
+        found.append((s, Crossing(ref, sign, point)))
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
 
@@ -236,7 +203,8 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     v = tuple(int(c) for c in g)
     if len(v) != pres.n:
         raise AffineError("covector dimension mismatch")
-    total = signed_sum(((pres.cut_of[c.ref].covector, c.sign) for c in crossings), pres.n - 1)
+    diag = pres.diagram
+    total = signed_sum(((diag.covectors[diag.edge_index(c.ref)], c.sign) for c in crossings), pres.n - 1)
     return tuple(e + v[-1] * c for e, c in zip(v, total)) + v[-1:]
 
 

@@ -40,7 +40,7 @@ from .affine import build_cut_presentation, transport_covector
 from .diagram import TropicalDiagram
 from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_rational, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
-from .novikov import NovikovElement, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
+from .novikov import NovikovElement, _from_sums, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
 from .record import frozen
 
 Q = Fraction
@@ -131,7 +131,7 @@ def _collect(items) -> tuple[Monomial, ...]:
         for x, c in coeff.terms:
             acc[x] = acc[x] + k * c if x in acc else k * c
         truncs[e] = _min_trunc(truncs.get(e), coeff.truncation)
-    kept = ((e, nov(sums[e].items(), truncs[e])) for e in sorted(sums))
+    kept = ((e, _from_sums(sums[e], truncs[e])) for e in sorted(sums))
     return tuple(Monomial(c, e) for e, c in kept if c)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .diagram import TropicalDiagram
 from .hull import ChargeError, RegularSubdivision, SubdivisionCell, _cell_boundary_edges, regular_subdivision
-from .lattice import Vec, dot, malformed, primitive, read_int, read_rational, vneg
+from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_rational, vneg
 from .record import frozen
 
 
@@ -208,7 +208,9 @@ def diagram_from_charges(q: ChargeMatrix, heights: Sequence, allow_singular: boo
 
 
 # columns or rows of a charge file; the web takes time and memory about
-# quadratic in the columns, some 2 s at the limit
+# quadratic in the columns.  At 990 columns (P^2 of degree 43) `web --charges`
+# took 1.6 s with 2-digit height denominators and 6.2 s with a 3,445-digit
+# lcm, near the DIGITS bound on it (in-process, min of 3, shared Xeon host)
 MAX_CHARGE_SIZE = 1000
 
 
@@ -216,7 +218,9 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
     """The charge matrix and heights of a charge file.
 
     A file with more than MAX_CHARGE_SIZE columns or rows is refused before
-    any entry is read.
+    any entry is read, and heights over a common denominator of more than
+    DIGITS digits before the kernel and the hull run (``regular_subdivision``
+    keeps the same check for callers that skip this reader).
     """
     with malformed("charge", ChargeError):
         charges = data["charges"]
@@ -226,4 +230,6 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
             raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
         rows = tuple(tuple(read_int(x) for x in row) for row in charges)
         heights = [read_rational(h) for h in data["heights"]]
-    return ChargeMatrix(rows, width), heights
+    q = ChargeMatrix(rows, width)
+    common_denominator(heights, "heights", ChargeError)
+    return q, heights

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import __version__
@@ -22,7 +21,7 @@ from .diagram import diagram_from_json, diagram_to_json
 from .dual import dual_subdivision, is_smooth
 from .lattice import MALFORMED, read_int, read_rational
 from .mirror import corrections_from_json, normalize_presentation, presentation, presentation_to_json
-from .monodromy import build_dual_graph, edge_covector
+from .monodromy import build_dual_graph
 from .novikov import nov_to_json, nov_to_text
 from .render import render
 
@@ -49,22 +48,6 @@ def _load_diagram(path: str):
         q, heights = charges_from_json(data)
         return build_web(q, heights).diagram
     return diagram_from_json(data)
-
-
-def _color_enabled() -> bool:
-    if os.environ.get("TROPMIRROR_NO_COLOR"):
-        return False
-    return sys.stdout.isatty()
-
-
-def _status_line(text: str) -> str:
-    if not _color_enabled():
-        return text
-    if text.startswith("PASS"):
-        return f"\x1b[32m{text}\x1b[0m"
-    if text.startswith("FAIL"):
-        return f"\x1b[31m{text}\x1b[0m"
-    return text
 
 
 def _parse_number(option: str, text: str, number=read_rational):
@@ -157,8 +140,8 @@ def _cmd_dual(args) -> int:
             {"edge": str(ref), "faces": list(pair)} for ref, pair in dual.edge_duality
         ],
         "covectors": [
-            {"edge": str(ref), "covector": list(edge_covector(diag, ref))}
-            for ref in diag.edge_refs()
+            {"edge": str(ref), "covector": list(cov)}
+            for ref, cov in zip(diag.edge_refs(), diag.covectors)
         ],
         "embedding_matches_subdivision": embedding.positions == dual.lattice_points,
         "smooth": is_smooth(diag),
@@ -229,7 +212,7 @@ def _cmd_wallcross_demo(args) -> int:
     else:
         sys.stdout.write(f"focus-focus wall crossing at E = {report.truncation}\n")
         for msg in report.messages:
-            sys.stdout.write(_status_line(msg) + "\n")
+            sys.stdout.write(msg + "\n")
         sys.stdout.write(f"mirror relation: x*y - ({report.mirror_relation})\n")
     return 0 if report.passed else 1
 

@@ -11,9 +11,10 @@ The vertex table, ``TropicalDiagram.scaled`` (the vertices as integer points
 over one common denominator), is where a diagram's rationals become
 integers: the duplicate-vertex check, the edge directions and the gluing's
 sums read it.  The edge table, ``TropicalDiagram.rings`` (the darts leaving
-each vertex) and ``TropicalDiagram.segments`` (where each edge sits), is
-built once per diagram; validation, the face walk, the gluing and transport
-all read it.
+each vertex), ``TropicalDiagram.segments`` (where each edge sits) and
+``TropicalDiagram.covectors`` (the covector each edge's cut glues by), is
+built once per diagram; validation, the face walk, the gluing, the monodromy
+and transport all read it.
 
 The faces of the complement, the dual subdivision, the face heights and point
 location are in ``tropmirror.dual``; their public names are bound here too.
@@ -35,6 +36,7 @@ from .lattice import (
     malformed,
     primitive,
     read_int,
+    rot_minus90,
     vadd,
     vneg,
     vsub,
@@ -174,6 +176,18 @@ class TropicalDiagram:
         diffs = [(i, vsub(xs[j], xs[i])) for i, j in self.edges]
         edges = tuple((verts[i], primitive(w), Q(content(w), den)) for i, w in diffs)
         return edges + tuple((verts[i], primitive(d), None) for i, d in self.rays)
+
+    @functools.cached_property
+    def covectors(self) -> tuple[Vec, ...]:
+        """Per edge_refs() entry, the primitive integer covector of its cut.
+
+        In d=2 it is the clockwise quarter turn (y, -x) of the segments
+        direction, which annihilates the edge and equals the left face's dual
+        point minus the right face's; in d=1 every marked point carries (1,).
+        """
+        if self.dim == 1:
+            return ((1,),) * len(self.vertices)
+        return tuple(rot_minus90(d) for _, d, _ in self.segments)
 
     def edge_index(self, ref: EdgeRef) -> Optional[int]:
         """The position of ref in edge_refs() and segments; None if the diagram has no such edge."""

@@ -3,7 +3,8 @@
 The dual subdivision assigns one lattice point per face of the complement.
 At a trivalent vertex with outgoing primitive directions sorted
 counterclockwise, crossing an edge of direction d counterclockwise moves the
-dual point by the clockwise quarter turn (d_y, -d_x); that orientation makes
+dual point by the edge's covector (``TropicalDiagram.covectors``), the
+clockwise quarter turn (d_y, -d_x); that orientation makes
 the vectors from each dual vertex to its neighbors point into the dual cone of
 the corresponding unbounded face.  Local vertex cells are glued along bounded
 edges, so the construction is geometric and serves as an independent check
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import EMPTY_DIAGRAM, DiagramError, EdgeRef, TropicalDiagram
-from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, rot_minus90, vadd, vneg, vsub
+from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, vadd, vneg, vsub
 from .record import frozen
 
 Q = Fraction
@@ -75,7 +76,7 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
         raise DiagramError("face tracing requires dimension 2")
     if not diag.vertices:
         raise DiagramError("empty diagram has no faces")
-    segments = diag.segments
+    segments, covectors = diag.segments, diag.covectors
     ndarts = 2 * len(segments)
 
     # rotation at finite vertices: counterclockwise by outgoing direction
@@ -88,14 +89,15 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
     rotation = {v: sorted(ring, key=outgoing) for v, ring in enumerate(diag.rings)}
 
     # rotation at infinity: the odd ray darts, by descending ray angle;
-    # parallel rays ordered by ascending perpendicular offset of their source
+    # parallel rays ordered by ascending offset of their source along the
+    # ray covector
     def inf_cmp(a: int, b: int) -> int:
         (pa, da, _), (pb, db, _) = segments[a >> 1], segments[b >> 1]
         c = _ccw_cmp(da, db)
         if c != 0:
             return -c
-        offa = dot(rot_minus90(da), pa)
-        offb = dot(rot_minus90(db), pb)
+        offa = dot(covectors[a >> 1], pa)
+        offb = dot(covectors[b >> 1], pb)
         if offa == offb:
             raise DiagramError("two rays share a line; faces are ambiguous")
         return -1 if offa < offb else 1
@@ -202,7 +204,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
         return _pinned(points, (), duality, heights, den)
 
     complex_ = diag.face_complex
-    segments = diag.segments
+    segments, covectors = diag.segments, diag.covectors
     nfaces = len(complex_.faces)
 
     # local cell of each vertex: faces in ccw dart order with corner offsets
@@ -221,7 +223,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
                 if face_here in offsets and offsets[face_here] != acc:
                     raise DiagramError(f"face pinched at vertex {v}")
                 offsets[face_here] = acc
-            step = rot_minus90(segments[nxt >> 1][1])
+            step = covectors[nxt >> 1]
             acc = vsub(acc, step) if nxt & 1 else vadd(acc, step)
         # acc is back at (0, 0): the steps are the turned outgoing directions,
         # which balancing makes sum to zero
@@ -249,10 +251,10 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
             if anchor[w] is None:
                 # The shared faces are the two sides of edge k, which the pinch
                 # check made distinct.  At either end, stepping from one side
-                # to the other adds the same vector: the quarter-turned
-                # direction of edge k, whose sign flips with the dart's parity
-                # as the sides swap.  So the other shared face gives this
-                # anchor too, and needs no check.
+                # to the other adds the same vector: the covector of edge k,
+                # whose sign flips with the dart's parity as the sides swap.
+                # So the other shared face gives this anchor too, and needs
+                # no check.
                 f0 = min(shared)
                 anchor[w] = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
                 level[w] = level[v] + dot(vadd(anchor[w], local[w][f0]), vsub(xs[w], xs[v]))

@@ -1,7 +1,8 @@
 """Monodromy representation and the embedded dual graph.
 
 Each edge of a validated diagram carries a primitive integer covector (the
-annihilator of its direction, oriented by the global gauge).  Crossing the
+annihilator of its direction, oriented by the global gauge), read from the
+diagram's edge table, ``TropicalDiagram.covectors``.  Crossing the
 cut of an edge glues by the shear I + c e_n^T in the basis
 (eta_1, ..., eta_{n-1}, g_0): the covector c sits in the upper part of the
 last column and acts by g_0 -> g_0 + c.  Every c has c_n = 0, so these shears
@@ -18,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .diagram import EdgeRef, TropicalDiagram, edge_direction
 from .dual import gauge_points
-from .lattice import Vec, is_primitive, rot_minus90, vadd, vneg, vsub
+from .lattice import Vec, is_primitive, vadd, vneg, vsub
 from .record import frozen
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -29,16 +30,18 @@ class MonodromyError(ValueError):
 
 
 def edge_covector(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
-    """Primitive integer covector annihilating the edge direction.
+    """Primitive integer covector annihilating the edge direction: ``diag.covectors`` at ref.
 
     Oriented by the dual-cone gauge: the covector equals the difference of the
     dual vertices (left face minus right face) across the edge.  In dimension
     1 every marked point carries the covector (1,).
     """
-    # a point ref on a web falls through to edge_direction: it has no direction
-    if diag.edge_index(ref) is None and (diag.dim == 1 or ref.kind != "point"):
-        raise MonodromyError(f"{ref} is not an edge of the diagram")
-    return (1,) if diag.dim == 1 else rot_minus90(edge_direction(diag, ref))
+    e = diag.edge_index(ref)
+    if e is not None:
+        return diag.covectors[e]
+    if diag.dim == 2 and ref.kind == "point":
+        edge_direction(diag, ref)  # refuses it: a point ref on a web has no direction
+    raise MonodromyError(f"{ref} is not an edge of the diagram")
 
 
 def shear(cov: Sequence[int]) -> Matrix:

@@ -133,32 +133,11 @@ def nov_truncate(a: NovikovElement, E) -> NovikovElement:
 
 
 def nov_add(a: NovikovElement, b: NovikovElement) -> NovikovElement:
-    """Merge the two sorted term lists in one pass."""
-    trunc = _min_trunc(a.truncation, b.truncation)
-    x, y = a.terms, b.terms
-    nx, ny = len(x), len(y)
-    out = []
-    i = j = 0
-    while i < nx and j < ny:
-        ex, ey = x[i][0], y[j][0]
-        if ex < ey:
-            out.append(x[i])
-            i += 1
-        elif ey < ex:
-            out.append(y[j])
-            j += 1
-        else:
-            c = x[i][1] + y[j][1]
-            if c:
-                out.append((ex, c))
-            i += 1
-            j += 1
-    out += x[i:]
-    out += y[j:]
-    if trunc is not None:
-        while out and out[-1][0] >= trunc:
-            out.pop()
-    return _trusted(tuple(out), trunc)
+    """The sum, truncated at the lesser of the two truncations."""
+    acc = dict(a.terms)
+    for e, c in b.terms:
+        acc[e] = acc[e] + c if e in acc else c
+    return _from_sums(acc, _min_trunc(a.truncation, b.truncation))
 
 
 def nov_neg(a: NovikovElement) -> NovikovElement:
@@ -260,7 +239,7 @@ def nov_inv(a: NovikovElement, E) -> NovikovElement:
 def nov_eq_mod(a: NovikovElement, b: NovikovElement, E) -> bool:
     """True iff every term of a - b has exponent >= E."""
     E = _q(E)
-    diff = nov_add(NovikovElement(a.terms), NovikovElement(tuple((e, -c) for e, c in b.terms)))
+    diff = nov(a.terms + tuple((e, -c) for e, c in b.terms))
     return all(e >= E for e, _ in diff.terms)
 
 

@@ -75,6 +75,7 @@ from tropmirror.novikov import (
     NovikovError,
     _min_trunc,
     _q,
+    _trusted,
     nov,
     nov_add,
     nov_mul,
@@ -741,6 +742,39 @@ def nov_add_oracle(a: NovikovElement, b: NovikovElement) -> NovikovElement:
     return nov_oracle(list(a.terms) + list(b.terms), trunc)
 
 
+# nov_add as it was from the linear merge until it summed through _from_sums
+# like nov and nov_mul; the body is unchanged.
+
+
+def nov_add_merge_oracle(a: NovikovElement, b: NovikovElement) -> NovikovElement:
+    """Merge the two sorted term lists in one pass."""
+    trunc = _min_trunc(a.truncation, b.truncation)
+    x, y = a.terms, b.terms
+    nx, ny = len(x), len(y)
+    out = []
+    i = j = 0
+    while i < nx and j < ny:
+        ex, ey = x[i][0], y[j][0]
+        if ex < ey:
+            out.append(x[i])
+            i += 1
+        elif ey < ex:
+            out.append(y[j])
+            j += 1
+        else:
+            c = x[i][1] + y[j][1]
+            if c:
+                out.append((ex, c))
+            i += 1
+            j += 1
+    out += x[i:]
+    out += y[j:]
+    if trunc is not None:
+        while out and out[-1][0] >= trunc:
+            out.pop()
+    return _trusted(tuple(out), trunc)
+
+
 def nov_inv_oracle(a: NovikovElement, E) -> NovikovElement:
     """Inverse of a nonzero element modulo t^E.
 
@@ -1184,49 +1218,48 @@ def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoi
     axy, at = a[:-1], a[-1]
     bxy, bt = b[:-1], b[-1]
     found: list[tuple[Fraction, Crossing]] = []
-    for cut in pres.cuts:
-        cov = cut.covector
-        anchor = edge_anchor(diag, cut.ref)
+    for ref, cov, tau in zip(diag.edge_refs(), diag.covectors, pres.taus):
+        anchor = edge_anchor(diag, ref)
         fa = dot(cov, vsub(axy, anchor))
         fb = dot(cov, vsub(bxy, anchor))
         if fa == fb:
-            if fa == 0 and min(at, bt) <= cut.tau:
+            if fa == 0 and min(at, bt) <= tau:
                 # segment inside the cut plane: reject if its part at or
                 # below the cut height projects onto the edge range
-                lo, hi = _below(a, b, cut.tau)
-                ua, ub = (_edge_param_oracle(diag, cut.ref, x[:-1]) for x in (lo, hi))
-                end = edge_end_oracle(diag, cut.ref)
+                lo, hi = _below(a, b, tau)
+                ua, ub = (_edge_param_oracle(diag, ref, x[:-1]) for x in (lo, hi))
+                end = edge_end_oracle(diag, ref)
                 if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
                     # witness: the first point of that part over the edge
                     u = max(ua, 0) if end is None else min(max(ua, 0), end)
                     s = (u - ua) / (ub - ua) if ub != ua else 0
                     point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
-                    raise _refuse("path runs along a cut", seg, cut.ref, point)
+                    raise _refuse("path runs along a cut", seg, ref, point)
             continue
         if fa == 0 or fb == 0:
             # the plane is met only at an endpoint; error iff that endpoint
             # is on the actual cut region, otherwise no crossing occurs
             p = a if fa == 0 else b
-            if p[-1] <= cut.tau and on_edge_oracle(diag, cut.ref, p[:-1]):
-                raise _refuse("path endpoint lies on a cut", seg, cut.ref, p)
+            if p[-1] <= tau and on_edge_oracle(diag, ref, p[:-1]):
+                raise _refuse("path endpoint lies on a cut", seg, ref, p)
             continue
         if (fa > 0) == (fb > 0):
             continue
         s = fa / (fa - fb)
         point = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
         xq, tq = point[:-1], point[-1]
-        u = _edge_param_oracle(diag, cut.ref, xq)
-        end = edge_end_oracle(diag, cut.ref)
+        u = _edge_param_oracle(diag, ref, xq)
+        end = edge_end_oracle(diag, ref)
         if u < 0 or (end is not None and u > end):
             continue
-        if tq > cut.tau:
+        if tq > tau:
             continue  # passes above the cut, through glued regular base
         # at the cut's height, or in d=2 exactly over an edge endpoint (a
         # vertex line), the path meets the discriminant
-        if tq == cut.tau or (diag.dim == 2 and u in (0, end)):
-            raise _refuse("path hits discriminant", seg, cut.ref, point)
+        if tq == tau or (diag.dim == 2 and u in (0, end)):
+            raise _refuse("path hits discriminant", seg, ref, point)
         sign = 1 if fb > fa else -1
-        found.append((s, Crossing(cut.ref, sign, point)))
+        found.append((s, Crossing(ref, sign, point)))
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
 
@@ -1284,8 +1317,9 @@ def transport_covector_oracle(pres: CutPresentation, path: Sequence, g: Sequence
     v = tuple(int(c) for c in g)
     if len(v) != pres.n:
         raise AffineError("covector dimension mismatch")
+    diag = pres.diagram
     for crossing in crossings:
-        cov = pres.cut_of[crossing.ref].covector
+        cov = diag.covectors[diag.edge_index(crossing.ref)]
         v = mat_apply(crossing_matrix(cov, crossing.sign, pres.n), v)
     return v
 

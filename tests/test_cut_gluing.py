@@ -92,7 +92,7 @@ def test_transport_matches_the_matrix_product():
         refs = diag.edge_refs()
         tau = {ref: Q(rng.randint(0, 40), 17) for ref in refs} if i % 2 else None
         pres = build_cut_presentation(diag, tau)
-        floor = min(cut.tau for cut in pres.cuts)
+        floor = min(pres.taus)
         xs = [c for v in diag.vertices for c in v]
         lo, hi = int(min(xs)) - 2, int(max(xs)) + 2
         for k in range(10):
@@ -121,7 +121,8 @@ def _one_cut_shear_agrees(rng: random.Random, pres, path) -> None:
     gamma = (c_e, 0) and normal = s*e_n, so z^u -> z^{u + s u_n (c_e, 0)}.
     """
     (crossing,) = transport_crossings(pres, path)
-    cov, n = pres.cut_of[crossing.ref].covector, pres.n
+    diag, n = pres.diagram, pres.n
+    cov = diag.covectors[diag.edge_index(crossing.ref)]
     wall = AffineWall(cov + (0,), (0,) * (n - 1) + (crossing.sign,))
     terms = []
     for _ in range(rng.randint(1, 6)):

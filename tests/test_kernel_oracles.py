@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 from helpers import (
     assert_kernel_output,
     eval_series_oracle,
+    nov_add_merge_oracle,
     nov_add_oracle,
     nov_inv_oracle,
     nov_oracle,
@@ -89,6 +90,37 @@ def test_nov_add_matches_the_oracle():
         assert_kernel_output(got)
         cancelled += len(got.terms) < len({e for e, _ in a.terms + b.terms})
     assert cancelled >= 100
+
+
+def test_nov_add_matches_the_linear_merge():
+    rng = random.Random(64)
+    cases = ("to zero", "empty operand", "overlapping", "disjoint", "a truncated", "b truncated", "neither truncated")
+    counts = dict.fromkeys(cases, 0)
+    for i in range(600):
+        a = _element(rng) if i % 9 else nov((), _truncation(rng))
+        kind = rng.randrange(5)
+        if kind == 0:
+            b = nov([(e, -c) for e, c in a.terms], _truncation(rng))  # cancels a below both truncations
+        elif kind == 1:
+            b = nov([(e, -c) for e, c in a.terms if rng.random() < 0.5] + _raw_terms(rng), _truncation(rng))
+        elif kind == 2:
+            b = nov([(e + Q(1, 97), c) for e, c in _element(rng).terms], _truncation(rng))
+        elif kind == 3:
+            b = nov((), _truncation(rng))
+        else:
+            b = _element(rng)
+        got = nov_add(a, b)
+        assert got == nov_add_merge_oracle(a, b), (a, b)
+        assert_kernel_output(got)
+        ea, eb = {e for e, _ in a.terms}, {e for e, _ in b.terms}
+        counts["to zero"] += bool(ea or eb) and got.is_zero()
+        counts["empty operand"] += not (ea and eb)
+        counts["overlapping"] += bool(ea & eb)
+        counts["disjoint"] += bool(ea and eb and not ea & eb)
+        counts["a truncated"] += a.truncation is not None
+        counts["b truncated"] += b.truncation is not None
+        counts["neither truncated"] += a.truncation is None and b.truncation is None
+    assert min(counts.values()) >= 50, counts
 
 
 def test_every_kernel_output_is_what_the_public_constructor_stores():

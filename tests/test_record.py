@@ -23,7 +23,7 @@ import pytest
 from helpers import random_novikov, random_smooth_web
 import tropmirror
 from tropmirror import analytic, diagram
-from tropmirror.affine import build_cut_presentation, chamber_of, transport_crossings
+from tropmirror.affine import build_cut_presentation, transport_crossings
 from tropmirror.analytic import ConeFamily, WallTransformation, focus_focus_demo, wall_cross
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.diagram import EdgeRef, TropicalDiagram, diagram_from_json
@@ -79,7 +79,6 @@ def _harvest():
     roots += [bad, bad.report]
     ff = diagram_from_json(_load("focus_focus.json"))
     pres = build_cut_presentation(ff)
-    roots += [chamber_of(pres, (Q(x, 3), Q(y, 2))) for x in (-2, 1) for y in (-1, 0, 1)]
     loop = [(-1, Q(-1, 2)), (1, Q(-1, 2)), (1, 1), (-1, 1), (-1, Q(-1, 2))]
     roots += transport_crossings(pres, loop)
     corrections = corrections_from_json([{"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}])
@@ -141,7 +140,7 @@ def hash_or_error(obj):
 
 
 def test_every_record_class_is_harvested():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 22
     assert [cls.__qualname__ for cls in RECORDS if not INSTANCES[cls]] == []
 
 
@@ -203,7 +202,7 @@ def test_records_are_frozen_and_bind_like_a_signature(cls):
 def test_defaults_are_applied():
     with_defaults = [cls for cls in RECORDS if any(name in vars(cls) for name in cls._fields)]
     assert {cls.__qualname__ for cls in with_defaults} == {
-        "ChamberId", "NovikovElement", "TropicalDiagram", "ValidationReport",
+        "NovikovElement", "TropicalDiagram", "ValidationReport",
     }
     for cls in with_defaults:
         defaulted = [name for name in cls._fields if name in vars(cls)]

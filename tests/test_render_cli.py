@@ -1,7 +1,9 @@
 import importlib
+import io
 import json
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import tropmirror
 from tropmirror.charges import ChargeMatrix, build_web
-from tropmirror import cli
+from tropmirror import charges, cli
 from tropmirror.cli import run
 from tropmirror.diagram import TropicalDiagram, diagram_to_json
 from tropmirror.lattice import DIGITS
@@ -219,6 +221,17 @@ def test_cli_wallcross_demo(capsys):
     assert run(["wallcross-demo", "-E", "10"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_wallcross_demo_prints_no_escape_codes_on_a_terminal(monkeypatch):
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+    out = Terminal()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["wallcross-demo", "-E", "10"]) == 0
+    assert "PASS" in out.getvalue() and "\x1b[" not in out.getvalue()
 
 
 def test_cli_wallcross_demo_json(capsys):
@@ -589,6 +602,27 @@ def test_cli_rational_size_bound_names_the_limit(tmp_path, capsys):
     f.write_text(json.dumps({"dim": 1, "vertices": [["1e4299"]]}))
     assert run(["validate", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_cli_refuses_the_heights_denominator_before_the_kernel_runs(tmp_path, capsys, monkeypatch):
+    # local P^2 of degree 43: 990 points, one affine relation per point off
+    # the corner (0,0), (1,0), (0,1), and heights over 8-digit denominators
+    rng = random.Random(43)
+    corner = [(0, 0), (1, 0), (0, 1)]
+    points = corner + [(x, y) for x in range(44) for y in range(44 - x) if (x, y) not in corner]
+    rows = []
+    for i, (x, y) in enumerate(points[3:], 3):
+        row = [1 - x - y, x, y] + [0] * (len(points) - 3)
+        row[i] = -1
+        rows.append(row)
+    heights = [f"{rng.randrange(10**9)}/{rng.randrange(10**7, 10**8)}" for _ in points]
+    f = tmp_path / "p2-43.json"
+    f.write_text(json.dumps({"charges": rows, "heights": heights}))
+    called = []
+    monkeypatch.setattr(charges, "kernel_points", lambda q: called.append(q))
+    assert run(["web", "--charges", str(f)]) == 1
+    assert (len(points), called) == (990, [])
+    assert capsys.readouterr() == ("", f"error: the common denominator of the heights is over the limit of {DIGITS} digits\n")
 
 
 @pytest.mark.parametrize("fives, code", [(DIGITS - 1, 0), (DIGITS, 1)], ids=["below", "past"])
