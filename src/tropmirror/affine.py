@@ -4,8 +4,10 @@ The base is R^(d+1): moment coordinates over the diagram plane plus one extra
 coordinate.  Each diagram edge e at height tau(e) hangs a cut
 P_e = {(x, t) : x on e, t <= tau(e)}; gluing across a cut is the shear of the
 edge covector (``monodromy.shear``).  A presentation is the diagram and one
-height per edge, ``taus``, indexed like its edge table (``segments`` and
-``covectors``).  The shears commute, so transporting a covector along a
+height per edge, ``taus``, indexed by edge row like its edge table
+(``segments`` and ``covectors``); a tau file names the edges
+(``parse_edge_name``), and ``build_cut_presentation`` maps the names to
+rows once.  The shears commute, so transporting a covector along a
 polyline applies once the shear of the signed sum of the covectors it
 crosses; the crossing sign is positive when the path moves with the edge
 covector increasing.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import EdgeRef, TropicalDiagram, parse_edge_ref
+from .diagram import TropicalDiagram, parse_edge_name
 from .dual import locate_face
 from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
 from .monodromy import signed_sum
@@ -37,7 +39,7 @@ class AffineError(ValueError):
 @frozen
 class CutPresentation:
     diagram: TropicalDiagram
-    taus: tuple[Fraction, ...]  # the cut height of each edge, indexed like diagram.segments
+    taus: tuple[Fraction, ...]  # the cut height of each edge, by edge row
 
     @property
     def n(self) -> int:
@@ -50,23 +52,30 @@ def path_from_json(data) -> list[QPoint]:
         return [coords_from_json(p) for p in data["path"]]
 
 
-def tau_from_json(data) -> dict[EdgeRef, Fraction]:
-    """Per-edge cut heights from a tau file: {"edge0": "1/2", ...}."""
+def tau_from_json(data) -> dict[str, Fraction]:
+    """Per-edge cut heights from a tau file, {"edge0": "1/2", ...}, by edge name.
+
+    Two spellings of one name (edge1, edge01) are one key: the later value wins.
+    """
     with malformed("tau", AffineError):
-        return {parse_edge_ref(k): read_rational(v) for k, v in data.items()}
+        return {parse_edge_name(k): read_rational(v) for k, v in data.items()}
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:
-    """One cut per edge, glued by the shear of its covector; tau defaults to 0."""
+    """One cut per edge, glued by the shear of its covector.
+
+    tau maps edge names (``TropicalDiagram.edge_name``) to heights; an edge
+    it does not name gets height 0.
+    """
     report = diag.report
     if not report.ok:
         raise AffineError("diagram fails axioms: " + ", ".join(report.failed_axioms()))
-    refs = diag.edge_refs()
-    tau = dict(tau or {})
-    for ref in tau:
-        if ref not in refs:
-            raise AffineError(f"tau defined on a non-edge {ref}")
-    return CutPresentation(diag, tuple(Q(tau.get(ref, 0)) for ref in refs))
+    names = [diag.edge_name(e) for e in range(len(diag.segments))]
+    tau = tau or {}
+    for name in tau:
+        if name not in names:
+            raise AffineError(f"tau defined on a non-edge {name}")
+    return CutPresentation(diag, tuple(Q(tau.get(name, 0)) for name in names))
 
 
 def chamber_of(pres: CutPresentation, p: Sequence) -> str:
@@ -84,7 +93,7 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> str:
         where = ", ".join(str(c) for c in p)
         raise AffineError(f"on wall: ({where}) lies over {_diagram_part_at(diag, x)}")
     # the cuts bounding the face are the edges dual to its sides
-    taus = [pres.taus[diag.edge_index(ref)] for ref, sides in diag.dual.edge_duality if face in sides]
+    taus = [pres.taus[e] for e, sides in diag.dual.edge_duality if face in sides]
     if t > max(taus):
         return "V_plus"
     if t < min(taus):
@@ -98,12 +107,12 @@ def _diagram_part_at(diag: TropicalDiagram, x) -> str:
         for i, v in enumerate(diag.vertices):
             if v == x:
                 return f"vertex {i}"
-    return next(str(ref) for ref, segment in zip(diag.edge_refs(), diag.segments) if _on_edge(segment, x))
+    return next(diag.edge_name(e) for e, segment in enumerate(diag.segments) if _on_edge(segment, x))
 
 
 @frozen
 class Crossing:
-    ref: EdgeRef
+    edge: int  # the row of the crossed edge
     sign: int
     point: QPoint  # crossing point in the base
 
@@ -139,9 +148,9 @@ def _below(a: QPoint, b: QPoint, tau: Fraction) -> tuple[QPoint, QPoint]:
     return a, b
 
 
-def _refuse(message: str, seg: int, ref: EdgeRef, point: QPoint) -> AffineError:
+def _refuse(message: str, seg: int, edge: str, point: QPoint) -> AffineError:
     where = ", ".join(str(c) for c in point)
-    return AffineError(f"{message}: segment {seg} meets the cut of {ref} at ({where})")
+    return AffineError(f"{message}: segment {seg} meets the cut of {edge} at ({where})")
 
 
 def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) -> list[Crossing]:
@@ -149,7 +158,7 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
     axy, at = a[:-1], a[-1]
     bxy, bt = b[:-1], b[-1]
     found: list[tuple[Fraction, Crossing]] = []
-    for ref, cov, tau, segment in zip(diag.edge_refs(), diag.covectors, pres.taus, diag.segments):
+    for e, (cov, tau, segment) in enumerate(zip(diag.covectors, pres.taus, diag.segments)):
         anchor, _, end = segment
         fa = dot(cov, vsub(axy, anchor))
         fb = dot(cov, vsub(bxy, anchor))
@@ -164,14 +173,14 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
                     u = max(ua, 0) if end is None else min(max(ua, 0), end)
                     s = (u - ua) / (ub - ua) if ub != ua else 0
                     point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
-                    raise _refuse("path runs along a cut", seg, ref, point)
+                    raise _refuse("path runs along a cut", seg, diag.edge_name(e), point)
             continue
         if fa == 0 or fb == 0:
             # the plane is met only at an endpoint; error iff that endpoint
             # is on the actual cut region, otherwise no crossing occurs
             p = a if fa == 0 else b
             if p[-1] <= tau and _on_edge(segment, p[:-1]):
-                raise _refuse("path endpoint lies on a cut", seg, ref, p)
+                raise _refuse("path endpoint lies on a cut", seg, diag.edge_name(e), p)
             continue
         if (fa > 0) == (fb > 0):
             continue
@@ -186,9 +195,9 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
         # at the cut's height, or in d=2 exactly over an edge endpoint (a
         # vertex line), the path meets the discriminant
         if tq == tau or (diag.dim == 2 and u in (0, end)):
-            raise _refuse("path hits discriminant", seg, ref, point)
+            raise _refuse("path hits discriminant", seg, diag.edge_name(e), point)
         sign = 1 if fb > fa else -1
-        found.append((s, Crossing(ref, sign, point)))
+        found.append((s, Crossing(e, sign, point)))
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
 
@@ -203,8 +212,8 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     v = tuple(int(c) for c in g)
     if len(v) != pres.n:
         raise AffineError("covector dimension mismatch")
-    diag = pres.diagram
-    total = signed_sum(((diag.covectors[diag.edge_index(c.ref)], c.sign) for c in crossings), pres.n - 1)
+    covectors = pres.diagram.covectors
+    total = signed_sum(((covectors[c.edge], c.sign) for c in crossings), pres.n - 1)
     return tuple(e + v[-1] * c for e, c in zip(v, total)) + v[-1:]
 
 

@@ -136,13 +136,8 @@ def _cmd_dual(args) -> int:
         "lattice_points": [list(p) for p in dual.lattice_points],
         "triangles": [list(t) for t in dual.triangles],
         "root_face": dual.root_face,
-        "edge_duality": [
-            {"edge": str(ref), "faces": list(pair)} for ref, pair in dual.edge_duality
-        ],
-        "covectors": [
-            {"edge": str(ref), "covector": list(cov)}
-            for ref, cov in zip(diag.edge_refs(), diag.covectors)
-        ],
+        "edge_duality": [{"edge": diag.edge_name(e), "faces": list(pair)} for e, pair in dual.edge_duality],
+        "covectors": [{"edge": diag.edge_name(e), "covector": list(cov)} for e, cov in enumerate(diag.covectors)],
         "embedding_matches_subdivision": embedding.positions == dual.lattice_points,
         "smooth": is_smooth(diag),
     }

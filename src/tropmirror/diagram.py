@@ -14,7 +14,11 @@ sums read it.  The edge table, ``TropicalDiagram.rings`` (the darts leaving
 each vertex), ``TropicalDiagram.segments`` (where each edge sits) and
 ``TropicalDiagram.covectors`` (the covector each edge's cut glues by), is
 built once per diagram; validation, the face walk, the gluing, the monodromy
-and transport all read it.
+and transport all read it.  Every layer refers to an edge by its row e in
+that table: the bounded edges in stored order, then the rays, or in d=1 the
+marked points.  Only this module turns a row into a name
+(``TropicalDiagram.edge_name``: edge3, ray1, point0) and a tau file's
+spelling back into a name (``parse_edge_name``).
 
 The faces of the complement, the dual subdivision, the face heights and point
 location are in ``tropmirror.dual``; their public names are bound here too.
@@ -48,33 +52,6 @@ Q = Fraction
 
 class DiagramError(ValueError):
     pass
-
-
-@functools.total_ordering
-@frozen
-class EdgeRef:
-    """Reference to a diagram edge: bounded edge, ray, or (d=1) marked point.
-
-    Ordered by (kind, index).
-    """
-
-    kind: str  # "edge" | "ray" | "point"
-    index: int
-
-    def __lt__(self, other):
-        if other.__class__ is not EdgeRef:
-            return NotImplemented
-        return (self.kind, self.index) < (other.kind, other.index)
-
-    def __str__(self):
-        return f"{self.kind}{self.index}"
-
-
-def parse_edge_ref(text: str) -> EdgeRef:
-    for kind in ("edge", "ray", "point"):
-        if text.startswith(kind):
-            return EdgeRef(kind, int(text[len(kind):]))
-    raise DiagramError(f"cannot parse edge reference {text!r}")
 
 
 @frozen
@@ -115,12 +92,12 @@ class TropicalDiagram:
             if all(c == 0 for c in d):
                 raise DiagramError("ray direction is zero")
 
-    def edge_refs(self) -> list[EdgeRef]:
+    def edge_name(self, e: int) -> str:
+        """The name of edge row e: edge<k> for the bounded edges, then ray<r>, or (d=1) point<i>."""
         if self.dim == 1:
-            return [EdgeRef("point", i) for i in range(len(self.vertices))]
-        return [EdgeRef("edge", k) for k in range(len(self.edges))] + [
-            EdgeRef("ray", r) for r in range(len(self.rays))
-        ]
+            return f"point{e}"
+        k = len(self.edges)
+        return f"edge{e}" if e < k else f"ray{e - k}"
 
     # Derived geometry: computed on first use and stored on this instance, so
     # every layer shares one copy.  The diagram is frozen, so the facts never
@@ -146,7 +123,7 @@ class TropicalDiagram:
     def rings(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its outgoing darts in dart order.
 
-        Dart 2e runs along edge_refs()[e] in its canonical direction (stored
+        Dart 2e runs along edge row e in its canonical direction (stored
         order for edges, outward for rays) and dart 2e + 1 the other way, so
         the twin of dart d is d ^ 1, and edge darts come before ray darts.
         The tail of an edge dart d is edges[d >> 1][d & 1]; the tail of a
@@ -162,7 +139,7 @@ class TropicalDiagram:
 
     @functools.cached_property
     def segments(self) -> tuple[tuple[QPoint, Optional[Vec], Optional[Fraction]], ...]:
-        """Per edge_refs() entry, (anchor, primitive direction, end).
+        """Per edge row, (anchor, primitive direction, end).
 
         The edge is anchor + s*direction for 0 <= s <= end; end is None for a
         ray.  A d=1 marked point is (v, None, 0).  A bounded edge's direction
@@ -179,7 +156,7 @@ class TropicalDiagram:
 
     @functools.cached_property
     def covectors(self) -> tuple[Vec, ...]:
-        """Per edge_refs() entry, the primitive integer covector of its cut.
+        """Per edge row, the primitive integer covector of its cut.
 
         In d=2 it is the clockwise quarter turn (y, -x) of the segments
         direction, which annihilates the edge and equals the left face's dual
@@ -188,16 +165,6 @@ class TropicalDiagram:
         if self.dim == 1:
             return ((1,),) * len(self.vertices)
         return tuple(rot_minus90(d) for _, d, _ in self.segments)
-
-    def edge_index(self, ref: EdgeRef) -> Optional[int]:
-        """The position of ref in edge_refs() and segments; None if the diagram has no such edge."""
-        if self.dim == 1:
-            count = len(self.vertices) if ref.kind == "point" else 0
-        else:
-            count = len(self.edges) if ref.kind == "edge" else len(self.rays) if ref.kind == "ray" else 0
-        if not 0 <= ref.index < count:
-            return None
-        return ref.index + len(self.edges) if ref.kind == "ray" else ref.index
 
     @functools.cached_property
     def face_complex(self) -> FaceComplex:
@@ -219,52 +186,42 @@ class TropicalDiagram:
         return self.glued[1]
 
 
-def edge_direction(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
-    """Canonical primitive direction: stored order for edges, outgoing for rays."""
-    if ref.kind == "point":
-        raise DiagramError(f"{ref} has no direction")
-    e = diag.edge_index(ref)
-    if e is None:
-        raise DiagramError(f"{ref} is not an edge of the diagram")
-    return diag.segments[e][1]
+def parse_edge_name(text: str) -> str:
+    """An edge name as a tau file may spell it, in the spelling of edge_name: kind + int(rest).
+
+    So edge01, ray+1 and "edge 1" read as edge1, ray1 and edge1.  Whether the
+    diagram has such an edge is not checked here.
+    """
+    for kind in ("edge", "ray", "point"):
+        if text.startswith(kind):
+            return f"{kind}{int(text[len(kind):])}"
+    raise DiagramError(f"cannot parse edge reference {text!r}")
 
 
 # --- validation -------------------------------------------------------------
 
 
+AXIOMS = ("trivalent", "balanced", "primitive_directions", "connected")
+
+
 @frozen
 class ValidationReport:
-    trivalent: bool
-    balanced: bool
-    primitive_directions: bool
-    connected: bool
-    offenders: tuple[tuple[str, str], ...] = ()
+    """The failed checks, as (axiom, witness) pairs; an axiom holds iff it names none."""
+
+    offenders: tuple[tuple[str, str], ...]
 
     @property
     def ok(self) -> bool:
-        return self.trivalent and self.balanced and self.primitive_directions and self.connected
+        return not self.offenders
 
     def failed_axioms(self) -> list[str]:
-        return [
-            name
-            for name, good in [
-                ("trivalent", self.trivalent),
-                ("balanced", self.balanced),
-                ("primitive_directions", self.primitive_directions),
-                ("connected", self.connected),
-            ]
-            if not good
-        ]
+        failed = {axiom for axiom, _ in self.offenders}
+        return [axiom for axiom in AXIOMS if axiom in failed]
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "trivalent": self.trivalent,
-            "balanced": self.balanced,
-            "primitive_directions": self.primitive_directions,
-            "connected": self.connected,
-            "offenders": [list(o) for o in self.offenders],
-        }
+        failed = self.failed_axioms()
+        flags = {axiom: axiom not in failed for axiom in AXIOMS}
+        return {"ok": self.ok, **flags, "offenders": [list(o) for o in self.offenders]}
 
 
 EMPTY_DIAGRAM = "empty diagram has no vertices"
@@ -274,40 +231,32 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
     """Check the semi-toric axioms; failures are reported, not raised."""
     if not diag.vertices:
         # a web or line with no vertex has one face, so nothing downstream can run
-        return ValidationReport(True, True, True, False, (("connected", EMPTY_DIAGRAM),))
+        return ValidationReport((("connected", EMPTY_DIAGRAM),))
     if diag.dim == 1:
-        return ValidationReport(True, True, True, True)
-    trivalent = True
-    balanced = True
-    primitive_dirs = True
+        return ValidationReport(())
     offenders: list[tuple[str, str]] = []
     # rays are summed as stored, so a non-primitive one is reported, not rescaled
     stored = [d for _, d, _ in diag.segments[: len(diag.edges)]] + [d for _, d in diag.rays]
     for v, ring in enumerate(diag.rings):
         if len(ring) != 3:
-            trivalent = False
             offenders.append(("trivalent", f"vertex {v} has valence {len(ring)}"))
         dirs = [vneg(stored[d >> 1]) if d & 1 else stored[d >> 1] for d in ring]
         total = dirs[0] if dirs else None
         for d in dirs[1:]:
             total = vadd(total, d)
         if dirs and any(c != 0 for c in total):
-            balanced = False
             offenders.append(("balanced", f"vertex {v} direction sum {tuple(total)}"))
         seen = set()
         for d in dirs:
             if tuple(d) in seen:
                 # a repeated outgoing direction is a weight-2 edge in disguise
-                primitive_dirs = False
                 offenders.append(("primitive_directions", f"vertex {v} repeats direction {tuple(d)}"))
             seen.add(tuple(d))
     for r, (_, d) in enumerate(diag.rays):
         if not is_primitive(d):
-            primitive_dirs = False
             offenders.append(("primitive_directions", f"ray {r} direction {tuple(d)} not primitive"))
     # connectivity over bounded edges: the head of edge dart d is the tail of its twin
     n = len(diag.vertices)
-    connected = True
     if n > 1:
         first_ray = 2 * len(diag.edges)
         seen = {0}
@@ -320,10 +269,9 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        connected = len(seen) == n
-        if not connected:
+        if len(seen) != n:
             offenders.append(("connected", f"{n - len(seen)} vertices unreachable"))
-    return ValidationReport(trivalent, balanced, primitive_dirs, connected, tuple(offenders))
+    return ValidationReport(tuple(offenders))
 
 
 # --- JSON --------------------------------------------------------------------

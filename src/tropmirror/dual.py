@@ -8,7 +8,10 @@ clockwise quarter turn (d_y, -d_x); that orientation makes
 the vectors from each dual vertex to its neighbors point into the dual cone of
 the corresponding unbounded face.  Local vertex cells are glued along bounded
 edges, so the construction is geometric and serves as an independent check
-against the monodromy-based embedding.
+against the monodromy-based embedding.  ``DualSubdivision.edge_duality``
+pairs each edge row e with the faces on its left and right,
+``(e, (left, right))``: in edge-table order in d=2, and in d=1 from left to
+right along the line, where row e is marked point e.
 
 Translation gauge: the distinguished face (the one whose dual vertex minimizes
 the coordinate sum, i.e. the face reached heading toward (+1,+1); lexicographic
@@ -28,7 +31,7 @@ import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import EMPTY_DIAGRAM, DiagramError, EdgeRef, TropicalDiagram
+from .diagram import EMPTY_DIAGRAM, DiagramError, TropicalDiagram
 from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, vadd, vneg, vsub
 from .record import frozen
 
@@ -37,10 +40,10 @@ Q = Fraction
 
 # --- faces of the complement -------------------------------------------------
 
-# Darts are numbered as in TropicalDiagram.rings: dart 2e runs along
-# diag.edge_refs()[e] in its canonical direction and dart 2e + 1 the other
-# way, so the twin of d is d ^ 1.  The tail of a ray's odd dart is the point
-# at infinity, -1.  Faces are traced with the rotation rule next(d) =
+# Darts are numbered as in TropicalDiagram.rings: dart 2e runs along edge
+# row e in its canonical direction and dart 2e + 1 the other way, so the
+# twin of d is d ^ 1.  The tail of a ray's odd dart is the point at
+# infinity, -1.  Faces are traced with the rotation rule next(d) =
 # ccw-successor of twin(d); at infinity the rotation runs clockwise
 # (descending ray angle, parallel rays ordered by their perpendicular offset).
 
@@ -134,7 +137,7 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
 class DualSubdivision:
     lattice_points: tuple[Vec, ...]  # indexed by face id
     triangles: tuple[tuple[int, ...], ...]  # one cell of face ids per diagram vertex
-    edge_duality: tuple[tuple[EdgeRef, tuple[int, int]], ...]  # ref -> (left, right) faces
+    edge_duality: tuple[tuple[int, tuple[int, int]], ...]  # (edge row, (left, right) faces)
     root_face: int
 
 
@@ -200,7 +203,8 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
         heights = [0]
         for i in order:
             heights.append(heights[-1] + xs[i][0])
-        duality = tuple((EdgeRef("point", i), (pos, pos + 1)) for pos, i in enumerate(order))
+        # marked point i is edge row i; its entry lists the faces on its left and right
+        duality = tuple((i, (pos, pos + 1)) for pos, i in enumerate(order))
         return _pinned(points, (), duality, heights, den)
 
     complex_ = diag.face_complex
@@ -284,11 +288,11 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
 
     triangles = tuple(tuple(sorted(cell)) for cell in local)
     duality = []
-    for e, ref in enumerate(diag.edge_refs()):
+    for e, (_, direction, _) in enumerate(segments):
         left, right = complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e]
-        if dot(vsub(positions[left], positions[right]), segments[e][1]) != 0:
-            raise DiagramError(f"dual edge of {ref} is not orthogonal")
-        duality.append((ref, (left, right)))
+        if dot(vsub(positions[left], positions[right]), direction) != 0:
+            raise DiagramError(f"dual edge of {diag.edge_name(e)} is not orthogonal")
+        duality.append((e, (left, right)))
     return _pinned(positions, triangles, tuple(duality), heights, den)
 
 

@@ -160,7 +160,7 @@ def superpotential(
     terms = []
     for f, alpha in enumerate(dual.lattice_points):
         c = nov_truncate(corrections.get(alpha), truncation)
-        coeff = nov_shift(heights[f] - fmin, nov_add(NOV_ONE, NovikovElement(c.terms)))
+        coeff = nov_shift(heights[f] - fmin, nov_add(NOV_ONE, c))
         terms.append((alpha, coeff))
     terms.sort(key=lambda item: _term_sort_key(item[0]))
     root = dual.lattice_points[dual.root_face]
@@ -176,7 +176,7 @@ def _root_cell_vertex(diag: TropicalDiagram, dual: DualSubdivision) -> QPoint:
     face pair on either side of each marked point.
     """
     if diag.dim == 1:
-        cells = [(ref.index, pair) for ref, pair in dual.edge_duality]
+        cells = dual.edge_duality  # marked point v is edge row v
     else:
         cells = list(enumerate(dual.triangles))
     points = dual.lattice_points

@@ -2,13 +2,13 @@
 
 Each edge of a validated diagram carries a primitive integer covector (the
 annihilator of its direction, oriented by the global gauge), read from the
-diagram's edge table, ``TropicalDiagram.covectors``.  Crossing the
-cut of an edge glues by the shear I + c e_n^T in the basis
+diagram's edge table, ``TropicalDiagram.covectors``, at the edge's row.
+Crossing the cut of an edge glues by the shear I + c e_n^T in the basis
 (eta_1, ..., eta_{n-1}, g_0): the covector c sits in the upper part of the
 last column and acts by g_0 -> g_0 + c.  Every c has c_n = 0, so these shears
 commute and composing them adds their c.  A loop is a combinatorial word of
-signed edge crossings; its monodromy is the shear of the signed covector sum.
-The dual graph is embedded by summing edge covectors along a spanning tree
+signed edge crossings, (edge row, sign) pairs; its monodromy is the shear of
+the signed covector sum.  The dual graph is embedded by summing edge covectors along a spanning tree
 of the face adjacency graph, which is well defined because the covectors
 around any diagram vertex sum to zero.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .diagram import EdgeRef, TropicalDiagram, edge_direction
+from .diagram import TropicalDiagram
 from .dual import gauge_points
 from .lattice import Vec, is_primitive, vadd, vneg, vsub
 from .record import frozen
@@ -29,19 +29,18 @@ class MonodromyError(ValueError):
     pass
 
 
-def edge_covector(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
-    """Primitive integer covector annihilating the edge direction: ``diag.covectors`` at ref.
+def edge_covector(diag: TropicalDiagram, e: int) -> Vec:
+    """Primitive integer covector annihilating the direction of edge row e: ``diag.covectors[e]``.
 
     Oriented by the dual-cone gauge: the covector equals the difference of the
     dual vertices (left face minus right face) across the edge.  In dimension
-    1 every marked point carries the covector (1,).
+    1 every marked point carries the covector (1,).  A row that is negative
+    or past the end of the edge table is refused.
     """
-    e = diag.edge_index(ref)
-    if e is not None:
-        return diag.covectors[e]
-    if diag.dim == 2 and ref.kind == "point":
-        edge_direction(diag, ref)  # refuses it: a point ref on a web has no direction
-    raise MonodromyError(f"{ref} is not an edge of the diagram")
+    covectors = diag.covectors
+    if not 0 <= e < len(covectors):
+        raise MonodromyError(f"edge row {e} is out of range: the diagram has {len(covectors)} edges")
+    return covectors[e]
 
 
 def shear(cov: Sequence[int]) -> Matrix:
@@ -74,7 +73,7 @@ def signed_sum(crossings: Iterable[tuple[Vec, int]], dim: int) -> Vec:
     return total
 
 
-Loop = tuple[tuple[EdgeRef, int], ...]
+Loop = tuple[tuple[int, int], ...]  # (edge row, sign) crossings
 
 
 def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
@@ -83,7 +82,7 @@ def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
     The result applied to a covector gives its parallel transport around
     the loop; the sum need not be primitive.
     """
-    return shear(signed_sum(((edge_covector(diag, ref), sign) for ref, sign in loop), diag.dim))
+    return shear(signed_sum(((edge_covector(diag, e), sign) for e, sign in loop), diag.dim))
 
 
 @frozen
@@ -109,8 +108,8 @@ def build_dual_graph(
     positions[0] = (0,) * diag.dim
     edge_pairs = []
     adjacency: dict[int, list[tuple[int, Vec]]] = {i: [] for i in range(nfaces)}
-    for ref, (left, right) in diag.dual.edge_duality:
-        cov = edge_covector(diag, ref)
+    for e, (left, right) in diag.dual.edge_duality:
+        cov = edge_covector(diag, e)
         adjacency[right].append((left, cov))
         adjacency[left].append((right, vneg(cov)))
         edge_pairs.append((left, right, cov))

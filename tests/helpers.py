@@ -43,12 +43,11 @@ from tropmirror.affine import AffineError, Crossing, CutPresentation, _below, _r
 from tropmirror.diagram import (
     EMPTY_DIAGRAM,
     DiagramError,
+    AXIOMS,
     DualSubdivision,
-    EdgeRef,
     TropicalDiagram,
     ValidationReport,
     diagram_from_json,
-    edge_direction,
     is_smooth,
     validate,
 )
@@ -597,15 +596,15 @@ def primitive_q_oracle(v: Sequence[Fraction]) -> Vec:
 # unchanged.
 
 
-def edge_sample_points(diag: TropicalDiagram, ref: EdgeRef) -> tuple[QPoint, QPoint]:
-    """Two points on the edge (used to assert constancy of pairings)."""
-    a = edge_anchor(diag, ref)
-    if ref.kind == "point":
+def edge_sample_points(diag: TropicalDiagram, e: int) -> tuple[QPoint, QPoint]:
+    """Two points on edge row e (used to assert constancy of pairings)."""
+    a = edge_anchor(diag, e)
+    if diag.dim == 1:
         return a, a
-    if ref.kind == "edge":
-        i, j = diag.edges[ref.index]
+    if e < len(diag.edges):
+        i, j = diag.edges[e]
         return diag.vertices[i], diag.vertices[j]
-    d = edge_direction(diag, ref)
+    d = edge_direction_oracle(diag, e)
     return a, vadd(a, tuple(Q(c) for c in d))
 
 
@@ -620,19 +619,19 @@ def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
     """
     dual = diag.dual
     heights: dict[int, Fraction] = {dual.root_face: Q(0)}
-    adjacency: dict[int, list[tuple[int, EdgeRef]]] = {}
-    for ref, (left, right) in dual.edge_duality:
-        adjacency.setdefault(left, []).append((right, ref))
-        adjacency.setdefault(right, []).append((left, ref))
+    adjacency: dict[int, list[tuple[int, int]]] = {}
+    for e, (left, right) in dual.edge_duality:
+        adjacency.setdefault(left, []).append((right, e))
+        adjacency.setdefault(right, []).append((left, e))
     stack = [dual.root_face]
     while stack:
         f = stack.pop()
-        for g, ref in adjacency.get(f, ()):
-            p0, p1 = edge_sample_points(diag, ref)
+        for g, e in adjacency.get(f, ()):
+            p0, p1 = edge_sample_points(diag, e)
             step = vsub(dual.lattice_points[f], dual.lattice_points[g])
             inc = dot(step, p0)
             if inc != dot(step, p1):
-                raise DiagramError(f"pairing is not constant along {ref}")
+                raise DiagramError(f"pairing is not constant along {diag.edge_name(e)}")
             h = heights[f] + inc
             if g in heights:
                 if heights[g] != h:
@@ -980,11 +979,12 @@ def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:
 # faces keyed its bookkeeping by a hashed Dart record, found each vertex's
 # outgoing darts by scanning every dart, and stored the sides of each edge.
 # The bodies are unchanged apart from the names, from returning the four
-# parts of the old FaceComplex as a tuple, and from listing each face as its
+# parts of the old FaceComplex as a tuple, from listing each face as its
 # tuple of darts (the Face record and its bounded and recession fields, which
-# nothing read, are gone).
+# nothing read, are gone), and from naming an edge by its row in the edge
+# table, with directions from edge_direction_oracle.
 
-# A dart is a directed edge end: (edge ref, tail vertex, head vertex) with
+# A dart is a directed edge end: (edge row, tail vertex, head vertex) with
 # head = -1 meaning the point at infinity (rays).  Faces are traced with the
 # rotation rule next(d) = ccw-successor of twin(d); at infinity the rotation
 # runs clockwise (descending ray angle, parallel rays ordered by their
@@ -993,18 +993,18 @@ def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:
 
 @frozen
 class Dart:
-    ref: EdgeRef
+    edge: int
     tail: int
     head: int
 
     def twin(self) -> "Dart":
-        return Dart(self.ref, self.head, self.tail)
+        return Dart(self.edge, self.head, self.tail)
 
 
 def _dart_direction_oracle(diag: TropicalDiagram, d: Dart) -> Vec:
-    base = edge_direction(diag, d.ref)
-    if d.ref.kind == "edge":
-        i, _ = diag.edges[d.ref.index]
+    base = edge_direction_oracle(diag, d.edge)
+    if d.edge < len(diag.edges):
+        i, _ = diag.edges[d.edge]
         return base if d.tail == i else vneg(base)
     return base  # outgoing ray dart
 
@@ -1013,7 +1013,7 @@ def faces_oracle(diag: TropicalDiagram):
     """Enumerate the faces of the planar complement of a d=2 diagram.
 
     Returns (faces, dart_face, edge_sides, rotations): the faces with Dart
-    orbits, the face of each Dart, the (left, right) faces of each EdgeRef,
+    orbits, the face of each Dart, the (left, right) faces of each edge row,
     and each vertex's ccw-ordered outgoing Darts (-1 is infinity).
     """
     if diag.dim != 2:
@@ -1022,12 +1022,13 @@ def faces_oracle(diag: TropicalDiagram):
         raise DiagramError("empty diagram has no faces")
 
     darts: list[Dart] = []
+    first_ray = len(diag.edges)
     for k, (i, j) in enumerate(diag.edges):
-        darts.append(Dart(EdgeRef("edge", k), i, j))
-        darts.append(Dart(EdgeRef("edge", k), j, i))
+        darts.append(Dart(k, i, j))
+        darts.append(Dart(k, j, i))
     for r, (i, _) in enumerate(diag.rays):
-        darts.append(Dart(EdgeRef("ray", r), i, -1))
-        darts.append(Dart(EdgeRef("ray", r), -1, i))
+        darts.append(Dart(first_ray + r, i, -1))
+        darts.append(Dart(first_ray + r, -1, i))
 
     # rotation at finite vertices: counterclockwise by outgoing direction
     rotation: dict[int, list[Dart]] = {}
@@ -1039,8 +1040,8 @@ def faces_oracle(diag: TropicalDiagram):
     # rotation at infinity: descending ray angle; parallel rays ordered by
     # ascending perpendicular offset of their source vertex
     def inf_cmp(a: Dart, b: Dart) -> int:
-        da = edge_direction(diag, a.ref)
-        db = edge_direction(diag, b.ref)
+        da = edge_direction_oracle(diag, a.edge)
+        db = edge_direction_oracle(diag, b.edge)
         c = _ccw_cmp(da, db)
         if c != 0:
             return -c
@@ -1069,52 +1070,52 @@ def faces_oracle(diag: TropicalDiagram):
                 break
         face_list.append(tuple(orbit))
 
-    edge_sides: dict[EdgeRef, tuple[int, int]] = {}
+    edge_sides: dict[int, tuple[int, int]] = {}
     for k in range(len(diag.edges)):
-        ref = EdgeRef("edge", k)
         i, j = diag.edges[k]
-        fwd = Dart(ref, i, j)
-        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
+        fwd = Dart(k, i, j)
+        edge_sides[k] = (dart_face[fwd.twin()], dart_face[fwd])
     for r in range(len(diag.rays)):
-        ref = EdgeRef("ray", r)
         i, _ = diag.rays[r]
-        fwd = Dart(ref, i, -1)
-        edge_sides[ref] = (dart_face[fwd.twin()], dart_face[fwd])
+        fwd = Dart(first_ray + r, i, -1)
+        edge_sides[first_ray + r] = (dart_face[fwd.twin()], dart_face[fwd])
 
     return tuple(face_list), dart_face, edge_sides, rotation
 
 
 # --- validation and the transport edge predicates before the edge table ------
 #
-# validate walked the vertex stars, a per-vertex list of (edge ref, direction)
+# validate walked the vertex stars, a per-vertex list of (edge, direction)
 # pairs with rays as stored, and found connectivity through an adjacency dict;
-# transport switched on the edge ref's kind for an edge's anchor, direction
-# and far end, dividing for the far end on every call.  The bodies are
-# unchanged apart from the names: the stars property is _stars_oracle, and
+# transport switched on the edge's kind (bounded edge, ray or marked point)
+# for its anchor, direction and far end, dividing for the far end on every
+# call.  The bodies are unchanged apart from the names, from naming an edge
+# by its row in the edge table (the kind is read off the row), and from the
+# report, which validate_oracle checks against its four flags before it
+# returns the offenders: the stars property is _stars_oracle, and
 # edge_direction is edge_direction_oracle, which computes the primitive
 # directions that the cached TropicalDiagram.directions held without reading
 # the edge table.
 
 
-def edge_direction_oracle(diag: TropicalDiagram, ref: EdgeRef) -> Vec:
-    if ref.kind == "edge":
-        i, j = diag.edges[ref.index]
+def edge_direction_oracle(diag: TropicalDiagram, e: int) -> Vec:
+    if diag.dim == 1:
+        raise DiagramError(f"{diag.edge_name(e)} has no direction")
+    if e < len(diag.edges):
+        i, j = diag.edges[e]
         return primitive_q_oracle(vsub(diag.vertices[j], diag.vertices[i]))
-    if ref.kind == "ray":
-        return primitive(diag.rays[ref.index][1])
-    raise DiagramError(f"{ref} has no direction")
+    return primitive(diag.rays[e - len(diag.edges)][1])
 
 
-def _stars_oracle(diag: TropicalDiagram) -> tuple[tuple[tuple[EdgeRef, Vec], ...], ...]:
-    """Per vertex, its outgoing (edge reference, direction) pairs: edges, then rays."""
-    stars: list[list[tuple[EdgeRef, Vec]]] = [[] for _ in diag.vertices]
+def _stars_oracle(diag: TropicalDiagram) -> tuple[tuple[tuple[int, Vec], ...], ...]:
+    """Per vertex, its outgoing (edge row, direction) pairs: edges, then rays."""
+    stars: list[list[tuple[int, Vec]]] = [[] for _ in diag.vertices]
     for k, (i, j) in enumerate(diag.edges):
-        ref = EdgeRef("edge", k)
-        d = edge_direction_oracle(diag, ref)
-        stars[i].append((ref, d))
-        stars[j].append((ref, vneg(d)))
+        d = edge_direction_oracle(diag, k)
+        stars[i].append((k, d))
+        stars[j].append((k, vneg(d)))
     for r, (i, d) in enumerate(diag.rays):
-        stars[i].append((EdgeRef("ray", r), d))
+        stars[i].append((len(diag.edges) + r, d))
     return tuple(tuple(s) for s in stars)
 
 
@@ -1122,9 +1123,9 @@ def validate_oracle(diag: TropicalDiagram) -> ValidationReport:
     """Check the semi-toric axioms; failures are reported, not raised."""
     if not diag.vertices:
         # a web or line with no vertex has one face, so nothing downstream can run
-        return ValidationReport(True, True, True, False, (("connected", EMPTY_DIAGRAM),))
+        return ValidationReport((("connected", EMPTY_DIAGRAM),))
     if diag.dim == 1:
-        return ValidationReport(True, True, True, True)
+        return ValidationReport(())
     trivalent = True
     balanced = True
     primitive_dirs = True
@@ -1141,7 +1142,7 @@ def validate_oracle(diag: TropicalDiagram) -> ValidationReport:
             balanced = False
             offenders.append(("balanced", f"vertex {v} direction sum {tuple(total)}"))
         seen = set()
-        for ref, d in star:
+        for _, d in star:
             if tuple(d) in seen:
                 # a repeated outgoing direction is a weight-2 edge in disguise
                 primitive_dirs = False
@@ -1169,47 +1170,51 @@ def validate_oracle(diag: TropicalDiagram) -> ValidationReport:
         connected = len(seen) == n
         if not connected:
             offenders.append(("connected", f"{n - len(seen)} vertices unreachable"))
-    return ValidationReport(trivalent, balanced, primitive_dirs, connected, tuple(offenders))
+    report = ValidationReport(tuple(offenders))
+    flags = (trivalent, balanced, primitive_dirs, connected)
+    # an axiom fails exactly when it names an offender
+    assert report.failed_axioms() == [axiom for axiom, good in zip(AXIOMS, flags) if not good]
+    return report
 
 
-def edge_anchor(diag: TropicalDiagram, ref: EdgeRef) -> QPoint:
-    if ref.kind == "edge":
-        return diag.vertices[diag.edges[ref.index][0]]
-    if ref.kind == "ray":
-        return diag.vertices[diag.rays[ref.index][0]]
-    return diag.vertices[ref.index]
+def edge_anchor(diag: TropicalDiagram, e: int) -> QPoint:
+    if diag.dim == 1:
+        return diag.vertices[e]
+    if e < len(diag.edges):
+        return diag.vertices[diag.edges[e][0]]
+    return diag.vertices[diag.rays[e - len(diag.edges)][0]]
 
 
-def _edge_param_oracle(diag: TropicalDiagram, ref: EdgeRef, x) -> Optional[Fraction]:
+def _edge_param_oracle(diag: TropicalDiagram, e: int, x) -> Optional[Fraction]:
     """The s with x = anchor + s*d on the line of the edge, or None off it.
 
     A d=1 marked point is its own line: s is 0 on it.
     """
-    anchor = edge_anchor(diag, ref)
-    if ref.kind == "point":
+    anchor = edge_anchor(diag, e)
+    if diag.dim == 1:
         return Q(0) if x[0] == anchor[0] else None
-    d = edge_direction_oracle(diag, ref)
+    d = edge_direction_oracle(diag, e)
     rel = vsub(x, anchor)
     axis = 0 if d[0] != 0 else 1
     s = rel[axis] / d[axis]
     return s if all(ri == s * di for di, ri in zip(d, rel)) else None
 
 
-def edge_end_oracle(diag: TropicalDiagram, ref: EdgeRef) -> Optional[Fraction]:
+def edge_end_oracle(diag: TropicalDiagram, e: int) -> Optional[Fraction]:
     """The parameter of the far end of the edge: 0 for a point, None for a ray."""
-    if ref.kind == "ray":
-        return None
-    if ref.kind == "point":
+    if diag.dim == 1:
         return Q(0)
-    return _edge_param_oracle(diag, ref, diag.vertices[diag.edges[ref.index][1]])
+    if e >= len(diag.edges):
+        return None
+    return _edge_param_oracle(diag, e, diag.vertices[diag.edges[e][1]])
 
 
-def on_edge_oracle(diag: TropicalDiagram, ref: EdgeRef, pt) -> bool:
+def on_edge_oracle(diag: TropicalDiagram, e: int, pt) -> bool:
     """Is a planar point on the closed edge (segment, ray, or d=1 point)?"""
-    s = _edge_param_oracle(diag, ref, pt)
+    s = _edge_param_oracle(diag, e, pt)
     if s is None or s < 0:
         return False
-    end = edge_end_oracle(diag, ref)
+    end = edge_end_oracle(diag, e)
     return end is None or s <= end
 
 
@@ -1218,8 +1223,8 @@ def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoi
     axy, at = a[:-1], a[-1]
     bxy, bt = b[:-1], b[-1]
     found: list[tuple[Fraction, Crossing]] = []
-    for ref, cov, tau in zip(diag.edge_refs(), diag.covectors, pres.taus):
-        anchor = edge_anchor(diag, ref)
+    for e, (cov, tau) in enumerate(zip(diag.covectors, pres.taus)):
+        anchor = edge_anchor(diag, e)
         fa = dot(cov, vsub(axy, anchor))
         fb = dot(cov, vsub(bxy, anchor))
         if fa == fb:
@@ -1227,29 +1232,29 @@ def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoi
                 # segment inside the cut plane: reject if its part at or
                 # below the cut height projects onto the edge range
                 lo, hi = _below(a, b, tau)
-                ua, ub = (_edge_param_oracle(diag, ref, x[:-1]) for x in (lo, hi))
-                end = edge_end_oracle(diag, ref)
+                ua, ub = (_edge_param_oracle(diag, e, x[:-1]) for x in (lo, hi))
+                end = edge_end_oracle(diag, e)
                 if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
                     # witness: the first point of that part over the edge
                     u = max(ua, 0) if end is None else min(max(ua, 0), end)
                     s = (u - ua) / (ub - ua) if ub != ua else 0
                     point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
-                    raise _refuse("path runs along a cut", seg, ref, point)
+                    raise _refuse("path runs along a cut", seg, diag.edge_name(e), point)
             continue
         if fa == 0 or fb == 0:
             # the plane is met only at an endpoint; error iff that endpoint
             # is on the actual cut region, otherwise no crossing occurs
             p = a if fa == 0 else b
-            if p[-1] <= tau and on_edge_oracle(diag, ref, p[:-1]):
-                raise _refuse("path endpoint lies on a cut", seg, ref, p)
+            if p[-1] <= tau and on_edge_oracle(diag, e, p[:-1]):
+                raise _refuse("path endpoint lies on a cut", seg, diag.edge_name(e), p)
             continue
         if (fa > 0) == (fb > 0):
             continue
         s = fa / (fa - fb)
         point = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
         xq, tq = point[:-1], point[-1]
-        u = _edge_param_oracle(diag, ref, xq)
-        end = edge_end_oracle(diag, ref)
+        u = _edge_param_oracle(diag, e, xq)
+        end = edge_end_oracle(diag, e)
         if u < 0 or (end is not None and u > end):
             continue
         if tq > tau:
@@ -1257,9 +1262,9 @@ def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoi
         # at the cut's height, or in d=2 exactly over an edge endpoint (a
         # vertex line), the path meets the discriminant
         if tq == tau or (diag.dim == 2 and u in (0, end)):
-            raise _refuse("path hits discriminant", seg, ref, point)
+            raise _refuse("path hits discriminant", seg, diag.edge_name(e), point)
         sign = 1 if fb > fa else -1
-        found.append((s, Crossing(ref, sign, point)))
+        found.append((s, Crossing(e, sign, point)))
     found.sort(key=lambda item: item[0])
     return [c for _, c in found]
 
@@ -1302,8 +1307,8 @@ def loop_monodromy_oracle(diag: TropicalDiagram, loop: Loop) -> Matrix:
     """
     n = diag.dim + 1
     total = identity_matrix(n)
-    for ref, sign in loop:
-        total = mat_mul(crossing_matrix(edge_covector(diag, ref), sign, n), total)
+    for e, sign in loop:
+        total = mat_mul(crossing_matrix(edge_covector(diag, e), sign, n), total)
     return total
 
 
@@ -1319,7 +1324,7 @@ def transport_covector_oracle(pres: CutPresentation, path: Sequence, g: Sequence
         raise AffineError("covector dimension mismatch")
     diag = pres.diagram
     for crossing in crossings:
-        cov = diag.covectors[diag.edge_index(crossing.ref)]
+        cov = diag.covectors[crossing.edge]
         v = mat_apply(crossing_matrix(cov, crossing.sign, pres.n), v)
     return v
 
@@ -1329,10 +1334,9 @@ def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
 
     Its monodromy is the identity: this is the cocycle relation in matrix form.
     """
-    refs = diag.edge_refs()
     # crossing counterclockwise around v passes each edge in its canonical
     # direction when v's dart along it is even, against it when odd
-    return tuple((refs[d >> 1], -1 if d & 1 else 1) for d in diag.face_complex.rotations[v])
+    return tuple((d >> 1, -1 if d & 1 else 1) for d in diag.face_complex.rotations[v])
 
 
 # --- a diagram's rationals before one table of integers held them, as oracles
@@ -1343,7 +1347,8 @@ def vertex_loop(diag: TropicalDiagram, v: int) -> Loop:
 # except that ``diagram_checks_oracle`` (the old ``__post_init__``) runs on any
 # object with the four fields, ``segments_oracle`` (the old ``segments``)
 # takes the diagram as an argument, and ``glue_oracle`` reads
-# ``segments_oracle`` where ``_glue`` read ``diag.segments``.
+# ``segments_oracle`` where ``_glue`` read ``diag.segments`` and lists each
+# edge's faces under its row.
 
 
 def primitive_direction(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Vec, Fraction]:
@@ -1407,7 +1412,7 @@ def diagram_checks_oracle(self) -> None:
 
 
 def segments_oracle(self) -> tuple[tuple[QPoint, Optional[Vec], Optional[Fraction]], ...]:
-    """Per edge_refs() entry, (anchor, primitive direction, end).
+    """Per edge row, (anchor, primitive direction, end).
 
     The edge is anchor + s*direction for 0 <= s <= end; end is None for a
     ray.  A d=1 marked point is (v, None, 0).
@@ -1447,7 +1452,7 @@ def glue_oracle(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction,
         heights = [0]
         for i in order:
             heights.append(heights[-1] + xs[i][0])
-        duality = tuple((EdgeRef("point", i), (pos, pos + 1)) for pos, i in enumerate(order))
+        duality = tuple((i, (pos, pos + 1)) for pos, i in enumerate(order))
         return _pinned(points, (), duality, heights, den)
 
     complex_ = diag.face_complex
@@ -1529,11 +1534,11 @@ def glue_oracle(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction,
 
     triangles = tuple(tuple(sorted(cell)) for cell in local)
     duality = []
-    for e, ref in enumerate(diag.edge_refs()):
+    for e in range(len(segments)):
         left, right = complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e]
         if dot(vsub(positions[left], positions[right]), segments[e][1]) != 0:
-            raise DiagramError(f"dual edge of {ref} is not orthogonal")
-        duality.append((ref, (left, right)))
+            raise DiagramError(f"dual edge of {diag.edge_name(e)} is not orthogonal")
+        duality.append((e, (left, right)))
     return _pinned(positions, triangles, tuple(duality), heights, den)
 
 

@@ -112,8 +112,8 @@ def test_acceptance_4_monodromy_suite(capsys):
         for v in range(len(web.vertices)):
             ok = ok and loop_monodromy(web, vertex_loop(web, v)) == identity_matrix(n)
         # contractible loops: random word conjugated against its inverse
-        refs = web.edge_refs()
-        word = [(rng.choice(refs), rng.choice((1, -1))) for _ in range(rng.randint(0, 5))]
+        rows = range(len(web.segments))
+        word = [(rng.choice(rows), rng.choice((1, -1))) for _ in range(rng.randint(0, 5))]
         contractible = tuple(
             word
             + list(vertex_loop(web, rng.randrange(len(web.vertices))))

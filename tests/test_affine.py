@@ -11,7 +11,7 @@ from tropmirror.affine import (
     transport_covector,
     transport_crossings,
 )
-from tropmirror.diagram import EdgeRef, TropicalDiagram
+from tropmirror.diagram import TropicalDiagram
 from tropmirror.monodromy import standard_form_matrix
 
 
@@ -42,11 +42,11 @@ def test_structural_counts():
 
 def test_tau_on_non_edge_rejected():
     with pytest.raises(AffineError, match="non-edge"):
-        build_cut_presentation(c3(), {EdgeRef("edge", 5): Q(1)})
+        build_cut_presentation(c3(), {"edge5": Q(1)})
 
 
 def test_tau_constants_accepted():
-    pres = build_cut_presentation(c3(), {EdgeRef("ray", 0): Q(-1)})
+    pres = build_cut_presentation(c3(), {"ray0": Q(-1)})
     assert pres.taus == (-1, 0, 0)  # c3's edges are its three rays
 
 
@@ -113,11 +113,11 @@ def test_transport_single_cut_loop_equals_standard_form():
     loop = [(2, -1, -2), (2, 1, -2), (2, 1, Q(1, 2)), (2, -1, Q(1, 2)), (2, -1, -2)]
     crossings = transport_crossings(pres, loop)
     assert len(crossings) == 1
-    ref = crossings[0].ref
+    e = crossings[0].edge
     sign = crossings[0].sign
     from tropmirror.monodromy import edge_covector
 
-    cov = edge_covector(pres.diagram, ref)
+    cov = edge_covector(pres.diagram, e)
     if sign < 0:
         cov = tuple(-c for c in cov)
     expected = standard_form_matrix(cov, 3)
@@ -171,8 +171,8 @@ def test_path_endpoint_on_cut_errors():
 
 def test_transport_with_raised_tau():
     # tau below the path: no crossing; tau above: crossing appears
-    pres_lo = build_cut_presentation(focus_focus(), {EdgeRef("point", 0): Q(-3)})
-    pres_hi = build_cut_presentation(focus_focus(), {EdgeRef("point", 0): Q(3)})
+    pres_lo = build_cut_presentation(focus_focus(), {"point0": Q(-3)})
+    pres_hi = build_cut_presentation(focus_focus(), {"point0": Q(3)})
     path = [(-1, 0), (1, 0)]
     assert transport_covector(pres_lo, path, (0, 1)) == (0, 1)
     assert transport_covector(pres_hi, path, (0, 1)) == (1, 1)
@@ -257,7 +257,7 @@ def test_transport_around_a_loop_is_the_monodromy_of_its_crossing_word():
     counts = {"crossed below": 0, "nontrivial": 0}
     for i in range(16):
         web = random_smooth_web(rng)
-        tau = {ref: Q(rng.randint(0, 40), 17) for ref in web.edge_refs()} if i % 2 else None
+        tau = {web.edge_name(e): Q(rng.randint(0, 40), 17) for e in range(len(web.segments))} if i % 2 else None
         pres = build_cut_presentation(web, tau)
         floor = min(pres.taus)
         xs = [c for v in web.vertices for c in v]
@@ -270,7 +270,7 @@ def test_transport_around_a_loop_is_the_monodromy_of_its_crossing_word():
                 for _ in range(rng.randint(3, 6))
             ]
             loop.append(loop[0])
-            word = tuple((c.ref, c.sign) for c in transport_crossings(pres, loop))
+            word = tuple((c.edge, c.sign) for c in transport_crossings(pres, loop))
             monodromy = loop_monodromy_oracle(web, word)
             for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 assert transport_covector(pres, loop, g) == mat_apply(monodromy, g)

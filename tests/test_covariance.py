@@ -141,7 +141,7 @@ def test_transport_commutes_with_the_map():
             m = [m[1], m[0]]
         t = _random_translation(rng)
         image = _image(web, m, t)
-        tau = {ref: Q(rng.randint(0, 40), 17) for ref in web.edge_refs()} if i % 4 >= 2 else None
+        tau = {web.edge_name(e): Q(rng.randint(0, 40), 17) for e in range(len(web.segments))} if i % 4 >= 2 else None
         pres, image_pres = build_cut_presentation(web, tau), build_cut_presentation(image, tau)
         xs = [c for v in web.vertices for c in v]
         lo, hi = int(min(xs)) - 2, int(max(xs)) + 2

@@ -7,8 +7,8 @@ commute and compose by adding their ``c``.  ``loop_monodromy`` and
 standard-form matrix per crossing.  They are compared on the shipped
 diagrams, seeded smooth webs and d=1 lines: on crossing words drawn from a
 few edges, so that edges repeat and the sums are mostly not primitive, on
-seeded polylines, and on every refusal (a bad ref, a sign of 0 or 2, a class
-of the wrong length), including which of two faults is named first.
+seeded polylines, and on every refusal (a bad edge row, a sign of 0 or 2, a
+class of the wrong length), including which of two faults is named first.
 
 The retired affine wall-crossing mode, z^u -> z^{u + <u,m> gamma}, survives
 in ``wall_cross_oracle``; across one cut it is the same shear as transport.
@@ -29,7 +29,7 @@ from helpers import (
 )
 from tropmirror.affine import build_cut_presentation, transport_covector, transport_crossings
 from tropmirror.analytic import Monomial, series
-from tropmirror.diagram import EdgeRef, TropicalDiagram
+from tropmirror.diagram import TropicalDiagram
 from tropmirror.lattice import is_primitive
 from tropmirror.monodromy import loop_monodromy
 
@@ -51,32 +51,32 @@ def _diagrams(rng: random.Random) -> list[TropicalDiagram]:
     return shipped_diagrams() + [random_smooth_web(rng, 8) for _ in range(5)] + [_line(rng) for _ in range(4)]
 
 
-def _bad_ref(diag: TropicalDiagram, rng: random.Random) -> EdgeRef:
-    if diag.dim == 1:
-        return rng.choice((EdgeRef("point", len(diag.vertices)), EdgeRef("point", -1), EdgeRef("edge", 0)))
-    return rng.choice((EdgeRef("ray", len(diag.rays)), EdgeRef("edge", len(diag.edges)), EdgeRef("edge", -1)))
+def _bad_row(diag: TropicalDiagram, rng: random.Random) -> int:
+    """A row outside the edge table; -1 and -n would index it from the end if not refused."""
+    n = len(diag.segments)
+    return rng.choice((n, n + 7, -1, -n))
 
 
 def test_loop_monodromy_matches_the_matrix_product():
     rng = random.Random(1601)
-    counts = {"not primitive": 0, "primitive": 0, "bad ref": 0, "bad sign": 0}
+    counts = {"not primitive": 0, "primitive": 0, "bad row": 0, "bad sign": 0}
     for diag in _diagrams(rng):
-        refs = diag.edge_refs()
+        rows = range(len(diag.segments))
         for _ in range(30):
-            pool = rng.sample(refs, min(len(refs), rng.randint(1, 3)))
+            pool = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
             word = [(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 9))]
             got = loop_monodromy(diag, tuple(word))
             assert got == loop_monodromy_oracle(diag, tuple(word)), word
             counts["primitive" if is_primitive(tuple(row[-1] for row in got[:-1])) else "not primitive"] += 1
-            # one or two faults spliced in: a bad ref, a sign of 0 or 2, or
+            # one or two faults spliced in: a bad row, a sign of 0 or 2, or
             # both on one crossing; the first fault in word order is named
             for _ in range(rng.randint(1, 2)):
-                ref = _bad_ref(diag, rng) if rng.random() < 0.6 else rng.choice(refs)
-                sign = rng.choice((0, 2)) if ref in refs or rng.random() < 0.5 else rng.choice((1, -1))
-                word.insert(rng.randint(0, len(word)), (ref, sign))
+                e = _bad_row(diag, rng) if rng.random() < 0.6 else rng.choice(rows)
+                sign = rng.choice((0, 2)) if e in rows or rng.random() < 0.5 else rng.choice((1, -1))
+                word.insert(rng.randint(0, len(word)), (e, sign))
             want = _outcome(loop_monodromy_oracle, diag, tuple(word))
             assert _outcome(loop_monodromy, diag, tuple(word)) == want, word
-            counts["bad ref" if "is not an edge" in want[1] else "bad sign"] += 1
+            counts["bad row" if "is out of range" in want[1] else "bad sign"] += 1
     assert min(counts.values()) >= 100, counts
 
 
@@ -89,8 +89,7 @@ def test_transport_matches_the_matrix_product():
     rng = random.Random(1602)
     counts = {"sheared": 0, "several cuts": 0, "path refused": 0, "class refused": 0}
     for i, diag in enumerate(_diagrams(rng)):
-        refs = diag.edge_refs()
-        tau = {ref: Q(rng.randint(0, 40), 17) for ref in refs} if i % 2 else None
+        tau = {diag.edge_name(e): Q(rng.randint(0, 40), 17) for e in range(len(diag.segments))} if i % 2 else None
         pres = build_cut_presentation(diag, tau)
         floor = min(pres.taus)
         xs = [c for v in diag.vertices for c in v]
@@ -122,7 +121,7 @@ def _one_cut_shear_agrees(rng: random.Random, pres, path) -> None:
     """
     (crossing,) = transport_crossings(pres, path)
     diag, n = pres.diagram, pres.n
-    cov = diag.covectors[diag.edge_index(crossing.ref)]
+    cov = diag.covectors[crossing.edge]
     wall = AffineWall(cov + (0,), (0,) * (n - 1) + (crossing.sign,))
     terms = []
     for _ in range(rng.randint(1, 6)):

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import tropmirror.diagram
-from helpers import ConeKind, dual_vertex_cone, random_smooth_web
+from helpers import ConeKind, dual_vertex_cone, edge_direction_oracle, random_smooth_web
 from tropmirror.affine import build_cut_presentation, chamber_of
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.cli import run
@@ -17,7 +17,6 @@ from tropmirror.diagram import (
     diagram_from_json,
     diagram_to_json,
     dual_subdivision,
-    edge_direction,
     face_heights,
     faces,
     is_smooth,
@@ -44,22 +43,23 @@ def conifold():
 def test_validate_c3_all_true():
     report = validate(c3())
     assert report.ok
-    assert report.trivalent and report.balanced
-    assert report.primitive_directions and report.connected
+    assert report.failed_axioms() == [] and report.offenders == ()
+    assert report.to_json() == {
+        "ok": True, "trivalent": True, "balanced": True, "primitive_directions": True, "connected": True,
+        "offenders": [],
+    }
 
 
 def test_validate_two_valent_vertex():
     diag = TropicalDiagram(2, ((Q(0), Q(0)),), (), ((0, (1, 0)), (0, (-1, 0))))
     report = validate(diag)
-    assert not report.trivalent
-    assert report.balanced
+    assert report.failed_axioms() == ["trivalent"]
 
 
 def test_validate_unbalanced_vertex():
     diag = TropicalDiagram(2, ((Q(0), Q(0)),), (), ((0, (1, 0)), (0, (0, 1)), (0, (-1, -2))))
     report = validate(diag)
-    assert report.trivalent
-    assert not report.balanced
+    assert report.failed_axioms() == ["balanced"]
     assert any("balanced" in o[0] for o in report.offenders)
 
 
@@ -125,9 +125,9 @@ def test_dual_subdivision_requires_axioms():
 def test_dual_edges_orthogonal():
     for diag in (c3(), conifold()):
         dual = dual_subdivision(diag)
-        for ref, (left, right) in dual.edge_duality:
+        for e, (left, right) in dual.edge_duality:
             dvec = vsub(dual.lattice_points[left], dual.lattice_points[right])
-            assert dot(dvec, edge_direction(diag, ref)) == 0
+            assert dot(dvec, edge_direction_oracle(diag, e)) == 0
 
 
 def test_sign_gauge_flip():
@@ -184,8 +184,8 @@ def test_euler_counts_on_random_webs():
         web = random_smooth_web(rng)
         dual = dual_subdivision(web)
         assert len(dual.triangles) == len(web.vertices)
-        interior = sum(1 for r, _ in dual.edge_duality if r.kind == "edge")
-        boundary = sum(1 for r, _ in dual.edge_duality if r.kind == "ray")
+        interior = sum(1 for e, _ in dual.edge_duality if e < len(web.edges))
+        boundary = sum(1 for e, _ in dual.edge_duality if e >= len(web.edges))
         assert interior == len(web.edges)
         assert boundary == len(web.rays)
         # subdivision Euler relation: cells - edges + points = 1
@@ -201,7 +201,7 @@ def test_dual_cone_gauge():
         for f, face in enumerate(fc.faces):
             alpha = dual.lattice_points[f]
             recession = {diag.segments[d >> 1][1] for d in face if d >= 2 * len(diag.edges)}
-            for ref, (left, right) in dual.edge_duality:
+            for _, (left, right) in dual.edge_duality:
                 other = None
                 if left == f:
                     other = right

@@ -6,7 +6,7 @@ far end) and ``TropicalDiagram.covectors`` (the quarter turn of each
 direction) are read by validation, the face walk, the gluing, the monodromy
 and transport.
 Validation is compared with the stars-based ``validate_oracle`` on seeded
-broken diagrams, and the transport predicates with the ref-switching
+broken diagrams, and the transport predicates with the kind-switching
 ``segment_crossings_oracle`` on seeded paths, a third of whose points sit
 exactly on vertices, edge midpoints, edge lines or cut heights.
 """
@@ -101,19 +101,19 @@ def test_validate_matches_the_stars_oracle_on_webs():
 def test_segments_match_the_ref_switching_edge_helpers():
     rng = random.Random(16)
     for diag in shipped_diagrams() + [LINE] + [random_smooth_web(rng) for _ in range(30)]:
-        for e, ref in enumerate(diag.edge_refs()):
-            direction = None if diag.dim == 1 else edge_direction_oracle(diag, ref)
-            assert diag.segments[e] == (edge_anchor(diag, ref), direction, edge_end_oracle(diag, ref))
+        for e in range(len(diag.segments)):
+            direction = None if diag.dim == 1 else edge_direction_oracle(diag, e)
+            assert diag.segments[e] == (edge_anchor(diag, e), direction, edge_end_oracle(diag, e))
             assert diag.covectors[e] == ((1,) if diag.dim == 1 else (direction[1], -direction[0]))
 
 
-def _on_line(rng: random.Random, diag: TropicalDiagram, ref):
-    """A point exactly on the line of an edge: an end, the middle, or beyond."""
-    anchor = edge_anchor(diag, ref)
+def _on_line(rng: random.Random, diag: TropicalDiagram, e: int):
+    """A point exactly on the line of edge row e: an end, the middle, or beyond."""
+    anchor = edge_anchor(diag, e)
     if diag.dim == 1:
         return anchor
-    d = edge_direction_oracle(diag, ref)
-    end = edge_end_oracle(diag, ref)
+    d = edge_direction_oracle(diag, e)
+    end = edge_end_oracle(diag, e)
     end = Q(2) if end is None else end
     s = rng.choice((Q(-1), Q(0), end / 2, end, end + 1))
     return tuple(a + s * c for a, c in zip(anchor, d))
@@ -129,15 +129,15 @@ def _path(rng: random.Random, pres) -> list:
     heights = sorted(set(pres.taus))
     center = diag.vertices[rng.randrange(len(diag.vertices))]
     path: list = []
-    ref = None
+    e = None
     while len(path) < rng.randint(2, 4):
-        if ref is not None and rng.random() < 0.5:
-            x = _on_line(rng, diag, ref)
+        if e is not None and rng.random() < 0.5:
+            x = _on_line(rng, diag, e)
         elif rng.random() < 0.35:
-            ref = rng.choice(diag.edge_refs())
-            x = _on_line(rng, diag, ref)
+            e = rng.randrange(len(diag.segments))
+            x = _on_line(rng, diag, e)
         else:
-            ref = None
+            e = None
             x = tuple(c + Q(rng.randint(-24, 24), rng.randint(1, 7)) for c in center)
         t = rng.choice(heights) if rng.random() < 0.35 else Q(rng.randint(-12, 12), rng.randint(1, 4))
         p = (*x, t)
@@ -165,7 +165,7 @@ def _part_at_oracle(diag: TropicalDiagram, x) -> str:
         for i, v in enumerate(diag.vertices):
             if v == x:
                 return f"vertex {i}"
-    return next(str(ref) for ref in diag.edge_refs() if on_edge_oracle(diag, ref, x))
+    return next(diag.edge_name(e) for e in range(len(diag.segments)) if on_edge_oracle(diag, e, x))
 
 
 def test_transport_and_chambers_match_the_ref_switching_oracle():
@@ -174,9 +174,9 @@ def test_transport_and_chambers_match_the_ref_switching_oracle():
     outcomes = {"crossings": 0, "runs along": 0, "endpoint": 0, "discriminant": 0, "on wall": 0}
     npaths = 0
     for k, diag in enumerate(diagrams):
-        refs = diag.edge_refs()
-        raised = rng.sample(refs, rng.randint(1, len(refs))) if k % 2 else []
-        tau = {ref: Q(rng.randint(-3, 6), rng.randint(1, 3)) for ref in raised}
+        names = [diag.edge_name(e) for e in range(len(diag.segments))]
+        raised = rng.sample(names, rng.randint(1, len(names))) if k % 2 else []
+        tau = {name: Q(rng.randint(-3, 6), rng.randint(1, 3)) for name in raised}
         pres = build_cut_presentation(diag, tau)
         for _ in range(60):
             path = _path(rng, pres)

@@ -1,8 +1,7 @@
 """The face walk on numbered darts against the Dart-record oracle, and the gluing refusals.
 
-Dart 2e runs along ``diag.edge_refs()[e]`` in its canonical direction and
-dart 2e + 1 against it; the oracle names the same half-edge
-``Dart(ref, tail, head)``.  The validation axioms do not include planarity,
+Dart 2e runs along edge row e in its canonical direction and dart 2e + 1
+against it; the oracle names the same half-edge ``Dart(e, tail, head)``.  The validation axioms do not include planarity,
 so a diagram whose edges or rays cross passes ``validate`` and is refused
 only when its faces are glued.
 """
@@ -48,13 +47,12 @@ CROSSING = [
 
 
 def _dart_number(diag, dart) -> int:
-    """The number of the oracle's ``Dart(ref, tail, head)``."""
-    e = diag.edge_refs().index(dart.ref)
-    if dart.ref.kind == "edge":
-        forward = dart.tail == diag.edges[dart.ref.index][0]
+    """The number of the oracle's ``Dart(e, tail, head)``."""
+    if dart.edge < len(diag.edges):
+        forward = dart.tail == diag.edges[dart.edge][0]
     else:
         forward = dart.head == -1
-    return 2 * e + (0 if forward else 1)
+    return 2 * dart.edge + (0 if forward else 1)
 
 
 def _assert_same_faces(diag):
@@ -67,7 +65,7 @@ def _assert_same_faces(diag):
         assert f == tuple(number[d] for d in w)
     assert all(got.dart_face[number[d]] == face for d, face in want_dart_face.items())
     assert got.rotations == {v: [number[d] for d in ring] for v, ring in want_rotations.items()}
-    sides = {ref: (got.dart_face[2 * e + 1], got.dart_face[2 * e]) for e, ref in enumerate(diag.edge_refs())}
+    sides = {e: (got.dart_face[2 * e + 1], got.dart_face[2 * e]) for e in range(len(diag.segments))}
     assert sides == want_sides
     return sides
 

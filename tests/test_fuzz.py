@@ -34,9 +34,9 @@ def test_random_webs_full_battery():
         assert emb.positions == dual.lattice_points
 
         # duality: covector = dual difference, orthogonal to the edge
-        for ref, (left, right) in dual.edge_duality:
+        for e, (left, right) in dual.edge_duality:
             diff = vsub(dual.lattice_points[left], dual.lattice_points[right])
-            assert diff == edge_covector(web, ref)
+            assert diff == edge_covector(web, e)
 
         # cone-support lemma on a box covering the support
         coords = [c for p in dual.lattice_points for c in p]

@@ -53,7 +53,7 @@ def test_each_vertex_is_where_its_dual_cell_attains_the_minimum(webs):
                 assert _argmin(_values(diag, diag.vertices[v])) == set(cell), (diag, v)
                 vertices += 1
         else:
-            for ref, pair in diag.dual.edge_duality:
-                assert _argmin(_values(diag, diag.vertices[ref.index])) == set(pair), (diag, ref)
+            for e, pair in diag.dual.edge_duality:
+                assert _argmin(_values(diag, diag.vertices[e])) == set(pair), (diag, e)
                 vertices += 1
     assert vertices >= 1000

@@ -224,9 +224,9 @@ def test_raw_exponents_follow_the_edges_in_every_gauge():
             exps = {alpha: nov_val(c) for alpha, c in g.terms}
             assert min(exps.values()) == 0
             assert g.root == dual.lattice_points[dual.root_face] == (0, 0)
-            for ref, (left, right) in dual.edge_duality:
+            for e, (left, right) in dual.edge_duality:
                 a_left, a_right = dual.lattice_points[left], dual.lattice_points[right]
-                for p in edge_sample_points(web, ref):
+                for p in edge_sample_points(web, e):
                     assert exps[a_left] - exps[a_right] == sign * dot(vsub(a_right, a_left), vsub(p, base))
 
 

@@ -4,16 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from helpers import identity_matrix, mat_mul, random_lattice_polygon, random_smooth_web, vertex_loop
+from tropmirror.affine import AffineError, build_cut_presentation
 from tropmirror.charges import regular_subdivision, web_from_subdivision
-from tropmirror.diagram import (
-    DiagramError,
-    EdgeRef,
-    TropicalDiagram,
-    dual_subdivision,
-    edge_direction,
-    is_smooth,
-    validate,
-)
+from tropmirror.diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
 from tropmirror.lattice import is_primitive, vsub
 from tropmirror.monodromy import (
     MonodromyError,
@@ -39,53 +32,67 @@ def conifold():
 
 def test_edge_covector_orthogonal_and_gauge():
     diag = c3()
-    assert edge_covector(diag, EdgeRef("ray", 0)) == (0, -1)  # ray (1,0)
-    assert edge_covector(diag, EdgeRef("ray", 2)) == (-1, 1)  # ray (-1,-1)
+    assert edge_covector(diag, 0) == (0, -1)  # ray0, direction (1,0)
+    assert edge_covector(diag, 2) == (-1, 1)  # ray2, direction (-1,-1)
     d1 = TropicalDiagram(1, ((Q(0),),))
-    assert edge_covector(d1, EdgeRef("point", 0)) == (1,)
+    assert edge_covector(d1, 0) == (1,)
+
+
+def line():
+    return TropicalDiagram(1, ((Q(0),), (Q(3, 2),), (Q(-2),)))
+
+
+def test_edge_names_follow_the_rows():
+    assert [conifold().edge_name(e) for e in range(5)] == ["edge0", "ray0", "ray1", "ray2", "ray3"]
+    assert [c3().edge_name(e) for e in range(3)] == ["ray0", "ray1", "ray2"]
+    assert [line().edge_name(e) for e in range(3)] == ["point0", "point1", "point2"]
 
 
 # the conifold has edge0 and ray0..ray3; the line has point0..point2
 OUTSIDE = [
-    ("conifold", EdgeRef("edge", -1)),
-    ("conifold", EdgeRef("edge", 1)),
-    ("conifold", EdgeRef("edge", 7)),
-    ("conifold", EdgeRef("ray", -1)),
-    ("conifold", EdgeRef("ray", -4)),
-    ("conifold", EdgeRef("ray", 4)),
-    ("line", EdgeRef("point", -1)),
-    ("line", EdgeRef("point", 3)),
-    ("line", EdgeRef("edge", 0)),
+    ("conifold", "edge-1"),
+    ("conifold", "edge1"),
+    ("conifold", "edge7"),
+    ("conifold", "ray-1"),
+    ("conifold", "ray-4"),
+    ("conifold", "ray4"),
+    ("line", "point-1"),
+    ("line", "point3"),
+    ("line", "edge0"),
 ]
 
 
-@pytest.mark.parametrize("name, ref", OUTSIDE, ids=[f"{name}-{ref}" for name, ref in OUTSIDE])
-def test_edge_refs_outside_the_diagram_are_refused(name, ref):
-    line = TropicalDiagram(1, ((Q(0),), (Q(3, 2),), (Q(-2),)))
-    diag = conifold() if name == "conifold" else line
-    message = f"^{ref} is not an edge of the diagram$"
-    with pytest.raises(MonodromyError, match=message):
-        edge_covector(diag, ref)
-    with pytest.raises(MonodromyError, match=message):
-        loop_monodromy(diag, ((ref, 1),))
-    if diag.dim == 2:
-        with pytest.raises(DiagramError, match=message):
-            edge_direction(diag, ref)
+@pytest.mark.parametrize("name, edge", OUTSIDE, ids=[f"{name}-{edge}" for name, edge in OUTSIDE])
+def test_edge_refs_outside_the_diagram_are_refused(name, edge):
+    diag = conifold() if name == "conifold" else line()
+    with pytest.raises(AffineError, match=f"^tau defined on a non-edge {edge}$"):
+        build_cut_presentation(diag, {edge: Q(1)})
 
 
-def test_point_refs_on_a_web_have_no_direction():
+@pytest.mark.parametrize("name", ["conifold", "line"])
+def test_rows_outside_the_edge_table_are_refused(name):
+    diag = conifold() if name == "conifold" else line()
+    n = len(diag.segments)
+    for e in (-1, -n, n, n + 7):
+        message = f"^edge row {e} is out of range: the diagram has {n} edges$"
+        with pytest.raises(MonodromyError, match=message):
+            edge_covector(diag, e)
+        with pytest.raises(MonodromyError, match=message):
+            loop_monodromy(diag, ((e, 1),))
+
+
+def test_point_names_on_a_web_are_not_edges():
     for index in (0, -1, 9):
-        ref = EdgeRef("point", index)
-        with pytest.raises(DiagramError, match=f"^{ref} has no direction$"):
-            edge_covector(conifold(), ref)
+        with pytest.raises(AffineError, match=f"^tau defined on a non-edge point{index}$"):
+            build_cut_presentation(conifold(), {f"point{index}": Q(1)})
 
 
 def test_covector_is_dual_edge_difference():
     for diag in (c3(), conifold()):
         dual = dual_subdivision(diag)
-        for ref, (left, right) in dual.edge_duality:
+        for e, (left, right) in dual.edge_duality:
             diff = vsub(dual.lattice_points[left], dual.lattice_points[right])
-            assert diff == edge_covector(diag, ref)
+            assert diff == edge_covector(diag, e)
 
 
 def test_standard_form_examples():
@@ -98,8 +105,7 @@ def test_standard_form_examples():
 def test_loop_monodromy_empty_and_inverse():
     diag = c3()
     assert loop_monodromy(diag, ()) == identity_matrix(3)
-    ref = EdgeRef("ray", 1)
-    word = ((ref, 1), (ref, -1))
+    word = ((1, 1), (1, -1))  # across ray1 and back
     assert loop_monodromy(diag, word) == identity_matrix(3)
 
 
@@ -112,9 +118,9 @@ def test_vertex_loop_is_cocycle():
 
 def test_single_edge_antisymmetry():
     diag = conifold()
-    for ref in diag.edge_refs():
-        fwd = loop_monodromy(diag, ((ref, 1),))
-        back = loop_monodromy(diag, ((ref, -1),))
+    for e in range(len(diag.segments)):
+        fwd = loop_monodromy(diag, ((e, 1),))
+        back = loop_monodromy(diag, ((e, -1),))
         assert mat_mul(fwd, back) == identity_matrix(3)
 
 
@@ -188,10 +194,10 @@ def test_contractible_words_have_identity_monodromy():
     rng = random.Random(43)
     for _ in range(10):
         web = random_smooth_web(rng)
-        refs = web.edge_refs()
+        rows = range(len(web.segments))
         # random word times its formal inverse, with vertex relators spliced in
-        word = [(rng.choice(refs), rng.choice((1, -1))) for _ in range(rng.randint(0, 4))]
-        inverse = [(ref, -s) for ref, s in reversed(word)]
+        word = [(rng.choice(rows), rng.choice((1, -1))) for _ in range(rng.randint(0, 4))]
+        inverse = [(e, -s) for e, s in reversed(word)]
         middle = list(vertex_loop(web, rng.randrange(len(web.vertices))))
         full = word + middle + inverse
         assert loop_monodromy(web, tuple(full)) == identity_matrix(3)
