@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 # memory.
 from .diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
 from .analytic import focus_focus_demo, wall_cross
-from .charges import ChargeMatrix, build_web, diagram_from_charges
-from .mirror import face_distance, normalize_presentation, presentation, superpotential
-from .monodromy import build_dual_graph, edge_covector, loop_monodromy, standard_form_matrix
+from .charges import ChargeMatrix, build_web
+from .mirror import normalize_presentation, presentation, superpotential
+from .monodromy import build_dual_graph, edge_covector
 from .affine import build_cut_presentation, chamber_of, transport_covector
-from .novikov import NovikovElement, nov, nov_add, nov_eq_mod, nov_inv, nov_mul, nov_val
+from .novikov import NovikovElement, nov, nov_add, nov_inv, nov_mul, nov_val
 
 __all__ = [
     "TropicalDiagram",
@@ -29,14 +29,10 @@ __all__ = [
     "dual_subdivision",
     "is_smooth",
     "build_web",
-    "diagram_from_charges",
-    "face_distance",
     "superpotential",
     "presentation",
     "normalize_presentation",
     "edge_covector",
-    "standard_form_matrix",
-    "loop_monodromy",
     "build_dual_graph",
     "build_cut_presentation",
     "chamber_of",
@@ -48,5 +44,4 @@ __all__ = [
     "nov_mul",
     "nov_inv",
     "nov_val",
-    "nov_eq_mod",
 ]

@@ -2,15 +2,15 @@
 
 The base is R^(d+1): moment coordinates over the diagram plane plus one extra
 coordinate.  Each diagram edge e at height tau(e) hangs a cut
-P_e = {(x, t) : x on e, t <= tau(e)}; gluing across a cut is the shear of the
-edge covector (``monodromy.shear``).  A presentation is the diagram and one
-height per edge, ``taus``, indexed by edge row like its edge table
-(``segments`` and ``covectors``); a tau file names the edges
-(``parse_edge_name``), and ``build_cut_presentation`` maps the names to
-rows once.  The shears commute, so transporting a covector along a
-polyline applies once the shear of the signed sum of the covectors it
-crosses; the crossing sign is positive when the path moves with the edge
-covector increasing.
+P_e = {(x, t) : x on e, t <= tau(e)}; gluing across a cut adds the edge
+covector, times the g_0 coefficient, to a covector's eta part.  A
+presentation is the diagram and one height per edge, ``taus``, indexed by
+edge row like its edge table (``segments`` and ``covectors``); a tau file
+names the edges (``parse_edge_name``), and ``build_cut_presentation`` maps
+the names to rows once.  The gluings commute, so transporting a covector
+along a polyline adds the signed sum of the covectors it crosses; the
+crossing sign is positive when the path moves with the edge covector
+increasing.
 
 Chambers: points with last coordinate above every relevant cut height are in
 ``"V_plus"``, below in ``"V_minus"``, and points at the wall level over a
@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from .diagram import TropicalDiagram, parse_edge_name
 from .dual import locate_face
 from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
-from .monodromy import signed_sum
 from .record import frozen
 
 Q = Fraction
@@ -58,11 +57,13 @@ def tau_from_json(data) -> dict[str, Fraction]:
     Two spellings of one name (edge1, edge01) are one key: the later value wins.
     """
     with malformed("tau", AffineError):
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object of edge names to heights, got {type(data).__name__}")
         return {parse_edge_name(k): read_rational(v) for k, v in data.items()}
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:
-    """One cut per edge, glued by the shear of its covector.
+    """One cut per edge, glued by its covector.
 
     tau maps edge names (``TropicalDiagram.edge_name``) to heights; an edge
     it does not name gets height 0.
@@ -213,7 +214,7 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     if len(v) != pres.n:
         raise AffineError("covector dimension mismatch")
     covectors = pres.diagram.covectors
-    total = signed_sum(((covectors[c.edge], c.sign) for c in crossings), pres.n - 1)
+    total = [sum(c.sign * covectors[c.edge][i] for c in crossings) for i in range(pres.n - 1)]
     return tuple(e + v[-1] * c for e, c in zip(v, total)) + v[-1:]
 
 

@@ -240,7 +240,6 @@ class FocusFocusReport:
     h_minus_y: AnalyticSeries
     h_plus_y_left: AnalyticSeries
     h_plus_y_right: AnalyticSeries
-    h_plus_y: AnalyticSeries
     product: AnalyticSeries
     mirror_relation: str
     messages: tuple[str, ...]
@@ -292,8 +291,7 @@ def focus_focus_demo(E) -> FocusFocusReport:
     else:
         messages.append("FAIL: window routes disagree")
 
-    h_plus_y = via_left
-    product = series_mul(h_plus_x, h_plus_y)
+    product = series_mul(h_plus_x, via_left)
 
     expected_product = series(
         [Monomial(one, (0, 0)), Monomial(one, (1, 0))], "V_plus", box_plus, E
@@ -323,7 +321,6 @@ def focus_focus_demo(E) -> FocusFocusReport:
         h_minus_y,
         via_left,
         via_right,
-        h_plus_y,
         product,
         relation,
         tuple(messages),

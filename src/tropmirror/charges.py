@@ -203,10 +203,6 @@ def build_web(q: ChargeMatrix, heights: Sequence, allow_singular: bool = False) 
     return ChargeWeb(diagram, tuple(points), sub, simplicial)
 
 
-def diagram_from_charges(q: ChargeMatrix, heights: Sequence, allow_singular: bool = False) -> TropicalDiagram:
-    return build_web(q, heights, allow_singular).diagram
-
-
 # columns or rows of a charge file; the web takes time and memory about
 # quadratic in the columns.  At 990 columns (P^2 of degree 43) `web --charges`
 # took 1.6 s with 2-digit height denominators and 6.2 s with a 3,445-digit
@@ -219,8 +215,8 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
 
     A file with more than MAX_CHARGE_SIZE columns or rows is refused before
     any entry is read, and heights over a common denominator of more than
-    DIGITS digits before the kernel and the hull run (``regular_subdivision``
-    keeps the same check for callers that skip this reader).
+    DIGITS digits before any row is read (``regular_subdivision`` keeps the
+    same check for callers that skip this reader).
     """
     with malformed("charge", ChargeError):
         charges = data["charges"]
@@ -228,8 +224,8 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
         if max(width, len(charges)) > MAX_CHARGE_SIZE:
             shape = f"{len(charges)} x {width}"
             raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
-        rows = tuple(tuple(read_int(x) for x in row) for row in charges)
         heights = [read_rational(h) for h in data["heights"]]
-    q = ChargeMatrix(rows, width)
     common_denominator(heights, "heights", ChargeError)
-    return q, heights
+    with malformed("charge", ChargeError):
+        rows = tuple(tuple(read_int(x) for x in row) for row in charges)
+    return ChargeMatrix(rows, width), heights

@@ -200,7 +200,7 @@ def _cmd_wallcross_demo(args) -> int:
             "h_minus_y": series_to_json(report.h_minus_y),
             "h_plus_y_left": series_to_json(report.h_plus_y_left),
             "h_plus_y_right": series_to_json(report.h_plus_y_right),
-            "h_plus_y": series_to_json(report.h_plus_y),
+            "h_plus_y": series_to_json(report.h_plus_y_left),
             "product": series_to_json(report.product),
         }
         sys.stdout.write(_dumps(out))

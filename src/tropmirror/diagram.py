@@ -187,14 +187,19 @@ class TropicalDiagram:
 
 
 def parse_edge_name(text: str) -> str:
-    """An edge name as a tau file may spell it, in the spelling of edge_name: kind + int(rest).
+    """An edge name as a tau file may spell it, in the spelling of edge_name.
 
-    So edge01, ray+1 and "edge 1" read as edge1, ray1 and edge1.  Whether the
+    The kind is followed, after surrounding whitespace, by an optional sign
+    and ASCII digits: so edge01, ray+1 and "edge 1" read as edge1, ray1 and
+    edge1, while edge1_0 and non-ASCII digits are refused.  Whether the
     diagram has such an edge is not checked here.
     """
     for kind in ("edge", "ray", "point"):
         if text.startswith(kind):
-            return f"{kind}{int(text[len(kind):])}"
+            number = text[len(kind):].strip()
+            digits = number[1:] if number[:1] in ("+", "-") else number
+            if digits.isascii() and digits.isdigit():
+                return f"{kind}{int(number)}"
     raise DiagramError(f"cannot parse edge reference {text!r}")
 
 

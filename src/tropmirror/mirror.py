@@ -116,20 +116,6 @@ class Superpotential:
     slope: tuple[Fraction, ...]
 
 
-def face_distance(diag: TropicalDiagram, alpha: Sequence[int], base: Optional[Sequence] = None) -> Fraction:
-    """The t-exponent of the dual vertex alpha (default gauge) relative to a base point.
-
-    This is the height of alpha's face; see face_heights.  Base point defaults
-    to the origin.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    heights = face_heights(diag, base)
-    for f, pos in enumerate(diag.dual.lattice_points):
-        if pos == alpha:
-            return heights[f]
-    raise MirrorError(f"{alpha} is not a vertex of the dual graph")
-
-
 def superpotential(
     diag: TropicalDiagram,
     base: Optional[Sequence] = None,

@@ -1,28 +1,25 @@
-"""Monodromy representation and the embedded dual graph.
+"""Edge covectors and the embedded dual graph.
 
 Each edge of a validated diagram carries a primitive integer covector (the
 annihilator of its direction, oriented by the global gauge), read from the
 diagram's edge table, ``TropicalDiagram.covectors``, at the edge's row.
-Crossing the cut of an edge glues by the shear I + c e_n^T in the basis
-(eta_1, ..., eta_{n-1}, g_0): the covector c sits in the upper part of the
-last column and acts by g_0 -> g_0 + c.  Every c has c_n = 0, so these shears
-commute and composing them adds their c.  A loop is a combinatorial word of
-signed edge crossings, (edge row, sign) pairs; its monodromy is the shear of
-the signed covector sum.  The dual graph is embedded by summing edge covectors along a spanning tree
-of the face adjacency graph, which is well defined because the covectors
-around any diagram vertex sum to zero.
+Crossing the cut of an edge with sign +1 or -1 adds sign * c, times the g_0
+coefficient, to the eta part of a covector written in the basis (eta_1, ...,
+eta_{n-1}, g_0).  Every c has c_n = 0, so these gluings commute, and the
+monodromy of a loop or a path is the signed sum of the covectors it crosses
+(``affine.transport_covector``).  The dual graph is embedded by summing edge
+covectors along a spanning tree of the face adjacency graph, which is well
+defined because the covectors around any diagram vertex sum to zero.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .diagram import TropicalDiagram
 from .dual import gauge_points
-from .lattice import Vec, is_primitive, vadd, vneg, vsub
+from .lattice import Vec, vadd, vneg, vsub
 from .record import frozen
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 class MonodromyError(ValueError):
@@ -41,48 +38,6 @@ def edge_covector(diag: TropicalDiagram, e: int) -> Vec:
     if not 0 <= e < len(covectors):
         raise MonodromyError(f"edge row {e} is out of range: the diagram has {len(covectors)} edges")
     return covectors[e]
-
-
-def shear(cov: Sequence[int]) -> Matrix:
-    """I + cov e_n^T, n = len(cov) + 1, for any integer cov (unchecked)."""
-    n = len(cov) + 1
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(n - 1)) + (cov[i] if i < n - 1 else 1,) for i in range(n)
-    )
-
-
-def standard_form_matrix(cov: Sequence[int], n: int) -> Matrix:
-    """Unipotent matrix with the primitive covector in the upper last column."""
-    cov = tuple(int(c) for c in cov)
-    if n not in (2, 3):
-        raise MonodromyError("standard form defined for n in {2, 3}")
-    if len(cov) != n - 1:
-        raise MonodromyError("covector length must be n - 1")
-    if not is_primitive(cov):
-        raise MonodromyError(f"covector {cov} is not primitive")
-    return shear(cov)
-
-
-def signed_sum(crossings: Iterable[tuple[Vec, int]], dim: int) -> Vec:
-    """Sum of sign * cov over (cov, sign) crossings, each sign +1 or -1, in order."""
-    total = (0,) * dim
-    for cov, sign in crossings:
-        if sign not in (1, -1):
-            raise MonodromyError("crossing signs must be +1 or -1")
-        total = vadd(total, cov) if sign == 1 else vsub(total, cov)
-    return total
-
-
-Loop = tuple[tuple[int, int], ...]  # (edge row, sign) crossings
-
-
-def loop_monodromy(diag: TropicalDiagram, loop: Loop) -> Matrix:
-    """Shear of the signed covector sum of a crossing word.
-
-    The result applied to a covector gives its parallel transport around
-    the loop; the sum need not be primitive.
-    """
-    return shear(signed_sum(((edge_covector(diag, e), sign) for e, sign in loop), diag.dim))
 
 
 @frozen

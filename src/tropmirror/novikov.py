@@ -236,13 +236,6 @@ def nov_inv(a: NovikovElement, E) -> NovikovElement:
     return _trusted(tuple((Q(n, den) - v, b * inv_c0) for n, b in coeffs.items()), E - v)
 
 
-def nov_eq_mod(a: NovikovElement, b: NovikovElement, E) -> bool:
-    """True iff every term of a - b has exponent >= E."""
-    E = _q(E)
-    diff = nov(a.terms + tuple((e, -c) for e, c in b.terms))
-    return all(e >= E for e, _ in diff.terms)
-
-
 # --- serialization ---------------------------------------------------------
 
 def nov_to_text(a: NovikovElement) -> str:

@@ -84,7 +84,7 @@ from tropmirror.novikov import (
     nov_val,
 )
 from tropmirror.mirror import MirrorError, MirrorPresentation, Superpotential, _term_sort_key
-from tropmirror.monodromy import Loop, Matrix, MonodromyError, edge_covector, standard_form_matrix
+from tropmirror.monodromy import MonodromyError, edge_covector
 from tropmirror.record import frozen, replace
 
 Q = Fraction
@@ -1274,7 +1274,33 @@ def segment_crossings_oracle(pres: CutPresentation, seg: int, a: QPoint, b: QPoi
 # Before every crossing word was summed as one signed covector, loops
 # multiplied one standard-form matrix per crossing and transport applied one
 # per cut crossing.  The matrices commute, so the product is the shear of the
-# sum; these keep the products.
+# sum; these keep the products.  ``Matrix``, ``shear``, ``standard_form_matrix``
+# and ``Loop`` are the package's matrix form of that monodromy, unchanged.
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def shear(cov: Sequence[int]) -> Matrix:
+    """I + cov e_n^T, n = len(cov) + 1, for any integer cov (unchecked)."""
+    n = len(cov) + 1
+    return tuple(
+        tuple(1 if i == j else 0 for j in range(n - 1)) + (cov[i] if i < n - 1 else 1,) for i in range(n)
+    )
+
+
+def standard_form_matrix(cov: Sequence[int], n: int) -> Matrix:
+    """Unipotent matrix with the primitive covector in the upper last column."""
+    cov = tuple(int(c) for c in cov)
+    if n not in (2, 3):
+        raise MonodromyError("standard form defined for n in {2, 3}")
+    if len(cov) != n - 1:
+        raise MonodromyError("covector length must be n - 1")
+    if not is_primitive(cov):
+        raise MonodromyError(f"covector {cov} is not primitive")
+    return shear(cov)
+
+
+Loop = tuple[tuple[int, int], ...]  # (edge row, sign) crossings
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -1579,6 +1605,13 @@ def plane_constant(sub: RegularSubdivision, cell: SubdivisionCell) -> Fraction:
 
 def nov_zero(truncation=None) -> NovikovElement:
     return nov((), truncation)
+
+
+def nov_eq_mod(a: NovikovElement, b: NovikovElement, E) -> bool:
+    """True iff every term of a - b has exponent >= E."""
+    E = _q(E)
+    diff = nov(a.terms + tuple((e, -c) for e, c in b.terms))
+    return all(e >= E for e, _ in diff.terms)
 
 
 def superpotential_coefficient(g: Superpotential, alpha: Vec) -> NovikovElement:

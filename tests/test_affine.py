@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import identity_matrix, loop_monodromy_oracle, mat_apply, random_smooth_web
+from helpers import identity_matrix, loop_monodromy_oracle, mat_apply, random_smooth_web, standard_form_matrix
 from tropmirror.affine import (
     AffineError,
     build_cut_presentation,
@@ -12,7 +12,6 @@ from tropmirror.affine import (
     transport_crossings,
 )
 from tropmirror.diagram import TropicalDiagram
-from tropmirror.monodromy import standard_form_matrix
 
 
 def c3():

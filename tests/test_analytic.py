@@ -244,7 +244,7 @@ def test_demo_passes_at_all_truncations():
         assert sorted(m.expo for m in report.product.terms) == [(0, 0), (1, 0)]
         assert all(m.coeff == ONE for m in report.product.terms)
         # and h_+(y) = z1^{-1} (1 + z2)
-        assert sorted(m.expo for m in report.h_plus_y.terms) == [(0, -1), (1, -1)]
+        assert sorted(m.expo for m in report.h_plus_y_left.terms) == [(0, -1), (1, -1)]
 
 
 def test_wall_refuses_a_vanishing_class_that_is_not_primitive():

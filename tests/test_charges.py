@@ -11,7 +11,6 @@ from tropmirror.charges import (
     SubdivisionCell,
     build_web,
     charges_from_json,
-    diagram_from_charges,
     integer_kernel_basis,
     kernel_points,
     regular_subdivision,
@@ -167,11 +166,6 @@ def test_smoothness_three_way_agreement():
                 assert _translate_to_lex_min(dual.lattice_points) == _translate_to_lex_min(
                     web.points
                 )
-
-
-def test_diagram_from_charges_thin_wrapper():
-    diag = diagram_from_charges(CONIFOLD, [0, 1, 0, 0])
-    assert len(diag.vertices) == 2
 
 
 def test_charges_json():

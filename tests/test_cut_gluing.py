@@ -1,14 +1,12 @@
-"""Loop monodromy and transport as one signed covector sum, against the matrix products.
+"""Transport as one signed covector sum, against the matrix products.
 
 Every cut glues by a shear ``I + c e_n^T`` with ``c_n = 0``; such shears
-commute and compose by adding their ``c``.  ``loop_monodromy`` and
-``transport_covector`` therefore form one signed covector sum each, where
-``loop_monodromy_oracle`` and ``transport_covector_oracle`` multiply one
-standard-form matrix per crossing.  They are compared on the shipped
-diagrams, seeded smooth webs and d=1 lines: on crossing words drawn from a
-few edges, so that edges repeat and the sums are mostly not primitive, on
-seeded polylines, and on every refusal (a bad edge row, a sign of 0 or 2, a
-class of the wrong length), including which of two faults is named first.
+commute and compose by adding their ``c``.  ``transport_covector`` therefore
+adds one signed covector sum, where ``transport_covector_oracle`` multiplies
+one standard-form matrix per crossing; the matrix form lives only in
+``tests/helpers.py``.  They are compared on the shipped diagrams, seeded
+smooth webs and d=1 lines, on seeded polylines, and on every refusal (a path
+that hits the discriminant, a class of the wrong length).
 
 The retired affine wall-crossing mode, z^u -> z^{u + <u,m> gamma}, survives
 in ``wall_cross_oracle``; across one cut it is the same shear as transport.
@@ -20,7 +18,6 @@ from fractions import Fraction as Q
 from helpers import (
     AffineWall,
     box,
-    loop_monodromy_oracle,
     random_novikov,
     random_smooth_web,
     shipped_diagrams,
@@ -30,8 +27,6 @@ from helpers import (
 from tropmirror.affine import build_cut_presentation, transport_covector, transport_crossings
 from tropmirror.analytic import Monomial, series
 from tropmirror.diagram import TropicalDiagram
-from tropmirror.lattice import is_primitive
-from tropmirror.monodromy import loop_monodromy
 
 
 def _outcome(fn, *args):
@@ -49,35 +44,6 @@ def _line(rng: random.Random) -> TropicalDiagram:
 
 def _diagrams(rng: random.Random) -> list[TropicalDiagram]:
     return shipped_diagrams() + [random_smooth_web(rng, 8) for _ in range(5)] + [_line(rng) for _ in range(4)]
-
-
-def _bad_row(diag: TropicalDiagram, rng: random.Random) -> int:
-    """A row outside the edge table; -1 and -n would index it from the end if not refused."""
-    n = len(diag.segments)
-    return rng.choice((n, n + 7, -1, -n))
-
-
-def test_loop_monodromy_matches_the_matrix_product():
-    rng = random.Random(1601)
-    counts = {"not primitive": 0, "primitive": 0, "bad row": 0, "bad sign": 0}
-    for diag in _diagrams(rng):
-        rows = range(len(diag.segments))
-        for _ in range(30):
-            pool = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
-            word = [(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 9))]
-            got = loop_monodromy(diag, tuple(word))
-            assert got == loop_monodromy_oracle(diag, tuple(word)), word
-            counts["primitive" if is_primitive(tuple(row[-1] for row in got[:-1])) else "not primitive"] += 1
-            # one or two faults spliced in: a bad row, a sign of 0 or 2, or
-            # both on one crossing; the first fault in word order is named
-            for _ in range(rng.randint(1, 2)):
-                e = _bad_row(diag, rng) if rng.random() < 0.6 else rng.choice(rows)
-                sign = rng.choice((0, 2)) if e in rows or rng.random() < 0.5 else rng.choice((1, -1))
-                word.insert(rng.randint(0, len(word)), (e, sign))
-            want = _outcome(loop_monodromy_oracle, diag, tuple(word))
-            assert _outcome(loop_monodromy, diag, tuple(word)) == want, word
-            counts["bad row" if "is out of range" in want[1] else "bad sign"] += 1
-    assert min(counts.values()) >= 100, counts
 
 
 def _point(rng: random.Random, lo: int, hi: int, dim: int, floor: Q) -> tuple:

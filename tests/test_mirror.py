@@ -18,12 +18,11 @@ from helpers import (
     winding_degree,
 )
 from tropmirror.charges import ChargeMatrix, build_web, regular_subdivision
-from tropmirror.diagram import TropicalDiagram, dual_subdivision
+from tropmirror.diagram import TropicalDiagram, dual_subdivision, face_heights
 from tropmirror.lattice import vsub
 from tropmirror.mirror import (
     CorrectionMap,
     MirrorError,
-    face_distance,
     normalize_presentation,
     presentation,
     presentation_to_json,
@@ -46,13 +45,16 @@ def conifold():
     return build_web(ChargeMatrix(((1, 1, -1, -1),), 4), [0, 1, 0, 0]).diagram
 
 
+# the distance of a dual vertex from a base point is the height of its face,
+# read by face id; the lattice points say which vertex each face is
+
+
 def test_face_distance_c3():
     b = (Q(-1, 3), Q(-1, 3))
-    assert face_distance(c3(), (0, 0), b) == 0
+    assert dual_subdivision(c3()).lattice_points == ((0, 1), (0, 0), (1, 0))
     # both non-root vertices are equidistant; the artifact's sign convention
     # makes the heights the lifting heights, negative when b is past the wall
-    assert face_distance(c3(), (1, 0), b) == Q(-1, 3)
-    assert face_distance(c3(), (0, 1), b) == Q(-1, 3)
+    assert face_heights(c3(), b) == {0: Q(-1, 3), 1: 0, 2: Q(-1, 3)}
 
 
 def test_face_distance_translation_rule():
@@ -60,23 +62,18 @@ def test_face_distance_translation_rule():
     b = (Q(2), Q(3))
     c = (Q(1, 2), Q(-5))
     b2 = tuple(x + y for x, y in zip(b, c))
-    for alpha in dual_subdivision(diag).lattice_points:
-        delta = face_distance(diag, alpha, b2) - face_distance(diag, alpha, b)
-        assert delta == alpha[0] * c[0] + alpha[1] * c[1]  # root at the origin
+    before, after = face_heights(diag, b), face_heights(diag, b2)
+    for f, alpha in enumerate(dual_subdivision(diag).lattice_points):
+        assert after[f] - before[f] == alpha[0] * c[0] + alpha[1] * c[1]  # root at the origin
 
 
 def test_face_distance_d1():
     diag = focus_focus()
     ell = Q(2)
-    b = (-ell,)  # distance ell to the left of the critical value
-    assert face_distance(diag, (0,), b) == 0
-    assert face_distance(diag, (1,), b) == -ell
-    assert face_distance(diag, (1,), (ell,)) == ell  # base in the root chamber
-
-
-def test_face_distance_unknown_vertex():
-    with pytest.raises(MirrorError, match="dual graph"):
-        face_distance(c3(), (5, 5), (Q(0), Q(0)))
+    assert dual_subdivision(diag).lattice_points == ((1,), (0,))
+    # distance ell to the left of the critical value
+    assert face_heights(diag, (-ell,)) == {0: -ell, 1: 0}
+    assert face_heights(diag, (ell,)) == {0: ell, 1: 0}  # base in the root chamber
 
 
 def test_superpotential_c3():

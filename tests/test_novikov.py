@@ -3,12 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import nov_zero, random_novikov
+from helpers import nov_eq_mod, nov_zero, random_novikov
 from tropmirror.novikov import (
     NovikovError,
     nov,
     nov_add,
-    nov_eq_mod,
     nov_from_json,
     nov_inv,
     nov_mul,

@@ -435,6 +435,9 @@ def test_cli_transport_tau(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == [0, 1]
 
 
+NOT_A_TAU_OBJECT = "malformed tau JSON: expected an object of edge names to heights"
+
+
 @pytest.mark.parametrize(
     "option, content, message",
     [
@@ -442,6 +445,10 @@ def test_cli_transport_tau(tmp_path, capsys):
         ("--path", {"path": 5}, "malformed path JSON"),
         ("--path", {"path": ["12", "34"]}, "malformed path JSON"),
         ("--tau", [["point0", "-2"]], "malformed tau JSON"),
+        *(
+            pytest.param("--tau", content, f"{NOT_A_TAU_OBJECT}, got {kind}", id=f"--tau-{kind}")
+            for content, kind in (([1, 2], "list"), (5, "int"), ("edge0", "str"))
+        ),
     ],
 )
 def test_cli_transport_malformed_json(tmp_path, capsys, option, content, message):
@@ -453,7 +460,11 @@ def test_cli_transport_malformed_json(tmp_path, capsys, option, content, message
     argv += ["--path", str(files["--path"]), "--tau", str(files["--tau"])]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}: ")
+    # a bare "malformed <kind> JSON" goes on in Python's wording; a longer message is the whole line
+    if message.endswith(" JSON"):
+        assert err.startswith(f"error: {message}: ")
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_python_dash_m_tropmirror_matches_run(capsys):
@@ -604,9 +615,12 @@ def test_cli_rational_size_bound_names_the_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def test_cli_refuses_the_heights_denominator_before_the_kernel_runs(tmp_path, capsys, monkeypatch):
-    # local P^2 of degree 43: 990 points, one affine relation per point off
-    # the corner (0,0), (1,0), (0,1), and heights over 8-digit denominators
+def _p2_degree_43(tmp_path) -> tuple:
+    """A charge file of local P^2 of degree 43, with heights over 8-digit denominators.
+
+    990 points, one affine relation per point off the corner (0,0), (1,0),
+    (0,1); the heights' common denominator is past the bound.
+    """
     rng = random.Random(43)
     corner = [(0, 0), (1, 0), (0, 1)]
     points = corner + [(x, y) for x in range(44) for y in range(44 - x) if (x, y) not in corner]
@@ -618,11 +632,40 @@ def test_cli_refuses_the_heights_denominator_before_the_kernel_runs(tmp_path, ca
     heights = [f"{rng.randrange(10**9)}/{rng.randrange(10**7, 10**8)}" for _ in points]
     f = tmp_path / "p2-43.json"
     f.write_text(json.dumps({"charges": rows, "heights": heights}))
+    return f, len(points)
+
+
+HEIGHTS_PAST_THE_BOUND = f"error: the common denominator of the heights is over the limit of {DIGITS} digits\n"
+
+
+def test_cli_refuses_the_heights_denominator_before_the_kernel_runs(tmp_path, capsys, monkeypatch):
+    f, npoints = _p2_degree_43(tmp_path)
     called = []
     monkeypatch.setattr(charges, "kernel_points", lambda q: called.append(q))
     assert run(["web", "--charges", str(f)]) == 1
-    assert (len(points), called) == (990, [])
-    assert capsys.readouterr() == ("", f"error: the common denominator of the heights is over the limit of {DIGITS} digits\n")
+    assert (npoints, called) == (990, [])
+    assert capsys.readouterr() == ("", HEIGHTS_PAST_THE_BOUND)
+
+
+def test_cli_refuses_the_heights_denominator_before_any_row_is_read(tmp_path, capsys, monkeypatch):
+    f, _ = _p2_degree_43(tmp_path)
+    reads = []
+    monkeypatch.setattr(charges, "read_int", lambda x: reads.append(x))
+    assert run(["web", "--charges", str(f)]) == 1
+    assert (reads, capsys.readouterr()) == ([], ("", HEIGHTS_PAST_THE_BOUND))
+
+
+def test_cli_names_the_heights_before_a_bad_row_entry(tmp_path, capsys):
+    # both faults in one file: the row entry true is not an integer, and the
+    # heights' common denominator 10^DIGITS is past the bound
+    f = tmp_path / "both.json"
+    f.write_text(json.dumps({"charges": [[1, 1, -1, True]], "heights": [f"1/{2**DIGITS}", "1", f"1/{5**DIGITS}", "0"]}))
+    assert run(["web", "--charges", str(f)]) == 1
+    assert capsys.readouterr() == ("", HEIGHTS_PAST_THE_BOUND)
+    # with the heights in bounds, the row entry is named
+    f.write_text(json.dumps({"charges": [[1, 1, -1, True]], "heights": ["0", "1", "0", "0"]}))
+    assert run(["web", "--charges", str(f)]) == 1
+    assert capsys.readouterr() == ("", "error: malformed charge JSON: expected an integer, got True\n")
 
 
 @pytest.mark.parametrize("fives, code", [(DIGITS - 1, 0), (DIGITS, 1)], ids=["below", "past"])
