@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram, parse_edge_name
 from .dual import locate_face
-from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_rational, vsub
+from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_object, read_rational, vsub
 from .record import frozen
 
 Q = Fraction
@@ -48,7 +48,7 @@ class CutPresentation:
 def path_from_json(data) -> list[QPoint]:
     """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
     with malformed("path", AffineError):
-        return [coords_from_json(p) for p in data["path"]]
+        return [coords_from_json(p) for p in read_object(data, 'with a "path" list of points')["path"]]
 
 
 def tau_from_json(data) -> dict[str, Fraction]:
@@ -57,9 +57,8 @@ def tau_from_json(data) -> dict[str, Fraction]:
     Two spellings of one name (edge1, edge01) are one key: the later value wins.
     """
     with malformed("tau", AffineError):
-        if not isinstance(data, dict):
-            raise TypeError(f"expected an object of edge names to heights, got {type(data).__name__}")
-        return {parse_edge_name(k): read_rational(v) for k, v in data.items()}
+        items = read_object(data, "of edge names to heights").items()
+        return {parse_edge_name(k): read_rational(v) for k, v in items}
 
 
 def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) -> CutPresentation:

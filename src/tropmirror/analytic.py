@@ -3,12 +3,12 @@
 A monomial c z^u is a Novikov coefficient together with an integer exponent
 vector; its valuation over a box is val(c) plus the minimum of <u, x> over
 the box, which is the sum over the axes of min(u_i lo_i, u_i hi_i).  Series
-are finite term lists tagged with a chamber and a valuation box.  The one
-infinite expansion, a negative power (1 + z^gamma)^{-m} z^{apex}, is a cone
-family (apex, vanishing class gamma, power m, coefficient) that is
-materialized up to the energy level before any arithmetic, as (exponent,
-integer) pairs: c_0 = 1 and c_{k+1} = -c_k (m+k)/(k+1) on
-z^{apex + k*gamma}.
+are finite term lists tagged with a chamber and a valuation box, whose
+length is the series' dimension.  The one infinite expansion, a negative
+power (1 + z^gamma)^{-m} z^{apex}, is a cone family (apex, vanishing class
+gamma, power m, coefficient) that is materialized up to the energy level
+before any arithmetic, as (exponent, integer) pairs: c_0 = 1 and
+c_{k+1} = -c_k (m+k)/(k+1) on z^{apex + k*gamma}.
 
 Every series is summed in one pass by ``_collect``: it reads items
 (exponent, integer k, coefficient) once and adds k times each coefficient
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from .affine import build_cut_presentation, transport_covector
 from .diagram import TropicalDiagram
-from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_rational, vadd
+from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_object, read_rational, vadd
 from .mirror import normalize_presentation, presentation, superpotential_text
 from .novikov import NovikovElement, _from_sums, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
 from .record import frozen
@@ -100,16 +100,17 @@ class ConeFamily:
 
 @frozen
 class AnalyticSeries:
-    dim: int
     terms: tuple[Monomial, ...]
     chamber: str
     box: Box
     truncation: Fraction
 
+    @property
+    def dim(self) -> int:
+        return self.box.dim
+
     def __post_init__(self):
         expos = [m.expo for m in self.terms]
-        if self.box.dim != self.dim:
-            raise AnalyticError(f"box has length {self.box.dim}, the series has dimension {self.dim}")
         for e in expos:
             if len(e) != self.dim:
                 raise AnalyticError(f"exponent {e} has length {len(e)}, the series has dimension {self.dim}")
@@ -135,17 +136,12 @@ def _collect(items) -> tuple[Monomial, ...]:
     return tuple(Monomial(c, e) for e, c in kept if c)
 
 
-def series(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
-    """Build a series from monomials.
+def series(terms, chamber: str, box: Box, truncation) -> AnalyticSeries:
+    """Build a series from monomials; its dimension is the box's.
 
     Duplicate exponents are merged and zero sums dropped, in one pass.
     """
-    kept = _collect((m.expo, 1, m.coeff) for m in terms)
-    if dim is None:
-        if not kept:
-            raise AnalyticError("cannot infer dimension of an empty series")
-        dim = len(kept[0].expo)
-    return AnalyticSeries(dim, kept, chamber, box, truncation)
+    return AnalyticSeries(_collect((m.expo, 1, m.coeff) for m in terms), chamber, box, truncation)
 
 
 def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
@@ -154,7 +150,7 @@ def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
     kept = _collect(
         (vadd(ma.expo, mb.expo), 1, nov_mul(ma.coeff, mb.coeff)) for ma in a.terms for mb in b.terms
     )
-    return AnalyticSeries(a.dim, kept, a.chamber, a.box, min(a.truncation, b.truncation))
+    return AnalyticSeries(kept, a.chamber, a.box, min(a.truncation, b.truncation))
 
 
 def series_eq_mod(a: AnalyticSeries, b: AnalyticSeries, E) -> bool:
@@ -198,22 +194,20 @@ def _flip(chamber: str) -> str:
     raise AnalyticError("wall not adjacent to series chamber")
 
 
-def wall_cross(
-    a: AnalyticSeries, w: WallTransformation, E, target_box: Optional[Box] = None
-) -> AnalyticSeries:
+def wall_cross(a: AnalyticSeries, w: WallTransformation, E, target_box: Box) -> AnalyticSeries:
     """Apply the wall-crossing substitution monomial by monomial.
 
     z^u -> z^u (1 + z^gamma)^{<u,m>}, expanded.  Non-negative powers expand
     exactly (truncation immaterial); negative powers are cone families
-    materialized up to t^E against the target chamber box, so the result is a
-    ring homomorphism modulo t^E.  The chamber tag flips.
+    materialized up to t^E against the target chamber's box, so the result is
+    a ring homomorphism modulo t^E.  The result is tagged with the target
+    chamber and carries its box.
     """
-    for name, v in (("gamma", w.gamma), ("normal", w.normal)):
+    for name, v in (("gamma", w.gamma), ("normal", w.normal), ("box", target_box.intervals)):
         if len(v) != a.dim:
             raise AnalyticError(f"{name} has length {len(v)}, the series has dimension {a.dim}")
     E = Q(E)
     target = _flip(a.chamber)
-    box = target_box if target_box is not None else a.box
 
     def crossed():
         # one monomial's image at a time, so _collect never holds them all
@@ -223,10 +217,10 @@ def wall_cross(
                 for i in range(k + 1):
                     yield vadd(m.expo, tuple(i * g for g in w.gamma)), math.comb(k, i), m.coeff
             else:
-                for e, c in ConeFamily(m.expo, w.gamma, -k, m.coeff).materialize(E, box):
+                for e, c in ConeFamily(m.expo, w.gamma, -k, m.coeff).materialize(E, target_box):
                     yield e, c, m.coeff
 
-    return AnalyticSeries(a.dim, _collect(crossed()), target, box, E)
+    return AnalyticSeries(_collect(crossed()), target, target_box, E)
 
 
 # --- the worked focus-focus pipeline -----------------------------------------
@@ -342,11 +336,13 @@ def series_to_json(a: AnalyticSeries) -> dict:
 
 def series_from_json(data) -> AnalyticSeries:
     with malformed("series", AnalyticError):
+        data = read_object(data, 'with "dim", "chamber", "box", "truncation" and "terms"')
         box = Box(tuple((read_rational(lo), read_rational(hi)) for lo, hi in data["box"]))
         terms = [
             Monomial(nov_from_json(item["coeff"]), tuple(read_int(e) for e in item["expo"]))
             for item in data["terms"]
         ]
-        return series(
-            terms, data["chamber"], box, read_rational(data["truncation"]), read_int(data["dim"])
-        )
+        chamber, truncation, dim = data["chamber"], read_rational(data["truncation"]), read_int(data["dim"])
+        if dim != box.dim:
+            raise AnalyticError(f"box has length {box.dim}, the series has dimension {dim}")
+        return series(terms, chamber, box, truncation)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .diagram import TropicalDiagram
 from .hull import ChargeError, RegularSubdivision, SubdivisionCell, _cell_boundary_edges, regular_subdivision
-from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_rational, vneg
+from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_object, read_rational, vneg
 from .record import frozen
 
 
@@ -149,9 +149,7 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 @frozen
 class ChargeWeb:
     diagram: TropicalDiagram
-    points: tuple[Vec, ...]
-    subdivision: RegularSubdivision
-    simplicial: bool
+    subdivision: RegularSubdivision  # its points are the kernel points
 
 
 def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) -> TropicalDiagram:
@@ -193,14 +191,15 @@ def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) 
 
 
 def build_web(q: ChargeMatrix, heights: Sequence, allow_singular: bool = False) -> ChargeWeb:
-    """Full pipeline: charges -> kernel points -> regular subdivision -> web."""
-    points = kernel_points(q)
-    sub = regular_subdivision(points, heights)
-    simplicial = sub.is_simplicial()
-    if not simplicial and not allow_singular:
+    """Full pipeline: charges -> kernel points -> regular subdivision -> web.
+
+    The web keeps the subdivision: its points are the kernel points, and
+    ``is_simplicial`` says whether it is a triangulation.
+    """
+    sub = regular_subdivision(kernel_points(q), heights)
+    if not allow_singular and not sub.is_simplicial():
         raise ChargeError("degenerate Kähler parameters")
-    diagram = web_from_subdivision(sub, allow_weighted=allow_singular)
-    return ChargeWeb(diagram, tuple(points), sub, simplicial)
+    return ChargeWeb(web_from_subdivision(sub, allow_weighted=allow_singular), sub)
 
 
 # columns or rows of a charge file; the web takes time and memory about
@@ -219,7 +218,7 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
     same check for callers that skip this reader).
     """
     with malformed("charge", ChargeError):
-        charges = data["charges"]
+        charges = read_object(data, 'with "charges" and "heights"')["charges"]
         width = len(charges[0]) if charges else len(data["heights"])
         if max(width, len(charges)) > MAX_CHARGE_SIZE:
             shape = f"{len(charges)} x {width}"

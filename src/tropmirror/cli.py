@@ -131,14 +131,13 @@ def _cmd_dual(args) -> int:
     if args.format == "svg":
         sys.stdout.write(render(diag, dual, "svg"))
         return 0
-    embedding = build_dual_graph(diag, root_face=args.root_face, sign=sign)
     out = {
         "lattice_points": [list(p) for p in dual.lattice_points],
         "triangles": [list(t) for t in dual.triangles],
         "root_face": dual.root_face,
         "edge_duality": [{"edge": diag.edge_name(e), "faces": list(pair)} for e, pair in dual.edge_duality],
         "covectors": [{"edge": diag.edge_name(e), "covector": list(cov)} for e, cov in enumerate(diag.covectors)],
-        "embedding_matches_subdivision": embedding.positions == dual.lattice_points,
+        "embedding_matches_subdivision": build_dual_graph(diag) == diag.dual.lattice_points,
         "smooth": is_smooth(diag),
     }
     sys.stdout.write(_dumps(out))
@@ -149,8 +148,8 @@ def _cmd_web(args) -> int:
     q, heights = charges_from_json(_load_json(args.charges))
     web = build_web(q, heights, allow_singular=args.allow_singular)
     out = diagram_to_json(web.diagram)
-    out["points"] = [list(p) for p in web.points]
-    out["simplicial"] = web.simplicial
+    out["points"] = [list(p) for p in web.subdivision.points]
+    out["simplicial"] = web.subdivision.is_simplicial()
     out["cells"] = [list(c.indices) for c in web.subdivision.cells]
     sys.stdout.write(_dumps(out))
     return 0

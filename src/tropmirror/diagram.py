@@ -40,6 +40,7 @@ from .lattice import (
     malformed,
     primitive,
     read_int,
+    read_object,
     rot_minus90,
     vadd,
     vneg,
@@ -292,6 +293,7 @@ def diagram_to_json(diag: TropicalDiagram) -> dict:
 
 def diagram_from_json(data) -> TropicalDiagram:
     with malformed("diagram", DiagramError):
+        data = read_object(data, 'with "dim" and "vertices"')
         dim = read_int(data["dim"])
         vertices = tuple(coords_from_json(v) for v in data["vertices"])
         edges = tuple((i, j) for i, j in (coords_from_json(e, read_int) for e in data.get("edges", [])))

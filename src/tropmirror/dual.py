@@ -218,19 +218,13 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
         offsets: dict[int, Vec] = {}
         acc = (0, 0)
         # sector after dart ring[i] (ccw) lies clockwise of ring[i+1]
-        for idx in range(len(ring)):
-            nxt = ring[(idx + 1) % len(ring)]
-            face_here = complex_.dart_face[nxt]  # face on the clockwise side of nxt
-            if idx == 0:
-                offsets[face_here] = acc
-            else:
-                if face_here in offsets and offsets[face_here] != acc:
-                    raise DiagramError(f"face pinched at vertex {v}")
-                offsets[face_here] = acc
+        for nxt in ring[1:] + ring[:1]:
+            offsets[complex_.dart_face[nxt]] = acc  # the face on the clockwise side of nxt
             step = covectors[nxt >> 1]
             acc = vsub(acc, step) if nxt & 1 else vadd(acc, step)
         # acc is back at (0, 0): the steps are the turned outgoing directions,
-        # which balancing makes sum to zero
+        # which balancing makes sum to zero.  A face met twice around v (a
+        # pinch) leaves fewer offsets than darts
         if len(offsets) != len(ring):
             raise DiagramError(f"face pinched at vertex {v}")
         local.append(offsets)

@@ -8,10 +8,11 @@ tests downstream, so all predicates are exact.
 Vectors and points are plain tuples (``int`` entries for lattice vectors,
 ``Fraction`` entries for rational points).  Dimensions 1, 2 and 3 occur.
 
-The file readers of every module read their numbers here (``read_int``,
-``read_rational``, ``coords_from_json``) and report a malformed value through
-one guard, ``malformed``; ``common_denominator`` bounds the lcm over which a
-set of read rationals is scaled to integers.
+The file readers of every module read their numbers and objects here
+(``read_int``, ``read_rational``, ``coords_from_json``, ``read_object``) and
+report a malformed value through one guard, ``malformed``;
+``common_denominator`` bounds the lcm over which a set of read rationals is
+scaled to integers.
 """
 
 from __future__ import annotations
@@ -186,6 +187,13 @@ def common_denominator(values: Iterable[Fraction], kind: str, error: type) -> in
         if den >= _TOO_LARGE:
             raise error(f"the common denominator of the {kind} is over the limit of {DIGITS} digits")
     return den
+
+
+def read_object(value, contents: str) -> dict:
+    """A JSON object; anything else is refused as ``expected an object <contents>, got <type>``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object {contents}, got {type(value).__name__}")
+    return value
 
 
 def coords_from_json(value, parse=read_rational) -> tuple:

@@ -22,12 +22,11 @@ also makes the result independent of the base point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
-from .lattice import MALFORMED, QPoint, Vec, coords_from_json, dot, malformed, read_int, vsub
+from .lattice import MALFORMED, QPoint, Vec, coords_from_json, dot, malformed, read_int, read_object, vsub
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -70,16 +69,6 @@ class CorrectionMap:
                 raise MirrorError(f"repeated correction vertex {alpha}")
             seen.add(alpha)
 
-    @cached_property
-    def _by_vertex(self) -> dict[Vec, NovikovElement]:
-        return dict(self.terms)
-
-    def get(self, alpha: Vec) -> NovikovElement:
-        return self._by_vertex.get(alpha, nov())
-
-    def support(self) -> set[Vec]:
-        return {a for a, _ in self.terms}
-
 
 def corrections_from_json(data) -> CorrectionMap:
     with malformed("corrections", MirrorError):
@@ -92,7 +81,7 @@ def corrections_from_json(data) -> CorrectionMap:
 def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
     """Entry i, {"vertex": [a, b], "series": [{"exp": e, "coeff": c}, ...]}."""
     try:
-        vertex = coords_from_json(item["vertex"], read_int)
+        vertex = coords_from_json(read_object(item, 'with "vertex" and "series"')["vertex"], read_int)
     except MALFORMED as exc:
         raise ValueError(f"entry {i}: {exc}") from exc
     try:
@@ -138,14 +127,14 @@ def superpotential(
     # constant to the heights, which cancels in h - min h
     heights = face_heights(diag, base)
     fmin = min(heights.values())
-    corrections = corrections or CorrectionMap(())
+    by_vertex = dict(corrections.terms) if corrections else {}
     known = set(dual.lattice_points)
-    for a in corrections.support():
+    for a in by_vertex:
         if a not in known:
             raise MirrorError(f"correction vertex {a} is not in the dual graph")
     terms = []
     for f, alpha in enumerate(dual.lattice_points):
-        c = nov_truncate(corrections.get(alpha), truncation)
+        c = nov_truncate(by_vertex.get(alpha, nov()), truncation)
         coeff = nov_shift(heights[f] - fmin, nov_add(NOV_ONE, c))
         terms.append((alpha, coeff))
     terms.sort(key=lambda item: _term_sort_key(item[0]))
@@ -174,16 +163,20 @@ def _root_cell_vertex(diag: TropicalDiagram, dual: DualSubdivision) -> QPoint:
 
 @frozen
 class MirrorPresentation:
-    """Generators u_1^{+-1}..u_{n-1}^{+-1}, x, y with the single relation xy - g."""
+    """Generators u_1^{+-1}..u_{n-1}^{+-1}, x, y with the single relation xy - g.
 
-    dim: int
-    variables: tuple[str, ...]
-    gradings: tuple[tuple[str, int], ...]
+    The relation is the one field: n and the gradings follow from its dimension.
+    """
+
     relation: Superpotential
 
     @property
     def n(self) -> int:
-        return self.dim + 1
+        return self.relation.dim + 1
+
+    @property
+    def gradings(self) -> tuple[tuple[str, int], ...]:
+        return tuple((v, 0) for v in _variables(self.relation.dim)) + (("x", 1), ("y", -1))
 
 
 def _variables(dim: int) -> tuple[str, ...]:
@@ -198,10 +191,7 @@ def presentation(
     root_face: Optional[int] = None,
     sign: int = 1,
 ) -> MirrorPresentation:
-    g = superpotential(diag, base, corrections, truncation, root_face, sign)
-    variables = _variables(diag.dim)
-    gradings = tuple((v, 0) for v in variables) + (("x", 1), ("y", -1))
-    return MirrorPresentation(diag.dim, variables, gradings, g)
+    return MirrorPresentation(superpotential(diag, base, corrections, truncation, root_face, sign))
 
 
 # --- normalization -----------------------------------------------------------
@@ -282,7 +272,7 @@ def relation_text(pres: MirrorPresentation) -> str:
 def presentation_to_json(pres: MirrorPresentation) -> dict:
     g = pres.relation
     gens = []
-    for v in pres.variables:
+    for v in _variables(g.dim):
         gens.extend([v, f"{v}^-1"])
     gens.extend(["x", "y"])
     return {

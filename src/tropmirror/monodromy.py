@@ -9,7 +9,10 @@ eta_{n-1}, g_0).  Every c has c_n = 0, so these gluings commute, and the
 monodromy of a loop or a path is the signed sum of the covectors it crosses
 (``affine.transport_covector``).  The dual graph is embedded by summing edge
 covectors along a spanning tree of the face adjacency graph, which is well
-defined because the covectors around any diagram vertex sum to zero.
+defined because the covectors around any diagram vertex sum to zero.  The
+embedding is returned in the default gauge only: every gauge is
+x -> sign * (x - x_root), so two embeddings agree in one gauge exactly when
+they differ by a translation, which is when they agree in every gauge.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Optional
 from .diagram import TropicalDiagram
 from .dual import gauge_points
 from .lattice import Vec, vadd, vneg, vsub
-from .record import frozen
 
 
 class MonodromyError(ValueError):
@@ -40,23 +42,16 @@ def edge_covector(diag: TropicalDiagram, e: int) -> Vec:
     return covectors[e]
 
 
-@frozen
-class DualGraphEmbedding:
-    positions: tuple[Vec, ...]  # indexed by face id
-    root_face: int
-
-
-def build_dual_graph(
-    diag: TropicalDiagram, root_face: Optional[int] = None, sign: int = 1
-) -> DualGraphEmbedding:
-    """Embed the dual graph by covector sums along a spanning tree.
+def build_dual_graph(diag: TropicalDiagram) -> tuple[Vec, ...]:
+    """Embed the dual graph by covector sums along a spanning tree, indexed by face id.
 
     Crossing an edge from its right face to its left face adds the edge
     covector.  Tree independence is verified on the non-tree edges (the sum of
     covectors around every loop vanishes).  Only the face adjacency is shared
     with the glued dual subdivision; the positions are an independent check
-    of its lattice points.  The sum runs in the default sign gauge; the final
-    gauging is dual.gauge_points, as for the subdivision.
+    of its lattice points.  They come back in the default gauge,
+    ``dual.gauge_points``, as the glued ``diag.dual`` does; the gauge cannot
+    change whether the two agree.
     """
     nfaces = len(diag.dual.lattice_points)
     positions: list[Optional[Vec]] = [None] * nfaces
@@ -80,4 +75,4 @@ def build_dual_graph(
     for left, right, cov in edge_pairs:
         if vsub(positions[left], positions[right]) != cov:
             raise MonodromyError("covector cocycle fails: embedding depends on the tree")
-    return DualGraphEmbedding(*gauge_points(positions, root_face, sign))
+    return gauge_points(positions)[0]

@@ -844,18 +844,14 @@ class ConeFamily:
         return out
 
 
-def series_oracle(terms, chamber: str, box: Box, truncation, dim: Optional[int] = None) -> AnalyticSeries:
-    """Build a series, merging duplicate exponents and dropping zeros."""
+def series_oracle(terms, chamber: str, box: Box, truncation) -> AnalyticSeries:
+    """Build a series, merging duplicate exponents and dropping zeros; its dimension is the box's."""
     acc: dict[Vec, NovikovElement] = {}
     for item in terms:
         m = item if isinstance(item, Monomial) else Monomial(item[0], item[1])
         acc[m.expo] = nov_add_oracle(acc.get(m.expo, nov_oracle()), m.coeff)
     kept = [Monomial(c, e) for e, c in sorted(acc.items()) if not c.is_zero()]
-    if dim is None:
-        if not kept:
-            raise AnalyticError("cannot infer dimension of an empty series")
-        dim = len(kept[0].expo)
-    return AnalyticSeries(dim, tuple(kept), chamber, box, Q(truncation))
+    return AnalyticSeries(tuple(kept), chamber, box, Q(truncation))
 
 
 def eval_series_oracle(a: AnalyticSeries, point: Sequence) -> NovikovElement:
@@ -869,20 +865,18 @@ def eval_series_oracle(a: AnalyticSeries, point: Sequence) -> NovikovElement:
     return total
 
 
-def wall_cross_oracle(
-    a: AnalyticSeries, w: WallTransformation, E, target_box: Optional[Box] = None
-) -> AnalyticSeries:
+def wall_cross_oracle(a: AnalyticSeries, w: WallTransformation, E, target_box: Box) -> AnalyticSeries:
     """Apply the wall-crossing substitution monomial by monomial.
 
     Affine mode: z^u -> z^{u + <u,m> gamma}.  Corrected mode:
     z^u -> z^u (1 + z^gamma)^{<u,m>}, expanded.  Non-negative powers expand
     exactly (truncation immaterial); negative powers are cone families
     materialized up to t^E against the target chamber box, so the result is a
-    ring homomorphism modulo t^E.  The chamber tag flips.
+    ring homomorphism modulo t^E.  The chamber tag flips and the box becomes
+    the target's.
     """
     E = Q(E)
     target = _flip(a.chamber)
-    box = target_box if target_box is not None else a.box
     out: list[Monomial] = []
     for m in a.terms:
         k = dot(m.expo, w.normal)
@@ -900,8 +894,8 @@ def wall_cross_oracle(
         else:
             cone = IntegralCone((0,) * a.dim, (w.gamma,), ConeKind.STRICT)
             family = ConeFamily(m.expo, cone, "neg_binomial", -k, m.coeff)
-            out.extend(family.materialize(E, box))
-    return series_oracle(out, target, box, E, a.dim)
+            out.extend(family.materialize(E, target_box))
+    return series_oracle(out, target, target_box, E)
 
 
 def assert_kernel_output(x: NovikovElement) -> None:
@@ -952,7 +946,7 @@ def series_mul_oracle(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
         for ma in a.terms
         for mb in b.terms
     )
-    return series_oracle(out, a.chamber, a.box, min(a.truncation, b.truncation), a.dim)
+    return series_oracle(out, a.chamber, a.box, min(a.truncation, b.truncation))
 
 
 def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -19,6 +20,7 @@ from tropmirror.analytic import (
     series_to_json,
     wall_cross,
 )
+from tropmirror.cli import run
 from tropmirror.diagram import TropicalDiagram, dual_subdivision
 from tropmirror.novikov import nov, nov_val
 
@@ -145,11 +147,11 @@ def test_flux_monomial_wall_check():
 def test_wall_cross_examples():
     z1 = series([Monomial(ONE, (0, 1))], "V_plus", BOX_P, 10)
     corrected = WallTransformation(0, (1, 0), (0, 1), "corrected")
-    expanded = wall_cross(z1, corrected, 10)
+    expanded = wall_cross(z1, corrected, 10, BOX_P)
     assert [m.expo for m in expanded.terms] == [(0, 1), (1, 1)]
     assert expanded.chamber == "V_minus"
     const = series([Monomial(ONE, (0, 0))], "V_plus", BOX_P, 10)
-    out = wall_cross(const, corrected, 10)
+    out = wall_cross(const, corrected, 10, BOX_P)
     assert [m.expo for m in out.terms] == [(0, 0)]
 
 
@@ -171,14 +173,26 @@ def test_wall_cross_refuses_data_of_another_dimension():
     cases = [((1, 0, 0), (0, 1), "gamma has length 3"), ((1, 0), (0, 1, 0), "normal has length 3")]
     for gamma, normal, message in cases:
         with pytest.raises(AnalyticError, match=f"{message}, the series has dimension 2"):
-            wall_cross(s, WallTransformation(0, gamma, normal, "corrected"), 10)
+            wall_cross(s, WallTransformation(0, gamma, normal, "corrected"), 10, BOX_P)
+    # the target box gives the result its dimension, so it must have the series'
+    for a in (s, series([], "V_plus", BOX_P, 10)):
+        with pytest.raises(AnalyticError, match="box has length 1, the series has dimension 2"):
+            wall_cross(a, WallTransformation(0, (1, 0), (0, 1), "corrected"), 10, box((0, 1)))
 
 
-def test_series_refuses_exponents_and_boxes_of_another_dimension():
-    with pytest.raises(AnalyticError, match="box has length 2, the series has dimension 3"):
-        series([Monomial(ONE, (0, 1))], "V_plus", BOX_P, 10, dim=3)
+def test_series_refuses_exponents_and_boxes_of_another_dimension(tmp_path, capsys):
     with pytest.raises(AnalyticError, match=r"exponent \(0, 1\) has length 2, the series has dimension 1"):
-        series([Monomial(ONE, (3,)), Monomial(ONE, (0, 1))], "V_plus", box((0, 1)), 10, dim=1)
+        series([Monomial(ONE, (3,)), Monomial(ONE, (0, 1))], "V_plus", box((0, 1)), 10)
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps({
+        "dim": 3,
+        "chamber": "V_plus",
+        "box": [["1/4", "2"], ["1/4", "2"]],
+        "truncation": "10",
+        "terms": [{"expo": [0, 1], "coeff": [{"exp": "0", "coeff": "1"}]}],
+    }))
+    assert run(["eval", str(f), "--point", "1,1,1"]) == 1
+    assert capsys.readouterr().err == "error: malformed series JSON: box has length 2, the series has dimension 3\n"
     data = {
         "dim": 3,
         "chamber": "V_plus",
@@ -193,10 +207,19 @@ def test_series_refuses_exponents_and_boxes_of_another_dimension():
         series_from_json(data)
 
 
+def test_an_empty_series_takes_its_box_dimension():
+    for terms in ([], [Monomial(ONE, (1, 0)), Monomial(nov([(0, -1)]), (1, 0))]):
+        empty = series(terms, "V_plus", BOX_P, 10)
+        assert (empty.terms, empty.dim) == ((), 2)
+        assert series_from_json(series_to_json(empty)) == empty
+        assert eval_series(empty, (1, 1)) == nov([], 10)
+    assert series([], "V_plus", box((0, 1)), 10).dim == 1
+
+
 def test_wall_cross_needs_open_chamber():
     s = series([Monomial(ONE, (0, 1))], "wall(0)", BOX_P, 10)
     with pytest.raises(AnalyticError, match="adjacent"):
-        wall_cross(s, WallTransformation(0, (1, 0), (0, 1), "corrected"), 10)
+        wall_cross(s, WallTransformation(0, (1, 0), (0, 1), "corrected"), 10, BOX_P)
 
 
 def _random_nonneg_series(rng, E, nmax=3):
@@ -220,8 +243,8 @@ def test_wall_cross_multiplicative():
     for _ in range(40):
         a = _random_nonneg_series(rng, E)
         b = _random_nonneg_series(rng, E)
-        lhs = wall_cross(series_mul(a, b), w, E)
-        rhs = series_mul(wall_cross(a, w, E), wall_cross(b, w, E))
+        lhs = wall_cross(series_mul(a, b), w, E, BOX_P)
+        rhs = series_mul(wall_cross(a, w, E, BOX_P), wall_cross(b, w, E, BOX_P))
         assert series_eq_mod(lhs, rhs, E)
 
 
@@ -232,7 +255,7 @@ def test_wall_cross_forward_backward_identity():
     back = WallTransformation(0, (1, 0), (0, -1), "corrected")  # inverted pairing
     for _ in range(30):
         a = _random_nonneg_series(rng, E)
-        round_trip = wall_cross(wall_cross(a, fwd, E), back, E)
+        round_trip = wall_cross(wall_cross(a, fwd, E, BOX_P), back, E, BOX_P)
         assert series_eq_mod(round_trip, a, E)
 
 

@@ -238,12 +238,12 @@ def test_charge_input_covariance():
             assert w1 == w0
             seen["refused"] += 1
             continue
-        assert w1.simplicial == w0.simplicial
+        assert w1.subdivision.is_simplicial() == w0.subdivision.is_simplicial()
         assert len(w1.diagram.vertices) == len(w0.diagram.vertices)
         assert len(w1.diagram.edges) == len(w0.diagram.edges)
         assert len(w1.diagram.rays) == len(w0.diagram.rays)
         cells0 = {frozenset(c.indices) for c in w0.subdivision.cells}
         cells1 = {frozenset(perm[j] for j in c.indices) for c in w1.subdivision.cells}
         assert cells1 == cells0
-        seen["web" if w0.simplicial else "non-simplicial"] += 1
+        seen["web" if w0.subdivision.is_simplicial() else "non-simplicial"] += 1
     assert min(seen.values()) >= 8, seen

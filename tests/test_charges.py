@@ -96,7 +96,7 @@ def test_conifold_zero_heights_degenerate():
 
 def test_allow_singular_returns_subdivision_for_inspection():
     web = build_web(CONIFOLD, [0, 0, 0, 0], allow_singular=True)
-    assert not web.simplicial
+    assert not web.subdivision.is_simplicial()
     assert not is_unimodular(web.subdivision)
     assert len(web.diagram.vertices) == 1  # a single 4-valent vertex
     assert "trivalent" in validate(web.diagram).failed_axioms()
@@ -164,7 +164,7 @@ def test_smoothness_three_way_agreement():
                 # the reconstructed dual is the generating point set up to translation
                 dual = dual_subdivision(web.diagram)
                 assert _translate_to_lex_min(dual.lattice_points) == _translate_to_lex_min(
-                    web.points
+                    web.subdivision.points
                 )
 
 

@@ -94,9 +94,9 @@ def _one_cut_shear_agrees(rng: random.Random, pres, path) -> None:
         coeff = random_novikov(rng)
         if not coeff.is_zero():
             terms.append(Monomial(coeff, tuple(rng.randint(-4, 4) for _ in range(n))))
-    a = series(terms, "V_minus", box(*[(0, 1)] * n), 10, n)
+    a = series(terms, "V_minus", box(*[(0, 1)] * n), 10)
     moved = [Monomial(m.coeff, transport_covector(pres, path, m.expo)) for m in a.terms]
-    assert wall_cross_oracle(a, wall, 10) == series(moved, "V_plus", a.box, 10, n), (path, a)
+    assert wall_cross_oracle(a, wall, 10, a.box) == series(moved, "V_plus", a.box, 10), (path, a)
 
 
 def test_the_affine_wall_substitution_is_the_transport_shear_on_the_demo_line():

@@ -19,6 +19,7 @@ from tropmirror.diagram import (
     dual_subdivision,
     face_heights,
     faces,
+    gauge_points,
     is_smooth,
     locate_face,
     validate,
@@ -149,16 +150,12 @@ def test_root_face_out_of_range():
         for bad in (-1, nfaces):
             with pytest.raises(DiagramError, match="out of range"):
                 dual_subdivision(diag, root_face=bad)
-            with pytest.raises(DiagramError, match="out of range"):
-                build_dual_graph(diag, root_face=bad)
 
 
 def test_sign_gauge_must_be_a_sign():
     for bad in (0, 2, -2):
         with pytest.raises(DiagramError, match="sign gauge"):
             dual_subdivision(c3(), sign=bad)
-        with pytest.raises(DiagramError, match="sign gauge"):
-            build_dual_graph(c3(), sign=bad)
 
 
 def test_is_smooth_c3():
@@ -324,7 +321,7 @@ def test_warm_diagram_matches_a_fresh_equal_one():
             lambda d: dual_subdivision(d, sign=-1),
             lambda d: dual_subdivision(d, root_face=k),
             lambda d: build_dual_graph(d),
-            lambda d: build_dual_graph(d, root_face=k, sign=-1),
+            lambda d: gauge_points(build_dual_graph(d), k, -1),
             lambda d: [locate_face(d, x) for x in points],
             lambda d: dual_subdivision(d),
         ]

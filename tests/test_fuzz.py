@@ -30,8 +30,7 @@ def test_random_webs_full_battery():
         assert is_smooth(web)
 
         dual = dual_subdivision(web)
-        emb = build_dual_graph(web)
-        assert emb.positions == dual.lattice_points
+        assert build_dual_graph(web) == dual.lattice_points
 
         # duality: covector = dual difference, orthogonal to the edge
         for e, (left, right) in dual.edge_duality:
@@ -100,7 +99,7 @@ def test_rectangles_with_many_parallel_rays():
                 continue
             assert validate(web).ok and is_smooth(web)
             dual = dual_subdivision(web)
-            assert build_dual_graph(web).positions == dual.lattice_points
+            assert build_dual_graph(web) == dual.lattice_points
             cones = [dual_vertex_cone(dual, f) for f in range(len(dual.lattice_points))]
             lo = min(c for p in dual.lattice_points for c in p) - 1
             hi = max(c for p in dual.lattice_points for c in p) + 1

@@ -96,7 +96,7 @@ def test_heights_come_back_as_the_valuations_of_the_mirror():
             continue
         relation = normalize_presentation(presentation(web.diagram)).relation
         val = {alpha: nov_val(c) for alpha, c in relation.terms}
-        kernel = web.points
+        kernel = web.subdivision.points
         used = sorted(used_points(web.subdivision))
 
         # the support is the used kernel points, up to a sign and a translation,

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction as Q
 
@@ -12,9 +14,11 @@ from helpers import (
     standard_form_matrix,
     vertex_loop,
 )
+from tropmirror import monodromy
 from tropmirror.affine import AffineError, build_cut_presentation
 from tropmirror.charges import regular_subdivision, web_from_subdivision
-from tropmirror.diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
+from tropmirror.cli import run
+from tropmirror.diagram import TropicalDiagram, dual_subdivision, gauge_points, is_smooth, validate
 from tropmirror.lattice import is_primitive, vsub
 from tropmirror.monodromy import MonodromyError, build_dual_graph, edge_covector
 
@@ -125,19 +129,43 @@ def test_single_edge_antisymmetry():
 
 
 def test_build_dual_graph_examples():
-    emb = build_dual_graph(c3())
-    assert set(emb.positions) == {(0, 0), (1, 0), (0, 1)}
-    emb1 = build_dual_graph(TropicalDiagram(1, ((Q(0),),)))
-    assert set(emb1.positions) == {(0,), (1,)}
-    embc = build_dual_graph(conifold())
-    assert set(embc.positions) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert set(build_dual_graph(c3())) == {(0, 0), (1, 0), (0, 1)}
+    assert set(build_dual_graph(TropicalDiagram(1, ((Q(0),),)))) == {(0,), (1,)}
+    assert set(build_dual_graph(conifold())) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
 def test_build_dual_graph_embeds_a_non_smooth_web():
     # the covector sum needs only balancing: a dual triangle of area 3/2 embeds too
     coarse = TropicalDiagram(2, ((Q(0), Q(0)),), (), ((0, (0, 1)), (0, (-3, 1)), (0, (3, -2))))
     assert not is_smooth(coarse)
-    assert build_dual_graph(coarse).positions == dual_subdivision(coarse).lattice_points
+    assert build_dual_graph(coarse) == dual_subdivision(coarse).lattice_points
+
+
+DIAGRAMS = os.path.join(os.path.dirname(__file__), "..", "diagrams")
+GAUGE_FLAGS = ([], ["--flip-sign"], ["--root-face", "1"], ["--root-face", "1", "--flip-sign"])
+
+
+def _cross_checks(capsys) -> list[bool]:
+    out = []
+    for name in ("c3", "conifold", "kp2", "kp1p1"):
+        for flags in GAUGE_FLAGS:
+            assert run(["dual", os.path.join(DIAGRAMS, f"{name}.json")] + flags) == 0
+            out.append(json.loads(capsys.readouterr().out)["embedding_matches_subdivision"])
+    return out
+
+
+def test_the_cross_check_fails_on_sheared_covectors_in_every_gauge(capsys, monkeypatch):
+    # the same unimodular shear on every covector keeps the cocycle, so the
+    # covector sum still embeds, but no longer where the gluing puts the faces
+    assert _cross_checks(capsys) == [True] * 16
+    covector = monodromy.edge_covector
+
+    def sheared(diag, e):
+        c = covector(diag, e)
+        return (c[0] + c[1], c[1])
+
+    monkeypatch.setattr(monodromy, "edge_covector", sheared)
+    assert _cross_checks(capsys) == [False] * 16
 
 
 def _non_smooth_webs(rng: random.Random) -> list[TropicalDiagram]:
@@ -168,9 +196,8 @@ def test_embedding_matches_subdivision_on_non_smooth_webs():
         several += len(diag.vertices) > 1
         nfaces = len(dual_subdivision(diag).lattice_points)
         for root_face, sign in ((None, 1), (rng.randrange(nfaces), rng.choice((1, -1)))):
-            emb = build_dual_graph(diag, root_face, sign)
             dual = dual_subdivision(diag, root_face, sign)
-            assert (emb.positions, emb.root_face) == (dual.lattice_points, dual.root_face), diag
+            assert gauge_points(build_dual_graph(diag), root_face, sign) == (dual.lattice_points, dual.root_face), diag
     assert several == 40
 
 
@@ -178,7 +205,7 @@ def test_embedding_matches_subdivision_on_random_webs():
     rng = random.Random(41)
     for _ in range(15):
         web = random_smooth_web(rng)
-        assert build_dual_graph(web).positions == dual_subdivision(web).lattice_points
+        assert build_dual_graph(web) == dual_subdivision(web).lattice_points
 
 
 def test_cocycle_on_random_webs():
@@ -221,5 +248,4 @@ def test_tree_independence_via_shuffled_adjacency():
             tuple((perm[i], perm[j]) for i, j in web.edges),
             tuple((perm[i], d) for i, d in web.rays),
         )
-        emb2 = build_dual_graph(relabeled)
-        assert set(emb.positions) == set(emb2.positions)
+        assert set(emb) == set(build_dual_graph(relabeled))

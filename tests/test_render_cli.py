@@ -467,6 +467,37 @@ def test_cli_transport_malformed_json(tmp_path, capsys, option, content, message
         assert err == f"error: {message}\n"
 
 
+# each reader names what its file should be when the file is not an object;
+# a corrections file is a list, and each of its entries is an object
+NOT_AN_OBJECT = {
+    "validate": (["validate", "{file}"], 'malformed diagram JSON: expected an object with "dim" and "vertices"'),
+    "web": (["web", "--charges", "{file}"], 'malformed charge JSON: expected an object with "charges" and "heights"'),
+    "eval": (
+        ["eval", "{file}", "--point", "1,1"],
+        'malformed series JSON: expected an object with "dim", "chamber", "box", "truncation" and "terms"',
+    ),
+    "transport": (
+        ["transport", "{ff}", "--path", "{file}", "--class", "0,1"],
+        'malformed path JSON: expected an object with a "path" list of points',
+    ),
+    "corrections": (
+        ["mirror", "{c3}", "--corrections", "{file}"],
+        'malformed corrections JSON: entry 0: expected an object with "vertex" and "series"',
+    ),
+}
+
+
+@pytest.mark.parametrize("content, kind", [([1, 2], "list"), (5, "int"), ("abc", "str")], ids=["list", "int", "str"])
+@pytest.mark.parametrize("reader", sorted(NOT_AN_OBJECT))
+def test_cli_readers_say_what_a_file_should_be(tmp_path, capsys, reader, content, kind):
+    template, message = NOT_AN_OBJECT[reader]
+    f = tmp_path / "file.json"
+    f.write_text(json.dumps([content] if reader == "corrections" else content))
+    files = {"file": str(f), "ff": path("focus_focus.json"), "c3": path("c3.json")}
+    assert run([word.format(**files) for word in template]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}, got {kind}\n")
+
+
 def test_python_dash_m_tropmirror_matches_run(capsys):
     assert run(["validate", path("c3.json")]) == 0
     expected = capsys.readouterr().out.encode()

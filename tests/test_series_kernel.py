@@ -40,7 +40,7 @@ def _coeff(rng: random.Random):
 
 def _series(rng: random.Random, grid, n: int, chamber: str = "V_plus"):
     terms = [Monomial(_coeff(rng), rng.choice(grid)) for _ in range(n)]
-    return series(terms, chamber, BOX_PLUS, Q(rng.randint(4, 30), rng.randint(1, 2)), 2)
+    return series(terms, chamber, BOX_PLUS, Q(rng.randint(4, 30), rng.randint(1, 2)))
 
 
 def _cancelling_pair(rng: random.Random):
@@ -50,8 +50,8 @@ def _cancelling_pair(rng: random.Random):
     w = rng.choice(RIGHT)
     w2 = tuple(ui + wi - vi for ui, wi, vi in zip(u, w, v))
     extra_a = [Monomial(_coeff(rng), rng.choice(LEFT)) for _ in range(rng.randint(0, 2))]
-    a = series([Monomial(c, u), Monomial(c, v)] + extra_a, "V_plus", BOX_PLUS, 20, 2)
-    b = series([Monomial(d, w), Monomial(nov_neg(d), w2)], "V_plus", BOX_PLUS, 20, 2)
+    a = series([Monomial(c, u), Monomial(c, v)] + extra_a, "V_plus", BOX_PLUS, 20)
+    b = series([Monomial(d, w), Monomial(nov_neg(d), w2)], "V_plus", BOX_PLUS, 20)
     return a, b
 
 
@@ -95,10 +95,10 @@ def test_series_eq_mod_matches_the_oracle():
             # one term moved by t^s: a difference at z^u of valuation about s
             s = Q(rng.randint(0, 30), rng.randint(1, 2))
             bump = Monomial(nov([(s, rng.choice((-1, 1)))]), rng.choice(LEFT + RIGHT))
-            b = series(list(a.terms) + [bump], "V_plus", BOX_PLUS, a.truncation, 2)
+            b = series(list(a.terms) + [bump], "V_plus", BOX_PLUS, a.truncation)
         elif kind == "retruncated":
             terms = [(nov_truncate(m.coeff, Q(rng.randint(0, 24), 2)), m.expo) for m in a.terms]
-            b = series([Monomial(c, u) for c, u in terms if c], "V_plus", BOX_PLUS, a.truncation, 2)
+            b = series([Monomial(c, u) for c, u in terms if c], "V_plus", BOX_PLUS, a.truncation)
         elif kind == "disjoint":
             a = _series(rng, LEFT, rng.randint(1, 4))
             b = _series(rng, RIGHT, rng.randint(1, 4))
@@ -106,7 +106,7 @@ def test_series_eq_mod_matches_the_oracle():
             # b = 2a - a: the two copies of a cancel term by term
             doubled = [Monomial(nov_scale(2, m.coeff), m.expo) for m in a.terms]
             negated = [Monomial(nov_neg(m.coeff), m.expo) for m in a.terms]
-            b = series(doubled + negated, "V_plus", BOX_PLUS, a.truncation, 2)
+            b = series(doubled + negated, "V_plus", BOX_PLUS, a.truncation)
         want = series_eq_mod_oracle(a, b, E)
         assert series_eq_mod(a, b, E) is want
         assert series_eq_mod(b, a, E) is series_eq_mod_oracle(b, a, E)
