@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .diagram import TropicalDiagram, dual_subdivision, is_smooth, validate
 from .analytic import focus_focus_demo, wall_cross
 from .charges import ChargeMatrix, build_web
-from .mirror import normalize_presentation, presentation, superpotential
+from .mirror import normalize_presentation, superpotential
 from .monodromy import build_dual_graph, edge_covector
 from .affine import build_cut_presentation, chamber_of, transport_covector
 from .novikov import NovikovElement, nov, nov_add, nov_inv, nov_mul, nov_val
@@ -30,7 +30,6 @@ __all__ = [
     "is_smooth",
     "build_web",
     "superpotential",
-    "presentation",
     "normalize_presentation",
     "edge_covector",
     "build_dual_graph",

@@ -47,7 +47,7 @@ class CutPresentation:
 
 def path_from_json(data) -> list[QPoint]:
     """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
-    with malformed("path", AffineError):
+    with malformed("malformed path JSON", AffineError):
         return [coords_from_json(p) for p in read_object(data, 'with a "path" list of points')["path"]]
 
 
@@ -56,7 +56,7 @@ def tau_from_json(data) -> dict[str, Fraction]:
 
     Two spellings of one name (edge1, edge01) are one key: the later value wins.
     """
-    with malformed("tau", AffineError):
+    with malformed("malformed tau JSON", AffineError):
         items = read_object(data, "of edge names to heights").items()
         return {parse_edge_name(k): read_rational(v) for k, v in items}
 

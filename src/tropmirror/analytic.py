@@ -38,8 +38,20 @@ from typing import Optional, Sequence
 
 from .affine import build_cut_presentation, transport_covector
 from .diagram import TropicalDiagram
-from .lattice import Box, Vec, dot, is_primitive, malformed, read_int, read_object, read_rational, vadd
-from .mirror import normalize_presentation, presentation, superpotential_text
+from .lattice import (
+    Box,
+    Vec,
+    coords_from_json,
+    dot,
+    is_primitive,
+    malformed,
+    read_int,
+    read_list,
+    read_object,
+    read_rational,
+    vadd,
+)
+from .mirror import normalize_presentation, superpotential, superpotential_text
 from .novikov import NovikovElement, _from_sums, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
 from .record import frozen
 
@@ -255,8 +267,8 @@ def focus_focus_demo(E) -> FocusFocusReport:
         raise AnalyticError("truncation must be positive")
     messages: list[str] = []
     diag = TropicalDiagram(1, ((Q(0),),))
-    pres = normalize_presentation(presentation(diag, truncation=max(E, Q(1))))
-    relation = superpotential_text(pres.relation)
+    g = normalize_presentation(superpotential(diag, truncation=max(E, Q(1))))
+    relation = superpotential_text(g)
 
     box_plus = Box(((Q(1, 4), Q(2)), (Q(1, 4), Q(2))))
     box_minus = Box(((Q(1, 4), Q(2)), (Q(-2), Q(-1, 4))))
@@ -297,7 +309,7 @@ def focus_focus_demo(E) -> FocusFocusReport:
 
     # identify u with z2 = z^{gamma} and compare with the mirror relation
     g_terms = []
-    for alpha, c in pres.relation.terms:
+    for alpha, c in g.terms:
         g_terms.append(Monomial(c, (alpha[0], 0)))
     g_series = series(g_terms, "V_plus", box_plus, E)
     mirror_ok = series_eq_mod(product, g_series, E)
@@ -335,14 +347,17 @@ def series_to_json(a: AnalyticSeries) -> dict:
 
 
 def series_from_json(data) -> AnalyticSeries:
-    with malformed("series", AnalyticError):
+    with malformed("malformed series JSON", AnalyticError):
         data = read_object(data, 'with "dim", "chamber", "box", "truncation" and "terms"')
-        box = Box(tuple((read_rational(lo), read_rational(hi)) for lo, hi in data["box"]))
-        terms = [
-            Monomial(nov_from_json(item["coeff"]), tuple(read_int(e) for e in item["expo"]))
-            for item in data["terms"]
-        ]
+        box = Box(tuple(coords_from_json(p) for p in read_list(data["box"], '[lo, hi] pairs in "box"')))
+        terms = [_monomial_from_json(item) for item in read_list(data["terms"], "terms")]
         chamber, truncation, dim = data["chamber"], read_rational(data["truncation"]), read_int(data["dim"])
         if dim != box.dim:
             raise AnalyticError(f"box has length {box.dim}, the series has dimension {dim}")
         return series(terms, chamber, box, truncation)
+
+
+def _monomial_from_json(value) -> Monomial:
+    item = read_object(value, 'with "expo" and "coeff" in "terms"')
+    coeff = [read_object(t, 'with "exp" and "coeff" in "coeff"') for t in item["coeff"]]
+    return Monomial(nov_from_json(coeff), tuple(read_int(e) for e in item["expo"]))

@@ -8,8 +8,9 @@ yielding n+k lattice points in the plane (n = 3 throughout).  Lifting the
 points by user-supplied heights and taking the lower convex hull
 (``tropmirror.hull``) produces a regular subdivision; generic heights make it
 a triangulation.  Dualizing (one web vertex per cell at minus the lifting
-gradient, edges orthogonal to the shared cell edges, rays opposite the
-outward boundary normals) gives the tropical web.
+gradient, edges orthogonal to the shared cell sides, rays opposite the
+outward boundary normals, all read off each cell's counterclockwise ring,
+``hull.cell_ring``) gives the tropical web.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diagram import TropicalDiagram
-from .hull import ChargeError, RegularSubdivision, SubdivisionCell, _cell_boundary_edges, regular_subdivision
-from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_object, read_rational, vneg
+from .hull import ChargeError, RegularSubdivision, SubdivisionCell, cell_ring, regular_subdivision
+from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_object, read_rational
 from .record import frozen
 
 
@@ -153,38 +154,36 @@ class ChargeWeb:
 
 
 def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) -> TropicalDiagram:
+    """The web dual to a subdivision: a vertex per cell, an edge per shared side, a ray per boundary side.
+
+    Each cell's ring (``cell_ring``) runs counterclockwise, so the side
+    u -> v has its cell on the left, and a side of one cell gives the ray
+    primitive((-dy, dx)) for (dx, dy) = v - u, opposite its outward normal.
+    """
     cells = sub.cells
     # distinct lower faces have distinct gradients, so the vertices are distinct
     vertices = [(-gx, -gy) for gx, gy in (c.gradient for c in cells)]
-    edge_cells: dict[tuple[int, int], list[int]] = {}
+    sides: dict[tuple[int, int], list] = {}  # (min, max) -> [first owner's ray, owners...]
     for ci, c in enumerate(cells):
-        for e in _cell_boundary_edges(sub, c):
-            owners = edge_cells.get(e)
+        ring = cell_ring(sub.points, c.indices)
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            side = (u, v) if u < v else (v, u)
+            owners = sides.get(side)
             if owners is not None:
                 owners.append(ci)
                 continue
-            (x0, y0), (x1, y1) = sub.points[e[0]], sub.points[e[1]]
+            (x0, y0), (x1, y1) = sub.points[u], sub.points[v]
             if not allow_weighted and math.gcd(x1 - x0, y1 - y0) != 1:
                 # a long dual edge means a weight > 1 web edge
                 raise ChargeError("degenerate Kähler parameters")
-            edge_cells[e] = [ci]
+            sides[side] = [(y0 - y1, x1 - x0), ci]
     edges = []
     rays = []
-    for e, owners in sorted(edge_cells.items()):
+    for _, (ray, *owners) in sorted(sides.items()):
         if len(owners) == 2:
-            edges.append((owners[0], owners[1]))
+            edges.append(tuple(owners))
         elif len(owners) == 1:
-            ci = owners[0]
-            p0, p1 = sub.points[e[0]], sub.points[e[1]]
-            nu = rot = (p1[1] - p0[1], -(p1[0] - p0[0]))
-            # orient nu outward: the cell centroid pairs below the edge
-            cell = cells[ci]
-            cxn = sum(sub.points[i][0] for i in cell.indices)
-            cyn = sum(sub.points[i][1] for i in cell.indices)
-            npts = len(cell.indices)
-            if dot(nu, (cxn, cyn)) > npts * dot(nu, p0):
-                nu = vneg(nu)
-            rays.append((ci, primitive(vneg(nu))))
+            rays.append((owners[0], primitive(ray)))
         else:
             raise ChargeError("subdivision edge shared by more than two cells")
     return TropicalDiagram(2, tuple(vertices), tuple(edges), tuple(rays))
@@ -217,7 +216,7 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
     DIGITS digits before any row is read (``regular_subdivision`` keeps the
     same check for callers that skip this reader).
     """
-    with malformed("charge", ChargeError):
+    with malformed("malformed charge JSON", ChargeError):
         charges = read_object(data, 'with "charges" and "heights"')["charges"]
         width = len(charges[0]) if charges else len(data["heights"])
         if max(width, len(charges)) > MAX_CHARGE_SIZE:
@@ -225,6 +224,6 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
             raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
         heights = [read_rational(h) for h in data["heights"]]
     common_denominator(heights, "heights", ChargeError)
-    with malformed("charge", ChargeError):
+    with malformed("malformed charge JSON", ChargeError):
         rows = tuple(tuple(read_int(x) for x in row) for row in charges)
     return ChargeMatrix(rows, width), heights

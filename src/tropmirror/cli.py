@@ -20,7 +20,7 @@ from .charges import build_web, charges_from_json
 from .diagram import diagram_from_json, diagram_to_json
 from .dual import dual_subdivision, is_smooth
 from .lattice import MALFORMED, read_int, read_rational
-from .mirror import corrections_from_json, normalize_presentation, presentation, presentation_to_json
+from .mirror import corrections_from_json, normalize_presentation, presentation_to_json, superpotential
 from .monodromy import build_dual_graph
 from .novikov import nov_to_json, nov_to_text
 from .render import render
@@ -162,7 +162,7 @@ def _cmd_mirror(args) -> int:
         corrections = corrections_from_json(_load_json(args.corrections))
     base = _parse_point("--base-point", args.base_point) if args.base_point else None
     sign = -1 if args.flip_sign else 1
-    pres = presentation(
+    g = superpotential(
         diag,
         base=base,
         corrections=corrections,
@@ -171,8 +171,8 @@ def _cmd_mirror(args) -> int:
         sign=sign,
     )
     if not args.raw:
-        pres = normalize_presentation(pres)
-    sys.stdout.write(_dumps(presentation_to_json(pres)))
+        g = normalize_presentation(g)
+    sys.stdout.write(_dumps(presentation_to_json(g)))
     return 0
 
 

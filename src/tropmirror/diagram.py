@@ -40,6 +40,7 @@ from .lattice import (
     malformed,
     primitive,
     read_int,
+    read_list,
     read_object,
     rot_minus90,
     vadd,
@@ -102,7 +103,7 @@ class TropicalDiagram:
 
     # Derived geometry: computed on first use and stored on this instance, so
     # every layer shares one copy.  The diagram is frozen, so the facts never
-    # go stale; record.replace gives a fresh object with nothing cached.
+    # go stale; a diagram rebuilt from its fields starts with nothing cached.
 
     @functools.cached_property
     def report(self) -> ValidationReport:
@@ -292,13 +293,18 @@ def diagram_to_json(diag: TropicalDiagram) -> dict:
 
 
 def diagram_from_json(data) -> TropicalDiagram:
-    with malformed("diagram", DiagramError):
+    with malformed("malformed diagram JSON", DiagramError):
         data = read_object(data, 'with "dim" and "vertices"')
         dim = read_int(data["dim"])
         vertices = tuple(coords_from_json(v) for v in data["vertices"])
         edges = tuple((i, j) for i, j in (coords_from_json(e, read_int) for e in data.get("edges", [])))
-        rays = tuple((read_int(r["at"]), coords_from_json(r["dir"], read_int)) for r in data.get("rays", []))
+        rays = tuple(_ray_from_json(r) for r in read_list(data.get("rays", []), "rays"))
     return TropicalDiagram(dim, vertices, edges, rays)
+
+
+def _ray_from_json(value) -> tuple[int, tuple]:
+    ray = read_object(value, 'with "at" and "dir" in "rays"')
+    return read_int(ray["at"]), coords_from_json(ray["dir"], read_int)
 
 
 # The face walk, the gluing and the heights live in tropmirror.dual, which

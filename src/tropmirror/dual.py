@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import EMPTY_DIAGRAM, DiagramError, TropicalDiagram
-from .lattice import QPoint, Vec, cross2, dot, lattice_triangle_area, vadd, vneg, vsub
+from .lattice import QPoint, Vec, cross2, dot, vadd, vneg, vsub
 from .record import frozen
 
 Q = Fraction
@@ -306,12 +306,15 @@ def dual_subdivision(
 
 
 def is_smooth(diag: TropicalDiagram) -> bool:
-    """True iff every cell of the dual subdivision has lattice area 1/2."""
+    """True iff every cell of the dual subdivision is a unimodular triangle, |cross2(q - p, r - p)| = 1."""
     points = diag.dual.lattice_points
-    return all(
-        len(cell) == 3 and lattice_triangle_area(*(points[i] for i in cell)) == Q(1, 2)
-        for cell in diag.dual.triangles
-    )
+    for cell in diag.dual.triangles:
+        if len(cell) != 3:
+            return False
+        p, q, r = (points[i] for i in cell)
+        if abs(cross2(vsub(q, p), vsub(r, p))) != 1:
+            return False
+    return True
 
 
 # --- face heights and point location ------------------------------------

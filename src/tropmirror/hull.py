@@ -2,13 +2,14 @@
 
 Lifting plane lattice points by heights and taking the lower faces of their
 convex hull gives a regular subdivision of their convex hull; generic heights
-make it a triangulation.  ``tropmirror.charges`` builds its webs from it and
-binds the public names of this module too, ``ChargeError`` among them.
+make it a triangulation.  ``cell_ring`` walks a cell's boundary
+counterclockwise, once per cell: the wrap matches cells across its sides, and
+``tropmirror.charges`` reads the web's edges and rays off it.  That module
+binds the public names of this one too, ``ChargeError`` among them.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,11 +87,11 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     The cells are the lower faces of the points lifted by their heights
     (scaled by the lcm of the height denominators, so every predicate is an
     integer determinant; an lcm of more than DIGITS digits is refused).  They
-    are found by gift wrapping from face to face across the corner-to-corner
-    edges of each cell, once per cell, in O(F m) predicates for F cells and
-    m points.  Each cell lists every point on its plane, so non-simplicial
-    cells keep their interior and edge points, and its gradient is read off
-    the plane's integer normal.
+    are found by gift wrapping from face to face across the sides of each
+    cell's ring (``cell_ring``), once per cell, in O(F m) predicates for F
+    cells and m points.  Each cell lists every point on its plane, so
+    non-simplicial cells keep their interior and edge points, and its
+    gradient is read off the plane's integer normal.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     hts = [Q(h) for h in heights]
@@ -137,11 +138,10 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
         (n0, n1, n2), key = _wrap(lifted, a, b)
         den = n2 * scale
         cells[key] = SubdivisionCell(key, (Q(-n0, den), Q(-n1, den)))
-        if len(key) == 3:
-            corners = [a, b, next(t for t in key if t != a and t != b)]  # counterclockwise
-        else:
-            corners = [index[p] for p in convex_hull([pts[t] for t in key])]
-        for u, v in zip(corners, corners[1:] + corners[:1]):
+        # adjacent lower faces share their whole common side and every point
+        # on it, so split sides match point to point
+        ring = cell_ring(pts, key)
+        for u, v in zip(ring, ring[1:] + ring[:1]):
             edge = (min(u, v), max(u, v))
             if edge in unmatched:
                 unmatched.discard(edge)
@@ -153,29 +153,23 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     return RegularSubdivision(tuple(pts), tuple(hts), ordered)
 
 
-def _cell_boundary_edges(sub: RegularSubdivision, cell: SubdivisionCell) -> list[tuple[int, int]]:
-    """Boundary edges of a (convex) cell, split at its own lattice points.
+def cell_ring(points: Sequence[Vec], indices: Sequence[int]) -> list[int]:
+    """The boundary points of a convex cell, counterclockwise.
 
-    Cell points interior to the cell (possible for degenerate lifts) do not
-    bound anything and are skipped; points on a hull edge split it.
+    A cell point on a side between two corners splits that side, and points
+    inside the cell are left out.  A triangle, most cells, takes one
+    orientation test; a larger cell walks the sides of its corner hull, each
+    from its first corner u along d = v - u, collecting the points p with
+    cross2(d, p - u) = 0 and 0 <= <p - u, d> < <d, d>, in that order.
     """
-    idx = list(cell.indices)
-    if len(idx) == 3:
-        return [tuple(sorted(p)) for p in itertools.combinations(idx, 2)]
-    corners = convex_hull([sub.points[i] for i in idx])
-    edges: list[tuple[int, int]] = []
-    m = len(corners)
-    for t in range(m):
-        a, b = corners[t], corners[(t + 1) % m]
-        d = vsub(b, a)
-        axis = 0 if d[0] != 0 else 1
-        members = []
-        for i in idx:
-            rel = vsub(sub.points[i], a)
-            s = Q(rel[axis], d[axis])
-            if all(ri == s * di for di, ri in zip(d, rel)) and 0 <= s <= 1:
-                members.append((s, i))
-        members.sort()
-        for (_, i), (_, j) in zip(members, members[1:]):
-            edges.append(tuple(sorted((i, j))))
-    return edges
+    if len(indices) == 3:
+        a, b, c = indices
+        (ax, ay), (bx, by), (cx, cy) = points[a], points[b], points[c]
+        return [a, b, c] if (bx - ax) * (cy - ay) > (by - ay) * (cx - ax) else [a, c, b]
+    corners = convex_hull([points[t] for t in indices])
+    ring = []
+    for u, v in zip(corners, corners[1:] + corners[:1]):
+        d = vsub(v, u)
+        on_line = sorted((dot(vsub(points[t], u), d), t) for t in indices if cross2(d, vsub(points[t], u)) == 0)
+        ring.extend(t for s, t in on_line if 0 <= s < dot(d, d))
+    return ring

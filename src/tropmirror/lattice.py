@@ -1,16 +1,17 @@
 """Exact planar lattice geometry.
 
 Everything in this module is integer/rational arithmetic on tuples: primitive
-vectors, unimodular triangle areas, convex hulls, and rational boxes.  No
+vectors, signed determinants, convex hulls, and rational boxes.  No
 floating point is used anywhere; rounding would silently break unimodularity
 tests downstream, so all predicates are exact.
 
 Vectors and points are plain tuples (``int`` entries for lattice vectors,
 ``Fraction`` entries for rational points).  Dimensions 1, 2 and 3 occur.
 
-The file readers of every module read their numbers and objects here
-(``read_int``, ``read_rational``, ``coords_from_json``, ``read_object``) and
-report a malformed value through one guard, ``malformed``;
+The file readers of every module read their numbers, lists and objects here
+(``read_int``, ``read_rational``, ``coords_from_json``, ``read_list``,
+``read_object``) and report a malformed value through one guard,
+``malformed``, which also names a missing key;
 ``common_denominator`` bounds the lcm over which a set of read rationals is
 scaled to integers.
 """
@@ -85,16 +86,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     return not is_zero(v) and content(v) == 1
 
 
-def lattice_triangle_area(a: Sequence, b: Sequence, c: Sequence) -> Fraction:
-    """Exact area |det(b-a, c-a)| / 2 of a planar triangle.
-
-    Degenerate (collinear) triples return 0.
-    """
-    if not (len(a) == len(b) == len(c) == 2):
-        raise LatticeError("triangle area requires dimension 2")
-    return Fraction(abs(cross2(vsub(b, a), vsub(c, a))), 2)
-
-
 def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
     """Strict convex hull corners, counterclockwise from the lex-least (monotone chain).
 
@@ -137,12 +128,19 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @contextmanager
-def malformed(kind: str, error: type) -> Iterator[None]:
-    """Re-raise what the body raises on malformed input as ``error("malformed <kind> JSON: ...")``."""
+def malformed(where: str, error: type = ValueError) -> Iterator[None]:
+    """Re-raise what the body raises on malformed input as ``error("<where>: <reason>")``.
+
+    ``where`` names the file (``malformed diagram JSON``) or a part of it
+    (``entry 3``, which the file's guard then prefixes in turn).  The reason
+    is the exception's text, and for a missing key ``missing key "<key>"``
+    rather than Python's bare quoted key.
+    """
     try:
         yield
     except MALFORMED as exc:
-        raise error(f"malformed {kind} JSON: {exc}") from exc
+        reason = f'missing key "{exc.args[0]}"' if isinstance(exc, KeyError) else exc
+        raise error(f"{where}: {reason}") from exc
 
 
 def read_int(value) -> int:
@@ -196,14 +194,19 @@ def read_object(value, contents: str) -> dict:
     return value
 
 
-def coords_from_json(value, parse=read_rational) -> tuple:
-    """The coordinates of a point read from JSON, which must be a list.
+def read_list(value, contents: str) -> list:
+    """A JSON list; anything else is refused as ``expected a list of <contents>, got <value>``.
 
-    A string is rejected instead of being read character by character.
+    A string is refused rather than read character by character.
     """
     if not isinstance(value, list):
-        raise TypeError(f"expected a list of coordinates, got {value!r}")
-    return tuple(parse(c) for c in value)
+        raise TypeError(f"expected a list of {contents}, got {value!r}")
+    return value
+
+
+def coords_from_json(value, parse=read_rational) -> tuple:
+    """The coordinates of a point read from JSON, which must be a list."""
+    return tuple(parse(c) for c in read_list(value, "coordinates"))
 
 
 @frozen

@@ -1,4 +1,4 @@
-"""Hori-Vafa superpotential and the mirror algebra presentation.
+"""Hori-Vafa superpotential, which presents the mirror algebra.
 
 The superpotential is g = sum over dual vertices alpha of (1 + c_alpha)
 t^{f(alpha)} u^alpha.  The exponents f are the lifting heights of the dual
@@ -10,10 +10,12 @@ computes); with no corrections every coefficient of the normalized g is a
 plain power of t.
 
 The mirror algebra is Lambda[u_1^{+-1}, ..., u_{n-1}^{+-1}, x, y] / (x y - g)
-with winding gradings |u_i| = 0, |x| = 1, |y| = -1.  Normalization makes the
-presentation canonical: the distinguished vertex goes to the lattice origin
-and f becomes the heights seen from the web vertex whose dual cell is the
-chosen cell at the root.  The faces of that cell tie there, so the normal form
+with winding gradings |u_i| = 0, |x| = 1, |y| = -1; g determines it, so the
+``Superpotential`` record is the presentation, and ``relation_text`` and
+``presentation_to_json`` write it.  The distinguished vertex is the lattice
+origin in every gauge.  Normalization makes the presentation canonical: f
+becomes the heights seen from the web vertex whose dual cell is the chosen
+cell at the root.  The faces of that cell tie there, so the normal form
 is 0 on the cell and positive elsewhere; the change is affine-linear in the
 exponent, absorbed into rescalings of the u_i and an overall power of t, which
 also makes the result independent of the base point.
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
-from .lattice import MALFORMED, QPoint, Vec, coords_from_json, dot, malformed, read_int, read_object, vsub
+from .lattice import MALFORMED, QPoint, Vec, coords_from_json, dot, malformed, read_int, read_object
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -39,7 +41,7 @@ from .novikov import (
     nov_truncate,
     nov_val,
 )
-from .record import frozen, replace
+from .record import frozen
 
 Q = Fraction
 
@@ -71,7 +73,7 @@ class CorrectionMap:
 
 
 def corrections_from_json(data) -> CorrectionMap:
-    with malformed("corrections", MirrorError):
+    with malformed("malformed corrections JSON", MirrorError):
         if not isinstance(data, list):
             raise TypeError('expected a list of {"vertex", "series"} objects')
         terms = tuple(_correction_from_json(i, item) for i, item in enumerate(data))
@@ -80,10 +82,8 @@ def corrections_from_json(data) -> CorrectionMap:
 
 def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
     """Entry i, {"vertex": [a, b], "series": [{"exp": e, "coeff": c}, ...]}."""
-    try:
+    with malformed(f"entry {i}"):
         vertex = coords_from_json(read_object(item, 'with "vertex" and "series"')["vertex"], read_int)
-    except MALFORMED as exc:
-        raise ValueError(f"entry {i}: {exc}") from exc
     try:
         return vertex, nov_from_json(item["series"])
     except MALFORMED as exc:
@@ -97,10 +97,9 @@ def _term_sort_key(alpha: Vec):
 @frozen
 class Superpotential:
     dim: int  # diagram dimension d; the mirror has n = d + 1
-    terms: tuple[tuple[Vec, NovikovElement], ...]  # (dual vertex, coefficient)
-    root: Vec
+    terms: tuple[tuple[Vec, NovikovElement], ...]  # (dual vertex, coefficient); the root is 0
     truncation: Fraction
-    # what normalization subtracts per unit of alpha - root: sign * (b - x_v)
+    # what normalization subtracts per unit of alpha: sign * (b - x_v)
     # for base point b and the root cell's web vertex x_v (not in the JSON)
     slope: tuple[Fraction, ...]
 
@@ -138,10 +137,9 @@ def superpotential(
         coeff = nov_shift(heights[f] - fmin, nov_add(NOV_ONE, c))
         terms.append((alpha, coeff))
     terms.sort(key=lambda item: _term_sort_key(item[0]))
-    root = dual.lattice_points[dual.root_face]
     base = (Q(0),) * diag.dim if base is None else tuple(Q(c) for c in base)
     slope = tuple(sign * (b - x) for b, x in zip(base, _root_cell_vertex(diag, dual)))
-    return Superpotential(diag.dim, tuple(terms), root, truncation, slope)
+    return Superpotential(diag.dim, tuple(terms), truncation, slope)
 
 
 def _root_cell_vertex(diag: TropicalDiagram, dual: DualSubdivision) -> QPoint:
@@ -161,66 +159,32 @@ def _root_cell_vertex(diag: TropicalDiagram, dual: DualSubdivision) -> QPoint:
     return diag.vertices[v]
 
 
-@frozen
-class MirrorPresentation:
-    """Generators u_1^{+-1}..u_{n-1}^{+-1}, x, y with the single relation xy - g.
-
-    The relation is the one field: n and the gradings follow from its dimension.
-    """
-
-    relation: Superpotential
-
-    @property
-    def n(self) -> int:
-        return self.relation.dim + 1
-
-    @property
-    def gradings(self) -> tuple[tuple[str, int], ...]:
-        return tuple((v, 0) for v in _variables(self.relation.dim)) + (("x", 1), ("y", -1))
-
-
 def _variables(dim: int) -> tuple[str, ...]:
     return ("u",) if dim == 1 else tuple(f"u{i + 1}" for i in range(dim))
-
-
-def presentation(
-    diag: TropicalDiagram,
-    base: Optional[Sequence] = None,
-    corrections: Optional[CorrectionMap] = None,
-    truncation=DEFAULT_TRUNCATION,
-    root_face: Optional[int] = None,
-    sign: int = 1,
-) -> MirrorPresentation:
-    return MirrorPresentation(superpotential(diag, base, corrections, truncation, root_face, sign))
 
 
 # --- normalization -----------------------------------------------------------
 
 
-def normalize_presentation(pres: MirrorPresentation) -> MirrorPresentation:
-    """Canonical form: root vertex at the origin, heights seen from the root cell's vertex.
+def normalize_presentation(g: Superpotential) -> Superpotential:
+    """Canonical form: the heights seen from the root cell's vertex.
 
-    Shifting the support moves the root to 0; subtracting the root's
-    t-exponent and the pairing of alpha with the relation's slope rescales
-    the overall power of t and the u_i.  The result is idempotent and
-    independent of the base point used to build the superpotential.
+    Subtracting the root's t-exponent and the pairing of alpha with the
+    slope rescales the overall power of t and the u_i.  The result is
+    idempotent and independent of the base point used to build g.
     """
-    g = pres.relation
     zero = (0,) * g.dim
-    support = [vsub(a, g.root) for a, _ in g.terms]
     vals = [nov_val(c) for _, c in g.terms]
     if None in vals:
         raise MirrorError("superpotential coefficient vanished")
-    v0 = vals[support.index(zero)]
+    v0 = vals[[alpha for alpha, _ in g.terms].index(zero)]
     new_terms = []
-    for alpha, (_, c), v in zip(support, g.terms, vals):
+    for (alpha, c), v in zip(g.terms, vals):
         delta = v0 + dot(alpha, g.slope)
         if v < delta:
             raise MirrorError("normalization produced a negative valuation")
         new_terms.append((alpha, nov_shift(-delta, c)))
-    new_terms.sort(key=lambda item: _term_sort_key(item[0]))
-    new_g = Superpotential(g.dim, tuple(new_terms), zero, g.truncation, zero)
-    return replace(pres, relation=new_g)
+    return Superpotential(g.dim, tuple(new_terms), g.truncation, zero)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -265,24 +229,24 @@ def superpotential_text(g: Superpotential) -> str:
     return " + ".join(chunks)
 
 
-def relation_text(pres: MirrorPresentation) -> str:
-    return f"x*y - ({superpotential_text(pres.relation)})"
+def relation_text(g: Superpotential) -> str:
+    return f"x*y - ({superpotential_text(g)})"
 
 
-def presentation_to_json(pres: MirrorPresentation) -> dict:
-    g = pres.relation
+def presentation_to_json(g: Superpotential) -> dict:
+    """The generators u_i^{+-1}, x, y, their winding gradings and the relation x*y - g."""
+    variables = _variables(g.dim)
     gens = []
-    for v in _variables(g.dim):
+    for v in variables:
         gens.extend([v, f"{v}^-1"])
-    gens.extend(["x", "y"])
     return {
-        "n": pres.n,
-        "generators": gens,
-        "gradings": {k: v for k, v in pres.gradings},
-        "relation": relation_text(pres),
+        "n": g.dim + 1,
+        "generators": gens + ["x", "y"],
+        "gradings": {**{v: 0 for v in variables}, "x": 1, "y": -1},
+        "relation": relation_text(g),
         "superpotential": [
             {"vertex": list(alpha), "coefficient": nov_to_json(c)} for alpha, c in g.terms
         ],
         "truncation": str(g.truncation),
-        "root": list(g.root),
+        "root": [0] * g.dim,
     }

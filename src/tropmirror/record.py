@@ -16,7 +16,7 @@ per class at import.)  The behaviour is the same as theirs:
   tuple, so sets and dicts of records iterate in the same order;
 * assigning or deleting any attribute raises ``FrozenInstanceError``;
 * instances keep a ``__dict__``, so ``functools.cached_property`` works, and
-  ``replace`` returns a copy with nothing cached.
+  a record rebuilt from its fields starts with nothing cached.
 
 The field names, in order, are ``cls._fields``.
 
@@ -104,10 +104,3 @@ def frozen(cls):
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
     return cls
-
-
-def replace(record, **changes):
-    """A new record of the same class with ``changes`` applied; ``__post_init__`` runs again."""
-    values = {name: getattr(record, name) for name in record._fields}
-    values.update(changes)
-    return record.__class__(**values)

@@ -1,9 +1,9 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
-cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, face
-heights, Novikov arithmetic, series accumulation, series comparison, cone
-families, wall crossing, the face walk, validation, the transport edge
-predicates, cut gluing by matrix products), and small helpers that only the
-tests use."""
+cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, the
+web builder, face heights, Novikov arithmetic, series accumulation, series
+comparison, cone families, wall crossing, the face walk, validation, the
+transport edge predicates, cut gluing by matrix products), and small helpers
+that only the tests use."""
 
 from __future__ import annotations
 
@@ -83,9 +83,9 @@ from tropmirror.novikov import (
     nov_truncate,
     nov_val,
 )
-from tropmirror.mirror import MirrorError, MirrorPresentation, Superpotential, _term_sort_key
+from tropmirror.mirror import MirrorError, Superpotential, _term_sort_key, presentation_to_json
 from tropmirror.monodromy import MonodromyError, edge_covector
-from tropmirror.record import frozen, replace
+from tropmirror.record import frozen
 
 Q = Fraction
 
@@ -589,6 +589,79 @@ def primitive_q_oracle(v: Sequence[Fraction]) -> Vec:
     return primitive(ints)
 
 
+# --- the web builder before one boundary walk per cell, as an oracle ---------
+#
+# web_from_subdivision found each cell's sides a second time, with its own
+# convex hull and a Fraction parametrization of each side, and oriented each
+# ray by a centroid test.  The bodies are unchanged.
+
+
+def _cell_boundary_edges(sub: RegularSubdivision, cell: SubdivisionCell) -> list[tuple[int, int]]:
+    """Boundary edges of a (convex) cell, split at its own lattice points.
+
+    Cell points interior to the cell (possible for degenerate lifts) do not
+    bound anything and are skipped; points on a hull edge split it.
+    """
+    idx = list(cell.indices)
+    if len(idx) == 3:
+        return [tuple(sorted(p)) for p in itertools.combinations(idx, 2)]
+    corners = convex_hull([sub.points[i] for i in idx])
+    edges: list[tuple[int, int]] = []
+    m = len(corners)
+    for t in range(m):
+        a, b = corners[t], corners[(t + 1) % m]
+        d = vsub(b, a)
+        axis = 0 if d[0] != 0 else 1
+        members = []
+        for i in idx:
+            rel = vsub(sub.points[i], a)
+            s = Q(rel[axis], d[axis])
+            if all(ri == s * di for di, ri in zip(d, rel)) and 0 <= s <= 1:
+                members.append((s, i))
+        members.sort()
+        for (_, i), (_, j) in zip(members, members[1:]):
+            edges.append(tuple(sorted((i, j))))
+    return edges
+
+
+def web_from_subdivision_oracle(sub: RegularSubdivision, allow_weighted: bool = False) -> TropicalDiagram:
+    cells = sub.cells
+    # distinct lower faces have distinct gradients, so the vertices are distinct
+    vertices = [(-gx, -gy) for gx, gy in (c.gradient for c in cells)]
+    edge_cells: dict[tuple[int, int], list[int]] = {}
+    for ci, c in enumerate(cells):
+        for e in _cell_boundary_edges(sub, c):
+            owners = edge_cells.get(e)
+            if owners is not None:
+                owners.append(ci)
+                continue
+            (x0, y0), (x1, y1) = sub.points[e[0]], sub.points[e[1]]
+            if not allow_weighted and math.gcd(x1 - x0, y1 - y0) != 1:
+                # a long dual edge means a weight > 1 web edge
+                raise ChargeError("degenerate Kähler parameters")
+            edge_cells[e] = [ci]
+    edges = []
+    rays = []
+    for e, owners in sorted(edge_cells.items()):
+        if len(owners) == 2:
+            edges.append((owners[0], owners[1]))
+        elif len(owners) == 1:
+            ci = owners[0]
+            p0, p1 = sub.points[e[0]], sub.points[e[1]]
+            nu = rot = (p1[1] - p0[1], -(p1[0] - p0[0]))
+            # orient nu outward: the cell centroid pairs below the edge
+            cell = cells[ci]
+            cxn = sum(sub.points[i][0] for i in cell.indices)
+            cyn = sum(sub.points[i][1] for i in cell.indices)
+            npts = len(cell.indices)
+            if dot(nu, (cxn, cyn)) > npts * dot(nu, p0):
+                nu = vneg(nu)
+            rays.append((ci, primitive(vneg(nu))))
+        else:
+            raise ChargeError("subdivision edge shared by more than two cells")
+    return TropicalDiagram(2, tuple(vertices), tuple(edges), tuple(rays))
+
+
 # --- the face heights before the gluing walk lifted them, as an oracle -------
 #
 # The heights were walked a second time, across the dual edges of the glued
@@ -648,7 +721,9 @@ def _walk_heights(diag: TropicalDiagram) -> tuple[Fraction, ...]:
 #
 # normalize_presentation as it was when it ran the lower hull of the support
 # and its t-exponents a second time, to find the cell at the root.  The only
-# change is the zero slope of the result, which the record now carries.
+# changes are the zero slope of the result, which the record now carries, and
+# the record's shape: the superpotential is the presentation, and its root is
+# the origin, so the support is not shifted.
 
 
 def _affine_on_root_cell(support, vals, root_index, dim):
@@ -677,17 +752,15 @@ def _affine_on_root_cell(support, vals, root_index, dim):
     return lambda a: sx * a[0] + sy * a[1] + c0
 
 
-def normalize_oracle(pres: MirrorPresentation) -> MirrorPresentation:
-    """Canonical form: root vertex at the origin, affine part of f absorbed.
+def normalize_oracle(g: Superpotential) -> Superpotential:
+    """Canonical form: the affine part of f absorbed.
 
-    Shifting the support moves the root to 0; subtracting the affine function
-    that interpolates the t-exponents on the hull cell at the root rescales
-    the u_i and the overall power of t.  The result is idempotent and
-    independent of the base point used to build the superpotential.
+    Subtracting the affine function that interpolates the t-exponents on the
+    hull cell at the root rescales the u_i and the overall power of t.  The
+    result is idempotent and independent of the base point used to build the
+    superpotential.
     """
-    g = pres.relation
-    shift = g.root
-    support = [vsub(a, shift) for a, _ in g.terms]
+    support = [a for a, _ in g.terms]
     coeffs = [c for _, c in g.terms]
     vals = []
     for c in coeffs:
@@ -707,8 +780,7 @@ def normalize_oracle(pres: MirrorPresentation) -> MirrorPresentation:
             raise MirrorError("normalization produced a negative valuation")
     new_terms.sort(key=lambda item: _term_sort_key(item[0]))
     zero = tuple(0 for _ in range(g.dim))
-    new_g = Superpotential(g.dim, tuple(new_terms), zero, g.truncation, zero)
-    return replace(pres, relation=new_g)
+    return Superpotential(g.dim, tuple(new_terms), g.truncation, zero)
 
 
 # --- the replaced Novikov kernels and series accumulation, as oracles -------
@@ -1575,6 +1647,23 @@ def box(*intervals) -> Box:
     return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
 
 
+def replace(record, **changes):
+    """A new record of the same class with ``changes`` applied; ``__post_init__`` runs again."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return record.__class__(**values)
+
+
+def lattice_triangle_area(a: Sequence, b: Sequence, c: Sequence) -> Fraction:
+    """Exact area |det(b-a, c-a)| / 2 of a planar triangle.
+
+    Degenerate (collinear) triples return 0.
+    """
+    if not (len(a) == len(b) == len(c) == 2):
+        raise LatticeError("triangle area requires dimension 2")
+    return Fraction(abs(cross2(vsub(b, a), vsub(c, a))), 2)
+
+
 def is_unimodular(sub: RegularSubdivision) -> bool:
     """Is every cell a triangle of lattice area 1/2?"""
     if not sub.is_simplicial():
@@ -1620,9 +1709,9 @@ def superpotential_support(g: Superpotential) -> tuple[Vec, ...]:
     return tuple(a for a, _ in g.terms)
 
 
-def winding_degree(pres: MirrorPresentation, word: Sequence[tuple[str, int]]) -> int:
-    """Winding degree of a monomial word [(generator, exponent), ...]."""
-    gradings = dict(pres.gradings)
+def winding_degree(g: Superpotential, word: Sequence[tuple[str, int]]) -> int:
+    """Winding degree of a monomial word [(generator, exponent), ...], by the gradings written out."""
+    gradings = presentation_to_json(g)["gradings"]
     return sum(gradings[name] * e for name, e in word)
 
 

@@ -15,6 +15,7 @@ from helpers import (
     identity_matrix,
     interior_point_near_vertex,
     intersect_shifted_cones,
+    lattice_triangle_area,
     loop_monodromy_oracle,
     nov_eq_mod,
     primitive_q_oracle,
@@ -29,14 +30,11 @@ from tropmirror.diagram import (
     is_smooth,
     validate,
 )
-from tropmirror.lattice import (
-    lattice_triangle_area,
-    vsub,
-)
+from tropmirror.lattice import vsub
 from tropmirror.mirror import (
     normalize_presentation,
-    presentation,
     relation_text,
+    superpotential,
     superpotential_text,
 )
 from tropmirror.monodromy import build_dual_graph
@@ -94,8 +92,8 @@ def test_acceptance_3_c3(capsys):
     for tri in dual.triangles:
         pts = [dual.lattice_points[i] for i in tri]
         ok = ok and lattice_triangle_area(*pts) == Q(1, 2)
-    pres = normalize_presentation(presentation(diag))
-    ok = ok and superpotential_text(pres.relation) == "1 + u1 + u2"
+    g = normalize_presentation(superpotential(diag))
+    ok = ok and superpotential_text(g) == "1 + u1 + u2"
     with capsys.disabled():
         _report(3, "C^3: axioms, unit-triangle dual, g = 1 + u1 + u2", ok, time.time() - t0, 1.0)
 
@@ -206,9 +204,9 @@ def test_acceptance_7_base_point_covariance(capsys):
                 b2 = cand
                 break
         ok = ok and b2 is not None
-        p1 = normalize_presentation(presentation(web, base=b1))
-        p2 = normalize_presentation(presentation(web, base=b2))
-        ok = ok and p1 == p2
+        g1 = normalize_presentation(superpotential(web, base=b1))
+        g2 = normalize_presentation(superpotential(web, base=b2))
+        ok = ok and g1 == g2
         if not ok:
             break
     with capsys.disabled():
@@ -219,8 +217,8 @@ def test_acceptance_8_charge_pipeline(capsys):
     t0 = time.time()
     web = build_web(ChargeMatrix(((1, 1, -1, -1),), 4), [0, 1, 0, 0])
     ok = validate(web.diagram).ok and is_smooth(web.diagram)
-    pres = normalize_presentation(presentation(web.diagram))
-    support = {a for a, _ in pres.relation.terms}
+    g = normalize_presentation(superpotential(web.diagram))
+    support = {a for a, _ in g.terms}
     ok = ok and support == {(0, 0), (1, 0), (0, 1), (1, 1)}
     # the coefficient at the vertex across the bounded edge carries t^Q with
     # Q the lattice length of the bounded edge
@@ -229,10 +227,10 @@ def test_acceptance_8_charge_pipeline(capsys):
     prim = primitive_q_oracle(dv)
     axis = 0 if prim[0] != 0 else 1
     length = dv[axis] / prim[axis]
-    far = [a for a, c in pres.relation.terms if nov_val(c) > 0]
-    vals = [nov_val(c) for _, c in pres.relation.terms if nov_val(c) > 0]
+    far = [a for a, c in g.terms if nov_val(c) > 0]
+    vals = [nov_val(c) for _, c in g.terms if nov_val(c) > 0]
     ok = ok and len(far) == 1 and vals == [abs(length)]
-    relation = relation_text(pres)
+    relation = relation_text(g)
     ok = ok and relation == "x*y - (1 + u1 + u2 + t^{1}*u1*u2)"
     try:
         build_web(ChargeMatrix(((1, 1, -1, -1),), 4), [0, 0, 0, 0])

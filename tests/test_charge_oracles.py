@@ -1,20 +1,32 @@
 """The charge pipeline in integer arithmetic against the Fraction code it replaced,
+the web builder against the one that found each cell's sides a second time,
 and its covariance under a change of charge basis and a relabeling of the points."""
 
 import random
 from fractions import Fraction as Q
 
-from helpers import cell_plane_oracle, kernel_points_oracle, plane_constant, primitive_q_oracle, random_lattice_polygon
+from helpers import (
+    _cell_boundary_edges,
+    cell_plane_oracle,
+    kernel_points_oracle,
+    plane_constant,
+    primitive_q_oracle,
+    random_lattice_polygon,
+    web_from_subdivision_oracle,
+)
 from tropmirror.charges import (
     ChargeError,
     ChargeMatrix,
+    RegularSubdivision,
+    SubdivisionCell,
     build_web,
     integer_kernel_basis,
     kernel_points,
     regular_subdivision,
+    web_from_subdivision,
 )
-from tropmirror.diagram import TropicalDiagram
-from tropmirror.lattice import LatticeError, cross2, vadd, vsub
+from tropmirror.diagram import DiagramError, TropicalDiagram
+from tropmirror.lattice import LatticeError, convex_hull, cross2, vadd, vsub
 
 PRIME = 10**14 + 31  # the denominator of the benchmark's height perturbations
 
@@ -183,6 +195,63 @@ def test_cell_planes_match_the_oracle_and_support_the_lift():
             assert all(v <= h for v, h in zip(vals, hts))
             assert tuple(t for t, (v, h) in enumerate(zip(vals, hts)) if v == h) == cell.indices
     assert non_simplicial >= 10
+
+
+def _hand_built(points, cells) -> RegularSubdivision:
+    """A subdivision record with the given cells, each with its own gradient (i, 0)."""
+    zero = (Q(0),) * len(points)
+    return RegularSubdivision(points, zero, tuple(SubdivisionCell(c, (Q(i), Q(0))) for i, c in enumerate(cells)))
+
+
+HAND_BUILT = [
+    # test_charges.py: two cells of one plane, so two web vertices coincide
+    RegularSubdivision(
+        ((0, 0), (1, 0), (0, 1), (1, 1)),
+        (Q(0),) * 4,
+        (SubdivisionCell((0, 1, 2), (Q(0), Q(0))), SubdivisionCell((1, 2, 3), (Q(0), Q(0)))),
+    ),
+    # one side owned by three cells, of length 1 and of length 2
+    _hand_built(((0, 0), (1, 0), (0, 1), (0, -1), (1, 1)), [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+    _hand_built(((0, 0), (2, 0), (0, 1), (0, -1), (1, 1)), [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+]
+
+
+def _web_or_refusal(build, sub, allow_weighted):
+    try:
+        return build(sub, allow_weighted)
+    except (ChargeError, DiagramError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _has_split_side(sub) -> bool:
+    """Does some cell have a point on a side strictly between two of its corners?"""
+    for cell in sub.cells:
+        corners = convex_hull([sub.points[i] for i in cell.indices])
+        if len(_cell_boundary_edges(sub, cell)) > len(corners):
+            return True
+    return False
+
+
+def test_web_from_subdivision_matches_the_oracle():
+    # coarse lifts (zero, small integer and rational heights) give cells with
+    # interior points and split sides; every diagram and refusal text agrees
+    rng = random.Random(2323)
+    subs = list(HAND_BUILT)
+    for heights in (
+        lambda n: [0] * n,
+        lambda n: [rng.randint(-2, 2) for _ in range(n)],
+        lambda n: [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)],
+    ):
+        for _ in range(300):
+            pts = random_lattice_polygon(rng)
+            subs.append(regular_subdivision(pts, heights(len(pts))))
+    split = 0
+    for sub in subs:
+        split += not sub.is_simplicial() and _has_split_side(sub)
+        for allow_weighted in (False, True):
+            expected = _web_or_refusal(web_from_subdivision_oracle, sub, allow_weighted)
+            assert _web_or_refusal(web_from_subdivision, sub, allow_weighted) == expected
+    assert split >= 250
 
 
 def _unimodular_affine_map(src, dst):

@@ -3,7 +3,11 @@
 The digests are sha256 of stdout, with the exit code, as the commands printed
 them before the dual-graph cross-check, the series, charge-web, correction and
 presentation records stopped storing what they can derive.  Every shipped
-diagram runs under each flag set; `web --charges` runs on two charge files.
+diagram runs under each flag set; `web --charges` runs on two charge files,
+and with `--allow-singular` on four coarse ones whose cells have interior or
+side points.  The coarse pins and the re-rooted `mirror` pins were recorded
+before each cell's boundary came from one counterclockwise walk and before
+the mirror algebra became its superpotential record.
 """
 
 import hashlib
@@ -19,8 +23,39 @@ NAMES = ("c3", "conifold", "focus_focus", "kp1p1", "kp2")
 FLAGS = {
     "validate": ("",),
     "dual": ("", "--flip-sign", "--root-face 1", "--root-face 1 --flip-sign", "--format svg"),
-    "mirror": ("", "--raw", "--flip-sign"),
+    "mirror": ("", "--raw", "--flip-sign", "--root-face 1", "--root-face 1 --flip-sign --raw"),
     "render": ("--format svg", "--format dot"),
+}
+
+
+def _affine_charges(points: list, heights: list) -> dict:
+    """A charge file whose kernel points are ``points`` up to a lattice map.
+
+    Row i is the affine relation (1-x-y, x, y, -1) of point i against the
+    first three, which must be (0, 0), (1, 0) and (0, 1).
+    """
+    rows = []
+    for i, (x, y) in enumerate(points[3:], 3):
+        row = [1 - x - y, x, y] + [0] * (len(points) - 3)
+        row[i] = -1
+        rows.append(row)
+    return {"charges": rows, "heights": heights}
+
+
+def _lattice_points(xs: int, ys: int, inside) -> list:
+    corner = [(0, 0), (1, 0), (0, 1)]
+    return corner + sorted((x, y) for x in range(xs + 1) for y in range(ys + 1) if inside(x, y) and (x, y) not in corner)
+
+
+P2_DEGREE_2 = _lattice_points(2, 2, lambda x, y: x + y <= 2)
+RECT_2X3 = _lattice_points(2, 3, lambda x, y: True)
+# charge files with zero heights: each is one coarse cell, with an interior
+# point (KP2), split sides (P^2 of degree 2, the rectangle) or neither
+COARSE = {
+    "coarse-kp2": {"charges": [[1, 1, 1, -3]], "heights": ["0"] * 4},
+    "coarse-conifold": {"charges": [[1, 1, -1, -1]], "heights": ["0"] * 4},
+    "coarse-p2-2": _affine_charges(P2_DEGREE_2, ["0"] * len(P2_DEGREE_2)),
+    "coarse-rect-2x3": _affine_charges(RECT_2X3, ["0"] * len(RECT_2X3)),
 }
 CORRECTIONS = [
     {"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}, {"exp": "5/2", "coeff": "-1/4"}]},
@@ -73,6 +108,16 @@ DIGESTS = {
     "mirror kp2": (0, "e8cd10ad60b190f82e07f696f7505aed053a5d1ff7a2a2558e17a5f5ee43ad2c"),
     "mirror kp2 --raw": (0, "b9321b003ef3575feab9901265969b552b0f342a1347391663a3bc284d43d6bf"),
     "mirror kp2 --flip-sign": (0, "1da40a88027a2cb716211aff4e8daba5dfdd98706c7fcb3ea344faf1f2a12b4b"),
+    "mirror c3 --root-face 1": (0, "0668dd891df2c6767285ec71bb3873ca81e8b766b7d22056c14a1682104d4181"),
+    "mirror c3 --root-face 1 --flip-sign --raw": (0, "6c15b8dacbcf2004889d2b207922e6d1ea0c2fe3d649c435e6ffe65993044232"),
+    "mirror conifold --root-face 1": (0, "e58bed4e17bc35585d3b7ca471e2fc90ba9c2f66f12d755a7006393de033553e"),
+    "mirror conifold --root-face 1 --flip-sign --raw": (0, "b7c27561eef9f17b76db8cab55f1c3781dec439637774ffa3cc1a80e42af4c46"),
+    "mirror focus_focus --root-face 1": (0, "ccd555ec27b3e476f6d89e5a9a406f6d82ee44633b3735514955f08cb1678e0f"),
+    "mirror focus_focus --root-face 1 --flip-sign --raw": (0, "c68c15ec9b12ff0b12937b18f87f4527d8e2eb3480631123582b13aca3408fe2"),
+    "mirror kp1p1 --root-face 1": (0, "c42207cb558d766d3a2326d98788f69173c760154e58d2222b7f7808d5bd0136"),
+    "mirror kp1p1 --root-face 1 --flip-sign --raw": (0, "c02da2779402b3542471a205de98835210531432ac9d87a8e11d63ff58bc63cb"),
+    "mirror kp2 --root-face 1": (0, "8b74deb02ec6309d03937b0b6b7c341c203d0f251e2ba992339fee294c7764b6"),
+    "mirror kp2 --root-face 1 --flip-sign --raw": (0, "b80ea9a3c080d1e396069c8b47d21ba8d14be709b84643204964aa93865d3f96"),
     "render c3 --format svg": (0, "0d361b947127f27c0e5519723174852b70d42b69f23b7a2f8f0bb0eb20bd3375"),
     "render c3 --format dot": (0, "f8a5ebd489e7325ea8c96b6a824a9ea1d48dd80274a555904ded4e67421b2717"),
     "render conifold --format svg": (0, "66adfbf6b925a4da95e47c2ae7be49c4d6916e517f2e266cc52a63cfaf5629d9"),
@@ -88,6 +133,10 @@ DIGESTS = {
     "web --charges conifold --allow-singular": (0, "0b957196dd625cb574b101b451341fd73377a7bba5aba272bb960c4561279288"),
     "web --charges kp2": (0, "f2fe4977ff5f2ca6f76054c56c73f91c6002246f0a1b8174f32186d9558c5c76"),
     "web --charges kp2 --allow-singular": (0, "f2fe4977ff5f2ca6f76054c56c73f91c6002246f0a1b8174f32186d9558c5c76"),
+    "web --charges coarse-kp2 --allow-singular": (0, "ecf12faa315cf35ebc36d526f5e77eed1e753deb406aacf4e74565a5056039a6"),
+    "web --charges coarse-conifold --allow-singular": (0, "56ee8793aa4460d07ee32b85cf6de0d4c3ccab22c59404c20607ddd1837ce1c7"),
+    "web --charges coarse-p2-2 --allow-singular": (0, "9411e4610a26b4b63737bc7f8743135cfe474637c86708e079d2a8c959f17ff6"),
+    "web --charges coarse-rect-2x3 --allow-singular": (0, "8e929da0ed782fbd20e15b0ac41b678ee625b39a8d7fb469f840a06b401da8f2"),
 }
 
 
@@ -96,12 +145,11 @@ def cases() -> list[str]:
     out = [f"{cmd} {name} {flags}".strip() for cmd, sets in FLAGS.items() for name in NAMES for flags in sets]
     out.append("mirror c3 --corrections CORR")
     out += [f"web --charges {name}{flag}" for name in ("conifold", "kp2") for flag in ("", " --allow-singular")]
+    out += [f"web --charges {name} --allow-singular" for name in COARSE]
     return out
 
 
-def argv(case: str, corrections: str) -> list[str]:
-    files = {name: os.path.join(DIAGRAMS, f"{name}.json") for name in NAMES}
-    files["CORR"] = corrections
+def argv(case: str, files: dict) -> list[str]:
     return [files.get(word, word) for word in case.split()]
 
 
@@ -111,10 +159,14 @@ def stdout_digest(capsys, argv) -> tuple:
 
 
 @pytest.fixture
-def corrections(tmp_path) -> str:
-    f = tmp_path / "corrections.json"
-    f.write_text(json.dumps(CORRECTIONS))
-    return str(f)
+def files(tmp_path) -> dict:
+    """Diagram and coarse charge names, and CORR, mapped to file paths."""
+    out = {name: os.path.join(DIAGRAMS, f"{name}.json") for name in NAMES}
+    for name, data in [("CORR", CORRECTIONS), *COARSE.items()]:
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(data))
+        out[name] = str(f)
+    return out
 
 
 def test_every_case_is_pinned():
@@ -122,5 +174,5 @@ def test_every_case_is_pinned():
 
 
 @pytest.mark.parametrize("case", cases())
-def test_cli_output_is_pinned(capsys, corrections, case):
-    assert stdout_digest(capsys, argv(case, corrections)) == DIGESTS[case]
+def test_cli_output_is_pinned(capsys, files, case):
+    assert stdout_digest(capsys, argv(case, files)) == DIGESTS[case]

@@ -27,7 +27,7 @@ from tropmirror.affine import build_cut_presentation, transport_covector
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.diagram import TropicalDiagram, is_smooth, validate
 from tropmirror.lattice import cross2, vadd, vsub
-from tropmirror.mirror import normalize_presentation, presentation
+from tropmirror.mirror import normalize_presentation, superpotential
 from tropmirror.novikov import nov_val
 
 KP2 = os.path.join(os.path.dirname(__file__), "..", "diagrams", "kp2.json")
@@ -82,10 +82,10 @@ def _is_affine(points, values) -> bool:
 
 def _exponents(diag: TropicalDiagram, normalized: bool, base=None) -> list:
     """The t-exponent of each face's dual point, raw or normalized."""
-    pres = presentation(diag, base)
+    g = superpotential(diag, base)
     if normalized:
-        pres = normalize_presentation(pres)
-    by_alpha = {alpha: nov_val(c) for alpha, c in pres.relation.terms}
+        g = normalize_presentation(g)
+    by_alpha = {alpha: nov_val(c) for alpha, c in g.terms}
     # the root face sits at the origin, so normalization moves no dual point
     return [by_alpha[alpha] for alpha in diag.dual.lattice_points]
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import tropmirror.diagram
-from helpers import ConeKind, dual_vertex_cone, edge_direction_oracle, random_smooth_web
+from helpers import ConeKind, dual_vertex_cone, edge_direction_oracle, lattice_triangle_area, random_smooth_web, replace
 from tropmirror.affine import build_cut_presentation, chamber_of
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.cli import run
@@ -24,8 +24,7 @@ from tropmirror.diagram import (
     locate_face,
     validate,
 )
-from tropmirror.lattice import dot, lattice_triangle_area, vsub
-from tropmirror.record import replace
+from tropmirror.lattice import dot, vsub
 
 
 def c3():

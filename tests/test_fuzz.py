@@ -17,7 +17,7 @@ from tropmirror.diagram import (
     validate,
 )
 from tropmirror.lattice import dot, vsub
-from tropmirror.mirror import normalize_presentation, presentation
+from tropmirror.mirror import normalize_presentation, superpotential
 from tropmirror.monodromy import build_dual_graph, edge_covector
 from tropmirror.novikov import nov_val
 
@@ -46,11 +46,11 @@ def test_random_webs_full_battery():
 
         # normalized mirror: unit leading coefficients, nonnegative exponents,
         # zero exactly on the cells at the root
-        pres = normalize_presentation(presentation(web))
-        vals = {a: nov_val(c) for a, c in pres.relation.terms}
+        g = normalize_presentation(superpotential(web))
+        vals = {a: nov_val(c) for a, c in g.terms}
         assert all(v >= 0 for v in vals.values())
         assert vals[tuple(0 for _ in range(web.dim))] == 0
-        assert normalize_presentation(pres) == pres
+        assert normalize_presentation(g) == g
 
 
 def test_face_heights_loop_consistency():

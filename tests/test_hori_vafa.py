@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 from helpers import lattice_points_in_hull, used_points
 from tropmirror.charges import ChargeError, ChargeMatrix, build_web
 from tropmirror.lattice import convex_hull, cross2, vsub
-from tropmirror.mirror import normalize_presentation, presentation
+from tropmirror.mirror import normalize_presentation, superpotential
 from tropmirror.novikov import nov_val
 
 CORNER = [(0, 0), (1, 0), (0, 1)]
@@ -94,7 +94,7 @@ def test_heights_come_back_as_the_valuations_of_the_mirror():
             assert str(exc) == "degenerate Kähler parameters"
             counts["refused"] += 1
             continue
-        relation = normalize_presentation(presentation(web.diagram)).relation
+        relation = normalize_presentation(superpotential(web.diagram))
         val = {alpha: nov_val(c) for alpha, c in relation.terms}
         kernel = web.subdivision.points
         used = sorted(used_points(web.subdivision))

@@ -12,6 +12,7 @@ from helpers import (
     cone_contains,
     intersect_shifted_cones,
     lattice_points,
+    lattice_triangle_area,
     random_unimodular,
 )
 from tropmirror.lattice import (
@@ -19,7 +20,6 @@ from tropmirror.lattice import (
     Box,
     LatticeError,
     convex_hull,
-    lattice_triangle_area,
     malformed,
     primitive,
     read_int,
@@ -200,11 +200,16 @@ def test_read_rational_refuses_numbers_just_over_the_digit_limit():
 
 def test_malformed_names_the_kind_and_keeps_other_errors():
     with pytest.raises(LatticeError, match=r"^malformed test JSON: Fraction\(1, 0\)$"):
-        with malformed("test", LatticeError):
+        with malformed("malformed test JSON", LatticeError):
             read_rational("1/0")
-    with pytest.raises(LatticeError, match="^malformed test JSON: 'x'$"):
-        with malformed("test", LatticeError):
+    with pytest.raises(LatticeError, match='^malformed test JSON: missing key "x"$'):
+        with malformed("malformed test JSON", LatticeError):
             {}["x"]
+    # a guard inside another names the part, and the outer one the file
+    with pytest.raises(LatticeError, match='^malformed test JSON: entry 2: missing key "x"$'):
+        with malformed("malformed test JSON", LatticeError):
+            with malformed("entry 2"):
+                {}["x"]
     with pytest.raises(IndexError):
-        with malformed("test", LatticeError):
+        with malformed("malformed test JSON", LatticeError):
             [][0]

@@ -12,6 +12,7 @@ from helpers import (
     is_unimodular,
     normalize_oracle,
     random_smooth_web,
+    replace,
     shipped_diagrams,
     superpotential_coefficient,
     superpotential_support,
@@ -24,7 +25,6 @@ from tropmirror.mirror import (
     CorrectionMap,
     MirrorError,
     normalize_presentation,
-    presentation,
     presentation_to_json,
     relation_text,
     superpotential,
@@ -88,22 +88,22 @@ def test_superpotential_focus_focus():
 
 
 def test_superpotential_conifold():
-    pres = normalize_presentation(presentation(conifold()))
-    assert relation_text(pres) == "x*y - (1 + u1 + u2 + t^{1}*u1*u2)"
+    g = normalize_presentation(superpotential(conifold()))
+    assert relation_text(g) == "x*y - (1 + u1 + u2 + t^{1}*u1*u2)"
 
 
 def test_conifold_kahler_length_scales():
     # a longer bounded edge gives a larger t-power
     web = build_web(ChargeMatrix(((1, 1, -1, -1),), 4), [0, 3, 0, 0]).diagram
-    pres = normalize_presentation(presentation(web))
-    assert relation_text(pres) == "x*y - (1 + u1 + u2 + t^{3}*u1*u2)"
+    g = normalize_presentation(superpotential(web))
+    assert relation_text(g) == "x*y - (1 + u1 + u2 + t^{3}*u1*u2)"
 
 
 def test_presentation_gradings():
-    pres = presentation(c3())
-    assert pres.gradings == (("u1", 0), ("u2", 0), ("x", 1), ("y", -1))
-    assert winding_degree(pres, [("x", 1), ("y", 1)]) == 0
-    assert winding_degree(pres, [("x", 2), ("u1", 7), ("y", 1)]) == 1
+    g = superpotential(c3())
+    assert presentation_to_json(g)["gradings"] == {"u1": 0, "u2": 0, "x": 1, "y": -1}
+    assert winding_degree(g, [("x", 1), ("y", 1)]) == 0
+    assert winding_degree(g, [("x", 2), ("u1", 7), ("y", 1)]) == 1
 
 
 def test_corrections_require_positive_valuation():
@@ -134,39 +134,16 @@ def test_corrections_repeated_vertex_rejected():
 
 def test_normalize_idempotent():
     for diag in (c3(), conifold(), focus_focus()):
-        pres = normalize_presentation(presentation(diag, base=(Q(3),) * diag.dim))
-        again = normalize_presentation(pres)
-        assert again == pres
+        g = normalize_presentation(superpotential(diag, base=(Q(3),) * diag.dim))
+        assert normalize_presentation(g) == g
 
 
 def test_normalize_absorbs_overall_scale():
-    from tropmirror.record import replace
     from tropmirror.novikov import nov_shift
 
-    pres = presentation(c3())
-    g = pres.relation
-    scaled = replace(
-        g, terms=tuple((a, nov_shift(5, c)) for a, c in g.terms)
-    )
-    n1 = normalize_presentation(replace(pres, relation=scaled))
-    n2 = normalize_presentation(pres)
-    assert n1 == n2
-
-
-def test_normalize_translates_support_back():
-    from tropmirror.record import replace
-
-    pres = presentation(conifold())
-    g = pres.relation
-    shifted = replace(
-        g,
-        terms=tuple((tuple(x + 1 for x in a), c) for a, c in g.terms),
-        root=tuple(x + 1 for x in g.root),
-    )
-    n1 = normalize_presentation(replace(pres, relation=shifted))
-    n2 = normalize_presentation(pres)
-    assert n1 == n2
-    assert (0, 0) in {a for a, _ in n1.relation.terms}
+    g = superpotential(c3())
+    scaled = replace(g, terms=tuple((a, nov_shift(5, c)) for a, c in g.terms))
+    assert normalize_presentation(scaled) == normalize_presentation(g)
 
 
 def test_base_point_covariance_on_random_webs():
@@ -175,9 +152,9 @@ def test_base_point_covariance_on_random_webs():
         web = random_smooth_web(rng)
         b1 = interior_point_near_vertex(web, rng)
         b2 = interior_point_near_vertex(web, rng)
-        p1 = normalize_presentation(presentation(web, base=b1))
-        p2 = normalize_presentation(presentation(web, base=b2))
-        assert p1 == p2
+        g1 = normalize_presentation(superpotential(web, base=b1))
+        g2 = normalize_presentation(superpotential(web, base=b2))
+        assert g1 == g2
 
 
 def test_support_equals_dual_vertices():
@@ -192,8 +169,8 @@ def test_normalized_coefficients_are_powers_of_t():
     rng = random.Random(53)
     for _ in range(6):
         web = random_smooth_web(rng)
-        pres = normalize_presentation(presentation(web, base=(Q(1, 7), Q(2, 7))))
-        for alpha, c in pres.relation.terms:
+        g = normalize_presentation(superpotential(web, base=(Q(1, 7), Q(2, 7))))
+        for alpha, c in g.terms:
             assert len(c.terms) == 1
             assert c.terms[0][1] == 1  # coefficient exactly 1 * t^{f}
             assert c.terms[0][0] >= 0
@@ -205,9 +182,9 @@ def test_newton_polygon_unimodularly_triangulated():
     rng = random.Random(54)
     for _ in range(5):
         web = random_smooth_web(rng)
-        pres = normalize_presentation(presentation(web))
-        support = [a for a, _ in pres.relation.terms]
-        vals = [nov_val(c) for _, c in pres.relation.terms]
+        g = normalize_presentation(superpotential(web))
+        support = [a for a, _ in g.terms]
+        vals = [nov_val(c) for _, c in g.terms]
         sub = regular_subdivision(support, vals)
         assert sub.is_simplicial()
         assert is_unimodular(sub)
@@ -219,7 +196,7 @@ def test_truncation_must_be_positive():
 
 
 def test_presentation_json_shape():
-    data = presentation_to_json(normalize_presentation(presentation(focus_focus())))
+    data = presentation_to_json(normalize_presentation(superpotential(focus_focus())))
     assert data["relation"] == "x*y - (1 + u)"
     assert data["generators"] == ["u", "u^-1", "x", "y"]
     assert data["gradings"] == {"u": 0, "x": 1, "y": -1}
@@ -248,7 +225,7 @@ def _root_affine_outcome(rule, support, vals, root_index):
 
 def test_slope_rule_matches_the_monotone_scan_hull():
     # inputs as normalize_presentation builds them: raw d=1 superpotentials
-    # in every gauge, support sorted and shifted so the root is at 0
+    # in every gauge, support sorted, the root at 0
     rng = random.Random(1861)
     cases = []
     for _ in range(200):
@@ -257,8 +234,8 @@ def test_slope_rule_matches_the_monotone_scan_hull():
         diag = TropicalDiagram(1, tuple((x,) for x in xs))
         base = (Q(rng.randint(-60, 60), rng.randint(1, 9)),)
         root = rng.choice((None, rng.randrange(len(xs) + 1)))
-        g = presentation(diag, base, root_face=root, sign=rng.choice((1, -1))).relation
-        support = [vsub(a, g.root) for a, _ in g.terms]
+        g = superpotential(diag, base, root_face=root, sign=rng.choice((1, -1)))
+        support = [a for a, _ in g.terms]
         cases.append((support, [nov_val(c) for _, c in g.terms], support.index((0,))))
     # small integer values, so that the root often lies inside a hull cell
     for _ in range(200):
@@ -287,7 +264,7 @@ def test_normalization_matches_the_hull_oracle():
     for web in webs:
         last = len(web.dual.lattice_points) - 1
         for sign, root, base in itertools.product((1, -1), (None, 0, last), (None, (Q(2, 7),) * web.dim)):
-            raw = presentation(web, base, root_face=root, sign=sign)
+            raw = superpotential(web, base, root_face=root, sign=sign)
             assert normalize_presentation(raw) == normalize_oracle(raw)
             cases += 1
     assert cases == 2088

@@ -10,14 +10,13 @@ from fractions import Fraction as Q
 import pytest
 
 import tropmirror.diagram
-from helpers import _lower_hull_cells_1d, edge_sample_points, random_smooth_web, shipped_diagrams
+from helpers import _lower_hull_cells_1d, edge_sample_points, random_smooth_web, replace, shipped_diagrams
 from tropmirror.charges import build_web, charges_from_json, regular_subdivision
 from tropmirror.cli import run
 from tropmirror.diagram import TropicalDiagram, dual_subdivision
 from tropmirror.lattice import dot, vsub
-from tropmirror.mirror import normalize_presentation, presentation, relation_text, superpotential
+from tropmirror.mirror import normalize_presentation, relation_text, superpotential
 from tropmirror.novikov import nov_val
-from tropmirror.record import replace
 
 DIAGRAMS = os.path.join(os.path.dirname(__file__), "..", "diagrams")
 FILES = ("c3.json", "conifold.json", "focus_focus.json", "kp1p1.json", "kp2.json", "line.json")
@@ -223,7 +222,7 @@ def test_raw_exponents_follow_the_edges_in_every_gauge():
             g = superpotential(web, base, root_face=root, sign=sign)
             exps = {alpha: nov_val(c) for alpha, c in g.terms}
             assert min(exps.values()) == 0
-            assert g.root == dual.lattice_points[dual.root_face] == (0, 0)
+            assert dual.lattice_points[dual.root_face] == (0, 0) and (0, 0) in exps
             for e, (left, right) in dual.edge_duality:
                 a_left, a_right = dual.lattice_points[left], dual.lattice_points[right]
                 for p in edge_sample_points(web, e):
@@ -249,7 +248,7 @@ def test_presentations_share_one_face_walk(monkeypatch):
     for _ in range(20):
         base = (Q(rng.randint(-30, 30), 7), Q(rng.randint(-30, 30), 11))
         root = rng.choice((None, rng.randrange(nfaces)))
-        presentation(web, base=base, root_face=root, sign=rng.choice((1, -1)))
+        superpotential(web, base=base, root_face=root, sign=rng.choice((1, -1)))
     assert len(calls) == 1 and calls[0] is web
 
 
@@ -282,10 +281,10 @@ def test_normal_form_is_lifted_over_the_gauged_dual_cells():
     for web, root, base in _gauge_cases():
         for sign in (1, -1):
             dual = dual_subdivision(web, root_face=root, sign=sign)
-            g = normalize_presentation(presentation(web, base, root_face=root, sign=sign)).relation
+            g = normalize_presentation(superpotential(web, base, root_face=root, sign=sign))
             support = [a for a, _ in g.terms]
             exps = [nov_val(c) for _, c in g.terms]
-            assert min(exps) == 0 and exps[support.index(g.root)] == 0
+            assert min(exps) == 0 and exps[support.index((0,) * web.dim)] == 0
             points = dual.lattice_points
             if web.dim == 2:
                 hull = [[support[i] for i in c.indices] for c in regular_subdivision(support, exps).cells]
@@ -302,7 +301,7 @@ def test_kp2_relations_in_both_sign_gauges():
         web = build_web(*charges_from_json(json.load(fh))).diagram
     texts = {}
     for sign in (1, -1):
-        raw = presentation(web, sign=sign)
+        raw = superpotential(web, sign=sign)
         texts[sign] = relation_text(raw), relation_text(normalize_presentation(raw))
     assert texts[1] == (
         "x*y - (t^{1} + t^{1}*u1 + u2 + t^{1}*u1^-1*u2^3)",

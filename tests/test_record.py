@@ -20,16 +20,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import random_novikov, random_smooth_web
+from helpers import random_novikov, random_smooth_web, replace
 import tropmirror
 from tropmirror import analytic, diagram
 from tropmirror.affine import build_cut_presentation, transport_crossings
 from tropmirror.analytic import ConeFamily, WallTransformation, focus_focus_demo, wall_cross
 from tropmirror.charges import build_web, charges_from_json
 from tropmirror.diagram import TropicalDiagram, diagram_from_json
-from tropmirror.mirror import corrections_from_json, presentation
+from tropmirror.mirror import corrections_from_json, superpotential
 from tropmirror.novikov import NovikovElement, NovikovError, nov
-from tropmirror.record import replace
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 MODULES = [importlib.import_module(f"tropmirror.{m.name}") for m in pkgutil.iter_modules(tropmirror.__path__)]
@@ -58,7 +57,7 @@ def _pipeline(diag):
     """Everything the layers derive from one diagram, as a list of roots."""
     out = [diag, diag.report, diag.dual]
     if diag.report.ok:
-        out += [presentation(diag), build_cut_presentation(diag)]
+        out += [superpotential(diag), build_cut_presentation(diag)]
     if diag.dim == 2:
         out.append(diag.face_complex)
     return out
@@ -81,7 +80,7 @@ def _harvest():
     loop = [(-1, Q(-1, 2)), (1, Q(-1, 2)), (1, 1), (-1, 1), (-1, Q(-1, 2))]
     roots += transport_crossings(pres, loop)
     corrections = corrections_from_json([{"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}])
-    roots += [corrections, presentation(diagram_from_json(_load("c3.json")), corrections=corrections)]
+    roots += [corrections, superpotential(diagram_from_json(_load("c3.json")), corrections=corrections)]
     roots.append(focus_focus_demo(6))
     wall = WallTransformation(0, (0, 1), (1, 0), "corrected")
     h_minus_y = focus_focus_demo(4).h_minus_y
@@ -140,7 +139,7 @@ def hash_or_error(obj):
 
 
 def test_every_record_class_is_harvested():
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 19
     assert [cls.__qualname__ for cls in RECORDS if not INSTANCES[cls]] == []
 
 

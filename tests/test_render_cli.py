@@ -515,6 +515,62 @@ SERIES = {
 LOOP = {"path": [["-1", "-1"], ["1", "-1"], ["1", "1"], ["-1", "1"], ["-1", "-1"]]}
 NOT_JSON = "not a JSON file: Expecting value: line 1 column 1 (char 0)"
 
+
+def _edited(doc: dict, **changes) -> dict:
+    """The document with the changes applied; a None value deletes the key."""
+    return {k: v for k, v in {**doc, **changes}.items() if v is not None}
+
+
+# a nested entry of the wrong type, or a missing key, is named with what it
+# should be; these printed Python's wording (a missing key as the bare quoted key)
+C3_DOC = {"dim": 2, "vertices": [["0", "0"]], "rays": [{"at": 0, "dir": [1, 0]}]}
+CHARGES = {"charges": [[1, 1, -1, -1]], "heights": ["0", "1", "0", "0"]}
+READER_ARGV = {
+    "eval": ["eval", "{f}", "--point", "1,1"],
+    "validate": ["validate", "{f}"],
+    "web": ["web", "--charges", "{f}"],
+    "transport": ["transport", "{ff}", "--path", "{f}", "--class", "0,1"],
+    "mirror": ["mirror", "{c3}", "--corrections", "{f}"],
+}
+NESTED = {
+    "series-terms-int": (
+        "eval",
+        _edited(SERIES, terms=[5]),
+        'malformed series JSON: expected an object with "expo" and "coeff" in "terms", got int',
+    ),
+    "series-coeff-int": (
+        "eval",
+        _edited(SERIES, terms=[{"expo": [1, 0], "coeff": [5]}]),
+        'malformed series JSON: expected an object with "exp" and "coeff" in "coeff", got int',
+    ),
+    "series-box-str": (
+        "eval",
+        _edited(SERIES, box="ab"),
+        """malformed series JSON: expected a list of [lo, hi] pairs in "box", got 'ab'""",
+    ),
+    "series-no-box": ("eval", _edited(SERIES, box=None), 'malformed series JSON: missing key "box"'),
+    "diagram-ray-list": (
+        "validate",
+        _edited(C3_DOC, rays=[[1, 0]]),
+        'malformed diagram JSON: expected an object with "at" and "dir" in "rays", got list',
+    ),
+    "diagram-no-vertices": ("validate", _edited(C3_DOC, vertices=None), 'malformed diagram JSON: missing key "vertices"'),
+    "diagram-no-dir": ("validate", _edited(C3_DOC, rays=[{"at": 0}]), 'malformed diagram JSON: missing key "dir"'),
+    "charge-no-heights": ("web", _edited(CHARGES, heights=None), 'malformed charge JSON: missing key "heights"'),
+    "path-no-path": ("transport", _edited(LOOP, path=None), 'malformed path JSON: missing key "path"'),
+    "corrections-no-vertex": ("mirror", [{"series": []}], 'malformed corrections JSON: entry 0: missing key "vertex"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED))
+def test_cli_readers_name_a_bad_entry_and_a_missing_key(tmp_path, capsys, case):
+    command, doc, message = NESTED[case]
+    f = tmp_path / "file.json"
+    f.write_text(json.dumps(doc))
+    files = {"f": str(f), "ff": path("focus_focus.json"), "c3": path("c3.json")}
+    assert run([word.format(**files) for word in READER_ARGV[command]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
 INPUT_ERRORS = [
     (["validate", "{bad}"], "{bad}: " + NOT_JSON),
     (["dual", "{bad}"], "{bad}: " + NOT_JSON),
