@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram, parse_edge_name
 from .dual import locate_face
-from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_object, read_rational, vsub
+from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_list, read_object, read_rational, vsub
 from .record import frozen
 
 Q = Fraction
@@ -48,7 +48,8 @@ class CutPresentation:
 def path_from_json(data) -> list[QPoint]:
     """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
     with malformed("malformed path JSON", AffineError):
-        return [coords_from_json(p) for p in read_object(data, 'with a "path" list of points')["path"]]
+        path = read_object(data, 'with a "path" list of points')["path"]
+        return [coords_from_json(p) for p in read_list(path, 'points in "path"')]
 
 
 def tau_from_json(data) -> dict[str, Fraction]:

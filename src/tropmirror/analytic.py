@@ -41,18 +41,28 @@ from .diagram import TropicalDiagram
 from .lattice import (
     Box,
     Vec,
-    coords_from_json,
     dot,
     is_primitive,
     malformed,
     read_int,
     read_list,
     read_object,
+    read_pair,
     read_rational,
     vadd,
 )
 from .mirror import normalize_presentation, superpotential, superpotential_text
-from .novikov import NovikovElement, _from_sums, _min_trunc, nov, nov_from_json, nov_mul, nov_to_json, nov_val
+from .novikov import (
+    NOV_ONE,
+    NovikovElement,
+    _from_sums,
+    _min_trunc,
+    nov,
+    nov_from_json,
+    nov_mul,
+    nov_to_json,
+    nov_val,
+)
 from .record import frozen
 
 Q = Fraction
@@ -275,9 +285,8 @@ def focus_focus_demo(E) -> FocusFocusReport:
     cross_left = WallTransformation(0, (1, 0), (0, -1), "corrected")
     cross_right = WallTransformation(1, (-1, 0), (0, -1), "corrected")
 
-    one = nov([(0, 1)])
-    h_plus_x = series([Monomial(one, (0, 1))], "V_plus", box_plus, E)
-    h_minus_y = series([Monomial(one, (0, -1))], "V_minus", box_minus, E)
+    h_plus_x = series([Monomial(NOV_ONE, (0, 1))], "V_plus", box_plus, E)
+    h_minus_y = series([Monomial(NOV_ONE, (0, -1))], "V_minus", box_minus, E)
 
     via_left = wall_cross(h_minus_y, cross_left, E, target_box=box_plus)
     # right route: the cut crossing stays inside V_minus, then the window
@@ -300,7 +309,7 @@ def focus_focus_demo(E) -> FocusFocusReport:
     product = series_mul(h_plus_x, via_left)
 
     expected_product = series(
-        [Monomial(one, (0, 0)), Monomial(one, (1, 0))], "V_plus", box_plus, E
+        [Monomial(NOV_ONE, (0, 0)), Monomial(NOV_ONE, (1, 0))], "V_plus", box_plus, E
     )
     product_ok = series_eq_mod(product, expected_product, E)
     messages.append(
@@ -308,10 +317,7 @@ def focus_focus_demo(E) -> FocusFocusReport:
     )
 
     # identify u with z2 = z^{gamma} and compare with the mirror relation
-    g_terms = []
-    for alpha, c in g.terms:
-        g_terms.append(Monomial(c, (alpha[0], 0)))
-    g_series = series(g_terms, "V_plus", box_plus, E)
+    g_series = series([Monomial(c, (alpha[0], 0)) for alpha, c in g.terms], "V_plus", box_plus, E)
     mirror_ok = series_eq_mod(product, g_series, E)
     messages.append(
         "PASS: product equals the mirror relation g = 1 + u"
@@ -349,7 +355,8 @@ def series_to_json(a: AnalyticSeries) -> dict:
 def series_from_json(data) -> AnalyticSeries:
     with malformed("malformed series JSON", AnalyticError):
         data = read_object(data, 'with "dim", "chamber", "box", "truncation" and "terms"')
-        box = Box(tuple(coords_from_json(p) for p in read_list(data["box"], '[lo, hi] pairs in "box"')))
+        box = read_list(data["box"], '[lo, hi] pairs in "box"')
+        box = Box(tuple(read_pair(p, 'a [lo, hi] pair in "box"') for p in box))
         terms = [_monomial_from_json(item) for item in read_list(data["terms"], "terms")]
         chamber, truncation, dim = data["chamber"], read_rational(data["truncation"]), read_int(data["dim"])
         if dim != box.dim:
@@ -359,5 +366,6 @@ def series_from_json(data) -> AnalyticSeries:
 
 def _monomial_from_json(value) -> Monomial:
     item = read_object(value, 'with "expo" and "coeff" in "terms"')
-    coeff = [read_object(t, 'with "exp" and "coeff" in "coeff"') for t in item["coeff"]]
-    return Monomial(nov_from_json(coeff), tuple(read_int(e) for e in item["expo"]))
+    coeff = read_list(item["coeff"], '{"exp", "coeff"} objects in "coeff"')
+    coeff = [read_object(t, 'with "exp" and "coeff" in "coeff"') for t in coeff]
+    return Monomial(nov_from_json(coeff), tuple(read_int(e) for e in read_list(item["expo"], 'integers in "expo"')))

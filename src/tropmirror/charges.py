@@ -4,7 +4,9 @@ A charge matrix is k integer rows of length n+k, each summing to zero (the
 special-unitary condition).  Its integer kernel has rank n; because the
 all-ones vector lies in the kernel, the n+k columns of a kernel basis can be
 normalized by a unimodular change of coordinates to have last coordinate 1,
-yielding n+k lattice points in the plane (n = 3 throughout).  Lifting the
+yielding n+k lattice points in the plane (n = 3 throughout).  The all-ones
+vector is an integer combination of the basis, so this normalization holds
+by construction and ``kernel_points`` does not check it.  Lifting the
 points by user-supplied heights and taking the lower convex hull
 (``tropmirror.hull``) produces a regular subdivision; generic heights make it
 a triangulation.  Dualizing (one web vertex per cell at minus the lifting
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from .diagram import TropicalDiagram
 from .hull import ChargeError, RegularSubdivision, SubdivisionCell, cell_ring, regular_subdivision
-from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_object, read_rational
+from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_list, read_object, read_rational
 from .record import frozen
 
 
@@ -85,21 +87,17 @@ def kernel_points(q: ChargeMatrix) -> list[Vec]:
     if n != 3:
         raise ChargeError(f"charge matrix has corank {n}, need 3")
     cols = list(zip(*basis))  # charge column i in kernel coordinates
-    # theta with <theta, col_i> = 1 for every i: exists and is integral because
-    # the rows sum to zero and the basis spans the saturated kernel.  The
-    # columns have rank 3, so theta is M^-1 (1, 1, 1) for the first
-    # invertible minor M, taken greedily
+    # theta with <theta, col_i> = 1 for every i: the rows sum to zero, so the
+    # all-ones vector lies in the kernel, and the basis spans the saturated
+    # kernel, so it is B t for an integer t.  The columns have rank 3, so
+    # theta = t is M^-1 (1, 1, 1) for the first invertible minor M, taken
+    # greedily, and each division by det below is exact
     m0 = next(v for v in cols if any(v))
     m1 = next(v for v in cols if any(_cross3(m0, v)))
     m2 = next(v for v in cols if dot(_cross3(m0, m1), v) != 0)
     adj = (_cross3(m1, m2), _cross3(m2, m0), _cross3(m0, m1))
     det = dot(m0, adj[0])
-    theta = []
-    for s in zip(*adj):
-        t, rest = divmod(sum(s), det)
-        if rest:
-            raise ChargeError("expected an integral solution")
-        theta.append(t)
+    theta = [sum(s) // det for s in zip(*adj)]
     # unimodular W = (c | k1 | k2) with theta * W = (1, 0, 0): <theta, c> = 1
     # and k1, k2 span the kernel of theta, so W^-1 has theta as its first row
     # and the new last coordinate of each point is <theta, col_i> = 1.  Its
@@ -108,35 +106,27 @@ def kernel_points(q: ChargeMatrix) -> list[Vec]:
     k1, k2 = integer_kernel_basis([theta], n)
     sign = dot(c, _cross3(k1, k2))  # det W = +-1 is its own inverse
     r1, r2 = _cross3(k2, c), _cross3(c, k1)
-    points = []
-    for v in cols:
-        if dot(theta, v) != 1:
-            raise ChargeError("normalization to last coordinate 1 failed")
-        points.append((sign * dot(r1, v), sign * dot(r2, v)))
+    # no last coordinate needs checking: <theta, v> = (B t)_v = 1 for every column v
+    points = [(sign * dot(r1, v), sign * dot(r2, v)) for v in cols]
     if len(set(points)) != len(points):
         raise ChargeError("charge data produces repeated lattice points")
     return points
 
 
 def _extended_gcd_vector(theta: Sequence[int]) -> list[int]:
-    """An integer vector c with <theta, c> = gcd(theta) = 1."""
-    c = [0] * len(theta)
+    """An integer vector c with <theta, c> = gcd(theta).
+
+    ``kernel_points`` passes a theta with <theta, v> = 1 for some integer v,
+    so gcd(theta) divides 1 and c is a solution of <theta, c> = 1.
+    """
     g = 0
     gvec = [0] * len(theta)
     for i, t in enumerate(theta):
-        if t == 0:
-            continue
-        if g == 0:
-            g = abs(t)
-            gvec = [0] * len(theta)
-            gvec[i] = 1 if t > 0 else -1
-            continue
-        old_g, x, y = _egcd(g, t)
-        gvec = [x * v for v in gvec]
-        gvec[i] += y
-        g = old_g
-    if g != 1:
-        raise ChargeError("theta is not primitive")
+        if t:
+            # at the first nonzero t, g = 0 gives x = 0 and y = sign(t)
+            g, x, y = _egcd(g, t)
+            gvec = [x * v for v in gvec]
+            gvec[i] += y
     return gvec
 
 
@@ -217,13 +207,14 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
     same check for callers that skip this reader).
     """
     with malformed("malformed charge JSON", ChargeError):
-        charges = read_object(data, 'with "charges" and "heights"')["charges"]
-        width = len(charges[0]) if charges else len(data["heights"])
+        charges = read_list(read_object(data, 'with "charges" and "heights"')["charges"], 'rows in "charges"')
+        row = 'integers in a row of "charges"'
+        width = len(read_list(charges[0], row)) if charges else len(read_list(data["heights"], "heights"))
         if max(width, len(charges)) > MAX_CHARGE_SIZE:
             shape = f"{len(charges)} x {width}"
             raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
-        heights = [read_rational(h) for h in data["heights"]]
+        heights = [read_rational(h) for h in read_list(data["heights"], "heights")]
     common_denominator(heights, "heights", ChargeError)
     with malformed("malformed charge JSON", ChargeError):
-        rows = tuple(tuple(read_int(x) for x in row) for row in charges)
+        rows = tuple(tuple(read_int(x) for x in read_list(r, row)) for r in charges)
     return ChargeMatrix(rows, width), heights

@@ -42,6 +42,7 @@ from .lattice import (
     read_int,
     read_list,
     read_object,
+    read_pair,
     rot_minus90,
     vadd,
     vneg,
@@ -296,8 +297,9 @@ def diagram_from_json(data) -> TropicalDiagram:
     with malformed("malformed diagram JSON", DiagramError):
         data = read_object(data, 'with "dim" and "vertices"')
         dim = read_int(data["dim"])
-        vertices = tuple(coords_from_json(v) for v in data["vertices"])
-        edges = tuple((i, j) for i, j in (coords_from_json(e, read_int) for e in data.get("edges", [])))
+        vertices = tuple(coords_from_json(v) for v in read_list(data["vertices"], "vertices"))
+        edges = read_list(data.get("edges", []), '[i, j] pairs in "edges"')
+        edges = tuple(read_pair(e, 'an [i, j] pair in "edges"', read_int) for e in edges)
         rays = tuple(_ray_from_json(r) for r in read_list(data.get("rays", []), "rays"))
     return TropicalDiagram(dim, vertices, edges, rays)
 

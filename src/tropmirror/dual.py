@@ -208,7 +208,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
         return _pinned(points, (), duality, heights, den)
 
     complex_ = diag.face_complex
-    segments, covectors = diag.segments, diag.covectors
+    covectors = diag.covectors
     nfaces = len(complex_.faces)
 
     # local cell of each vertex: faces in ccw dart order with corner offsets
@@ -258,36 +258,36 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
                 level[w] = level[v] + dot(vadd(anchor[w], local[w][f0]), vsub(xs[w], xs[v]))
                 stack.append(w)
 
+    # Every face gets a position: after a ray's odd dart its orbit steps into
+    # the ring of the ray's vertex, so it holds a dart leaving a finite vertex,
+    # and every vertex is anchored, as a disconnected diagram is refused above.
+    # A face's height is read where the face is first placed and is not
+    # compared elsewhere: once every position agrees (the loop refuses one
+    # that does not), the cells are triangles oriented alike whose unshared
+    # sides, the rays' dual edges in the rotation at infinity (by angle),
+    # trace a convex polygon once, so the cells tile that polygon once.  The
+    # web is then planar, each of its cycles is a sum of bounded face
+    # boundaries, and around the boundary of a face F the level steps
+    # <alpha_F, x_w - x_v> sum to zero, so the heights agree too.
     positions: list[Optional[Vec]] = [None] * nfaces
-    heights: list[Optional[int]] = [None] * nfaces
+    heights = [0] * nfaces
     placed_at = [0] * nfaces  # the vertex that placed each face first
     for v in range(len(xs)):
         for f, off in local[v].items():
             p = vadd(anchor[v], off)
-            h = level[v] - dot(p, xs[v])
             if positions[f] is None:
-                positions[f], heights[f], placed_at[f] = p, h, v
+                positions[f], heights[f], placed_at[f] = p, level[v] - dot(p, xs[v]), v
             elif positions[f] != p:
                 raise DiagramError(
                     "dual positions are inconsistent (monodromy obstruction): face"
                     f" {f} is at {positions[f]} from vertex {placed_at[f]} and at {p} from vertex {v}"
                 )
-            elif heights[f] != h:
-                raise DiagramError(
-                    f"face heights are inconsistent around a loop: face {f} has height"
-                    f" {Q(heights[f], den)} at vertex {placed_at[f]} and {Q(h, den)} at vertex {v}"
-                )
-    if any(p is None for p in positions):
-        raise DiagramError("a face received no dual position")
 
     triangles = tuple(tuple(sorted(cell)) for cell in local)
-    duality = []
-    for e, (_, direction, _) in enumerate(segments):
-        left, right = complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e]
-        if dot(vsub(positions[left], positions[right]), direction) != 0:
-            raise DiagramError(f"dual edge of {diag.edge_name(e)} is not orthogonal")
-        duality.append((e, (left, right)))
-    return _pinned(positions, triangles, tuple(duality), heights, den)
+    # the two sides of edge row e differ by +-covectors[e], the quarter turn
+    # of its direction, so each dual edge is orthogonal to its edge
+    duality = tuple((e, (complex_.dart_face[2 * e + 1], complex_.dart_face[2 * e])) for e in range(len(covectors)))
+    return _pinned(positions, triangles, duality, heights, den)
 
 
 def dual_subdivision(
@@ -309,8 +309,7 @@ def is_smooth(diag: TropicalDiagram) -> bool:
     """True iff every cell of the dual subdivision is a unimodular triangle, |cross2(q - p, r - p)| = 1."""
     points = diag.dual.lattice_points
     for cell in diag.dual.triangles:
-        if len(cell) != 3:
-            return False
+        # _glue refuses a diagram that is not trivalent, so every cell has three faces
         p, q, r = (points[i] for i in cell)
         if abs(cross2(vsub(q, p), vsub(r, p))) != 1:
             return False

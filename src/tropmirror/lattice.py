@@ -9,8 +9,8 @@ Vectors and points are plain tuples (``int`` entries for lattice vectors,
 ``Fraction`` entries for rational points).  Dimensions 1, 2 and 3 occur.
 
 The file readers of every module read their numbers, lists and objects here
-(``read_int``, ``read_rational``, ``coords_from_json``, ``read_list``,
-``read_object``) and report a malformed value through one guard,
+(``read_int``, ``read_rational``, ``coords_from_json``, ``read_pair``,
+``read_list``, ``read_object``) and report a malformed value through one guard,
 ``malformed``, which also names a missing key;
 ``common_denominator`` bounds the lcm over which a set of read rationals is
 scaled to integers.
@@ -19,6 +19,7 @@ scaled to integers.
 from __future__ import annotations
 
 import re
+import reprlib
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
@@ -197,16 +198,24 @@ def read_object(value, contents: str) -> dict:
 def read_list(value, contents: str) -> list:
     """A JSON list; anything else is refused as ``expected a list of <contents>, got <value>``.
 
-    A string is refused rather than read character by character.
+    A string is refused rather than read character by character.  The value
+    is shown as ``reprlib`` abbreviates it, so a large one is not echoed whole.
     """
     if not isinstance(value, list):
-        raise TypeError(f"expected a list of {contents}, got {value!r}")
+        raise TypeError(f"expected a list of {contents}, got {reprlib.repr(value)}")
     return value
 
 
 def coords_from_json(value, parse=read_rational) -> tuple:
     """The coordinates of a point read from JSON, which must be a list."""
     return tuple(parse(c) for c in read_list(value, "coordinates"))
+
+
+def read_pair(value, contents: str, parse=read_rational) -> tuple:
+    """Two numbers read from a JSON list of two; anything else is refused as ``expected <contents>, got <value>``."""
+    if isinstance(value, list) and len(value) == 2:
+        return tuple(map(parse, value))
+    raise TypeError(f"expected {contents}, got {reprlib.repr(value)}")
 
 
 @frozen

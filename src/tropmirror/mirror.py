@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
-from .lattice import MALFORMED, QPoint, Vec, coords_from_json, dot, malformed, read_int, read_object
+from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_int, read_list, read_object
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -83,11 +83,10 @@ def corrections_from_json(data) -> CorrectionMap:
 def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
     """Entry i, {"vertex": [a, b], "series": [{"exp": e, "coeff": c}, ...]}."""
     with malformed(f"entry {i}"):
-        vertex = coords_from_json(read_object(item, 'with "vertex" and "series"')["vertex"], read_int)
-    try:
-        return vertex, nov_from_json(item["series"])
-    except MALFORMED as exc:
-        raise ValueError(f'entry {i}: "series" must be a list of {{"exp", "coeff"}} objects ({exc})') from exc
+        item = read_object(item, 'with "vertex" and "series"')
+        vertex = coords_from_json(item["vertex"], read_int)
+        series = read_list(item["series"], '{"exp", "coeff"} objects in "series"')
+        return vertex, nov_from_json([read_object(t, 'with "exp" and "coeff" in "series"') for t in series])
 
 
 def _term_sort_key(alpha: Vec):

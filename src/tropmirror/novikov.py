@@ -77,12 +77,6 @@ class NovikovElement:
     def __sub__(self, other: "NovikovElement") -> "NovikovElement":
         return nov_add(self, nov_neg(other))
 
-    def __mul__(self, other: "NovikovElement") -> "NovikovElement":
-        return nov_mul(self, other)
-
-    def __neg__(self) -> "NovikovElement":
-        return nov_neg(self)
-
 
 def _trusted(terms: tuple, truncation: Optional[Fraction]) -> NovikovElement:
     """A kernel output, stored without the checks of ``__post_init__``.

@@ -2,8 +2,8 @@
 
 ``@frozen`` reads the field names, in order, from the class annotations and
 the defaults from class attributes of the same names.  It adds ``__init__``,
-``__eq__``, ``__hash__``, ``__repr__`` (unless the class defines one),
-``__setattr__`` and ``__delattr__`` as closures over the field names, so
+``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__`` and ``__delattr__``
+as closures over the field names (replacing any the class defines), so
 decorating a class compiles no source.  (The standard library's frozen data
 classes generate and ``exec`` source for each class, about a millisecond
 per class at import.)  The behaviour is the same as theirs:
@@ -99,8 +99,7 @@ def frozen(cls):
     cls.__init__ = __init__
     cls.__eq__ = __eq__
     cls.__hash__ = __hash__
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = __repr__
+    cls.__repr__ = __repr__  # no record defines its own
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
     return cls

@@ -58,6 +58,14 @@ def test_chamber_classification():
         chamber_of(pres, (0, 0, 0))  # diagram vertex height
 
 
+def test_chamber_refuses_a_point_of_another_dimension():
+    pres = build_cut_presentation(c3())  # n = 3: the plane and the extra coordinate
+    for point in ((5, 7), (5, 7, 1, 1)):
+        with pytest.raises(AffineError) as info:
+            chamber_of(pres, point)
+        assert str(info.value) == "point dimension mismatch"
+
+
 def test_chamber_on_wall_names_the_point_and_what_it_lies_on():
     cases = [
         (focus_focus(), (0, 5), "on wall: (0, 5) lies over point0"),

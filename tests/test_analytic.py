@@ -6,8 +6,10 @@ from fractions import Fraction as Q
 import pytest
 
 from helpers import ConeKind, IntegralCone, box, cone_family_converges, dual_vertex_cone, flux_monomial
+from tropmirror import analytic
 from tropmirror.analytic import (
     AnalyticError,
+    AnalyticSeries,
     Monomial,
     WallTransformation,
     eval_series,
@@ -207,6 +209,13 @@ def test_series_refuses_exponents_and_boxes_of_another_dimension(tmp_path, capsy
         series_from_json(data)
 
 
+def test_series_record_refuses_repeated_exponents():
+    # series() merges a repeated exponent; the record itself refuses one
+    with pytest.raises(AnalyticError) as info:
+        AnalyticSeries((Monomial(ONE, (1, 0)), Monomial(ONE, (1, 0))), "V_plus", BOX_P, 10)
+    assert str(info.value) == "explicit terms must have distinct exponents"
+
+
 def test_an_empty_series_takes_its_box_dimension():
     for terms in ([], [Monomial(ONE, (1, 0)), Monomial(nov([(0, -1)]), (1, 0))]):
         empty = series(terms, "V_plus", BOX_P, 10)
@@ -268,6 +277,33 @@ def test_demo_passes_at_all_truncations():
         assert all(m.coeff == ONE for m in report.product.terms)
         # and h_+(y) = z1^{-1} (1 + z2)
         assert sorted(m.expo for m in report.h_plus_y_left.terms) == [(0, -1), (1, -1)]
+
+
+DEMO_HEAD = "focus-focus wall crossing at E = 10\n"
+DEMO_TAIL = "mirror relation: x*y - (1 + u)\n"
+ROUTE_FAILS = [
+    # a wrong right route changes only the comparison of the two routes
+    ((-1, 0), "FAIL: window routes disagree\nPASS: h_+(x) h_+(y) = 1 + z2\n"
+     "PASS: product equals the mirror relation g = 1 + u\n"),
+    # the left route is also the one multiplied with h_+(x), so every check fails
+    ((1, 0), "FAIL: window routes disagree\nFAIL: product is not 1 + z2\n"
+     "FAIL: product differs from the mirror superpotential\n"),
+]
+
+
+@pytest.mark.parametrize("gamma, lines", ROUTE_FAILS, ids=["right-route", "left-route"])
+def test_wallcross_demo_prints_fail_and_exits_1_when_a_route_is_wrong(capsys, monkeypatch, gamma, lines):
+    cross = analytic.wall_cross
+
+    def dropping_a_term(a, w, E, target_box):
+        out = cross(a, w, E, target_box)
+        if w.gamma != gamma:
+            return out
+        return AnalyticSeries(out.terms[1:], out.chamber, out.box, out.truncation)
+
+    monkeypatch.setattr(analytic, "wall_cross", dropping_a_term)
+    assert run(["wallcross-demo"]) == 1
+    assert capsys.readouterr() == (DEMO_HEAD + lines + DEMO_TAIL, "")
 
 
 def test_wall_refuses_a_vanishing_class_that_is_not_primitive():

@@ -24,6 +24,7 @@ from tropmirror.lattice import vsub
 from tropmirror.mirror import (
     CorrectionMap,
     MirrorError,
+    Superpotential,
     normalize_presentation,
     presentation_to_json,
     relation_text,
@@ -136,6 +137,25 @@ def test_normalize_idempotent():
     for diag in (c3(), conifold(), focus_focus()):
         g = normalize_presentation(superpotential(diag, base=(Q(3),) * diag.dim))
         assert normalize_presentation(g) == g
+
+
+def test_normalize_refuses_a_vanished_coefficient_and_a_valuation_below_the_slope():
+    # superpotential never builds either; a hand-built one is refused with the reason
+    g = Superpotential(1, (((0,), nov([(0, 1)])), ((1,), nov())), Q(10), (Q(0),))
+    with pytest.raises(MirrorError) as info:
+        normalize_presentation(g)
+    assert str(info.value) == "superpotential coefficient vanished"
+    # u has valuation 0, but the slope asks to take t^1 from it
+    g = Superpotential(1, (((0,), nov([(0, 1)])), ((1,), nov([(0, 1)]))), Q(10), (Q(1),))
+    with pytest.raises(MirrorError) as info:
+        normalize_presentation(g)
+    assert str(info.value) == "normalization produced a negative valuation"
+
+
+def test_relation_text_writes_constant_and_scaled_coefficients():
+    terms = (((0,), nov([(0, 3)])), ((1,), nov([(Q(1, 2), Q(2, 3))])), ((2,), nov([(1, 1), (2, 1)])))
+    g = Superpotential(1, terms, Q(10), (Q(0),))
+    assert relation_text(g) == "x*y - (3 + 2/3*t^{1/2}*u + (1*t^{1} + 1*t^{2})*u^2)"
 
 
 def test_normalize_absorbs_overall_scale():

@@ -11,6 +11,7 @@ from helpers import (
     mat_mul,
     random_lattice_polygon,
     random_smooth_web,
+    replace,
     standard_form_matrix,
     vertex_loop,
 )
@@ -132,6 +133,26 @@ def test_build_dual_graph_examples():
     assert set(build_dual_graph(c3())) == {(0, 0), (1, 0), (0, 1)}
     assert set(build_dual_graph(TropicalDiagram(1, ((Q(0),),)))) == {(0,), (1,)}
     assert set(build_dual_graph(conifold())) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def test_build_dual_graph_refuses_a_corrupted_cached_table():
+    # The covector sum reads the face adjacency from the cached gluing and
+    # the steps from the cached covectors.  Corrupting either cache after the
+    # gluing makes the cross-check fail, and it names what failed.
+    diag = conifold()  # four faces; the dual edge of edge0 closes two loops
+    assert build_dual_graph(diag) == diag.dual.lattice_points
+    # two dual edges cannot connect four faces
+    vars(diag)["glued"] = (replace(diag.dual, edge_duality=diag.dual.edge_duality[:2]), diag.heights)
+    with pytest.raises(MonodromyError) as info:
+        build_dual_graph(diag)
+    assert str(info.value) == "face adjacency graph is not connected"
+    diag = conifold()
+    diag.dual
+    x, y = diag.covectors[0]
+    vars(diag)["covectors"] = ((2 * x, 2 * y),) + diag.covectors[1:]
+    with pytest.raises(MonodromyError) as info:
+        build_dual_graph(diag)
+    assert str(info.value) == "covector cocycle fails: embedding depends on the tree"
 
 
 def test_build_dual_graph_embeds_a_non_smooth_web():

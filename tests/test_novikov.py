@@ -5,6 +5,7 @@ import pytest
 
 from helpers import nov_eq_mod, nov_zero, random_novikov
 from tropmirror.novikov import (
+    NovikovElement,
     NovikovError,
     nov,
     nov_add,
@@ -145,6 +146,10 @@ def test_invariants_enforced():
         nov_zero().__class__(((Q(0), Q(0)),))  # zero coefficient stored
     with pytest.raises(NovikovError):
         nov_zero().__class__(((Q(1), Q(1)), (Q(0), Q(2))))  # unsorted exponents
+    for exponent in (1, 2):
+        with pytest.raises(NovikovError) as info:
+            NovikovElement(((Q(exponent), Q(1)),), 1)  # a term at or above its truncation
+        assert str(info.value) == "term exponent at or above truncation"
 
 
 def test_text_rendering():

@@ -5,8 +5,10 @@ import os
 import pkgutil
 import random
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as Q
 
 import pytest
@@ -118,19 +120,24 @@ C3_RAYS = [{"at": 0, "dir": [1, 0]}, {"at": 0, "dir": [0, 1]}, {"at": 0, "dir": 
 @pytest.mark.parametrize(
     "content",
     [
-        {"dim": 2, "vertices": ["00"], "rays": C3_RAYS},
-        {"dim": 2, "vertices": "00", "rays": C3_RAYS},
-        {"dim": 2, "vertices": [["0", "0"]], "rays": C3_RAYS[:2] + [{"at": 0, "dir": "11"}]},
-        {"dim": 2, "vertices": [["0", "0"], ["1", "0"]], "edges": ["01"], "rays": []},
+        ({"dim": 2, "vertices": ["00"], "rays": C3_RAYS}, "expected a list of coordinates, got '00'"),
+        ({"dim": 2, "vertices": "00", "rays": C3_RAYS}, "expected a list of vertices, got '00'"),
+        (
+            {"dim": 2, "vertices": [["0", "0"]], "rays": C3_RAYS[:2] + [{"at": 0, "dir": "11"}]},
+            "expected a list of coordinates, got '11'",
+        ),
+        (
+            {"dim": 2, "vertices": [["0", "0"], ["1", "0"]], "edges": ["01"], "rays": []},
+            """expected an [i, j] pair in "edges", got '01'""",
+        ),
     ],
 )
 def test_cli_validate_rejects_string_coordinates(tmp_path, capsys, content):
+    doc, reason = content
     f = tmp_path / "strings.json"
-    f.write_text(json.dumps(content))
+    f.write_text(json.dumps(doc))
     assert run(["validate", str(f)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: malformed diagram JSON: expected a list of coordinates")
+    assert capsys.readouterr() == ("", f"error: malformed diagram JSON: {reason}\n")
 
 
 def test_cli_validate_empty_diagram(tmp_path, capsys):
@@ -397,16 +404,24 @@ def test_cli_mirror_corrections_name_the_bad_entry(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        'error: malformed corrections JSON: entry 0: "series" must be a list of {"exp", "coeff"} objects'
-        " (string indices must be integers, not 'str')\n"
+        'error: malformed corrections JSON: entry 0: expected a list of {"exp", "coeff"} objects in "series",'
+        " got '2*t^1'\n"
     )
     good = {"vertex": [0, 0], "series": [{"exp": "2", "coeff": "3"}]}
     bad.write_text(json.dumps([good, {"vertex": [1, 0], "series": [{"exp": "1"}]}]))
     assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith('error: malformed corrections JSON: entry 1: "series" must be')
+    assert capsys.readouterr().err == 'error: malformed corrections JSON: entry 1: missing key "coeff"\n'
+    bad.write_text(json.dumps([{"vertex": [1, 0]}]))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err == 'error: malformed corrections JSON: entry 0: missing key "series"\n'
+    bad.write_text(json.dumps([{"vertex": [0, 0], "series": [5]}]))
+    assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        'error: malformed corrections JSON: entry 0: expected an object with "exp" and "coeff" in "series", got int\n'
+    )
     bad.write_text(json.dumps([{"vertex": [0, 0], "series": [{"exp": "1/0", "coeff": "1"}]}]))
     assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith('error: malformed corrections JSON: entry 0: "series" must be')
+    assert capsys.readouterr().err == "error: malformed corrections JSON: entry 0: Fraction(1, 0)\n"
     bad.write_text(json.dumps(good))
     assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
     assert capsys.readouterr().err == 'error: malformed corrections JSON: expected a list of {"vertex", "series"} objects\n'
@@ -507,6 +522,25 @@ def test_python_dash_m_tropmirror_matches_run(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
 
 
+@pytest.mark.parametrize("module", ["tropmirror", "tropmirror.cli"])
+def test_the_entry_points_run_in_process(capsys, monkeypatch, module):
+    """``python -m tropmirror`` and ``python -m tropmirror.cli``, run here so that their lines are traced."""
+
+    def run_as_main(*argv) -> int:
+        monkeypatch.setattr(sys, "argv", ["tropmirror", *argv])
+        with pytest.raises(SystemExit) as info, warnings.catch_warnings():
+            # runpy warns that tropmirror.cli is already imported, which is harmless here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module(module, run_name="__main__")
+        return info.value.code
+
+    assert run_as_main("--version") == 0
+    assert capsys.readouterr() == ("tropmirror 0.1.0\n", "")
+    assert run_as_main() == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == ("", "tropmirror: error: the following arguments are required: command")
+
+
 SERIES = {
     "dim": 2, "chamber": "V_plus", "truncation": "10",
     "box": [["1/4", "2"], ["1/4", "2"]],
@@ -559,6 +593,64 @@ NESTED = {
     "charge-no-heights": ("web", _edited(CHARGES, heights=None), 'malformed charge JSON: missing key "heights"'),
     "path-no-path": ("transport", _edited(LOOP, path=None), 'malformed path JSON: missing key "path"'),
     "corrections-no-vertex": ("mirror", [{"series": []}], 'malformed corrections JSON: entry 0: missing key "vertex"'),
+    # a list field of the wrong type or length names the field; these printed
+    # Python's wording, such as 'int' object is not iterable
+    "diagram-vertices-int": (
+        "validate", _edited(C3_DOC, vertices=5), "malformed diagram JSON: expected a list of vertices, got 5"
+    ),
+    "diagram-edges-int": (
+        "validate",
+        _edited(C3_DOC, edges=5),
+        'malformed diagram JSON: expected a list of [i, j] pairs in "edges", got 5',
+    ),
+    "diagram-edge-short": (
+        "validate", _edited(C3_DOC, edges=[[0]]), 'malformed diagram JSON: expected an [i, j] pair in "edges", got [0]'
+    ),
+    "diagram-edge-long": (
+        "validate",
+        _edited(C3_DOC, edges=[[0, 1, 2]]),
+        'malformed diagram JSON: expected an [i, j] pair in "edges", got [0, 1, 2]',
+    ),
+    "series-box-short": (
+        "eval",
+        _edited(SERIES, box=[["1"], ["1/4", "2"]]),
+        """malformed series JSON: expected a [lo, hi] pair in "box", got ['1']""",
+    ),
+    "series-expo-int": (
+        "eval",
+        _edited(SERIES, terms=[{"expo": 5, "coeff": []}]),
+        'malformed series JSON: expected a list of integers in "expo", got 5',
+    ),
+    "series-coeff-object": (
+        "eval",
+        _edited(SERIES, terms=[{"expo": [1, 0], "coeff": {"exp": "0"}}]),
+        """malformed series JSON: expected a list of {"exp", "coeff"} objects in "coeff", got {'exp': '0'}""",
+    ),
+    "charge-charges-int": (
+        "web", _edited(CHARGES, charges=5), 'malformed charge JSON: expected a list of rows in "charges", got 5'
+    ),
+    "charge-row-int": (
+        "web",
+        _edited(CHARGES, charges=[[1, 1, -1, -1], 5]),
+        'malformed charge JSON: expected a list of integers in a row of "charges", got 5',
+    ),
+    "charge-heights-int": (
+        "web", _edited(CHARGES, heights=5), "malformed charge JSON: expected a list of heights, got 5"
+    ),
+    "path-path-int": (
+        "transport", _edited(LOOP, path=5), 'malformed path JSON: expected a list of points in "path", got 5'
+    ),
+    # a large value is abbreviated, not echoed whole
+    "diagram-vertices-object": (
+        "validate",
+        _edited(C3_DOC, vertices={str(i): i for i in range(1000)}),
+        "malformed diagram JSON: expected a list of vertices, got {'0': 0, '1': 1, '10': 10, '100': 100, ...}",
+    ),
+    "path-path-long-string": (
+        "transport",
+        _edited(LOOP, path="x" * 1000),
+        "malformed path JSON: expected a list of points in \"path\", got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'",
+    ),
 }
 
 
@@ -587,6 +679,10 @@ INPUT_ERRORS = [
     (["eval", "{series}", "--point", "1/0,1"], "--point: '1/0' is not a rational number"),
     (["transport", "{ff}", "--path", "{loop}", "--class", "a,b"], "--class: 'a' is not an integer"),
     (["transport", "{ff}", "--path", "{loop}", "--class", "0,1/2"], "--class: '1/2' is not an integer"),
+    (["eval", "{series}", "--point", "1,2,3"], "evaluation point dimension mismatch"),
+    (["mirror", "{c3}", "--base-point", "1,2,3"], "base point dimension mismatch"),
+    (["wallcross-demo", "-E", "0"], "truncation must be positive"),
+    (["wallcross-demo", "-E", "-1"], "truncation must be positive"),
 ]
 
 
