@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import TropicalDiagram, parse_edge_name
+from .diagram import TropicalDiagram, parse_edge_name, require_axioms
 from .dual import locate_face
-from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_list, read_object, read_rational, vsub
+from .lattice import QPoint, Vec, as_point, coords_from_json, dot, malformed, read_list, read_object, read_rational, vsub
 from .record import frozen
 
 Q = Fraction
@@ -68,9 +68,7 @@ def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) ->
     tau maps edge names (``TropicalDiagram.edge_name``) to heights; an edge
     it does not name gets height 0.
     """
-    report = diag.report
-    if not report.ok:
-        raise AffineError("diagram fails axioms: " + ", ".join(report.failed_axioms()))
+    require_axioms(diag)
     names = [diag.edge_name(e) for e in range(len(diag.segments))]
     tau = tau or {}
     for name in tau:
@@ -84,9 +82,7 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> str:
     face, "V_minus" below, "wall(<face>)" inside it.  Points over the diagram
     itself error out.
     """
-    p = tuple(Q(c) for c in p)
-    if len(p) != pres.n:
-        raise AffineError("point dimension mismatch")
+    p = as_point(p, pres.n, "point", AffineError)
     x, t = p[:-1], p[-1]
     diag = pres.diagram
     face = locate_face(diag, x)
@@ -210,9 +206,7 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     path adds g_0 times the signed sum of the covectors it crosses to eta.
     """
     crossings = transport_crossings(pres, path)
-    v = tuple(int(c) for c in g)
-    if len(v) != pres.n:
-        raise AffineError("covector dimension mismatch")
+    v = as_point(g, pres.n, "covector", AffineError, int)
     covectors = pres.diagram.covectors
     total = [sum(c.sign * covectors[c.edge][i] for c in crossings) for i in range(pres.n - 1)]
     return tuple(e + v[-1] * c for e, c in zip(v, total)) + v[-1:]
@@ -220,12 +214,9 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
 
 def transport_crossings(pres: CutPresentation, path: Sequence) -> list[Crossing]:
     """The signed cut crossings along a polyline, in order."""
-    pts = [tuple(Q(c) for c in p) for p in path]
-    if len(pts) < 2:
+    if len(path) < 2:
         raise AffineError("path needs at least two points")
-    for p in pts:
-        if len(p) != pres.n:
-            raise AffineError("path point dimension mismatch")
+    pts = [as_point(p, pres.n, "path point", AffineError) for p in path]
     for p, q in zip(pts, pts[1:]):
         if p == q:
             raise AffineError("consecutive path points coincide")

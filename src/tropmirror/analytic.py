@@ -41,6 +41,7 @@ from .diagram import TropicalDiagram
 from .lattice import (
     Box,
     Vec,
+    as_point,
     dot,
     is_primitive,
     malformed,
@@ -184,9 +185,7 @@ def series_eq_mod(a: AnalyticSeries, b: AnalyticSeries, E) -> bool:
 
 def eval_series(a: AnalyticSeries, point: Sequence) -> NovikovElement:
     """Evaluate at a base point: each z^u contributes t^{<u, x>}."""
-    x = tuple(Q(c) for c in point)
-    if len(x) != a.dim:
-        raise AnalyticError("evaluation point dimension mismatch")
+    x = as_point(point, a.dim, "evaluation point", AnalyticError)
     shifted = [(dot(m.expo, x), m.coeff) for m in a.terms]
     trunc = min([a.truncation] + [c.truncation + s for s, c in shifted if c.truncation is not None])
     return nov([(e + s, v) for s, c in shifted for e, v in c.terms], trunc)
@@ -273,11 +272,10 @@ def focus_focus_demo(E) -> FocusFocusReport:
     1 + z2, and identifying z2 with u reproduces the mirror relation.
     """
     E = Q(E)
-    if E <= 0:
-        raise AnalyticError("truncation must be positive")
     messages: list[str] = []
     diag = TropicalDiagram(1, ((Q(0),),))
-    g = normalize_presentation(superpotential(diag, truncation=max(E, Q(1))))
+    # superpotential refuses a truncation that is not positive
+    g = normalize_presentation(superpotential(diag, truncation=E))
     relation = superpotential_text(g)
 
     box_plus = Box(((Q(1, 4), Q(2)), (Q(1, 4), Q(2))))

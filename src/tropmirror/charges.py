@@ -91,8 +91,9 @@ def kernel_points(q: ChargeMatrix) -> list[Vec]:
     # all-ones vector lies in the kernel, and the basis spans the saturated
     # kernel, so it is B t for an integer t.  The columns have rank 3, so
     # theta = t is M^-1 (1, 1, 1) for the first invertible minor M, taken
-    # greedily, and each division by det below is exact
-    m0 = next(v for v in cols if any(v))
+    # greedily, and each division by det below is exact.  No column is zero,
+    # as its pairing with t is the all-ones vector's entry there, 1
+    m0 = cols[0]
     m1 = next(v for v in cols if any(_cross3(m0, v)))
     m2 = next(v for v in cols if dot(_cross3(m0, m1), v) != 0)
     adj = (_cross3(m1, m2), _cross3(m2, m0), _cross3(m0, m1))
@@ -163,9 +164,12 @@ def web_from_subdivision(sub: RegularSubdivision, allow_weighted: bool = False) 
                 owners.append(ci)
                 continue
             (x0, y0), (x1, y1) = sub.points[u], sub.points[v]
-            if not allow_weighted and math.gcd(x1 - x0, y1 - y0) != 1:
+            length = math.gcd(x1 - x0, y1 - y0)
+            if not allow_weighted and length != 1:
                 # a long dual edge means a weight > 1 web edge
-                raise ChargeError("degenerate Kähler parameters")
+                raise ChargeError(
+                    f"subdivision side {(x0, y0)}-{(x1, y1)} has lattice length {length} (a web edge of weight {length})"
+                )
             sides[side] = [(y0 - y1, x1 - x0), ci]
     edges = []
     rays = []

@@ -5,7 +5,8 @@ rational vertices, straight bounded edges and rays with primitive integer
 directions; in dimension 1 it is a finite set of marked points on a line.
 Validation checks the semi-toric axioms: trivalence, balancing (the primitive
 outgoing directions at each vertex sum to zero), primitivity of ray
-directions, and connectivity.
+directions, and connectivity; ``require_axioms`` is the one gate that refuses
+a diagram failing them, for the gluing and the cut presentation alike.
 
 The vertex table, ``TropicalDiagram.scaled`` (the vertices as integer points
 over one common denominator), is where a diagram's rationals become
@@ -280,6 +281,20 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
         if len(seen) != n:
             offenders.append(("connected", f"{n - len(seen)} vertices unreachable"))
     return ValidationReport(tuple(offenders))
+
+
+def require_axioms(diag: TropicalDiagram):
+    """Refuse a diagram that fails an axiom: the gate of the gluing and of the cut presentation.
+
+    An empty diagram is refused as such, and connectivity is named only when
+    the local axioms (trivalence, balancing, primitive directions) hold.
+    """
+    if not diag.vertices:
+        raise DiagramError(EMPTY_DIAGRAM)
+    failed = diag.report.failed_axioms()
+    failed = [a for a in failed if a != "connected"] or failed
+    if failed:
+        raise DiagramError("diagram fails axioms: " + ", ".join(failed))
 
 
 # --- JSON --------------------------------------------------------------------

@@ -31,8 +31,8 @@ import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import EMPTY_DIAGRAM, DiagramError, TropicalDiagram
-from .lattice import QPoint, Vec, cross2, dot, vadd, vneg, vsub
+from .diagram import DiagramError, TropicalDiagram, require_axioms
+from .lattice import QPoint, Vec, as_point, cross2, dot, vadd, vneg, vsub
 from .record import frozen
 
 Q = Fraction
@@ -186,13 +186,7 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
     taken on integers, on the vertices over their common denominator
     (``diag.scaled``).
     """
-    if not diag.vertices:
-        raise DiagramError(EMPTY_DIAGRAM)
-    report = diag.report
-    # connectivity is named only when the local axioms hold
-    failed = [a for a in report.failed_axioms() if a != "connected"] or report.failed_axioms()
-    if failed:
-        raise DiagramError("diagram fails axioms: " + ", ".join(failed))
+    require_axioms(diag)
     den, xs = diag.scaled
     if diag.dim == 1:
         order = sorted(range(len(diag.vertices)), key=lambda i: diag.vertices[i][0])
@@ -329,9 +323,7 @@ def face_heights(diag: TropicalDiagram, base: Optional[QPoint] = None) -> dict[i
     The base point defaults to the origin.
     """
     heights, points = diag.heights, diag.dual.lattice_points
-    base = tuple(Q(c) for c in base) if base is not None else (Q(0),) * diag.dim
-    if len(base) != diag.dim:
-        raise DiagramError("base point dimension mismatch")
+    base = (Q(0),) * diag.dim if base is None else as_point(base, diag.dim, "base point", DiagramError)
     return {f: h + dot(alpha, base) for f, (h, alpha) in enumerate(zip(heights, points))}
 
 
@@ -341,7 +333,7 @@ def locate_face(diag: TropicalDiagram, x: QPoint) -> Optional[int]:
     The face is the unique minimizer of h(F) + <alpha_F, x>; on the diagram
     the minimum is attained twice.
     """
-    x = tuple(Q(c) for c in x)
+    x = as_point(x, diag.dim, "point", DiagramError)
     values = [h + dot(alpha, x) for h, alpha in zip(diag.heights, diag.dual.lattice_points)]
     best = min(values)
     winners = [f for f, val in enumerate(values) if val == best]

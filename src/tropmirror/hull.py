@@ -160,7 +160,9 @@ def cell_ring(points: Sequence[Vec], indices: Sequence[int]) -> list[int]:
     inside the cell are left out.  A triangle, most cells, takes one
     orientation test; a larger cell walks the sides of its corner hull, each
     from its first corner u along d = v - u, collecting the points p with
-    cross2(d, p - u) = 0 and 0 <= <p - u, d> < <d, d>, in that order.
+    cross2(d, p - u) = 0 and <p - u, d> < <d, d>, in that order.  The side's
+    line supports the convex cell, so every cell point on it lies on [u, v]
+    and <p - u, d> >= 0 needs no test.
     """
     if len(indices) == 3:
         a, b, c = indices
@@ -171,5 +173,5 @@ def cell_ring(points: Sequence[Vec], indices: Sequence[int]) -> list[int]:
     for u, v in zip(corners, corners[1:] + corners[:1]):
         d = vsub(v, u)
         on_line = sorted((dot(vsub(points[t], u), d), t) for t in indices if cross2(d, vsub(points[t], u)) == 0)
-        ring.extend(t for s, t in on_line if 0 <= s < dot(d, d))
+        ring.extend(t for s, t in on_line if s < dot(d, d))
     return ring

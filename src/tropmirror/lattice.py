@@ -13,7 +13,9 @@ The file readers of every module read their numbers, lists and objects here
 ``read_list``, ``read_object``) and report a malformed value through one guard,
 ``malformed``, which also names a missing key;
 ``common_denominator`` bounds the lcm over which a set of read rationals is
-scaled to integers.
+scaled to integers.  Every function that takes a point from its caller (a
+base, evaluation or path point, or a covector) reads it with ``as_point``,
+which refuses one of the wrong dimension.
 """
 
 from __future__ import annotations
@@ -112,6 +114,17 @@ def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
     lower = half(pts)
     upper = half(reversed(pts))
     return lower[:-1] + upper[:-1]
+
+
+def as_point(p, dim: int, what: str, error: type, number=Fraction) -> tuple:
+    """A caller's point as a tuple of ``number``.
+
+    A point without ``dim`` entries is refused as ``error("<what> dimension mismatch")``.
+    """
+    p = tuple(map(number, p))
+    if len(p) != dim:
+        raise error(f"{what} dimension mismatch")
+    return p
 
 
 # --- reading JSON ------------------------------------------------------------

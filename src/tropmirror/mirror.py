@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diagram import TropicalDiagram
+from .diagram import DiagramError, TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
-from .lattice import QPoint, Vec, coords_from_json, dot, malformed, read_int, read_list, read_object
+from .lattice import QPoint, Vec, as_point, coords_from_json, dot, malformed, read_int, read_list, read_object
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -136,7 +136,8 @@ def superpotential(
         coeff = nov_shift(heights[f] - fmin, nov_add(NOV_ONE, c))
         terms.append((alpha, coeff))
     terms.sort(key=lambda item: _term_sort_key(item[0]))
-    base = (Q(0),) * diag.dim if base is None else tuple(Q(c) for c in base)
+    # face_heights has refused a base of the wrong dimension with this text already
+    base = (Q(0),) * diag.dim if base is None else as_point(base, diag.dim, "base point", DiagramError)
     slope = tuple(sign * (b - x) for b, x in zip(base, _root_cell_vertex(diag, dual)))
     return Superpotential(diag.dim, tuple(terms), truncation, slope)
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
@@ -660,6 +661,25 @@ def web_from_subdivision_oracle(sub: RegularSubdivision, allow_weighted: bool = 
         else:
             raise ChargeError("subdivision edge shared by more than two cells")
     return TropicalDiagram(2, tuple(vertices), tuple(edges), tuple(rays))
+
+
+WEIGHT_REFUSAL = re.compile(
+    r"subdivision side \((-?\d+), (-?\d+)\)-\((-?\d+), (-?\d+)\) has lattice length (\d+) \(a web edge of weight \5\)"
+)
+
+
+def weight_refusal(text: str) -> Optional[tuple[Vec, Vec]]:
+    """The side that ``web_from_subdivision``'s weight refusal names, or None for any other text.
+
+    The oracle above says "degenerate Kähler parameters" there; the web names
+    the first long side it meets.  The lattice length named is checked.
+    """
+    match = WEIGHT_REFUSAL.fullmatch(text)
+    if match is None:
+        return None
+    x0, y0, x1, y1, length = map(int, match.groups())
+    assert gcd(x1 - x0, y1 - y0) == length > 1, text
+    return (x0, y0), (x1, y1)
 
 
 # --- the face heights before the gluing walk lifted them, as an oracle -------

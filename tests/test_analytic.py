@@ -306,6 +306,23 @@ def test_wallcross_demo_prints_fail_and_exits_1_when_a_route_is_wrong(capsys, mo
     assert capsys.readouterr() == (DEMO_HEAD + lines + DEMO_TAIL, "")
 
 
+def test_wallcross_demo_prints_fail_and_exits_1_when_the_product_is_wrong(capsys, monkeypatch):
+    # the routes agree, but a product that drops a term is not 1 + z2
+    mul = analytic.series_mul
+
+    def dropping_a_term(a, b):
+        out = mul(a, b)
+        return AnalyticSeries(out.terms[1:], out.chamber, out.box, out.truncation)
+
+    monkeypatch.setattr(analytic, "series_mul", dropping_a_term)
+    assert run(["wallcross-demo"]) == 1
+    lines = (
+        "PASS: both window routes give the same h_+(y)\nFAIL: product is not 1 + z2\n"
+        "FAIL: product differs from the mirror superpotential\n"
+    )
+    assert capsys.readouterr() == (DEMO_HEAD + lines + DEMO_TAIL, "")
+
+
 def test_wall_refuses_a_vanishing_class_that_is_not_primitive():
     for gamma in ((2, 0), (0, 0), (-3, 6)):
         with pytest.raises(AnalyticError, match=rf"vanishing class \({gamma[0]}, {gamma[1]}\) is not primitive"):

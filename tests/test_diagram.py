@@ -72,6 +72,14 @@ def test_structural_invariants_at_construction():
         TropicalDiagram(2, ((Q(0), Q(0)),), (), ((0, (0, 0)),))
 
 
+def test_a_ray_at_a_vertex_out_of_range_is_refused():
+    # below and above the vertex indices: -1 would otherwise read the last vertex
+    for at in (-1, 1):
+        with pytest.raises(DiagramError) as info:
+            TropicalDiagram(2, ((Q(0), Q(0)),), (), ((at, (1, 0)),))
+        assert str(info.value) == "ray vertex out of range"
+
+
 def _unbounded(diag, face) -> bool:
     """Does the face's dart orbit run along a ray?"""
     return any(d >= 2 * len(diag.edges) for d in face)
@@ -251,6 +259,13 @@ def test_locate_face():
     assert locate_face(d1, (Q(1),)) == 1
     assert locate_face(d1, (Q(3),)) == 2
     assert locate_face(d1, (Q(2),)) is None
+
+
+def test_locate_face_refuses_a_point_of_the_wrong_dimension():
+    for diag, x in ((c3(), (1, 2, 3)), (c3(), (1,)), (TropicalDiagram(1, ((Q(0),),)), (0, 0))):
+        with pytest.raises(DiagramError) as info:
+            locate_face(diag, x)
+        assert str(info.value) == "point dimension mismatch"
 
 
 def test_json_round_trip():

@@ -13,14 +13,15 @@ unimodular corner (0,0), (1,0), (0,1) and random points, each charge row the aff
 of one further point against the corner.  Heights are generic: a strictly
 convex quadratic, which uses every point, the same with some non-corner
 points lifted out of the hull, or random.  A web with an edge of weight
-over 1 is refused as degenerate, which the test counts and skips.
+over 1 is refused, naming the long side of the subdivision, which the test
+counts and skips.
 """
 
 import itertools
 import random
 from fractions import Fraction as Q
 
-from helpers import lattice_points_in_hull, used_points
+from helpers import lattice_points_in_hull, used_points, weight_refusal
 from tropmirror.charges import ChargeError, ChargeMatrix, build_web
 from tropmirror.lattice import convex_hull, cross2, vsub
 from tropmirror.mirror import normalize_presentation, superpotential
@@ -91,7 +92,7 @@ def test_heights_come_back_as_the_valuations_of_the_mirror():
         try:
             web = build_web(q, heights)
         except ChargeError as exc:
-            assert str(exc) == "degenerate Kähler parameters"
+            assert weight_refusal(str(exc)) is not None, str(exc)
             counts["refused"] += 1
             continue
         relation = normalize_presentation(superpotential(web.diagram))

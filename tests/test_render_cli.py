@@ -255,6 +255,39 @@ def test_cli_transport(tmp_path, capsys):
     assert out["result"] == [1, 1]
 
 
+# transport refuses an invalid diagram through the gluing's axiom gate
+TRANSPORT_REFUSALS = [
+    (
+        {"dim": 2, "vertices": [[0, 0], [5, 5]], "edges": [], "rays": [{"at": 0, "dir": [1, 0]}, {"at": 0, "dir": [0, 1]}]},
+        "diagram fails axioms: trivalent, balanced",
+    ),
+    ({"dim": 2, "vertices": []}, "empty diagram has no vertices"),
+    ({"dim": 1, "vertices": []}, "empty diagram has no vertices"),
+]
+
+
+@pytest.mark.parametrize("doc, message", TRANSPORT_REFUSALS, ids=["invalid", "empty-d2", "empty-d1"])
+def test_cli_transport_refuses_what_dual_refuses(tmp_path, capsys, doc, message):
+    df, pf = tmp_path / "diagram.json", tmp_path / "path.json"
+    df.write_text(json.dumps(doc))
+    pf.write_text(json.dumps({"path": [["-1", "-1"], ["1", "-1"]]}))
+    assert run(["transport", str(df), "--path", str(pf), "--class", "0,1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run(["dual", str(df)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_web_names_a_long_side(tmp_path, capsys):
+    # every triangulation of these points has the boundary side (0,-1)-(2,-3)
+    # of lattice length 2, so no heights give a web of weight-1 edges
+    f = tmp_path / "charges.json"
+    f.write_text(json.dumps({"charges": [[-1, 1, 2, -2]], "heights": ["0", "1/3", "1/7", "2/11"]}))
+    assert run(["web", "--charges", str(f)]) == 1
+    message = "subdivision side (0, -1)-(2, -3) has lattice length 2 (a web edge of weight 2)"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run(["web", "--charges", str(f), "--allow-singular"]) == 0
+
+
 def test_cli_eval(tmp_path, capsys):
     sf = tmp_path / "series.json"
     sf.write_text(json.dumps({
