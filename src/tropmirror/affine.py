@@ -25,7 +25,19 @@ from typing import Optional, Sequence
 
 from .diagram import TropicalDiagram, parse_edge_name, require_axioms
 from .dual import locate_face
-from .lattice import QPoint, Vec, as_point, coords_from_json, dot, malformed, read_list, read_object, read_rational, vsub
+from .lattice import (
+    QPoint,
+    Vec,
+    as_point,
+    coords_from_json,
+    dot,
+    malformed,
+    read_int,
+    read_list,
+    read_object,
+    read_rational,
+    vsub,
+)
 from .record import frozen
 
 Q = Fraction
@@ -206,7 +218,7 @@ def transport_covector(pres: CutPresentation, path: Sequence, g: Sequence[int]) 
     path adds g_0 times the signed sum of the covectors it crosses to eta.
     """
     crossings = transport_crossings(pres, path)
-    v = as_point(g, pres.n, "covector", AffineError, int)
+    v = as_point(g, pres.n, "covector", AffineError, read_int)
     covectors = pres.diagram.covectors
     total = [sum(c.sign * covectors[c.edge][i] for c in crossings) for i in range(pres.n - 1)]
     return tuple(e + v[-1] * c for e, c in zip(v, total)) + v[-1:]

@@ -81,7 +81,7 @@ class Monomial:
     def __post_init__(self):
         if self.coeff.is_zero():
             raise AnalyticError("monomial coefficient must be nonzero")
-        object.__setattr__(self, "expo", tuple(int(e) for e in self.expo))
+        object.__setattr__(self, "expo", as_point(self.expo, None, "exponent", AnalyticError, read_int))
 
 
 def expo_val_on_box(expo: Vec, box: Box) -> Fraction:
@@ -135,11 +135,16 @@ class AnalyticSeries:
     def __post_init__(self):
         expos = [m.expo for m in self.terms]
         for e in expos:
-            if len(e) != self.dim:
-                raise AnalyticError(f"exponent {e} has length {len(e)}, the series has dimension {self.dim}")
+            _check_length("exponent {}", e, self.dim)
         if len(set(expos)) != len(expos):
             raise AnalyticError("explicit terms must have distinct exponents")
         object.__setattr__(self, "truncation", Q(self.truncation))
+
+
+def _check_length(what: str, v: Sequence, dim: int):
+    """Refuse ``v`` unless it has the series' dimension ``dim``; ``what`` names it, ``{}`` standing for ``v``."""
+    if len(v) != dim:
+        raise AnalyticError(f"{what.format(v)} has length {len(v)}, the series has dimension {dim}")
 
 
 def _collect(items) -> tuple[Monomial, ...]:
@@ -199,8 +204,8 @@ class WallTransformation:
     mode: str  # "corrected", the cluster substitution; the only mode
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(int(c) for c in self.gamma))
-        object.__setattr__(self, "normal", tuple(int(c) for c in self.normal))
+        for name in ("gamma", "normal"):
+            object.__setattr__(self, name, as_point(getattr(self, name), None, name, AnalyticError, read_int))
         if not is_primitive(self.gamma):
             raise AnalyticError(f"vanishing class {self.gamma} is not primitive")
         if self.mode != "corrected":
@@ -225,8 +230,7 @@ def wall_cross(a: AnalyticSeries, w: WallTransformation, E, target_box: Box) -> 
     chamber and carries its box.
     """
     for name, v in (("gamma", w.gamma), ("normal", w.normal), ("box", target_box.intervals)):
-        if len(v) != a.dim:
-            raise AnalyticError(f"{name} has length {len(v)}, the series has dimension {a.dim}")
+        _check_length(name, v, a.dim)
     E = Q(E)
     target = _flip(a.chamber)
 
@@ -357,8 +361,7 @@ def series_from_json(data) -> AnalyticSeries:
         box = Box(tuple(read_pair(p, 'a [lo, hi] pair in "box"') for p in box))
         terms = [_monomial_from_json(item) for item in read_list(data["terms"], "terms")]
         chamber, truncation, dim = data["chamber"], read_rational(data["truncation"]), read_int(data["dim"])
-        if dim != box.dim:
-            raise AnalyticError(f"box has length {box.dim}, the series has dimension {dim}")
+        _check_length("box", box.intervals, dim)
         return series(terms, chamber, box, truncation)
 
 

@@ -23,7 +23,19 @@ from typing import Sequence
 
 from .diagram import TropicalDiagram
 from .hull import ChargeError, RegularSubdivision, SubdivisionCell, cell_ring, regular_subdivision
-from .lattice import Vec, common_denominator, dot, malformed, primitive, read_int, read_list, read_object, read_rational
+from .lattice import (
+    Vec,
+    as_int,
+    as_point,
+    common_denominator,
+    dot,
+    malformed,
+    primitive,
+    read_int,
+    read_list,
+    read_object,
+    read_rational,
+)
 from .record import frozen
 
 
@@ -33,10 +45,12 @@ class ChargeMatrix:
     width: int  # n + k; explicit so the empty matrix (k = 0) keeps its size
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        width = as_int(self.width, "width", ChargeError)
+        rows = tuple(as_point(r, None, "charge row", ChargeError, read_int) for r in self.rows)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "rows", rows)
         for r in rows:
-            if len(r) != self.width:
+            if len(r) != width:
                 raise ChargeError("charge row length mismatch")
             if sum(r) != 0:
                 raise ChargeError(f"charge row {r} does not sum to zero")
@@ -50,8 +64,11 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[Vec]
     the saturated kernel.
     """
     k = len(rows)
-    # column j of A stacked on column j of the transform, one list per column
-    cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(width)] for j in range(width)]
+    # column j of A stacked on column j of the transform, one list per column.
+    # No entry is read as an integer here: both callers pass ints, the rows
+    # that ChargeMatrix has read and kernel_points' theta, which is integer
+    # cross products over an exact floor division
+    cols = [[r[j] for r in rows] + [int(i == j) for i in range(width)] for j in range(width)]
     col = 0
     for row in range(k):
         while True:

@@ -34,6 +34,8 @@ from typing import Optional
 from .lattice import (
     QPoint,
     Vec,
+    as_int,
+    as_point,
     common_denominator,
     content,
     coords_from_json,
@@ -66,21 +68,18 @@ class TropicalDiagram:
     rays: tuple[tuple[int, Vec], ...] = ()
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        dim = as_int(self.dim, "dimension", DiagramError)
+        if dim not in (1, 2):
             raise DiagramError("dimension must be 1 or 2")
-        verts = tuple(tuple(c if c.__class__ is Q else Q(c) for c in v) for v in self.vertices)
+        object.__setattr__(self, "dim", dim)
+        verts = tuple(as_point(v, dim, "vertex", DiagramError) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        for v in verts:
-            if len(v) != self.dim:
-                raise DiagramError("vertex dimension mismatch")
         xs = self.scaled[1]
         if len(set(xs)) != len(xs):
             raise DiagramError("two vertices coincide")
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
+        edges = tuple(as_point(e, 2, "edge", DiagramError, read_int) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        rays = tuple((int(i), tuple(int(c) for c in d)) for i, d in self.rays)
-        object.__setattr__(self, "rays", rays)
-        if self.dim == 1 and (edges or rays):
+        if dim == 1 and (edges or self.rays):
             raise DiagramError("d=1 diagrams carry no edges or rays")
         n = len(verts)
         for i, j in edges:
@@ -88,13 +87,16 @@ class TropicalDiagram:
                 raise DiagramError("edge endpoint out of range")
             if i == j:
                 raise DiagramError("edge endpoints must be distinct")
-        for i, d in rays:
+        rays = []
+        for i, d in self.rays:
+            i = as_int(i, "ray vertex", DiagramError)
             if not 0 <= i < n:
                 raise DiagramError("ray vertex out of range")
-            if len(d) != self.dim:
-                raise DiagramError("ray direction dimension mismatch")
+            d = as_point(d, dim, "ray direction", DiagramError, read_int)
             if all(c == 0 for c in d):
                 raise DiagramError("ray direction is zero")
+            rays.append((i, d))
+        object.__setattr__(self, "rays", tuple(rays))
 
     def edge_name(self, e: int) -> str:
         """The name of edge row e: edge<k> for the bounded edges, then ray<r>, or (d=1) point<i>."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import DiagramError, TropicalDiagram, require_axioms
-from .lattice import QPoint, Vec, as_point, cross2, dot, vadd, vneg, vsub
+from .lattice import QPoint, Vec, as_int, as_point, cross2, dot, vadd, vneg, vsub
 from .record import frozen
 
 Q = Fraction
@@ -151,28 +151,24 @@ def gauge_points(
     +(1,...,1), so the support lands in standard position.  Returns the
     gauged points and the root face.
     """
+    sign = as_int(sign, "sign gauge", DiagramError)
     if sign not in (1, -1):
         raise DiagramError("sign gauge must be +1 or -1")
     points = [tuple(sign * c for c in p) for p in points]
     if root_face is None:
         root_face = min(range(len(points)), key=lambda i: (sum(points[i]), points[i]))
+    else:
+        root_face = as_int(root_face, "root face", DiagramError)
     if not 0 <= root_face < len(points):
         raise DiagramError("root face out of range")
     shift = points[root_face]
     return tuple(vsub(p, shift) for p in points), root_face
 
 
-def _gauge(
-    points: Sequence[Vec], cells, duality, root_face: Optional[int], sign: int
-) -> DualSubdivision:
-    points, root = gauge_points(points, root_face, sign)
-    return DualSubdivision(points, cells, duality, root)
-
-
 def _pinned(points: Sequence[Vec], cells, duality, heights: Sequence[int], den: int):
     """The default gauge, and the heights over den with the root face's pinned to 0."""
-    dual = _gauge(points, cells, duality, None, 1)
-    return dual, tuple(Q(h - heights[dual.root_face], den) for h in heights)
+    points, root = gauge_points(points)
+    return DualSubdivision(points, cells, duality, root), tuple(Q(h - heights[root], den) for h in heights)
 
 
 def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]:
@@ -291,12 +287,11 @@ def dual_subdivision(
 
     One lattice point per face of the complement, one cell per diagram vertex,
     dual edges orthogonal to the diagram edges they cross.  The gluing is done
-    once per diagram (``diag.glued``); a non-default gauge is applied to it.
+    once per diagram (``diag.glued``); the gauge is applied to it on each call.
     """
     dual = diag.dual
-    if root_face is None and sign == 1:
-        return dual
-    return _gauge(dual.lattice_points, dual.triangles, dual.edge_duality, root_face, sign)
+    points, root = gauge_points(dual.lattice_points, root_face, sign)
+    return DualSubdivision(points, dual.triangles, dual.edge_duality, root)
 
 
 def is_smooth(diag: TropicalDiagram) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Vec, common_denominator, convex_hull, cross2, dot, vsub
+from .lattice import Vec, as_point, common_denominator, convex_hull, cross2, dot, read_int, vsub
 from .record import frozen
 
 Q = Fraction
@@ -93,7 +93,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     non-simplicial cells keep their interior and edge points, and its
     gradient is read off the plane's integer normal.
     """
-    pts = [tuple(int(c) for c in p) for p in points]
+    pts = [as_point(p, 2, "point", ChargeError, read_int) for p in points]
     hts = [Q(h) for h in heights]
     if len(pts) != len(hts):
         raise ChargeError("height vector length mismatch")

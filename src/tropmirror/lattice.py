@@ -13,9 +13,16 @@ The file readers of every module read their numbers, lists and objects here
 ``read_list``, ``read_object``) and report a malformed value through one guard,
 ``malformed``, which also names a missing key;
 ``common_denominator`` bounds the lcm over which a set of read rationals is
-scaled to integers.  Every function that takes a point from its caller (a
-base, evaluation or path point, or a covector) reads it with ``as_point``,
-which refuses one of the wrong dimension.
+scaled to integers.  Every function and record that takes a point or an
+integer vector from its caller (a base, evaluation or path point, a
+covector, an exponent, a charge row) reads it with ``as_point``, which
+refuses one of the wrong dimension, and an integer (a sign, a row, a
+dimension) with ``as_int``; both name the field in the caller's error.
+
+One rule says what an integer is, for files, the CLI and the API alike:
+``read_int``, the only code that turns a caller's value into an ``int``.  It
+takes a string that ``int`` reads and a number equal to an integer, and
+refuses a bool and any other number rather than truncate it.
 """
 
 from __future__ import annotations
@@ -116,21 +123,12 @@ def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
     return lower[:-1] + upper[:-1]
 
 
-def as_point(p, dim: int, what: str, error: type, number=Fraction) -> tuple:
-    """A caller's point as a tuple of ``number``.
-
-    A point without ``dim`` entries is refused as ``error("<what> dimension mismatch")``.
-    """
-    p = tuple(map(number, p))
-    if len(p) != dim:
-        raise error(f"{what} dimension mismatch")
-    return p
-
-
 # --- reading JSON ------------------------------------------------------------
 #
 # Every file reader decides "is this value a number we accept" here, and turns
-# whatever its body raises on a malformed value into one error per file kind.
+# whatever its body raises on a malformed value into one error per file kind;
+# so does every function and record that reads a point or an integer from its
+# caller, naming the field in its module's error.
 
 # What a reader's body raises on a value of the wrong shape or size.
 MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
@@ -141,31 +139,46 @@ _TOO_LARGE = 10**DIGITS
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+def _reraise(where: str, exc: Exception, error: type):
+    """Raise ``error("<where>: <reason>")`` for ``exc``, which a reader raised on a malformed value.
+
+    The reason is the exception's text, and for a missing key ``missing key
+    "<key>"`` rather than Python's bare quoted key.
+    """
+    reason = f'missing key "{exc.args[0]}"' if isinstance(exc, KeyError) else exc
+    raise error(f"{where}: {reason}") from exc
+
+
 @contextmanager
 def malformed(where: str, error: type = ValueError) -> Iterator[None]:
     """Re-raise what the body raises on malformed input as ``error("<where>: <reason>")``.
 
     ``where`` names the file (``malformed diagram JSON``) or a part of it
-    (``entry 3``, which the file's guard then prefixes in turn).  The reason
-    is the exception's text, and for a missing key ``missing key "<key>"``
-    rather than Python's bare quoted key.
+    (``entry 3``, which the file's guard then prefixes in turn).
     """
     try:
         yield
     except MALFORMED as exc:
-        reason = f'missing key "{exc.args[0]}"' if isinstance(exc, KeyError) else exc
-        raise error(f"{where}: {reason}") from exc
+        _reraise(where, exc, error)
 
 
 def read_int(value) -> int:
-    """An integer field: what ``int`` reads, but no bool and no float with a fractional part.
+    """An integer: a string that ``int`` reads, or a number equal to an integer, but no bool.
 
-    ``2.0`` reads as 2; ``1.9``, ``inf`` and ``true`` are refused rather than
-    truncated.
+    ``2.0`` and ``Fraction(4, 2)`` read as 2; ``Fraction(1, 2)``, ``1.9``,
+    ``inf``, ``nan`` and ``true`` are refused rather than truncated.
     """
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if value.__class__ is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        n = None
+    if n != value or isinstance(value, bool):
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    return n
 
 
 def read_rational(value) -> Fraction:
@@ -183,6 +196,27 @@ def read_rational(value) -> Fraction:
         if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
             return q
     raise ValueError(f"{value!r} is over the limit of {DIGITS} digits")
+
+
+def as_point(p, dim: int | None, what: str, error: type, number=Fraction) -> tuple:
+    """A caller's point as a tuple of ``number``: the one reader of a caller's vector.
+
+    An entry that ``number`` refuses is refused as ``error("<what>: <reason>")``,
+    and a point without ``dim`` entries as ``error("<what> dimension
+    mismatch")``; a ``dim`` of None checks no length.
+    """
+    try:
+        p = tuple(map(number, p))
+    except MALFORMED as exc:
+        _reraise(what, exc, error)
+    if dim is not None and len(p) != dim:
+        raise error(f"{what} dimension mismatch")
+    return p
+
+
+def as_int(value, what: str, error: type) -> int:
+    """A caller's integer, read as ``as_point`` reads the entries of an integer point."""
+    return as_point((value,), None, what, error, read_int)[0]
 
 
 def common_denominator(values: Iterable[Fraction], kind: str, error: type) -> int:

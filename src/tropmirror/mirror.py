@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .diagram import DiagramError, TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
-from .lattice import QPoint, Vec, as_point, coords_from_json, dot, malformed, read_int, read_list, read_object
+from .lattice import QPoint, Vec, as_int, as_point, coords_from_json, dot, malformed, read_int, read_list, read_object
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -63,7 +63,7 @@ class CorrectionMap:
             v = nov_val(c)
             if v is not None and v <= 0:
                 raise MirrorError("corrections must have positive valuation")
-        terms = tuple((tuple(int(a) for a in al), c) for al, c in self.terms)
+        terms = tuple((as_point(al, None, "correction vertex", MirrorError, read_int), c) for al, c in self.terms)
         object.__setattr__(self, "terms", terms)
         seen: set[Vec] = set()
         for alpha, _ in terms:
@@ -120,6 +120,8 @@ def superpotential(
     truncation = Q(truncation)
     if truncation <= 0:
         raise MirrorError("truncation must be positive")
+    # read here too, as the slope below is scaled by it; gauge_points refuses one not +1 or -1
+    sign = as_int(sign, "sign gauge", DiagramError)
     dual = dual_subdivision(diag, root_face=root_face, sign=sign)
     # the gauge moves only the dual points; pinning the root face adds a
     # constant to the heights, which cancels in h - min h

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .diagram import TropicalDiagram
 from .dual import gauge_points
-from .lattice import Vec, vadd, vneg, vsub
+from .lattice import Vec, as_int, vadd, vneg, vsub
 
 
 class MonodromyError(ValueError):
@@ -37,6 +37,7 @@ def edge_covector(diag: TropicalDiagram, e: int) -> Vec:
     or past the end of the edge table is refused.
     """
     covectors = diag.covectors
+    e = as_int(e, "edge row", MonodromyError)
     if not 0 <= e < len(covectors):
         raise MonodromyError(f"edge row {e} is out of range: the diagram has {len(covectors)} edges")
     return covectors[e]

@@ -169,7 +169,10 @@ def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
     """Every command that reads a file exits 0 or 1 whatever one value in it is.
 
     A ``true`` where a number belongs is refused as malformed, as in an
-    integer field so in a rational one.
+    integer field so in a rational one, and so is a ``1.5`` in an integer
+    field (a JSON integer in the shipped files).  Every refusal writes one
+    ``error:`` line to stderr; ``validate`` writes its failed report to
+    stdout, and nothing to stderr.
     """
     rng = random.Random(20261018)
     names = {"loop": str(tmp_path / "loop.json"), "f": str(tmp_path / "case.json")}
@@ -180,15 +183,17 @@ def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
         with open(name, encoding="utf-8") as fh:
             shipped.append(json.load(fh))
     assert len(shipped) == 5
-    start, cases, runs, bools, escapes = time.perf_counter(), 0, 0, 0, []
-    for _ in range(330):
+    start, cases, runs, bools, halves, escapes = time.perf_counter(), 0, 0, 0, 0, []
+    for _ in range(660):
         doc, commands = rng.choice(DOCUMENTS)
         doc = rng.choice(shipped) if doc is None else doc
         slot = rng.choice(list(_slots(doc)))
         text = json.dumps(_with_hole(doc, slot))
         bad = rng.choice(BAD_VALUES)
-        refused = bad == "true" and _is_number_field(_at(doc, slot))
-        bools += refused
+        field = _at(doc, slot)
+        refused = bad == "true" and _is_number_field(field) or bad == "1.5" and type(field) is int
+        bools += refused and bad == "true"
+        halves += refused and bad == "1.5"
         (tmp_path / "case.json").write_text(text.replace(json.dumps(HOLE), bad))
         cases += 1
         for argv in commands:
@@ -201,8 +206,11 @@ def test_no_input_value_makes_the_cli_traceback(tmp_path, capsys):
             err = capsys.readouterr().err
             runs += 1
             assert code in (0, 1), (text, bad, argv)
+            if code == 1:
+                one_line = err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                assert one_line or argv[0] == "validate" and not err, (text, argv, err)
             if refused:
                 assert code == 1 and re.match(r"error: malformed [a-z]+ JSON: ", err), (text, argv, err)
     assert not escapes, escapes[:5]
-    assert cases >= 300 and runs >= 600 and bools >= 10
+    assert cases >= 300 and runs >= 600 and bools >= 10 and halves >= 10
     assert time.perf_counter() - start < 2.0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -166,14 +167,16 @@ def test_box_validation_and_lattice_points():
     assert set(lattice_points(b)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("value, expected", [(3, 3), (-7, -7), (2.0, 2), ("12", 12), (" -4 ", -4), ("1_000", 1000)])
+@pytest.mark.parametrize(
+    "value, expected", [(3, 3), (-7, -7), (2.0, 2), (Q(4, 2), 2), ("12", 12), (" -4 ", -4), ("1_000", 1000)]
+)
 def test_read_int_accepts_what_int_reads_without_truncating(value, expected):
     assert read_int(value) == expected and type(read_int(value)) is int
 
 
-@pytest.mark.parametrize("value", [1.9, -0.5, float("inf"), float("nan"), True, False])
+@pytest.mark.parametrize("value", [1.9, -0.5, Q(1, 2), float("inf"), float("nan"), True, False])
 def test_read_int_refuses_bools_and_fractional_or_non_finite_floats(value):
-    with pytest.raises(ValueError, match=f"^expected an integer, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(repr(value))}$"):
         read_int(value)
 
 
