@@ -86,7 +86,7 @@ def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) ->
     for name in tau:
         if name not in names:
             raise AffineError(f"tau defined on a non-edge {name}")
-    return CutPresentation(diag, tuple(Q(tau.get(name, 0)) for name in names))
+    return CutPresentation(diag, as_point((tau.get(name, 0) for name in names), None, "tau", AffineError))
 
 
 def chamber_of(pres: CutPresentation, p: Sequence) -> str:

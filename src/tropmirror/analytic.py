@@ -41,7 +41,9 @@ from .diagram import TropicalDiagram
 from .lattice import (
     Box,
     Vec,
+    as_int,
     as_point,
+    as_rational,
     dot,
     is_primitive,
     malformed,
@@ -58,7 +60,7 @@ from .novikov import (
     NovikovElement,
     _from_sums,
     _min_trunc,
-    nov,
+    _sum_terms,
     nov_from_json,
     nov_mul,
     nov_to_json,
@@ -102,6 +104,11 @@ class ConeFamily:
     power: int
     coeff: NovikovElement
 
+    def __post_init__(self):
+        for name in ("apex", "gamma"):
+            object.__setattr__(self, name, as_point(getattr(self, name), None, name, AnalyticError, read_int))
+        object.__setattr__(self, "power", as_int(self.power, "power", AnalyticError))
+
     def materialize(self, truncation: Fraction, box: Box) -> list[tuple[Vec, int]]:
         """The (exponent, integer coefficient) pairs below the truncation; multiply by coeff."""
         if self.coeff.is_zero():
@@ -138,7 +145,7 @@ class AnalyticSeries:
             _check_length("exponent {}", e, self.dim)
         if len(set(expos)) != len(expos):
             raise AnalyticError("explicit terms must have distinct exponents")
-        object.__setattr__(self, "truncation", Q(self.truncation))
+        object.__setattr__(self, "truncation", as_rational(self.truncation, "truncation", AnalyticError))
 
 
 def _check_length(what: str, v: Sequence, dim: int):
@@ -183,17 +190,21 @@ def series_mul(a: AnalyticSeries, b: AnalyticSeries) -> AnalyticSeries:
 
 def series_eq_mod(a: AnalyticSeries, b: AnalyticSeries, E) -> bool:
     """Equality of series modulo t^E in the box valuation of a's chamber."""
-    E = Q(E)
+    E = as_rational(E, "truncation", AnalyticError)
     diff = _collect((m.expo, k, m.coeff) for s, k in ((a, 1), (b, -1)) for m in s.terms)
     return all(nov_val(m.coeff) + expo_val_on_box(m.expo, a.box) >= E for m in diff)
 
 
 def eval_series(a: AnalyticSeries, point: Sequence) -> NovikovElement:
-    """Evaluate at a base point: each z^u contributes t^{<u, x>}."""
+    """Evaluate at a base point: each z^u contributes t^{<u, x>}.
+
+    The shifted terms are the kernel's own Fractions, so they are summed
+    without being read again term by term.
+    """
     x = as_point(point, a.dim, "evaluation point", AnalyticError)
     shifted = [(dot(m.expo, x), m.coeff) for m in a.terms]
     trunc = min([a.truncation] + [c.truncation + s for s, c in shifted if c.truncation is not None])
-    return nov([(e + s, v) for s, c in shifted for e, v in c.terms], trunc)
+    return _sum_terms([(e + s, v) for s, c in shifted for e, v in c.terms], trunc)
 
 
 @frozen
@@ -231,7 +242,7 @@ def wall_cross(a: AnalyticSeries, w: WallTransformation, E, target_box: Box) -> 
     """
     for name, v in (("gamma", w.gamma), ("normal", w.normal), ("box", target_box.intervals)):
         _check_length(name, v, a.dim)
-    E = Q(E)
+    E = as_rational(E, "truncation", AnalyticError)
     target = _flip(a.chamber)
 
     def crossed():
@@ -275,9 +286,9 @@ def focus_focus_demo(E) -> FocusFocusReport:
     inverted fiber class.  Both give z1^{-1}(1 + z2), the product with x is
     1 + z2, and identifying z2 with u reproduces the mirror relation.
     """
-    E = Q(E)
+    E = as_rational(E, "truncation", AnalyticError)
     messages: list[str] = []
-    diag = TropicalDiagram(1, ((Q(0),),))
+    diag = TropicalDiagram(1, ((0,),))
     # superpotential refuses a truncation that is not positive
     g = normalize_presentation(superpotential(diag, truncation=E))
     relation = superpotential_text(g)

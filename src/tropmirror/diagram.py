@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import (
+    DIGITS,
     QPoint,
     Vec,
     as_int,
@@ -303,7 +304,14 @@ def require_axioms(diag: TropicalDiagram):
 
 
 def diagram_to_json(diag: TropicalDiagram) -> dict:
-    out: dict = {"dim": diag.dim, "vertices": [[str(c) for c in v] for v in diag.vertices]}
+    """The diagram as JSON; a vertex with a coordinate too long to print is refused by its row."""
+    vertices = []
+    for i, v in enumerate(diag.vertices):
+        try:
+            vertices.append([str(c) for c in v])
+        except ValueError:  # str refuses an integer of more than DIGITS digits
+            raise DiagramError(f"web vertex {i} has a coordinate over the limit of {DIGITS} digits") from None
+    out: dict = {"dim": diag.dim, "vertices": vertices}
     if diag.dim == 2:
         out["edges"] = [[i, j] for i, j in diag.edges]
         out["rays"] = [{"at": i, "dir": list(d)} for i, d in diag.rays]

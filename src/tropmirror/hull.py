@@ -94,7 +94,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     gradient is read off the plane's integer normal.
     """
     pts = [as_point(p, 2, "point", ChargeError, read_int) for p in points]
-    hts = [Q(h) for h in heights]
+    hts = as_point(heights, None, "height", ChargeError)
     if len(pts) != len(hts):
         raise ChargeError("height vector length mismatch")
     if len(pts) < 3:
@@ -150,7 +150,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
                 # the neighbour lies right of u -> v, i.e. left of v -> u
                 todo.append((v, u))
     ordered = tuple(cells[k] for k in sorted(cells))
-    return RegularSubdivision(tuple(pts), tuple(hts), ordered)
+    return RegularSubdivision(tuple(pts), hts, ordered)
 
 
 def cell_ring(points: Sequence[Vec], indices: Sequence[int]) -> list[int]:

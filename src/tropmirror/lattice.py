@@ -13,16 +13,21 @@ The file readers of every module read their numbers, lists and objects here
 ``read_list``, ``read_object``) and report a malformed value through one guard,
 ``malformed``, which also names a missing key;
 ``common_denominator`` bounds the lcm over which a set of read rationals is
-scaled to integers.  Every function and record that takes a point or an
-integer vector from its caller (a base, evaluation or path point, a
-covector, an exponent, a charge row) reads it with ``as_point``, which
-refuses one of the wrong dimension, and an integer (a sign, a row, a
-dimension) with ``as_int``; both name the field in the caller's error.
+scaled to integers.  Every function and record that takes a point or a
+vector from its caller (a base, evaluation or path point, a covector, an
+exponent, a charge row, a box interval, a Novikov term) reads it with
+``as_point``, which refuses one of the wrong dimension; an integer (a sign,
+a row, a dimension) with ``as_int``; and a rational (a truncation, a shift)
+with ``as_rational``.  All three name the field in the caller's error.
 
 One rule says what an integer is, for files, the CLI and the API alike:
 ``read_int``, the only code that turns a caller's value into an ``int``.  It
 takes a string that ``int`` reads and a number equal to an integer, and
-refuses a bool and any other number rather than truncate it.
+refuses a bool and any other number rather than truncate it.  One rule says
+what a rational is: ``read_rational``, the only code that turns a caller's
+value into a ``Fraction`` and ``as_point``'s default reader.  It bounds a
+string at DIGITS digits above and below the bar, reads a number exactly,
+and refuses a bool.
 """
 
 from __future__ import annotations
@@ -70,15 +75,8 @@ def rot_minus90(a: Sequence) -> tuple:
     return (a[1], -a[0])
 
 
-def is_zero(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
 def content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -93,7 +91,7 @@ def primitive(v: Sequence[int]) -> Vec:
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    return not is_zero(v) and content(v) == 1
+    return content(v) == 1  # 0 for the zero vector
 
 
 def convex_hull(points: Sequence[Sequence]) -> list[tuple]:
@@ -136,7 +134,15 @@ MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
 # CPython's default int-to-string limit, so every number read can be printed back.
 DIGITS = 4300
 _TOO_LARGE = 10**DIGITS
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# Matched from the start of a string: a run of more than DIGITS digits, looked
+# for only in a string that long, which ``int`` would refuse without naming
+# the text; or the exponent of an exponent-form string, its digits in group 2
+# if they are at most DIGITS (``(?=(...))\1`` takes the text before the e
+# without backtracking into it).
+_LONG_RUN_OR_EXPONENT = re.compile(
+    rf"(?=[\s\S]{{{DIGITS + 1}}})[\s\S]*?(?<![\d_])\d(?:_?\d){{{DIGITS}}}"
+    rf"|(?=([^eE]*))\1[eE][-+]?(\d(?:_?\d){{0,{DIGITS - 1}}})\s*\Z"
+)
 
 
 def _reraise(where: str, exc: Exception, error: type):
@@ -182,23 +188,30 @@ def read_int(value) -> int:
 
 
 def read_rational(value) -> Fraction:
-    """A rational field: what ``Fraction`` reads, but no bool, with at most DIGITS digits above and below the bar.
+    """A rational: what ``Fraction`` reads, but no bool; a string has at most DIGITS digits above and below the bar.
 
-    An exponent-form string whose exponent is over 2 * DIGITS is refused before
-    ``Fraction`` builds the power of ten: the mantissa's integer and decimal
-    digits are at most DIGITS each, so a nonzero value could not be in bounds.
+    A number (an ``int``, a ``Fraction``, a ``float``) is read exactly and
+    without the bound, as the records also take what the package computed
+    from read values; a float reads as its binary value, ``0.1`` as
+    ``3602879701896397/36028797018963968``.  A string with a run of more than
+    DIGITS digits, or with an exponent over 2 * DIGITS, is refused before
+    ``Fraction`` parses it and builds the power of ten: the mantissa's integer
+    and decimal digits are at most DIGITS each, so a nonzero value could not
+    be in bounds.
     """
+    if isinstance(value, str):
+        found = _LONG_RUN_OR_EXPONENT.match(value)
+        if not found or found[2] and int(found[2]) <= 2 * DIGITS:
+            q = Fraction(value)
+            if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
+                return q
+        raise ValueError(f"{value!r} is over the limit of {DIGITS} digits")
     if isinstance(value, bool):
         raise ValueError(f"expected a rational number, got {value!r}")
-    exponent = isinstance(value, str) and _EXPONENT.search(value)
-    if not (exponent and abs(int(exponent[1])) > 2 * DIGITS):
-        q = Fraction(value)
-        if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
-            return q
-    raise ValueError(f"{value!r} is over the limit of {DIGITS} digits")
+    return value if value.__class__ is Fraction else Fraction(value)
 
 
-def as_point(p, dim: int | None, what: str, error: type, number=Fraction) -> tuple:
+def as_point(p, dim: int | None, what: str, error: type, number=read_rational) -> tuple:
     """A caller's point as a tuple of ``number``: the one reader of a caller's vector.
 
     An entry that ``number`` refuses is refused as ``error("<what>: <reason>")``,
@@ -217,6 +230,11 @@ def as_point(p, dim: int | None, what: str, error: type, number=Fraction) -> tup
 def as_int(value, what: str, error: type) -> int:
     """A caller's integer, read as ``as_point`` reads the entries of an integer point."""
     return as_point((value,), None, what, error, read_int)[0]
+
+
+def as_rational(value, what: str, error: type) -> Fraction:
+    """A caller's rational number, read as ``as_point`` reads the entries of a rational point."""
+    return as_point((value,), None, what, error)[0]
 
 
 def common_denominator(values: Iterable[Fraction], kind: str, error: type) -> int:
@@ -272,7 +290,7 @@ class Box:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        ivs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.intervals)
+        ivs = tuple(as_point(iv, 2, "box interval", LatticeError) for iv in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         for lo, hi in ivs:
             if lo > hi:

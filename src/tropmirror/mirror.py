@@ -28,7 +28,20 @@ from typing import Optional, Sequence
 
 from .diagram import DiagramError, TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
-from .lattice import QPoint, Vec, as_int, as_point, coords_from_json, dot, malformed, read_int, read_list, read_object
+from .lattice import (
+    DIGITS,
+    QPoint,
+    Vec,
+    as_int,
+    as_point,
+    as_rational,
+    coords_from_json,
+    dot,
+    malformed,
+    read_int,
+    read_list,
+    read_object,
+)
 from .novikov import (
     NOV_ONE,
     NovikovElement,
@@ -117,7 +130,7 @@ def superpotential(
     are truncated at the energy level on input; the leading part of g is
     polynomial, so any truncation works.
     """
-    truncation = Q(truncation)
+    truncation = as_rational(truncation, "truncation", MirrorError)
     if truncation <= 0:
         raise MirrorError("truncation must be positive")
     # read here too, as the slope below is scaled by it; gauge_points refuses one not +1 or -1
@@ -236,19 +249,28 @@ def relation_text(g: Superpotential) -> str:
 
 
 def presentation_to_json(g: Superpotential) -> dict:
-    """The generators u_i^{+-1}, x, y, their winding gradings and the relation x*y - g."""
+    """The generators u_i^{+-1}, x, y, their winding gradings and the relation x*y - g.
+
+    A term with a number too long to print is refused by its dual vertex.
+    """
     variables = _variables(g.dim)
     gens = []
     for v in variables:
         gens.extend([v, f"{v}^-1"])
+    terms = []
+    for alpha, c in g.terms:
+        try:
+            terms.append({"vertex": list(alpha), "coefficient": nov_to_json(c)})
+        except ValueError:  # str refuses an integer of more than DIGITS digits
+            raise MirrorError(
+                f"the superpotential term at dual vertex {alpha} has a number over the limit of {DIGITS} digits"
+            ) from None
     return {
         "n": g.dim + 1,
         "generators": gens + ["x", "y"],
         "gradings": {**{v: 0 for v in variables}, "x": 1, "y": -1},
         "relation": relation_text(g),
-        "superpotential": [
-            {"vertex": list(alpha), "coefficient": nov_to_json(c)} for alpha, c in g.terms
-        ],
+        "superpotential": terms,
         "truncation": str(g.truncation),
         "root": [0] * g.dim,
     }

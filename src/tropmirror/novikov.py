@@ -20,7 +20,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .lattice import read_rational
+from .lattice import as_point, as_rational, read_rational
 from .record import frozen
 
 Q = Fraction
@@ -30,10 +30,6 @@ _set = object.__setattr__
 
 class NovikovError(ValueError):
     pass
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _min_trunc(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
@@ -52,14 +48,14 @@ class NovikovElement:
     truncation: Optional[Fraction] = None
 
     def __post_init__(self):
-        terms = tuple((_q(e), _q(c)) for e, c in self.terms)
+        terms = tuple(as_point(t, 2, "term", NovikovError) for t in self.terms)
         for (e1, c1), (e2, _) in zip(terms, terms[1:]):
             if e1 >= e2:
                 raise NovikovError("exponents must be strictly increasing")
         for _, c in terms:
             if c == 0:
                 raise NovikovError("zero coefficients are not stored")
-        trunc = None if self.truncation is None else _q(self.truncation)
+        trunc = None if self.truncation is None else as_rational(self.truncation, "truncation", NovikovError)
         if trunc is not None and terms and terms[-1][0] >= trunc:
             raise NovikovError("term exponent at or above truncation")
         object.__setattr__(self, "terms", terms)
@@ -70,12 +66,6 @@ class NovikovElement:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __add__(self, other: "NovikovElement") -> "NovikovElement":
-        return nov_add(self, other)
-
-    def __sub__(self, other: "NovikovElement") -> "NovikovElement":
-        return nov_add(self, nov_neg(other))
 
 
 def _trusted(terms: tuple, truncation: Optional[Fraction]) -> NovikovElement:
@@ -98,18 +88,22 @@ def _from_sums(acc: dict, trunc: Optional[Fraction]) -> NovikovElement:
     )
 
 
+def _sum_terms(terms: Iterable[tuple], trunc: Optional[Fraction]) -> NovikovElement:
+    """The element of unsorted (exponent, coefficient) pairs of Fractions, equal exponents merged."""
+    acc: dict[Fraction, Fraction] = {}
+    for e, c in terms:
+        acc[e] = acc[e] + c if e in acc else c
+    return _from_sums(acc, trunc)
+
+
 def nov(terms: Iterable[tuple] = (), truncation=None) -> NovikovElement:
     """Build an element from unsorted (exponent, coefficient) pairs.
 
     Pairs with equal exponents are merged, zero coefficients dropped, and
     terms at or above the truncation discarded.
     """
-    trunc = None if truncation is None else _q(truncation)
-    acc: dict[Fraction, Fraction] = {}
-    for e, c in terms:
-        e, c = _q(e), _q(c)
-        acc[e] = acc[e] + c if e in acc else c
-    return _from_sums(acc, trunc)
+    trunc = None if truncation is None else as_rational(truncation, "truncation", NovikovError)
+    return _sum_terms((as_point(t, 2, "term", NovikovError) for t in terms), trunc)
 
 
 NOV_ONE = nov([(0, 1)])
@@ -121,7 +115,7 @@ def nov_val(a: NovikovElement) -> Optional[Fraction]:
 
 
 def nov_truncate(a: NovikovElement, E) -> NovikovElement:
-    E = _q(E)
+    E = as_rational(E, "truncation", NovikovError)
     trunc = _min_trunc(a.truncation, E)
     return _trusted(tuple((e, c) for e, c in a.terms if e < trunc), trunc)
 
@@ -134,13 +128,9 @@ def nov_add(a: NovikovElement, b: NovikovElement) -> NovikovElement:
     return _from_sums(acc, _min_trunc(a.truncation, b.truncation))
 
 
-def nov_neg(a: NovikovElement) -> NovikovElement:
-    return _trusted(tuple((e, -c) for e, c in a.terms), a.truncation)
-
-
 def nov_shift(delta, a: NovikovElement) -> NovikovElement:
     """Multiply by t^delta (shifts the truncation window along)."""
-    delta = _q(delta)
+    delta = as_rational(delta, "shift", NovikovError)
     trunc = None if a.truncation is None else a.truncation + delta
     return _trusted(tuple((e + delta, c) for e, c in a.terms), trunc)
 
@@ -198,7 +188,7 @@ def nov_inv(a: NovikovElement, E) -> NovikovElement:
     """
     if a.is_zero():
         raise NovikovError("division by zero")
-    E = _q(E)
+    E = as_rational(E, "truncation", NovikovError)
     v, c0 = a.terms[0]
     if a.truncation is not None and a.truncation - v < E:
         E = a.truncation - v
@@ -250,4 +240,4 @@ def nov_to_json(a: NovikovElement) -> list[dict[str, str]]:
 
 
 def nov_from_json(data) -> NovikovElement:
-    return nov([(read_rational(item["exp"]), read_rational(item["coeff"])) for item in data])
+    return _sum_terms([(read_rational(item["exp"]), read_rational(item["coeff"])) for item in data], None)

@@ -63,7 +63,6 @@ from tropmirror.lattice import (
     cross2,
     dot,
     is_primitive,
-    is_zero,
     primitive,
     rot_minus90,
     vadd,
@@ -74,12 +73,10 @@ from tropmirror.novikov import (
     NovikovElement,
     NovikovError,
     _min_trunc,
-    _q,
     _trusted,
     nov,
     nov_add,
     nov_mul,
-    nov_neg,
     nov_shift,
     nov_truncate,
     nov_val,
@@ -399,7 +396,7 @@ def cone_contains(cone: IntegralCone, p: Sequence[int]) -> bool:
             return False
         ratios = {Fraction(di, gi) for di, gi in zip(d, g) if gi != 0}
         if len(ratios) != 1:
-            return is_zero(d)
+            return not any(d)
         k = ratios.pop()
         return k >= 0 and all(di == k * gi for di, gi in zip(d, g))
     g1, g2 = gens
@@ -804,6 +801,21 @@ def normalize_oracle(g: Superpotential) -> Superpotential:
 
 
 # --- the replaced Novikov kernels and series accumulation, as oracles -------
+#
+# _q and nov_neg were the package's own until nothing in it used them: _q is
+# the reader the Novikov constructors had before every rational went through
+# lattice.read_rational (it takes True as 1), and nov_neg served only
+# NovikovElement.__sub__.
+
+
+def _q(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def nov_neg(a: NovikovElement) -> NovikovElement:
+    return _trusted(tuple((e, -c) for e, c in a.terms), a.truncation)
+
+
 #
 # nov, nov_add and nov_inv as they were before the kernel stored its outputs
 # without re-checking them; nov_inv summed dense powers of the tail.  series,

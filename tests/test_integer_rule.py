@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 import pytest
 
 from tropmirror.affine import AffineError, build_cut_presentation, transport_covector
-from tropmirror.analytic import AnalyticError, Monomial, WallTransformation
+from tropmirror.analytic import AnalyticError, ConeFamily, Monomial, WallTransformation
 from tropmirror.charges import ChargeError, ChargeMatrix, regular_subdivision
 from tropmirror.diagram import DiagramError, TropicalDiagram, dual_subdivision, gauge_points
 from tropmirror.mirror import CorrectionMap, MirrorError, superpotential
@@ -38,6 +38,9 @@ CASES = [
      AnalyticError, "gamma", 2),
     ("WallTransformation normal", lambda v: WallTransformation(0, (1, 0), (0, v), "corrected"),
      AnalyticError, "normal", 2),
+    ("ConeFamily apex", lambda v: ConeFamily((0, v), (1, 0), 1, NOV_ONE), AnalyticError, "apex", 2),
+    ("ConeFamily gamma", lambda v: ConeFamily((0, 1), (v, 0), 1, NOV_ONE), AnalyticError, "gamma", 2),
+    ("ConeFamily power", lambda v: ConeFamily((0, 1), (1, 0), v, NOV_ONE), AnalyticError, "power", 2),
     ("TropicalDiagram dim", lambda v: TropicalDiagram(v, ((0, 0),)), DiagramError, "dimension", 2),
     ("TropicalDiagram edges", lambda v: TropicalDiagram(2, LINE, ((0, v),)), DiagramError, "edge", 2),
     ("TropicalDiagram ray vertex", lambda v: TropicalDiagram(2, LINE, (), ((v, (0, 1)),)),

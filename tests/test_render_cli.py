@@ -831,6 +831,29 @@ def test_cli_rational_size_bound_names_the_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_cli_refuses_a_number_too_long_to_print_by_what_holds_it(tmp_path, capsys):
+    # every height is within the bound of a read number, but web vertex 1 has a
+    # coordinate of about 2 * DIGITS digits, and so has the normalized t-exponent
+    # of the term at dual vertex (1, 1); the gluing never prints them
+    heights = ["0", str(10 ** (DIGITS - 1)), f"1/{10 ** (DIGITS - 2) + 7}", "0"]
+    f = tmp_path / "long.json"
+    f.write_text(json.dumps({"charges": [[1, 1, -1, -1]], "heights": heights}))
+    for argv, holder in (
+        (["web", "--charges"], "web vertex 1 has a coordinate"),
+        (["mirror"], "the superpotential term at dual vertex (1, 1) has a number"),
+    ):
+        assert run([*argv, str(f)]) == 1
+        assert capsys.readouterr() == ("", f"error: {holder} over the limit of {DIGITS} digits\n")
+    # dual and validate print what they print for heights of the same triangulation
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"charges": [[1, 1, -1, -1]], "heights": ["0", "2", "1/3", "0"]}))
+    for command in ("dual", "validate"):
+        assert run([command, str(small)]) == 0
+        want = capsys.readouterr()
+        assert run([command, str(f)]) == 0
+        assert capsys.readouterr() == want
+
+
 def _p2_degree_43(tmp_path) -> tuple:
     """A charge file of local P^2 of degree 43, with heights over 8-digit denominators.
 

@@ -9,10 +9,10 @@ is compared with the Monomial-returning oracle, refusals included.
 import random
 from fractions import Fraction as Q
 
-from helpers import materialize_oracle, nov_scale, series_eq_mod_oracle, series_mul_oracle
+from helpers import materialize_oracle, nov_neg, nov_scale, series_eq_mod_oracle, series_mul_oracle
 from tropmirror.analytic import AnalyticError, ConeFamily, Monomial, series, series_eq_mod, series_mul
 from tropmirror.lattice import Box, vadd
-from tropmirror.novikov import nov, nov_neg, nov_truncate
+from tropmirror.novikov import nov, nov_truncate
 
 BOX_PLUS = Box(((Q(1, 4), Q(2)), (Q(1, 4), Q(2))))
 LEFT = [(u1, u2) for u1 in range(-3, 0) for u2 in range(-2, 3)]
