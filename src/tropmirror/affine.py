@@ -29,7 +29,6 @@ from .lattice import (
     QPoint,
     Vec,
     as_point,
-    coords_from_json,
     dot,
     malformed,
     read_int,
@@ -61,7 +60,7 @@ def path_from_json(data) -> list[QPoint]:
     """The polyline of a path file: {"path": [[x, ..., t], ...]}."""
     with malformed("malformed path JSON", AffineError):
         path = read_object(data, 'with a "path" list of points')["path"]
-        return [coords_from_json(p) for p in read_list(path, 'points in "path"')]
+        return [as_point(p, None, "path point", AffineError) for p in read_list(path, 'points in "path"')]
 
 
 def tau_from_json(data) -> dict[str, Fraction]:
@@ -86,7 +85,7 @@ def build_cut_presentation(diag: TropicalDiagram, tau: Optional[dict] = None) ->
     for name in tau:
         if name not in names:
             raise AffineError(f"tau defined on a non-edge {name}")
-    return CutPresentation(diag, as_point((tau.get(name, 0) for name in names), None, "tau", AffineError))
+    return CutPresentation(diag, as_point([tau.get(name, 0) for name in names], None, "tau", AffineError))
 
 
 def chamber_of(pres: CutPresentation, p: Sequence) -> str:

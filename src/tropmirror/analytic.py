@@ -50,7 +50,6 @@ from .lattice import (
     read_int,
     read_list,
     read_object,
-    read_pair,
     read_rational,
     vadd,
 )
@@ -81,9 +80,9 @@ class Monomial:
     expo: Vec
 
     def __post_init__(self):
+        object.__setattr__(self, "expo", as_point(self.expo, None, "exponent", AnalyticError, read_int))
         if self.coeff.is_zero():
             raise AnalyticError("monomial coefficient must be nonzero")
-        object.__setattr__(self, "expo", as_point(self.expo, None, "exponent", AnalyticError, read_int))
 
 
 def expo_val_on_box(expo: Vec, box: Box) -> Fraction:
@@ -368,8 +367,7 @@ def series_to_json(a: AnalyticSeries) -> dict:
 def series_from_json(data) -> AnalyticSeries:
     with malformed("malformed series JSON", AnalyticError):
         data = read_object(data, 'with "dim", "chamber", "box", "truncation" and "terms"')
-        box = read_list(data["box"], '[lo, hi] pairs in "box"')
-        box = Box(tuple(read_pair(p, 'a [lo, hi] pair in "box"') for p in box))
+        box = Box(read_list(data["box"], '[lo, hi] pairs in "box"'))
         terms = [_monomial_from_json(item) for item in read_list(data["terms"], "terms")]
         chamber, truncation, dim = data["chamber"], read_rational(data["truncation"]), read_int(data["dim"])
         _check_length("box", box.intervals, dim)
@@ -380,4 +378,4 @@ def _monomial_from_json(value) -> Monomial:
     item = read_object(value, 'with "expo" and "coeff" in "terms"')
     coeff = read_list(item["coeff"], '{"exp", "coeff"} objects in "coeff"')
     coeff = [read_object(t, 'with "exp" and "coeff" in "coeff"') for t in coeff]
-    return Monomial(nov_from_json(coeff), tuple(read_int(e) for e in read_list(item["expo"], 'integers in "expo"')))
+    return Monomial(nov_from_json(coeff), item["expo"])

@@ -34,7 +34,6 @@ from .lattice import (
     read_int,
     read_list,
     read_object,
-    read_rational,
 )
 from .record import frozen
 
@@ -219,7 +218,7 @@ def build_web(q: ChargeMatrix, heights: Sequence, allow_singular: bool = False) 
 MAX_CHARGE_SIZE = 1000
 
 
-def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
+def charges_from_json(data) -> tuple[ChargeMatrix, tuple[Fraction, ...]]:
     """The charge matrix and heights of a charge file.
 
     A file with more than MAX_CHARGE_SIZE columns or rows is refused before
@@ -234,8 +233,8 @@ def charges_from_json(data) -> tuple[ChargeMatrix, list[Fraction]]:
         if max(width, len(charges)) > MAX_CHARGE_SIZE:
             shape = f"{len(charges)} x {width}"
             raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
-        heights = [read_rational(h) for h in read_list(data["heights"], "heights")]
+        heights = as_point(data["heights"], None, "heights", ChargeError)
     common_denominator(heights, "heights", ChargeError)
     with malformed("malformed charge JSON", ChargeError):
-        rows = tuple(tuple(read_int(x) for x in read_list(r, row)) for r in charges)
+        rows = tuple(as_point(r, None, "charge row", ChargeError, read_int) for r in charges)
     return ChargeMatrix(rows, width), heights

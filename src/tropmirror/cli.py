@@ -19,7 +19,7 @@ from .analytic import eval_series, focus_focus_demo, series_from_json, series_to
 from .charges import build_web, charges_from_json
 from .diagram import diagram_from_json, diagram_to_json
 from .dual import dual_subdivision, is_smooth
-from .lattice import MALFORMED, read_int, read_rational
+from .lattice import MALFORMED, over_limit, read_int, read_rational
 from .mirror import corrections_from_json, normalize_presentation, presentation_to_json, superpotential
 from .monodromy import build_dual_graph
 from .novikov import nov_to_json, nov_to_text
@@ -183,7 +183,11 @@ def _cmd_transport(args) -> int:
     path = path_from_json(_load_json(args.path))
     g = _parse_point("--class", args.covector, read_int)
     result = transport_covector(pres, path, g)
-    sys.stdout.write(_dumps({"class": list(g), "result": list(result)}))
+    try:
+        out = _dumps({"class": list(g), "result": list(result)})
+    except ValueError:  # str refuses an integer of more than DIGITS digits
+        raise ValueError(over_limit("the transported class has an entry")) from None
+    sys.stdout.write(out)
     return 0
 
 
@@ -214,7 +218,11 @@ def _cmd_wallcross_demo(args) -> int:
 def _cmd_eval(args) -> int:
     a = series_from_json(_load_json(args.series))
     value = eval_series(a, _parse_point("--point", args.point))
-    sys.stdout.write(_dumps({"text": nov_to_text(value), "terms": nov_to_json(value)}))
+    try:
+        out = _dumps({"text": nov_to_text(value), "terms": nov_to_json(value)})
+    except ValueError:  # str refuses an integer of more than DIGITS digits
+        raise ValueError(over_limit("the value at --point has a number")) from None
+    sys.stdout.write(out)
     return 0
 
 

@@ -32,21 +32,19 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import (
-    DIGITS,
     QPoint,
     Vec,
     as_int,
     as_point,
     common_denominator,
     content,
-    coords_from_json,
     is_primitive,
     malformed,
+    over_limit,
     primitive,
     read_int,
     read_list,
     read_object,
-    read_pair,
     rot_minus90,
     vadd,
     vneg,
@@ -257,7 +255,11 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
         for d in dirs[1:]:
             total = vadd(total, d)
         if dirs and any(c != 0 for c in total):
-            offenders.append(("balanced", f"vertex {v} direction sum {tuple(total)}"))
+            try:
+                witness = f"vertex {v} direction sum {tuple(total)}"
+            except ValueError:  # str refuses an integer of more than DIGITS digits
+                witness = over_limit(f"vertex {v} direction sum has a number")
+            offenders.append(("balanced", witness))
         seen = set()
         for d in dirs:
             if tuple(d) in seen:
@@ -310,7 +312,7 @@ def diagram_to_json(diag: TropicalDiagram) -> dict:
         try:
             vertices.append([str(c) for c in v])
         except ValueError:  # str refuses an integer of more than DIGITS digits
-            raise DiagramError(f"web vertex {i} has a coordinate over the limit of {DIGITS} digits") from None
+            raise DiagramError(over_limit(f"web vertex {i} has a coordinate")) from None
     out: dict = {"dim": diag.dim, "vertices": vertices}
     if diag.dim == 2:
         out["edges"] = [[i, j] for i, j in diag.edges]
@@ -322,16 +324,16 @@ def diagram_from_json(data) -> TropicalDiagram:
     with malformed("malformed diagram JSON", DiagramError):
         data = read_object(data, 'with "dim" and "vertices"')
         dim = read_int(data["dim"])
-        vertices = tuple(coords_from_json(v) for v in read_list(data["vertices"], "vertices"))
+        vertices = tuple(as_point(v, None, "vertex", DiagramError) for v in read_list(data["vertices"], "vertices"))
         edges = read_list(data.get("edges", []), '[i, j] pairs in "edges"')
-        edges = tuple(read_pair(e, 'an [i, j] pair in "edges"', read_int) for e in edges)
+        edges = tuple(as_point(e, 2, "edge", DiagramError, read_int) for e in edges)
         rays = tuple(_ray_from_json(r) for r in read_list(data.get("rays", []), "rays"))
     return TropicalDiagram(dim, vertices, edges, rays)
 
 
 def _ray_from_json(value) -> tuple[int, tuple]:
     ray = read_object(value, 'with "at" and "dir" in "rays"')
-    return read_int(ray["at"]), coords_from_json(ray["dir"], read_int)
+    return read_int(ray["at"]), as_point(ray["dir"], None, "ray direction", DiagramError, read_int)
 
 
 # The face walk, the gluing and the heights live in tropmirror.dual, which

@@ -8,17 +8,19 @@ tests downstream, so all predicates are exact.
 Vectors and points are plain tuples (``int`` entries for lattice vectors,
 ``Fraction`` entries for rational points).  Dimensions 1, 2 and 3 occur.
 
-The file readers of every module read their numbers, lists and objects here
-(``read_int``, ``read_rational``, ``coords_from_json``, ``read_pair``,
-``read_list``, ``read_object``) and report a malformed value through one guard,
+The file readers of every module read their numbers, points, lists and
+objects here (``read_int``, ``read_rational``, ``as_point``, ``read_list``,
+``read_object``) and report a malformed value through one guard,
 ``malformed``, which also names a missing key;
 ``common_denominator`` bounds the lcm over which a set of read rationals is
-scaled to integers.  Every function and record that takes a point or a
-vector from its caller (a base, evaluation or path point, a covector, an
-exponent, a charge row, a box interval, a Novikov term) reads it with
-``as_point``, which refuses one of the wrong dimension; an integer (a sign,
-a row, a dimension) with ``as_int``; and a rational (a truncation, a shift)
-with ``as_rational``.  All three name the field in the caller's error.
+scaled to integers, and ``over_limit`` words the refusal of a number too
+long to print.  Every point or vector, from a file or a caller (a vertex, an
+edge, a base, evaluation or path point, a covector, an exponent, a charge
+row, a box interval, a Novikov term), is read by ``as_point``, which takes a
+list or a tuple and refuses any other value and one of the wrong
+dimension; an integer (a sign, a row, a dimension) with ``as_int``; and a
+rational (a truncation, a shift) with ``as_rational``.  All three name the
+field in the caller's error.
 
 One rule says what an integer is, for files, the CLI and the API alike:
 ``read_int``, the only code that turns a caller's value into an ``int``.  It
@@ -212,19 +214,24 @@ def read_rational(value) -> Fraction:
 
 
 def as_point(p, dim: int | None, what: str, error: type, number=read_rational) -> tuple:
-    """A caller's point as a tuple of ``number``: the one reader of a caller's vector.
+    """A point as a tuple of ``number``: the one reader of a vector, from a file or a caller.
 
-    An entry that ``number`` refuses is refused as ``error("<what>: <reason>")``,
-    and a point without ``dim`` entries as ``error("<what> dimension
-    mismatch")``; a ``dim`` of None checks no length.
+    A value that is not a list or a tuple (a string, a mapping, a set, a
+    generator) is refused as ``error("<what>: expected a list or a tuple, got
+    <value>")``, an entry that ``number`` refuses as ``error("<what>:
+    <reason>")``, and then a point without ``dim`` entries as ``error("<what>
+    dimension mismatch: <value>")``; a ``dim`` of None checks no length.  The
+    value is shown as ``reprlib`` abbreviates it.
     """
+    if not isinstance(p, (list, tuple)):
+        raise error(f"{what}: expected a list or a tuple, got {reprlib.repr(p)}")
     try:
-        p = tuple(map(number, p))
+        point = tuple(map(number, p))
     except MALFORMED as exc:
         _reraise(what, exc, error)
     if dim is not None and len(p) != dim:
-        raise error(f"{what} dimension mismatch")
-    return p
+        raise error(f"{what} dimension mismatch: {reprlib.repr(p)}")
+    return point
 
 
 def as_int(value, what: str, error: type) -> int:
@@ -271,16 +278,9 @@ def read_list(value, contents: str) -> list:
     return value
 
 
-def coords_from_json(value, parse=read_rational) -> tuple:
-    """The coordinates of a point read from JSON, which must be a list."""
-    return tuple(parse(c) for c in read_list(value, "coordinates"))
-
-
-def read_pair(value, contents: str, parse=read_rational) -> tuple:
-    """Two numbers read from a JSON list of two; anything else is refused as ``expected <contents>, got <value>``."""
-    if isinstance(value, list) and len(value) == 2:
-        return tuple(map(parse, value))
-    raise TypeError(f"expected {contents}, got {reprlib.repr(value)}")
+def over_limit(holder: str) -> str:
+    """``<holder> over the limit of DIGITS digits``: the refusal of a number that ``str`` cannot print."""
+    return f"{holder} over the limit of {DIGITS} digits"
 
 
 @frozen

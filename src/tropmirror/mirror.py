@@ -29,15 +29,14 @@ from typing import Optional, Sequence
 from .diagram import DiagramError, TropicalDiagram
 from .dual import DualSubdivision, dual_subdivision, face_heights
 from .lattice import (
-    DIGITS,
     QPoint,
     Vec,
     as_int,
     as_point,
     as_rational,
-    coords_from_json,
     dot,
     malformed,
+    over_limit,
     read_int,
     read_list,
     read_object,
@@ -97,7 +96,7 @@ def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
     """Entry i, {"vertex": [a, b], "series": [{"exp": e, "coeff": c}, ...]}."""
     with malformed(f"entry {i}"):
         item = read_object(item, 'with "vertex" and "series"')
-        vertex = coords_from_json(item["vertex"], read_int)
+        vertex = as_point(item["vertex"], None, "correction vertex", MirrorError, read_int)
         series = read_list(item["series"], '{"exp", "coeff"} objects in "series"')
         return vertex, nov_from_json([read_object(t, 'with "exp" and "coeff" in "series"') for t in series])
 
@@ -262,9 +261,7 @@ def presentation_to_json(g: Superpotential) -> dict:
         try:
             terms.append({"vertex": list(alpha), "coefficient": nov_to_json(c)})
         except ValueError:  # str refuses an integer of more than DIGITS digits
-            raise MirrorError(
-                f"the superpotential term at dual vertex {alpha} has a number over the limit of {DIGITS} digits"
-            ) from None
+            raise MirrorError(over_limit(f"the superpotential term at dual vertex {alpha} has a number")) from None
     return {
         "n": g.dim + 1,
         "generators": gens + ["x", "y"],

@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+import reprlib
 from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
@@ -1445,7 +1446,7 @@ def transport_covector_oracle(pres: CutPresentation, path: Sequence, g: Sequence
     crossings = transport_crossings(pres, path)
     v = tuple(int(c) for c in g)
     if len(v) != pres.n:
-        raise AffineError("covector dimension mismatch")
+        raise AffineError(f"covector dimension mismatch: {g}")
     diag = pres.diagram
     for crossing in crossings:
         cov = diag.covectors[crossing.edge]
@@ -1508,10 +1509,10 @@ def diagram_checks_oracle(self) -> None:
     if self.dim not in (1, 2):
         raise DiagramError("dimension must be 1 or 2")
     verts = tuple(tuple(c if c.__class__ is Q else Q(c) for c in v) for v in self.vertices)
-    object.__setattr__(self, "vertices", verts)
-    for v in verts:
+    for v, raw in zip(verts, self.vertices):
         if len(v) != self.dim:
-            raise DiagramError("vertex dimension mismatch")
+            raise DiagramError(f"vertex dimension mismatch: {reprlib.repr(raw)}")
+    object.__setattr__(self, "vertices", verts)
     if len(set(map(exact_key, verts))) != len(verts):
         raise DiagramError("two vertices coincide")
     edges = tuple((int(i), int(j)) for i, j in self.edges)
@@ -1530,7 +1531,7 @@ def diagram_checks_oracle(self) -> None:
         if not 0 <= i < n:
             raise DiagramError("ray vertex out of range")
         if len(d) != self.dim:
-            raise DiagramError("ray direction dimension mismatch")
+            raise DiagramError(f"ray direction dimension mismatch: {d}")
         if all(c == 0 for c in d):
             raise DiagramError("ray direction is zero")
 

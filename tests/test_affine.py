@@ -63,7 +63,7 @@ def test_chamber_refuses_a_point_of_another_dimension():
     for point in ((5, 7), (5, 7, 1, 1)):
         with pytest.raises(AffineError) as info:
             chamber_of(pres, point)
-        assert str(info.value) == "point dimension mismatch"
+        assert str(info.value) == f"point dimension mismatch: {point}"
 
 
 def test_chamber_on_wall_names_the_point_and_what_it_lies_on():
@@ -190,7 +190,7 @@ def test_transport_crossings_checks_its_path():
     cases = [
         ([(0, 0, 0)], "path needs at least two points"),
         ([(1, 1, 1), (1, 1, 1)], "consecutive path points coincide"),
-        ([(1, 1, 1), (2, 2)], "path point dimension mismatch"),
+        ([(1, 1, 1), (2, 2)], "path point dimension mismatch: (2, 2)"),
     ]
     for path, message in cases:
         with pytest.raises(AffineError) as info:

@@ -171,7 +171,7 @@ def test_smoothness_three_way_agreement():
 def test_charges_json():
     q, heights = charges_from_json({"charges": [[1, 1, -1, -1]], "heights": ["0", "1", "0", "0"]})
     assert q == CONIFOLD
-    assert heights == [0, 1, 0, 0]
+    assert heights == (0, 1, 0, 0)
     q2, h2 = charges_from_json({"charges": [], "heights": ["0", "0", "0"]})
     assert q2.width == 3
 

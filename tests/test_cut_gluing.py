@@ -72,7 +72,7 @@ def test_transport_matches_the_matrix_product():
             want = _outcome(transport_covector_oracle, pres, path, g)
             assert _outcome(transport_covector, pres, path, g) == want, (path, g)
             if isinstance(want[0], type):
-                counts["class refused" if want[1] == "covector dimension mismatch" else "path refused"] += 1
+                counts["class refused" if want[1] == f"covector dimension mismatch: {g}" else "path refused"] += 1
                 continue
             counts["sheared"] += want != g
             counts["several cuts"] += len(transport_crossings(pres, path)) >= 2

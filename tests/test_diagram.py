@@ -265,7 +265,7 @@ def test_locate_face_refuses_a_point_of_the_wrong_dimension():
     for diag, x in ((c3(), (1, 2, 3)), (c3(), (1,)), (TropicalDiagram(1, ((Q(0),),)), (0, 0))):
         with pytest.raises(DiagramError) as info:
             locate_face(diag, x)
-        assert str(info.value) == "point dimension mismatch"
+        assert str(info.value) == f"point dimension mismatch: {x}"
 
 
 def test_json_round_trip():

@@ -120,15 +120,15 @@ C3_RAYS = [{"at": 0, "dir": [1, 0]}, {"at": 0, "dir": [0, 1]}, {"at": 0, "dir": 
 @pytest.mark.parametrize(
     "content",
     [
-        ({"dim": 2, "vertices": ["00"], "rays": C3_RAYS}, "expected a list of coordinates, got '00'"),
+        ({"dim": 2, "vertices": ["00"], "rays": C3_RAYS}, "vertex: expected a list or a tuple, got '00'"),
         ({"dim": 2, "vertices": "00", "rays": C3_RAYS}, "expected a list of vertices, got '00'"),
         (
             {"dim": 2, "vertices": [["0", "0"]], "rays": C3_RAYS[:2] + [{"at": 0, "dir": "11"}]},
-            "expected a list of coordinates, got '11'",
+            "ray direction: expected a list or a tuple, got '11'",
         ),
         (
             {"dim": 2, "vertices": [["0", "0"], ["1", "0"]], "edges": ["01"], "rays": []},
-            """expected an [i, j] pair in "edges", got '01'""",
+            "edge: expected a list or a tuple, got '01'",
         ),
     ],
 )
@@ -637,22 +637,22 @@ NESTED = {
         'malformed diagram JSON: expected a list of [i, j] pairs in "edges", got 5',
     ),
     "diagram-edge-short": (
-        "validate", _edited(C3_DOC, edges=[[0]]), 'malformed diagram JSON: expected an [i, j] pair in "edges", got [0]'
+        "validate", _edited(C3_DOC, edges=[[0]]), "malformed diagram JSON: edge dimension mismatch: [0]"
     ),
     "diagram-edge-long": (
         "validate",
         _edited(C3_DOC, edges=[[0, 1, 2]]),
-        'malformed diagram JSON: expected an [i, j] pair in "edges", got [0, 1, 2]',
+        "malformed diagram JSON: edge dimension mismatch: [0, 1, 2]",
     ),
     "series-box-short": (
         "eval",
         _edited(SERIES, box=[["1"], ["1/4", "2"]]),
-        """malformed series JSON: expected a [lo, hi] pair in "box", got ['1']""",
+        "malformed series JSON: box interval dimension mismatch: ['1']",
     ),
     "series-expo-int": (
         "eval",
         _edited(SERIES, terms=[{"expo": 5, "coeff": []}]),
-        'malformed series JSON: expected a list of integers in "expo", got 5',
+        "malformed series JSON: exponent: expected a list or a tuple, got 5",
     ),
     "series-coeff-object": (
         "eval",
@@ -665,10 +665,10 @@ NESTED = {
     "charge-row-int": (
         "web",
         _edited(CHARGES, charges=[[1, 1, -1, -1], 5]),
-        'malformed charge JSON: expected a list of integers in a row of "charges", got 5',
+        "malformed charge JSON: charge row: expected a list or a tuple, got 5",
     ),
     "charge-heights-int": (
-        "web", _edited(CHARGES, heights=5), "malformed charge JSON: expected a list of heights, got 5"
+        "web", _edited(CHARGES, heights=5), "malformed charge JSON: heights: expected a list or a tuple, got 5"
     ),
     "path-path-int": (
         "transport", _edited(LOOP, path=5), 'malformed path JSON: expected a list of points in "path", got 5'
@@ -696,6 +696,8 @@ def test_cli_readers_name_a_bad_entry_and_a_missing_key(tmp_path, capsys, case):
     assert run([word.format(**files) for word in READER_ARGV[command]]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
+# the point 1,2,3 as the CLI reads it and a refusal of its length shows it
+ONE_TWO_THREE = repr((Q(1), Q(2), Q(3)))
 INPUT_ERRORS = [
     (["validate", "{bad}"], "{bad}: " + NOT_JSON),
     (["dual", "{bad}"], "{bad}: " + NOT_JSON),
@@ -712,8 +714,8 @@ INPUT_ERRORS = [
     (["eval", "{series}", "--point", "1/0,1"], "--point: '1/0' is not a rational number"),
     (["transport", "{ff}", "--path", "{loop}", "--class", "a,b"], "--class: 'a' is not an integer"),
     (["transport", "{ff}", "--path", "{loop}", "--class", "0,1/2"], "--class: '1/2' is not an integer"),
-    (["eval", "{series}", "--point", "1,2,3"], "evaluation point dimension mismatch"),
-    (["mirror", "{c3}", "--base-point", "1,2,3"], "base point dimension mismatch"),
+    (["eval", "{series}", "--point", "1,2,3"], f"evaluation point dimension mismatch: {ONE_TWO_THREE}"),
+    (["mirror", "{c3}", "--base-point", "1,2,3"], f"base point dimension mismatch: {ONE_TWO_THREE}"),
     (["wallcross-demo", "-E", "0"], "truncation must be positive"),
     (["wallcross-demo", "-E", "-1"], "truncation must be positive"),
 ]
@@ -825,7 +827,8 @@ def test_cli_rational_size_bound_names_the_limit(tmp_path, capsys):
     f = tmp_path / "huge.json"
     f.write_text(json.dumps({"dim": 1, "vertices": [["1e999999"]]}))
     assert run(["validate", str(f)]) == 1
-    assert capsys.readouterr() == ("", "error: malformed diagram JSON: '1e999999' is over the limit of 4300 digits\n")
+    want = "error: malformed diagram JSON: vertex: '1e999999' is over the limit of 4300 digits\n"
+    assert capsys.readouterr() == ("", want)
     f.write_text(json.dumps({"dim": 1, "vertices": [["1e4299"]]}))
     assert run(["validate", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
@@ -852,6 +855,32 @@ def test_cli_refuses_a_number_too_long_to_print_by_what_holds_it(tmp_path, capsy
         want = capsys.readouterr()
         assert run([command, str(f)]) == 0
         assert capsys.readouterr() == want
+
+
+def test_cli_refuses_a_long_result_of_eval_transport_and_validate_by_what_holds_it(tmp_path, capsys):
+    # every number read is within the bound; each result has an entry of more than DIGITS digits
+    series_file = tmp_path / "series.json"
+    term = {"expo": [-(10 ** (DIGITS - 1))], "coeff": [{"exp": "0", "coeff": "1"}]}
+    series_file.write_text(json.dumps({**SERIES, "dim": 1, "box": [["0", "1"]], "terms": [term]}))
+    assert run(["eval", str(series_file), "--point", str(10 ** (DIGITS - 1))]) == 1
+    assert capsys.readouterr() == ("", f"error: the value at --point has a number over the limit of {DIGITS} digits\n")
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps({"path": [["-1", "-1"], ["1", "-1"]]}))
+    nines = "9" * DIGITS
+    assert run(["transport", path("focus_focus.json"), "--path", str(path_file), "--class", f"{nines},{nines}"]) == 1
+    assert capsys.readouterr() == ("", f"error: the transported class has an entry over the limit of {DIGITS} digits\n")
+    # two rays of one direction: vertex 0 also repeats it, which prints, as the direction is within the bound
+    big = 9 * 10 ** (DIGITS - 1)
+    rays = [{"at": 0, "dir": [big, 1]}, {"at": 0, "dir": [big, 1]}, {"at": 0, "dir": [1, 0]}]
+    diagram_file = tmp_path / "diagram.json"
+    diagram_file.write_text(json.dumps({"dim": 2, "vertices": [["0", "0"]], "rays": rays}))
+    assert run(["validate", str(diagram_file)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["offenders"] == [
+        ["balanced", f"vertex 0 direction sum has a number over the limit of {DIGITS} digits"],
+        ["primitive_directions", f"vertex 0 repeats direction {(big, 1)}"],
+    ]
 
 
 def _p2_degree_43(tmp_path) -> tuple:
@@ -904,7 +933,7 @@ def test_cli_names_the_heights_before_a_bad_row_entry(tmp_path, capsys):
     # with the heights in bounds, the row entry is named
     f.write_text(json.dumps({"charges": [[1, 1, -1, True]], "heights": ["0", "1", "0", "0"]}))
     assert run(["web", "--charges", str(f)]) == 1
-    assert capsys.readouterr() == ("", "error: malformed charge JSON: expected an integer, got True\n")
+    assert capsys.readouterr() == ("", "error: malformed charge JSON: charge row: expected an integer, got True\n")
 
 
 @pytest.mark.parametrize("fives, code", [(DIGITS - 1, 0), (DIGITS, 1)], ids=["below", "past"])

@@ -87,7 +87,7 @@ def test_the_constructor_refuses_like_the_old_checks():
     for _ in range(1500):
         got = _build(*_raw_input(rng))
         if isinstance(got, str):
-            messages.add(got)
+            messages.add(got.split(": (")[0])  # the refusal, less the point that a length refusal shows
         else:
             built += 1
             _assert_same_tables(got)
