@@ -50,7 +50,6 @@ from .lattice import (
     read_int,
     read_list,
     read_object,
-    read_rational,
     vadd,
 )
 from .mirror import normalize_presentation, superpotential, superpotential_text
@@ -369,9 +368,8 @@ def series_from_json(data) -> AnalyticSeries:
         data = read_object(data, 'with "dim", "chamber", "box", "truncation" and "terms"')
         box = Box(read_list(data["box"], '[lo, hi] pairs in "box"'))
         terms = [_monomial_from_json(item) for item in read_list(data["terms"], "terms")]
-        chamber, truncation, dim = data["chamber"], read_rational(data["truncation"]), read_int(data["dim"])
-        _check_length("box", box.intervals, dim)
-        return series(terms, chamber, box, truncation)
+        _check_length("box", box.intervals, read_int(data["dim"]))
+        return series(terms, data["chamber"], box, data["truncation"])
 
 
 def _monomial_from_json(value) -> Monomial:

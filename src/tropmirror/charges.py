@@ -27,6 +27,7 @@ from .lattice import (
     Vec,
     as_int,
     as_point,
+    as_sequence,
     common_denominator,
     dot,
     malformed,
@@ -45,12 +46,10 @@ class ChargeMatrix:
 
     def __post_init__(self):
         width = as_int(self.width, "width", ChargeError)
-        rows = tuple(as_point(r, None, "charge row", ChargeError, read_int) for r in self.rows)
+        rows = tuple(as_point(r, width, "charge row", ChargeError, read_int) for r in self.rows)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "rows", rows)
         for r in rows:
-            if len(r) != width:
-                raise ChargeError("charge row length mismatch")
             if sum(r) != 0:
                 raise ChargeError(f"charge row {r} does not sum to zero")
 
@@ -228,12 +227,12 @@ def charges_from_json(data) -> tuple[ChargeMatrix, tuple[Fraction, ...]]:
     """
     with malformed("malformed charge JSON", ChargeError):
         charges = read_list(read_object(data, 'with "charges" and "heights"')["charges"], 'rows in "charges"')
-        row = 'integers in a row of "charges"'
-        width = len(read_list(charges[0], row)) if charges else len(read_list(data["heights"], "heights"))
+        heights = as_sequence(data["heights"], "heights", ChargeError)
+        width = len(as_sequence(charges[0], "charge row", ChargeError) if charges else heights)
         if max(width, len(charges)) > MAX_CHARGE_SIZE:
             shape = f"{len(charges)} x {width}"
             raise ValueError(f"charge matrix is {shape}, over the limit of {MAX_CHARGE_SIZE} rows or columns")
-        heights = as_point(data["heights"], None, "heights", ChargeError)
+        heights = as_point(heights, None, "heights", ChargeError)
     common_denominator(heights, "heights", ChargeError)
     with malformed("malformed charge JSON", ChargeError):
         rows = tuple(as_point(r, None, "charge row", ChargeError, read_int) for r in charges)

@@ -4,6 +4,12 @@ Subcommands: validate | dual | web | mirror | transport | wallcross-demo |
 eval | render.  Exit codes: 0 success, 1 validation/computation failure,
 2 usage error.  Output is deterministic: identical inputs give byte-identical
 results (sorted keys, no timestamps).
+
+The numbers of the options (``--point``, ``--base-point``, ``--class`` and
+``-E``) are read by the package's own readers, ``lattice.as_point`` on the
+comma-separated parts and ``lattice.as_rational``, which name the option and
+word a refusal as every file reader does: ``--point 1/0,1`` exits 1 with
+``--point: expected a rational number, got '1/0'``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .analytic import eval_series, focus_focus_demo, series_from_json, series_to
 from .charges import build_web, charges_from_json
 from .diagram import diagram_from_json, diagram_to_json
 from .dual import dual_subdivision, is_smooth
-from .lattice import MALFORMED, over_limit, read_int, read_rational
+from .lattice import as_point, as_rational, over_limit, read_int
 from .mirror import corrections_from_json, normalize_presentation, presentation_to_json, superpotential
 from .monodromy import build_dual_graph
 from .novikov import nov_to_json, nov_to_text
@@ -48,20 +54,6 @@ def _load_diagram(path: str):
         q, heights = charges_from_json(data)
         return build_web(q, heights).diagram
     return diagram_from_json(data)
-
-
-def _parse_number(option: str, text: str, number=read_rational):
-    """One number given to ``option``; a bad one names the option and the text."""
-    try:
-        return number(text.strip())
-    except MALFORMED:
-        kind = "an integer" if number is read_int else "a rational number"
-        raise ValueError(f"{option}: {text.strip()!r} is not {kind}") from None
-
-
-def _parse_point(option: str, text: str, number=read_rational) -> tuple:
-    """Comma-separated numbers given to ``option``."""
-    return tuple(_parse_number(option, part, number) for part in text.split(","))
 
 
 @functools.cache
@@ -157,16 +149,14 @@ def _cmd_web(args) -> int:
 
 def _cmd_mirror(args) -> int:
     diag = _load_diagram(args.diagram)
-    corrections = None
-    if args.corrections:
-        corrections = corrections_from_json(_load_json(args.corrections))
-    base = _parse_point("--base-point", args.base_point) if args.base_point else None
+    corrections = corrections_from_json(_load_json(args.corrections)) if args.corrections else None
+    base = as_point(args.base_point.split(","), None, "--base-point", ValueError) if args.base_point else None
     sign = -1 if args.flip_sign else 1
     g = superpotential(
         diag,
         base=base,
         corrections=corrections,
-        truncation=_parse_number("-E", args.truncation),
+        truncation=as_rational(args.truncation, "-E", ValueError),
         root_face=args.root_face,
         sign=sign,
     )
@@ -181,10 +171,10 @@ def _cmd_transport(args) -> int:
     tau = tau_from_json(_load_json(args.tau)) if args.tau else None
     pres = build_cut_presentation(diag, tau)
     path = path_from_json(_load_json(args.path))
-    g = _parse_point("--class", args.covector, read_int)
+    g = as_point(args.covector.split(","), None, "--class", ValueError, read_int)
     result = transport_covector(pres, path, g)
     try:
-        out = _dumps({"class": list(g), "result": list(result)})
+        out = _dumps({"class": g, "result": result})  # json writes a tuple as a list
     except ValueError:  # str refuses an integer of more than DIGITS digits
         raise ValueError(over_limit("the transported class has an entry")) from None
     sys.stdout.write(out)
@@ -192,7 +182,7 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_wallcross_demo(args) -> int:
-    report = focus_focus_demo(_parse_number("-E", args.truncation))
+    report = focus_focus_demo(as_rational(args.truncation, "-E", ValueError))
     if args.json:
         out = {
             "truncation": str(report.truncation),
@@ -217,7 +207,7 @@ def _cmd_wallcross_demo(args) -> int:
 
 def _cmd_eval(args) -> int:
     a = series_from_json(_load_json(args.series))
-    value = eval_series(a, _parse_point("--point", args.point))
+    value = eval_series(a, as_point(args.point.split(","), None, "--point", ValueError))
     try:
         out = _dumps({"text": nov_to_text(value), "terms": nov_to_json(value)})
     except ValueError:  # str refuses an integer of more than DIGITS digits

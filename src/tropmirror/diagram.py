@@ -204,7 +204,7 @@ def parse_edge_name(text: str) -> str:
             number = text[len(kind):].strip()
             digits = number[1:] if number[:1] in ("+", "-") else number
             if digits.isascii() and digits.isdigit():
-                return f"{kind}{int(number)}"
+                return f"{kind}{read_int(number)}"
     raise DiagramError(f"cannot parse edge reference {text!r}")
 
 

@@ -94,9 +94,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     gradient is read off the plane's integer normal.
     """
     pts = [as_point(p, 2, "point", ChargeError, read_int) for p in points]
-    hts = as_point(heights, None, "height", ChargeError)
-    if len(pts) != len(hts):
-        raise ChargeError("height vector length mismatch")
+    hts = as_point(heights, len(pts), "height", ChargeError)
     if len(pts) < 3:
         raise ChargeError("need at least three points")
     index: dict[Vec, int] = {}

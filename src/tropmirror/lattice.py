@@ -16,11 +16,13 @@ objects here (``read_int``, ``read_rational``, ``as_point``, ``read_list``,
 scaled to integers, and ``over_limit`` words the refusal of a number too
 long to print.  Every point or vector, from a file or a caller (a vertex, an
 edge, a base, evaluation or path point, a covector, an exponent, a charge
-row, a box interval, a Novikov term), is read by ``as_point``, which takes a
-list or a tuple and refuses any other value and one of the wrong
-dimension; an integer (a sign, a row, a dimension) with ``as_int``; and a
-rational (a truncation, a shift) with ``as_rational``.  All three name the
-field in the caller's error.
+row, a box interval, a Novikov term, an option of the CLI), is read by
+``as_point``, which takes a list or a tuple (its shape checked by
+``as_sequence``) and refuses any other value and one of the wrong
+dimension, showing the point as read, ``(0, 0, 1/2)``; an integer (a sign,
+a row, a dimension) with ``as_int``; and a rational (a truncation, a shift,
+the CLI's ``-E``) with ``as_rational``.  All three name the field in the
+caller's error.
 
 One rule says what an integer is, for files, the CLI and the API alike:
 ``read_int``, the only code that turns a caller's value into an ``int``.  It
@@ -30,6 +32,13 @@ what a rational is: ``read_rational``, the only code that turns a caller's
 value into a ``Fraction`` and ``as_point``'s default reader.  It bounds a
 string at DIGITS digits above and below the bar, reads a number exactly,
 and refuses a bool.
+
+Both rules word every refusal themselves, one sentence per kind: ``expected
+an integer, got <value>``, ``expected a rational number, got <value>``, and
+``<value> is over the limit of DIGITS digits`` for a string past the bound,
+the value abbreviated by ``reprlib``.  No Python text (``Fraction(1, 0)``,
+``invalid literal``, the ``sys.set_int_max_str_digits()`` advice) reaches
+the caller, and no other module words a number that cannot be read.
 """
 
 from __future__ import annotations
@@ -170,23 +179,36 @@ def malformed(where: str, error: type = ValueError) -> Iterator[None]:
         _reraise(where, exc, error)
 
 
+def _refuse(value, kind):
+    """Raise the one refusal of a number that cannot be read.
+
+    It is ``expected <kind>, got <value>``, or with no kind ``<value> is over
+    the limit of DIGITS digits``; the value is shown as ``reprlib``
+    abbreviates it, so a long one is not echoed whole.
+    """
+    if kind:
+        raise ValueError(f"expected {kind}, got {reprlib.repr(value)}")
+    raise ValueError(over_limit(f"{reprlib.repr(value)} is"))
+
+
 def read_int(value) -> int:
     """An integer: a string that ``int`` reads, or a number equal to an integer, but no bool.
 
     ``2.0`` and ``Fraction(4, 2)`` read as 2; ``Fraction(1, 2)``, ``1.9``,
-    ``inf``, ``nan`` and ``true`` are refused rather than truncated.
+    ``inf``, ``nan`` and ``true`` are refused rather than truncated, as
+    ``expected an integer, got <value>``, and a string with a run of more than
+    DIGITS digits as ``<value> is over the limit of DIGITS digits``.
     """
     if value.__class__ is int:
         return value
-    if isinstance(value, str):
-        return int(value)
     try:
         n = int(value)
-    except (OverflowError, ValueError):  # inf, nan
-        n = None
-    if n != value or isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return n
+        if isinstance(value, str) or n == value and not isinstance(value, bool):
+            return n
+    except (TypeError, ValueError, OverflowError):  # not a number, inf, nan, a string that int does not read
+        pass
+    found = isinstance(value, str) and _LONG_RUN_OR_EXPONENT.match(value)
+    _refuse(value, None if found and not found[2] else "an integer")
 
 
 def read_rational(value) -> Fraction:
@@ -199,38 +221,60 @@ def read_rational(value) -> Fraction:
     DIGITS digits, or with an exponent over 2 * DIGITS, is refused before
     ``Fraction`` parses it and builds the power of ten: the mantissa's integer
     and decimal digits are at most DIGITS each, so a nonzero value could not
-    be in bounds.
+    be in bounds.  A string past the bound is refused as ``<value> is over
+    the limit of DIGITS digits``, and any other value ``Fraction`` does not
+    read (``'x'``, ``'1/0'``, ``inf``, ``nan``, ``None``) or a bool as
+    ``expected a rational number, got <value>``.
     """
-    if isinstance(value, str):
-        found = _LONG_RUN_OR_EXPONENT.match(value)
-        if not found or found[2] and int(found[2]) <= 2 * DIGITS:
-            q = Fraction(value)
-            if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
-                return q
-        raise ValueError(f"{value!r} is over the limit of {DIGITS} digits")
-    if isinstance(value, bool):
-        raise ValueError(f"expected a rational number, got {value!r}")
-    return value if value.__class__ is Fraction else Fraction(value)
+    if value.__class__ is Fraction:
+        return value
+    kind = "a rational number"
+    try:
+        if isinstance(value, str):
+            found = _LONG_RUN_OR_EXPONENT.match(value)
+            if not found or found[2] and int(found[2]) <= 2 * DIGITS:
+                q = Fraction(value)
+                if abs(q.numerator) < _TOO_LARGE and q.denominator < _TOO_LARGE:
+                    return q
+            kind = None
+        elif not isinstance(value, bool):
+            return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):  # not a number, 1/0, inf, nan
+        pass
+    _refuse(value, kind)
+
+
+def as_sequence(p, what: str, error: type) -> Sequence:
+    """``p`` if it is a list or a tuple: the shape of a point, checked before any entry is read.
+
+    Any other value (a string, a mapping, a set, a generator) is refused as
+    ``error("<what>: expected a list or a tuple, got <value>")``, the value
+    shown as ``reprlib`` abbreviates it.
+    """
+    if isinstance(p, (list, tuple)):
+        return p
+    raise error(f"{what}: expected a list or a tuple, got {reprlib.repr(p)}")
 
 
 def as_point(p, dim: int | None, what: str, error: type, number=read_rational) -> tuple:
     """A point as a tuple of ``number``: the one reader of a vector, from a file or a caller.
 
-    A value that is not a list or a tuple (a string, a mapping, a set, a
-    generator) is refused as ``error("<what>: expected a list or a tuple, got
-    <value>")``, an entry that ``number`` refuses as ``error("<what>:
-    <reason>")``, and then a point without ``dim`` entries as ``error("<what>
-    dimension mismatch: <value>")``; a ``dim`` of None checks no length.  The
-    value is shown as ``reprlib`` abbreviates it.
+    A value that is not a list or a tuple is refused by ``as_sequence``, an
+    entry that ``number`` refuses as ``error("<what>: <reason>")``, and then a
+    point without ``dim`` entries as ``error("<what> dimension mismatch:
+    <point>")``; a ``dim`` of None checks no length.  The point is shown as
+    it was read, ``(0, 0, 1/2)``, and abbreviated as ``reprlib`` abbreviates
+    it.
     """
-    if not isinstance(p, (list, tuple)):
-        raise error(f"{what}: expected a list or a tuple, got {reprlib.repr(p)}")
+    if not isinstance(p, (list, tuple)):  # tested here too, so that a point read costs no extra call
+        as_sequence(p, what, error)
     try:
         point = tuple(map(number, p))
     except MALFORMED as exc:
         _reraise(what, exc, error)
-    if dim is not None and len(p) != dim:
-        raise error(f"{what} dimension mismatch: {reprlib.repr(p)}")
+    if dim is not None and len(point) != dim:
+        # the entries as the package prints them, (0, 1/2), abbreviated as reprlib abbreviates strings
+        raise error(f"{what} dimension mismatch: " + reprlib.repr(tuple(map(str, point))).replace("'", ""))
     return point
 
 

@@ -86,9 +86,9 @@ class CorrectionMap:
 
 def corrections_from_json(data) -> CorrectionMap:
     with malformed("malformed corrections JSON", MirrorError):
-        if not isinstance(data, list):
-            raise TypeError('expected a list of {"vertex", "series"} objects')
-        terms = tuple(_correction_from_json(i, item) for i, item in enumerate(data))
+        terms = tuple(
+            _correction_from_json(i, item) for i, item in enumerate(read_list(data, '{"vertex", "series"} objects'))
+        )
     return CorrectionMap(terms)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .lattice import as_point, as_rational, read_rational
+from .lattice import as_point, as_rational
 from .record import frozen
 
 Q = Fraction
@@ -240,4 +240,4 @@ def nov_to_json(a: NovikovElement) -> list[dict[str, str]]:
 
 
 def nov_from_json(data) -> NovikovElement:
-    return _sum_terms([(read_rational(item["exp"]), read_rational(item["coeff"])) for item in data], None)
+    return nov([(item["exp"], item["coeff"]) for item in data])

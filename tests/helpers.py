@@ -14,7 +14,6 @@ import math
 import os
 import random
 import re
-import reprlib
 from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
@@ -98,7 +97,7 @@ def brute_force_subdivision(points, heights) -> RegularSubdivision:
     pts = [tuple(int(c) for c in p) for p in points]
     hts = [Q(h) for h in heights]
     if len(pts) != len(hts):
-        raise ChargeError("height vector length mismatch")
+        raise ChargeError(f"height dimension mismatch: ({', '.join(map(str, hts))})")
     if len(pts) < 3:
         raise ChargeError("need at least three points")
     cells: dict[tuple[int, ...], SubdivisionCell] = {}
@@ -1509,9 +1508,9 @@ def diagram_checks_oracle(self) -> None:
     if self.dim not in (1, 2):
         raise DiagramError("dimension must be 1 or 2")
     verts = tuple(tuple(c if c.__class__ is Q else Q(c) for c in v) for v in self.vertices)
-    for v, raw in zip(verts, self.vertices):
+    for v in verts:
         if len(v) != self.dim:
-            raise DiagramError(f"vertex dimension mismatch: {reprlib.repr(raw)}")
+            raise DiagramError(f"vertex dimension mismatch: ({', '.join(map(str, v))})")
     object.__setattr__(self, "vertices", verts)
     if len(set(map(exact_key, verts))) != len(verts):
         raise DiagramError("two vertices coincide")

@@ -191,6 +191,49 @@ def test_read_rational_refuses_bools(value):
         read_rational(value)
 
 
+OVER_DIGITS = "9" * (DIGITS + 1)
+OVER = "'999999999999...9999999999999' is over the limit of 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("x", "expected an integer, got 'x'"),
+        ("1/2", "expected an integer, got '1/2'"),
+        ("1e9999", "expected an integer, got '1e9999'"),  # an exponent, not a run of digits
+        (OVER_DIGITS, OVER),
+        (None, "expected an integer, got None"),
+        ([1], "expected an integer, got [1]"),
+    ],
+    ids=["x", "1/2", "1e9999", "4301 digits", "None", "list"],
+)
+def test_read_int_words_each_refusal(value, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        read_int(value)
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("x", "expected a rational number, got 'x'"),
+        ("1/0", "expected a rational number, got '1/0'"),
+        ("inf", "expected a rational number, got 'inf'"),
+        ("nan", "expected a rational number, got 'nan'"),
+        (float("inf"), "expected a rational number, got inf"),
+        (float("nan"), "expected a rational number, got nan"),
+        (None, "expected a rational number, got None"),
+        ([1], "expected a rational number, got [1]"),
+        (OVER_DIGITS, OVER),
+        ("1e9999", "'1e9999' is over the limit of 4300 digits"),
+        ("9" * DIGITS + "e1", "'999999999999...99999999999e1' is over the limit of 4300 digits"),
+    ],
+    ids=["x", "1/0", "'inf'", "'nan'", "inf", "nan", "None", "list", "4301 digits", "1e9999", "4300 digits e1"],
+)
+def test_read_rational_words_each_refusal(value, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        read_rational(value)
+
+
 def test_read_rational_refuses_numbers_just_over_the_digit_limit():
     assert read_rational(f"9e{DIGITS - 1}") == 9 * 10 ** (DIGITS - 1)
     assert read_rational(f"1e-{DIGITS - 1}") == Q(1, 10 ** (DIGITS - 1))
@@ -202,7 +245,7 @@ def test_read_rational_refuses_numbers_just_over_the_digit_limit():
 
 
 def test_malformed_names_the_kind_and_keeps_other_errors():
-    with pytest.raises(LatticeError, match=r"^malformed test JSON: Fraction\(1, 0\)$"):
+    with pytest.raises(LatticeError, match=r"^malformed test JSON: expected a rational number, got '1/0'$"):
         with malformed("malformed test JSON", LatticeError):
             read_rational("1/0")
     with pytest.raises(LatticeError, match='^malformed test JSON: missing key "x"$'):

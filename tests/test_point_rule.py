@@ -89,4 +89,4 @@ def test_a_long_value_is_abbreviated():
     assert len(str(info.value)) < 80
     with pytest.raises(DiagramError) as info:
         locate_face(C3, list(range(100)))
-    assert str(info.value) == "point dimension mismatch: [0, 1, 2, 3, 4, 5, ...]"
+    assert str(info.value) == "point dimension mismatch: (0, 1, 2, 3, 4, 5, ...)"

@@ -10,6 +10,7 @@ plain ``Fraction(1, 2)`` gives, so no float or string is stored.
 """
 
 import re
+import reprlib
 from fractions import Fraction as Q
 
 import pytest
@@ -82,7 +83,7 @@ LONG = "1" + "0" * DIGITS  # DIGITS + 1 digits
 REFUSALS = [
     (True, "expected a rational number, got True"),
     ("1e9000", f"'1e9000' is over the limit of {DIGITS} digits"),
-    (LONG, f"{LONG!r} is over the limit of {DIGITS} digits"),
+    (LONG, f"{reprlib.repr(LONG)} is over the limit of {DIGITS} digits"),
 ]
 ENTRY_POINTS = pytest.mark.parametrize(
     "call, error, field", [case[1:] for case in CASES], ids=[case[0] for case in CASES]

@@ -9,6 +9,12 @@ reduced to its literal text, with each formatted value of an f-string and
 each operand of a ``+`` that is not literal text written as ``{}``.  No text
 may occur at two sites.  A first argument with no literal text at all (a
 name) is not a text and is skipped.
+
+The wording of a number that cannot be read is written in one module:
+``lattice.read_int`` and ``lattice.read_rational`` word every such refusal.
+No other module may form ``expected an integer``, ``expected a rational
+number``, ``is not an integer`` or ``is not a rational number``, whether as
+one string or pieced together from an f-string and a string it fills in.
 """
 
 import ast
@@ -76,5 +82,66 @@ def test_each_refusal_is_written_once():
     for path in modules:
         with open(path, encoding="utf-8") as fh:
             sources[os.path.basename(path)] = fh.read()
-    assert len(refusal_sites(sources)) >= 80
+    assert len(refusal_sites(sources)) >= 77
     assert repeated(sources) == []
+
+
+NUMBER_WORDINGS = ("expected an integer", "expected a rational number", "is not an integer", "is not a rational number")
+
+
+def formed_wordings(sources: dict[str, str]) -> list[str]:
+    """``module:line: wording`` for each number wording that a module other than ``lattice.py`` forms.
+
+    The texts of a module are its string constants and the literal texts of
+    its f-strings and ``+`` joins, docstrings left out.  A text forms a
+    wording if it contains it, or does once every ``{}`` in it is filled with
+    one of the module's string constants: ``f"{option}: {text!r} is not
+    {kind}"`` with ``kind = "an integer"`` forms ``is not an integer``.
+    """
+    found = set()
+    for module, source in sources.items():
+        if module == "lattice.py":
+            continue
+        tree = ast.parse(source)
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        joins = (ast.JoinedStr, ast.BinOp)
+        texts = [
+            node
+            for node in ast.walk(tree)
+            if id(node) not in docstrings
+            and (isinstance(node, joins) or isinstance(node, ast.Constant) and isinstance(node.value, str))
+        ]
+        fills = [node.value for node in texts if isinstance(node, ast.Constant)]
+        for node in texts:
+            text = literal_text(node)
+            filled = [text] + [text.replace("{}", fill) for fill in fills]
+            found.update(f"{module}:{node.lineno}: {w}" for w in NUMBER_WORDINGS if any(w in t for t in filled))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_wording_formed_in_pieces():
+    sources = {
+        "lattice.py": 'kind = "an integer"\nraise ValueError(f"expected {kind}, got {value!r}")\n',
+        "a.py": (
+            "def read(option, text, integer):\n"
+            '    """Refuse a text that is not a rational number: expected a rational number."""\n'
+            '    kind = "an integer" if integer else "a rational number"\n'
+            '    raise ValueError(f"{option}: {text!r} is not {kind}")\n'
+        ),
+        "b.py": 'raise E("expected a rational number, got " + repr(value))\n',
+        "c.py": 'raise E(f"{what}: expected {shape}, got {value!r}")\nshape = "a list or a tuple"\n',
+    }
+    assert formed_wordings(sources) == [
+        "a.py:4: is not a rational number",
+        "a.py:4: is not an integer",
+        "b.py:1: expected a rational number",
+    ]
+
+
+def test_only_lattice_words_a_number_that_cannot_be_read():
+    sources = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert "lattice.py" in sources
+    assert formed_wordings(sources) == []

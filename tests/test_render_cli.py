@@ -454,10 +454,13 @@ def test_cli_mirror_corrections_name_the_bad_entry(tmp_path, capsys):
     )
     bad.write_text(json.dumps([{"vertex": [0, 0], "series": [{"exp": "1/0", "coeff": "1"}]}]))
     assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
-    assert capsys.readouterr().err == "error: malformed corrections JSON: entry 0: Fraction(1, 0)\n"
+    assert capsys.readouterr().err == "error: malformed corrections JSON: entry 0: term: expected a rational number, got '1/0'\n"
     bad.write_text(json.dumps(good))
     assert run(["mirror", path("c3.json"), "--corrections", str(bad)]) == 1
-    assert capsys.readouterr().err == 'error: malformed corrections JSON: expected a list of {"vertex", "series"} objects\n'
+    assert capsys.readouterr().err == (
+        'error: malformed corrections JSON: expected a list of {"vertex", "series"} objects,'
+        " got {'series': [{'coeff': '3', 'exp': '2'}], 'vertex': [0, 0]}\n"
+    )
 
 
 def test_cli_dual_root_face_and_flip(capsys):
@@ -637,17 +640,17 @@ NESTED = {
         'malformed diagram JSON: expected a list of [i, j] pairs in "edges", got 5',
     ),
     "diagram-edge-short": (
-        "validate", _edited(C3_DOC, edges=[[0]]), "malformed diagram JSON: edge dimension mismatch: [0]"
+        "validate", _edited(C3_DOC, edges=[[0]]), "malformed diagram JSON: edge dimension mismatch: (0,)"
     ),
     "diagram-edge-long": (
         "validate",
         _edited(C3_DOC, edges=[[0, 1, 2]]),
-        "malformed diagram JSON: edge dimension mismatch: [0, 1, 2]",
+        "malformed diagram JSON: edge dimension mismatch: (0, 1, 2)",
     ),
     "series-box-short": (
         "eval",
         _edited(SERIES, box=[["1"], ["1/4", "2"]]),
-        "malformed series JSON: box interval dimension mismatch: ['1']",
+        "malformed series JSON: box interval dimension mismatch: (1,)",
     ),
     "series-expo-int": (
         "eval",
@@ -669,6 +672,22 @@ NESTED = {
     ),
     "charge-heights-int": (
         "web", _edited(CHARGES, heights=5), "malformed charge JSON: heights: expected a list or a tuple, got 5"
+    ),
+    # the size check reads the first row's or the heights' length, and refuses them as every row
+    "charge-first-row-string": (
+        "web",
+        _edited(CHARGES, charges=["1111"]),
+        "malformed charge JSON: charge row: expected a list or a tuple, got '1111'",
+    ),
+    "charge-second-row-string": (
+        "web",
+        _edited(CHARGES, charges=[[1, 1, -1, -1], "1111"]),
+        "malformed charge JSON: charge row: expected a list or a tuple, got '1111'",
+    ),
+    "charge-heights-int-no-rows": (
+        "web",
+        _edited(CHARGES, charges=[], heights=5),
+        "malformed charge JSON: heights: expected a list or a tuple, got 5",
     ),
     "path-path-int": (
         "transport", _edited(LOOP, path=5), 'malformed path JSON: expected a list of points in "path", got 5'
@@ -696,8 +715,6 @@ def test_cli_readers_name_a_bad_entry_and_a_missing_key(tmp_path, capsys, case):
     assert run([word.format(**files) for word in READER_ARGV[command]]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
-# the point 1,2,3 as the CLI reads it and a refusal of its length shows it
-ONE_TWO_THREE = repr((Q(1), Q(2), Q(3)))
 INPUT_ERRORS = [
     (["validate", "{bad}"], "{bad}: " + NOT_JSON),
     (["dual", "{bad}"], "{bad}: " + NOT_JSON),
@@ -707,15 +724,15 @@ INPUT_ERRORS = [
     (["eval", "{bad}", "--point", "0,0"], "{bad}: " + NOT_JSON),
     (["transport", "{ff}", "--path", "{bad}", "--class", "0,1"], "{bad}: " + NOT_JSON),
     (["mirror", "{c3}", "--corrections", "{bad}"], "{bad}: " + NOT_JSON),
-    (["mirror", "{c3}", "--base-point=1/0,0"], "--base-point: '1/0' is not a rational number"),
-    (["mirror", "{c3}", "--base-point", "1/2,x"], "--base-point: 'x' is not a rational number"),
-    (["mirror", "{c3}", "-E", "1/0"], "-E: '1/0' is not a rational number"),
-    (["wallcross-demo", "-E", "ten"], "-E: 'ten' is not a rational number"),
-    (["eval", "{series}", "--point", "1/0,1"], "--point: '1/0' is not a rational number"),
-    (["transport", "{ff}", "--path", "{loop}", "--class", "a,b"], "--class: 'a' is not an integer"),
-    (["transport", "{ff}", "--path", "{loop}", "--class", "0,1/2"], "--class: '1/2' is not an integer"),
-    (["eval", "{series}", "--point", "1,2,3"], f"evaluation point dimension mismatch: {ONE_TWO_THREE}"),
-    (["mirror", "{c3}", "--base-point", "1,2,3"], f"base point dimension mismatch: {ONE_TWO_THREE}"),
+    (["mirror", "{c3}", "--base-point=1/0,0"], "--base-point: expected a rational number, got '1/0'"),
+    (["mirror", "{c3}", "--base-point", "1/2,x"], "--base-point: expected a rational number, got 'x'"),
+    (["mirror", "{c3}", "-E", "1/0"], "-E: expected a rational number, got '1/0'"),
+    (["wallcross-demo", "-E", "ten"], "-E: expected a rational number, got 'ten'"),
+    (["eval", "{series}", "--point", "1/0,1"], "--point: expected a rational number, got '1/0'"),
+    (["transport", "{ff}", "--path", "{loop}", "--class", "a,b"], "--class: expected an integer, got 'a'"),
+    (["transport", "{ff}", "--path", "{loop}", "--class", "0,1/2"], "--class: expected an integer, got '1/2'"),
+    (["eval", "{series}", "--point", "1,2,3"], "evaluation point dimension mismatch: (1, 2, 3)"),
+    (["mirror", "{c3}", "--base-point", "1,2,3"], "base point dimension mismatch: (1, 2, 3)"),
     (["wallcross-demo", "-E", "0"], "truncation must be positive"),
     (["wallcross-demo", "-E", "-1"], "truncation must be positive"),
 ]
