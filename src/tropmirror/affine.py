@@ -35,6 +35,7 @@ from .lattice import (
     read_list,
     read_object,
     read_rational,
+    shown_point,
     vsub,
 )
 from .record import frozen
@@ -98,8 +99,7 @@ def chamber_of(pres: CutPresentation, p: Sequence) -> str:
     diag = pres.diagram
     face = locate_face(diag, x)
     if face is None:
-        where = ", ".join(str(c) for c in p)
-        raise AffineError(f"on wall: ({where}) lies over {_diagram_part_at(diag, x)}")
+        raise AffineError(f"on wall: {shown_point(p)} lies over {_diagram_part_at(diag, x)}")
     # the cuts bounding the face are the edges dual to its sides
     taus = [pres.taus[e] for e, sides in diag.dual.edge_duality if face in sides]
     if t > max(taus):
@@ -157,8 +157,7 @@ def _below(a: QPoint, b: QPoint, tau: Fraction) -> tuple[QPoint, QPoint]:
 
 
 def _refuse(message: str, seg: int, edge: str, point: QPoint) -> AffineError:
-    where = ", ".join(str(c) for c in point)
-    return AffineError(f"{message}: segment {seg} meets the cut of {edge} at ({where})")
+    return AffineError(f"{message}: segment {seg} meets the cut of {edge} at {shown_point(point)}")
 
 
 def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) -> list[Crossing]:

@@ -50,6 +50,8 @@ from .lattice import (
     read_int,
     read_list,
     read_object,
+    shown,
+    shown_point,
     vadd,
 )
 from .mirror import normalize_presentation, superpotential, superpotential_text
@@ -147,9 +149,9 @@ class AnalyticSeries:
 
 
 def _check_length(what: str, v: Sequence, dim: int):
-    """Refuse ``v`` unless it has the series' dimension ``dim``; ``what`` names it, ``{}`` standing for ``v``."""
+    """Refuse ``v`` unless it has the series' dimension ``dim``; ``what`` names it, ``{}`` standing for ``shown(v)``."""
     if len(v) != dim:
-        raise AnalyticError(f"{what.format(v)} has length {len(v)}, the series has dimension {dim}")
+        raise AnalyticError(f"{what.format(shown(v))} has length {len(v)}, the series has dimension {dim}")
 
 
 def _collect(items) -> tuple[Monomial, ...]:
@@ -216,9 +218,9 @@ class WallTransformation:
         for name in ("gamma", "normal"):
             object.__setattr__(self, name, as_point(getattr(self, name), None, name, AnalyticError, read_int))
         if not is_primitive(self.gamma):
-            raise AnalyticError(f"vanishing class {self.gamma} is not primitive")
+            raise AnalyticError(f"vanishing class {shown_point(self.gamma)} is not primitive")
         if self.mode != "corrected":
-            raise AnalyticError(f"unknown wall-crossing mode {self.mode}")
+            raise AnalyticError(f"unknown wall-crossing mode {shown(self.mode)}")
 
 
 def _flip(chamber: str) -> str:

@@ -35,6 +35,7 @@ from .lattice import (
     read_int,
     read_list,
     read_object,
+    shown_point,
 )
 from .record import frozen
 
@@ -51,7 +52,7 @@ class ChargeMatrix:
         object.__setattr__(self, "rows", rows)
         for r in rows:
             if sum(r) != 0:
-                raise ChargeError(f"charge row {r} does not sum to zero")
+                raise ChargeError(f"charge row {shown_point(r)} does not sum to zero")
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[Vec]:

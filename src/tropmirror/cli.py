@@ -25,7 +25,7 @@ from .analytic import eval_series, focus_focus_demo, series_from_json, series_to
 from .charges import build_web, charges_from_json
 from .diagram import diagram_from_json, diagram_to_json
 from .dual import dual_subdivision, is_smooth
-from .lattice import as_point, as_rational, over_limit, read_int
+from .lattice import as_point, as_rational, printed, read_int
 from .mirror import corrections_from_json, normalize_presentation, presentation_to_json, superpotential
 from .monodromy import build_dual_graph
 from .novikov import nov_to_json, nov_to_text
@@ -39,8 +39,8 @@ def _dumps(obj) -> str:
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            return printed(lambda: json.load(fh), "{}: a number", path)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not a JSON file: {exc}") from None
         except RecursionError:
             limit = sys.getrecursionlimit()
@@ -173,11 +173,8 @@ def _cmd_transport(args) -> int:
     path = path_from_json(_load_json(args.path))
     g = as_point(args.covector.split(","), None, "--class", ValueError, read_int)
     result = transport_covector(pres, path, g)
-    try:
-        out = _dumps({"class": g, "result": result})  # json writes a tuple as a list
-    except ValueError:  # str refuses an integer of more than DIGITS digits
-        raise ValueError(over_limit("the transported class has an entry")) from None
-    sys.stdout.write(out)
+    # json writes a tuple as a list
+    sys.stdout.write(printed(lambda: _dumps({"class": g, "result": result}), "the transported class has an entry"))
     return 0
 
 
@@ -208,11 +205,8 @@ def _cmd_wallcross_demo(args) -> int:
 def _cmd_eval(args) -> int:
     a = series_from_json(_load_json(args.series))
     value = eval_series(a, as_point(args.point.split(","), None, "--point", ValueError))
-    try:
-        out = _dumps({"text": nov_to_text(value), "terms": nov_to_json(value)})
-    except ValueError:  # str refuses an integer of more than DIGITS digits
-        raise ValueError(over_limit("the value at --point has a number")) from None
-    sys.stdout.write(out)
+    write = lambda: _dumps({"text": nov_to_text(value), "terms": nov_to_json(value)})  # noqa: E731
+    sys.stdout.write(printed(write, "the value at --point has a number"))
     return 0
 
 

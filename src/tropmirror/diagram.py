@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import (
+    OVER,
     QPoint,
     Vec,
     as_int,
@@ -42,10 +43,13 @@ from .lattice import (
     malformed,
     over_limit,
     primitive,
+    printed,
     read_int,
     read_list,
     read_object,
     rot_minus90,
+    shown,
+    shown_point,
     vadd,
     vneg,
     vsub,
@@ -205,7 +209,7 @@ def parse_edge_name(text: str) -> str:
             digits = number[1:] if number[:1] in ("+", "-") else number
             if digits.isascii() and digits.isdigit():
                 return f"{kind}{read_int(number)}"
-    raise DiagramError(f"cannot parse edge reference {text!r}")
+    raise DiagramError(f"cannot parse edge reference {shown(text)}")
 
 
 # --- validation -------------------------------------------------------------
@@ -255,20 +259,19 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
         for d in dirs[1:]:
             total = vadd(total, d)
         if dirs and any(c != 0 for c in total):
-            try:
-                witness = f"vertex {v} direction sum {tuple(total)}"
-            except ValueError:  # str refuses an integer of more than DIGITS digits
+            witness = f"vertex {v} direction sum {shown_point(total, True)}"
+            if OVER in witness:  # the sum has a number too long to print
                 witness = over_limit(f"vertex {v} direction sum has a number")
             offenders.append(("balanced", witness))
         seen = set()
         for d in dirs:
             if tuple(d) in seen:
                 # a repeated outgoing direction is a weight-2 edge in disguise
-                offenders.append(("primitive_directions", f"vertex {v} repeats direction {tuple(d)}"))
+                offenders.append(("primitive_directions", f"vertex {v} repeats direction {shown_point(d, True)}"))
             seen.add(tuple(d))
     for r, (_, d) in enumerate(diag.rays):
         if not is_primitive(d):
-            offenders.append(("primitive_directions", f"ray {r} direction {tuple(d)} not primitive"))
+            offenders.append(("primitive_directions", f"ray {r} direction {shown_point(d, True)} not primitive"))
     # connectivity over bounded edges: the head of edge dart d is the tail of its twin
     n = len(diag.vertices)
     if n > 1:
@@ -307,12 +310,10 @@ def require_axioms(diag: TropicalDiagram):
 
 def diagram_to_json(diag: TropicalDiagram) -> dict:
     """The diagram as JSON; a vertex with a coordinate too long to print is refused by its row."""
-    vertices = []
-    for i, v in enumerate(diag.vertices):
-        try:
-            vertices.append([str(c) for c in v])
-        except ValueError:  # str refuses an integer of more than DIGITS digits
-            raise DiagramError(over_limit(f"web vertex {i} has a coordinate")) from None
+    vertices = [
+        printed(lambda: [str(c) for c in v], "web vertex {} has a coordinate", i, error=DiagramError)
+        for i, v in enumerate(diag.vertices)
+    ]
     out: dict = {"dim": diag.dim, "vertices": vertices}
     if diag.dim == 2:
         out["edges"] = [[i, j] for i, j in diag.edges]

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diagram import DiagramError, TropicalDiagram, require_axioms
-from .lattice import QPoint, Vec, as_int, as_point, cross2, dot, vadd, vneg, vsub
+from .lattice import QPoint, Vec, as_int, as_point, cross2, dot, shown_point, vadd, vneg, vsub
 from .record import frozen
 
 Q = Fraction
@@ -269,8 +269,8 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
                 positions[f], heights[f], placed_at[f] = p, level[v] - dot(p, xs[v]), v
             elif positions[f] != p:
                 raise DiagramError(
-                    "dual positions are inconsistent (monodromy obstruction): face"
-                    f" {f} is at {positions[f]} from vertex {placed_at[f]} and at {p} from vertex {v}"
+                    f"dual positions are inconsistent (monodromy obstruction): face {f} is at"
+                    f" {shown_point(positions[f])} from vertex {placed_at[f]} and at {shown_point(p)} from vertex {v}"
                 )
 
     triangles = tuple(tuple(sorted(cell)) for cell in local)

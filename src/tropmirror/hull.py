@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Vec, as_point, common_denominator, convex_hull, cross2, dot, read_int, vsub
+from .lattice import Vec, as_point, common_denominator, convex_hull, cross2, dot, read_int, shown_point, vsub
 from .record import frozen
 
 Q = Fraction
@@ -100,7 +100,7 @@ def regular_subdivision(points: Sequence[Vec], heights: Sequence) -> RegularSubd
     index: dict[Vec, int] = {}
     for i, p in enumerate(pts):
         if p in index:
-            raise ChargeError(f"repeated point {p} at indices {index[p]}, {i}")
+            raise ChargeError(f"repeated point {shown_point(p)} at indices {index[p]}, {i}")
         index[p] = i
     hull = convex_hull(pts)
     if len(hull) < 3:

@@ -35,16 +35,28 @@ and refuses a bool.
 
 Both rules word every refusal themselves, one sentence per kind: ``expected
 an integer, got <value>``, ``expected a rational number, got <value>``, and
-``<value> is over the limit of DIGITS digits`` for a string past the bound,
-the value abbreviated by ``reprlib``.  No Python text (``Fraction(1, 0)``,
-``invalid literal``, the ``sys.set_int_max_str_digits()`` advice) reaches
-the caller, and no other module words a number that cannot be read.
+``<value> is over the limit of DIGITS digits`` for a string past the bound.
+No Python text (``Fraction(1, 0)``, ``invalid literal``, the
+``sys.set_int_max_str_digits()`` advice) reaches the caller, and no other
+module words a number that cannot be read.
+
+One rule says how a message shows a value, in every module: ``shown`` shows
+a caller's value as ``reprlib`` abbreviates it, and ``shown_point`` a read
+point as the package prints it, ``(0, 1/2)``, its entries abbreviated alike.
+Any ``int`` or ``Fraction`` with more than DIGITS digits above or below the
+bar, which ``str`` refuses, is shown as the one marker ``<a number over the
+limit of DIGITS digits>``, so no message raises Python's digit-limit error
+or shows a memory address.  ``validate``'s witnesses are its report, so
+they are shown whole, as they were printed before; and a writer refuses a
+number too long to print by what holds it, in the wording it had, through
+the one guard ``printed``.
 """
 
 from __future__ import annotations
 
 import re
 import reprlib
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
@@ -183,12 +195,11 @@ def _refuse(value, kind):
     """Raise the one refusal of a number that cannot be read.
 
     It is ``expected <kind>, got <value>``, or with no kind ``<value> is over
-    the limit of DIGITS digits``; the value is shown as ``reprlib``
-    abbreviates it, so a long one is not echoed whole.
+    the limit of DIGITS digits``; the value is ``shown``.
     """
     if kind:
-        raise ValueError(f"expected {kind}, got {reprlib.repr(value)}")
-    raise ValueError(over_limit(f"{reprlib.repr(value)} is"))
+        raise ValueError(f"expected {kind}, got {shown(value)}")
+    raise ValueError(over_limit(f"{shown(value)} is"))
 
 
 def read_int(value) -> int:
@@ -249,11 +260,11 @@ def as_sequence(p, what: str, error: type) -> Sequence:
 
     Any other value (a string, a mapping, a set, a generator) is refused as
     ``error("<what>: expected a list or a tuple, got <value>")``, the value
-    shown as ``reprlib`` abbreviates it.
+    ``shown``.
     """
     if isinstance(p, (list, tuple)):
         return p
-    raise error(f"{what}: expected a list or a tuple, got {reprlib.repr(p)}")
+    raise error(f"{what}: expected a list or a tuple, got {shown(p)}")
 
 
 def as_point(p, dim: int | None, what: str, error: type, number=read_rational) -> tuple:
@@ -263,8 +274,7 @@ def as_point(p, dim: int | None, what: str, error: type, number=read_rational) -
     entry that ``number`` refuses as ``error("<what>: <reason>")``, and then a
     point without ``dim`` entries as ``error("<what> dimension mismatch:
     <point>")``; a ``dim`` of None checks no length.  The point is shown as
-    it was read, ``(0, 0, 1/2)``, and abbreviated as ``reprlib`` abbreviates
-    it.
+    it was read, by ``shown_point``.
     """
     if not isinstance(p, (list, tuple)):  # tested here too, so that a point read costs no extra call
         as_sequence(p, what, error)
@@ -273,8 +283,7 @@ def as_point(p, dim: int | None, what: str, error: type, number=read_rational) -
     except MALFORMED as exc:
         _reraise(what, exc, error)
     if dim is not None and len(point) != dim:
-        # the entries as the package prints them, (0, 1/2), abbreviated as reprlib abbreviates strings
-        raise error(f"{what} dimension mismatch: " + reprlib.repr(tuple(map(str, point))).replace("'", ""))
+        raise error(f"{what} dimension mismatch: {shown_point(point)}")
     return point
 
 
@@ -315,16 +324,66 @@ def read_list(value, contents: str) -> list:
     """A JSON list; anything else is refused as ``expected a list of <contents>, got <value>``.
 
     A string is refused rather than read character by character.  The value
-    is shown as ``reprlib`` abbreviates it, so a large one is not echoed whole.
+    is ``shown``, so a large one is not echoed whole.
     """
     if not isinstance(value, list):
-        raise TypeError(f"expected a list of {contents}, got {reprlib.repr(value)}")
+        raise TypeError(f"expected a list of {contents}, got {shown(value)}")
     return value
 
 
 def over_limit(holder: str) -> str:
     """``<holder> over the limit of DIGITS digits``: the refusal of a number that ``str`` cannot print."""
     return f"{holder} over the limit of {DIGITS} digits"
+
+
+OVER = f"<{over_limit('a number')}>"  # how a message shows a number that str cannot print
+
+
+def _too_long(x) -> bool:
+    """Whether ``x`` is an ``int`` or a ``Fraction`` that ``str`` refuses: over DIGITS digits above or below the bar.
+
+    ``reprlib`` would raise Python's digit-limit error on such an ``int`` and
+    show such a ``Fraction`` by its address.
+    """
+    return x.__class__ in (int, Fraction) and not abs(x.numerator) < _TOO_LARGE > x.denominator
+
+
+class _Shown(reprlib.Repr):
+    """``reprlib``'s abbreviations, with a number too long to print shown as ``OVER``."""
+
+    def repr1(self, x, level):
+        return OVER if _too_long(x) else super().repr1(x, level)
+
+
+shown = _Shown().repr  # a caller's value in a message, as reprlib abbreviates it: '999999999999...9999999999999'
+_WHOLE = _Shown()
+_WHOLE.maxstring = _WHOLE.maxtuple = sys.maxsize
+
+
+def shown_point(point, whole=False) -> str:
+    """A read point in a message, as the package prints it, ``(0, 1/2)``.
+
+    Its entries' strings are abbreviated as ``reprlib`` abbreviates a string,
+    and past six entries the point, unless ``whole``.
+    """
+    entries = tuple(c if _too_long(c) else str(c) for c in point)
+    return (_WHOLE.repr if whole else shown)(entries).replace("'", "")
+
+
+def printed(write, holder: str, *args, error=ValueError):
+    """``write()``, refused as ``error(over_limit(holder.format(*args)))`` where ``str`` refuses a number in it.
+
+    ``holder`` names what holds the number, as ``web vertex {} has a
+    coordinate``; it is filled only on a refusal.  A subclass of
+    ``ValueError`` (a JSON or a Unicode decode error) is not the digit limit
+    and passes through.
+    """
+    try:
+        return write()
+    except ValueError as exc:
+        if exc.__class__ is not ValueError:
+            raise
+        raise error(over_limit(holder.format(*args))) from None
 
 
 @frozen

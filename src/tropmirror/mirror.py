@@ -36,10 +36,11 @@ from .lattice import (
     as_rational,
     dot,
     malformed,
-    over_limit,
+    printed,
     read_int,
     read_list,
     read_object,
+    shown_point,
 )
 from .novikov import (
     NOV_ONE,
@@ -80,7 +81,7 @@ class CorrectionMap:
         seen: set[Vec] = set()
         for alpha, _ in terms:
             if alpha in seen:
-                raise MirrorError(f"repeated correction vertex {alpha}")
+                raise MirrorError(f"repeated correction vertex {shown_point(alpha)}")
             seen.add(alpha)
 
 
@@ -143,7 +144,7 @@ def superpotential(
     known = set(dual.lattice_points)
     for a in by_vertex:
         if a not in known:
-            raise MirrorError(f"correction vertex {a} is not in the dual graph")
+            raise MirrorError(f"correction vertex {shown_point(a)} is not in the dual graph")
     terms = []
     for f, alpha in enumerate(dual.lattice_points):
         c = nov_truncate(by_vertex.get(alpha, nov()), truncation)
@@ -256,12 +257,11 @@ def presentation_to_json(g: Superpotential) -> dict:
     gens = []
     for v in variables:
         gens.extend([v, f"{v}^-1"])
-    terms = []
-    for alpha, c in g.terms:
-        try:
-            terms.append({"vertex": list(alpha), "coefficient": nov_to_json(c)})
-        except ValueError:  # str refuses an integer of more than DIGITS digits
-            raise MirrorError(over_limit(f"the superpotential term at dual vertex {alpha} has a number")) from None
+    holder = "the superpotential term at dual vertex {} has a number"
+    terms = [
+        {"vertex": list(alpha), "coefficient": printed(lambda: nov_to_json(c), holder, alpha, error=MirrorError)}
+        for alpha, c in g.terms
+    ]
     return {
         "n": g.dim + 1,
         "generators": gens + ["x", "y"],

@@ -122,10 +122,7 @@ def nov_truncate(a: NovikovElement, E) -> NovikovElement:
 
 def nov_add(a: NovikovElement, b: NovikovElement) -> NovikovElement:
     """The sum, truncated at the lesser of the two truncations."""
-    acc = dict(a.terms)
-    for e, c in b.terms:
-        acc[e] = acc[e] + c if e in acc else c
-    return _from_sums(acc, _min_trunc(a.truncation, b.truncation))
+    return _sum_terms(a.terms + b.terms, _min_trunc(a.truncation, b.truncation))
 
 
 def nov_shift(delta, a: NovikovElement) -> NovikovElement:
@@ -163,14 +160,11 @@ def _product_truncation(a: NovikovElement, b: NovikovElement) -> Optional[Fracti
 
 def nov_mul(a: NovikovElement, b: NovikovElement) -> NovikovElement:
     trunc = _product_truncation(a, b)
-    acc: dict[Fraction, Fraction] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            e = ea + eb
-            if trunc is not None and e >= trunc:
-                continue
-            acc[e] = acc[e] + ca * cb if e in acc else ca * cb
-    return _from_sums(acc, trunc)
+    # an exponent at or past the truncation is skipped before its coefficients are multiplied
+    return _sum_terms(
+        ((e, ca * cb) for ea, ca in a.terms for eb, cb in b.terms for e in (ea + eb,) if trunc is None or e < trunc),
+        trunc,
+    )
 
 
 def nov_inv(a: NovikovElement, E) -> NovikovElement:

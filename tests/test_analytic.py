@@ -160,7 +160,7 @@ def test_wall_cross_examples():
 def test_wall_cross_refuses_every_mode_but_corrected():
     # the monodromy shear of a cut is transport_covector's, not a wall mode
     for mode in ("affine", "Corrected", "", "cluster"):
-        with pytest.raises(AnalyticError, match=f"^unknown wall-crossing mode {mode}$"):
+        with pytest.raises(AnalyticError, match=f"^unknown wall-crossing mode {mode!r}$"):
             WallTransformation(0, (1, 0), (0, 1), mode)
 
 

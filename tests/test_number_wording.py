@@ -8,7 +8,9 @@ written here; each case puts one unreadable value in one number field of a
 file, or gives it to one option, and checks the whole of stderr.  No refusal
 may show Python's own text: a ``Fraction(...)`` repr, ``int``'s or
 ``Fraction``'s literal message, the integer-ratio message of a float, or the
-``sys.set_int_max_str_digits()`` advice.
+``sys.set_int_max_str_digits()`` advice.  A JSON number literal of more than
+4300 digits, which ``json`` cannot read, is refused by its file as ``<file>:
+a number over the limit of 4300 digits``.
 """
 
 import json
@@ -115,3 +117,22 @@ def test_an_edge_name_with_a_long_number_is_refused_in_the_same_wording(tmp_path
     (tmp_path / "case.json").write_text(json.dumps({"edge" + NINES: "0"}))
     want = f"error: malformed tau JSON: {SHOWN_NINES} is over the limit of 4300 digits\n"
     assert _run(tmp_path, capsys, TAU) == (1, "", want)
+
+
+# (reader, argv) of each file reader; json parses the file before any field is read
+READERS = [
+    ("validate", VALIDATE),
+    ("web --charges", WEB),
+    ("transport --path", PATH),
+    ("transport --tau", TAU),
+    ("mirror --corrections", CORRECTIONS),
+    ("eval", EVAL),
+]
+
+
+@pytest.mark.parametrize("argv", [r[1] for r in READERS], ids=[r[0] for r in READERS])
+def test_a_json_number_literal_too_long_to_read_is_refused_in_the_same_wording(tmp_path, capsys, argv):
+    doc = next(field[4] for field in FIELDS if field[1] is argv)
+    (tmp_path / "case.json").write_text(json.dumps(doc).replace('"@"', NINES))
+    want = f"error: {tmp_path / 'case.json'}: a number over the limit of 4300 digits\n"
+    assert _run(tmp_path, capsys, argv) == (1, "", want)

@@ -15,6 +15,12 @@ The wording of a number that cannot be read is written in one module:
 No other module may form ``expected an integer``, ``expected a rational
 number``, ``is not an integer`` or ``is not a rational number``, whether as
 one string or pieced together from an f-string and a string it fills in.
+
+The way a message shows a value is kept in one module too: ``lattice.shown``
+and ``lattice.shown_point`` show every value, and ``lattice.printed`` refuses
+a number too long to print.  No other module may import ``reprlib`` or catch
+Python's digit-limit error with an ``except ValueError`` that calls
+``over_limit``.
 """
 
 import ast
@@ -145,3 +151,48 @@ def test_only_lattice_words_a_number_that_cannot_be_read():
             sources[os.path.basename(path)] = fh.read()
     assert "lattice.py" in sources
     assert formed_wordings(sources) == []
+
+
+def show_rule_sites(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each ``reprlib`` import and ``except ValueError`` calling ``over_limit`` outside lattice."""
+    found = []
+    for module, source in sorted(sources.items()):
+        if module == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name == "reprlib" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "reprlib"
+            elif isinstance(node, ast.ExceptHandler):
+                calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+                called = {getattr(f, "id", getattr(f, "attr", None)) for f in calls}
+                hit = isinstance(node.type, ast.Name) and node.type.id == "ValueError" and "over_limit" in called
+            else:
+                hit = False
+            if hit:
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_the_show_rule_scan_finds_a_second_way_to_show_a_value():
+    sources = {
+        "lattice.py": "import reprlib\ntry:\n    s = str(n)\nexcept ValueError:\n    raise E(over_limit('n'))\n",
+        "a.py": "import reprlib\nfrom reprlib import repr\nimport os, reprlib\n",
+        "b.py": (
+            "try:\n    s = str(n)\nexcept ValueError:\n    s = over_limit('n')\n"
+            "try:\n    s = str(n)\nexcept ValueError:\n    raise E(lattice.over_limit('n')) from None\n"
+            "try:\n    s = str(n)\nexcept ValueError:\n    s = '?'\n"
+            "try:\n    s = str(n)\nexcept TypeError:\n    s = over_limit('n')\n"
+        ),
+    }
+    assert show_rule_sites(sources) == ["a.py:1", "a.py:2", "a.py:3", "b.py:3", "b.py:7"]
+
+
+def test_only_lattice_shows_a_value_and_refuses_a_number_too_long_to_print():
+    sources = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert "lattice.py" in sources
+    assert show_rule_sites(sources) == []
