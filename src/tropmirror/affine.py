@@ -146,12 +146,16 @@ def _on_edge(segment, pt) -> bool:
     return s is not None and s >= 0 and (end is None or s <= end)
 
 
+def _along(a: QPoint, b: QPoint, s: Fraction) -> QPoint:
+    """The point a + s(b - a) of segment ab."""
+    return tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
+
+
 def _below(a: QPoint, b: QPoint, tau: Fraction) -> tuple[QPoint, QPoint]:
     """The ends of the part of segment ab at height tau or lower (not empty), a's first."""
     at, bt = a[-1], b[-1]
     if at > tau or bt > tau:
-        s = (tau - at) / (bt - at)
-        mid = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
+        mid = _along(a, b, (tau - at) / (bt - at))
         a, b = (mid, b) if at > tau else (a, mid)
     return a, b
 
@@ -178,8 +182,7 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
                 if max(ua, ub) >= 0 and (end is None or min(ua, ub) <= end):
                     # witness: the first point of that part over the edge
                     u = max(ua, 0) if end is None else min(max(ua, 0), end)
-                    s = (u - ua) / (ub - ua) if ub != ua else 0
-                    point = tuple(pl + s * (ph - pl) for pl, ph in zip(lo, hi))
+                    point = _along(lo, hi, (u - ua) / (ub - ua) if ub != ua else 0)
                     raise _refuse("path runs along a cut", seg, diag.edge_name(e), point)
             continue
         if fa == 0 or fb == 0:
@@ -192,7 +195,7 @@ def _segment_crossings(pres: CutPresentation, seg: int, a: QPoint, b: QPoint) ->
         if (fa > 0) == (fb > 0):
             continue
         s = fa / (fa - fb)
-        point = tuple(pa + s * (pb - pa) for pa, pb in zip(a, b))
+        point = _along(a, b, s)
         xq, tq = point[:-1], point[-1]
         u = _edge_param(segment, xq)
         if u < 0 or (end is not None and u > end):

@@ -376,6 +376,4 @@ def series_from_json(data) -> AnalyticSeries:
 
 def _monomial_from_json(value) -> Monomial:
     item = read_object(value, 'with "expo" and "coeff" in "terms"')
-    coeff = read_list(item["coeff"], '{"exp", "coeff"} objects in "coeff"')
-    coeff = [read_object(t, 'with "exp" and "coeff" in "coeff"') for t in coeff]
-    return Monomial(nov_from_json(coeff), item["expo"])
+    return Monomial(nov_from_json(item["coeff"], "coeff"), item["expo"])

@@ -15,11 +15,14 @@ sums read it.  The edge table, ``TropicalDiagram.rings`` (the darts leaving
 each vertex), ``TropicalDiagram.segments`` (where each edge sits) and
 ``TropicalDiagram.covectors`` (the covector each edge's cut glues by), is
 built once per diagram; validation, the face walk, the gluing, the monodromy
-and transport all read it.  Every layer refers to an edge by its row e in
-that table: the bounded edges in stored order, then the rays, or in d=1 the
-marked points.  Only this module turns a row into a name
-(``TropicalDiagram.edge_name``: edge3, ray1, point0) and a tau file's
-spelling back into a name (``parse_edge_name``).
+and transport all read it.  ``TropicalDiagram.tree`` is the one walk of the
+bounded edges, depth first from vertex 0, as ``(v, k, w)`` triples:
+validation counts them for connectivity and the gluing anchors its cells
+along them, so only this module follows an edge dart to its far end.  Every
+layer refers to an edge by its row e in that table: the bounded edges in
+stored order, then the rays, or in d=1 the marked points.  Only this module
+turns a row into a name (``TropicalDiagram.edge_name``: edge3, ray1, point0)
+and a tau file's spelling back into a name (``parse_edge_name``).
 
 The faces of the complement, the dual subdivision, the face heights and point
 location are in ``tropmirror.dual``; their public names are bound here too.
@@ -147,6 +150,30 @@ class TropicalDiagram:
         return tuple(map(tuple, rings))
 
     @functools.cached_property
+    def tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The bounded edges of a depth-first walk from vertex 0, as (v, k, w) in walk order.
+
+        Edge row k takes the walk from v, reached before, to w, reached here
+        first; the triples are empty for an empty diagram.  The far end of
+        edge dart d is edges[d >> 1][~d & 1], the tail of its twin.
+        """
+        tree = []
+        seen = {0}
+        stack = [0] if self.vertices else []
+        first_ray = 2 * len(self.edges)
+        while stack:
+            v = stack.pop()
+            for d in self.rings[v]:
+                if d >= first_ray:
+                    break  # a ring lists its ray darts last
+                w = self.edges[d >> 1][~d & 1]
+                if w not in seen:
+                    seen.add(w)
+                    tree.append((v, d >> 1, w))
+                    stack.append(w)
+        return tuple(tree)
+
+    @functools.cached_property
     def segments(self) -> tuple[tuple[QPoint, Optional[Vec], Optional[Fraction]], ...]:
         """Per edge row, (anchor, primitive direction, end).
 
@@ -272,22 +299,10 @@ def validate(diag: TropicalDiagram) -> ValidationReport:
     for r, (_, d) in enumerate(diag.rays):
         if not is_primitive(d):
             offenders.append(("primitive_directions", f"ray {r} direction {shown_point(d, True)} not primitive"))
-    # connectivity over bounded edges: the head of edge dart d is the tail of its twin
-    n = len(diag.vertices)
-    if n > 1:
-        first_ray = 2 * len(diag.edges)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for d in diag.rings[stack.pop()]:
-                if d >= first_ray:
-                    break  # a ring lists its ray darts last
-                w = diag.edges[d >> 1][~d & 1]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
-            offenders.append(("connected", f"{n - len(seen)} vertices unreachable"))
+    # connectivity over bounded edges: the walk's tree reaches every vertex
+    unreached = len(diag.vertices) - 1 - len(diag.tree)
+    if unreached:
+        offenders.append(("connected", f"{unreached} vertices unreachable"))
     return ValidationReport(tuple(offenders))
 
 

@@ -18,6 +18,12 @@ the coordinate sum, i.e. the face reached heading toward (+1,+1); lexicographic
 tie-break; configurable) is placed at the origin.  The opposite sign gauge
 reflects the subdivision through the origin.
 
+The face walk orders the darts at a vertex, and the rays at infinity, by one
+exact sort key of a direction, ``_ccw``: (half-turn, off the x-axis, -x/y),
+counterclockwise from angle 0, with no comparator.  The gluing checks each
+edge row once and anchors the vertex cells along ``TropicalDiagram.tree``,
+the diagram's one walk of its bounded edges.
+
 ``TropicalDiagram`` computes each of these once per diagram through its cached
 properties; ``tropmirror.diagram`` binds the public names of this module too.
 The gluing walk sums on integers, on the vertices over their common
@@ -27,7 +33,6 @@ face height.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -55,22 +60,15 @@ class FaceComplex:
     rotations: dict  # vertex -> ccw-ordered outgoing darts (-1 is infinity)
 
 
-def _angle_class(d: Sequence) -> int:
+def _ccw(d: Sequence) -> tuple:
+    """The exact counterclockwise sort key of a nonzero integer direction, from angle 0.
+
+    It is (half-turn, off the x-axis, -x/y): the half-turn is 0 from angle 0
+    up to but not including angle pi, and within a half-turn, off the axis,
+    the angle grows as the cotangent x/y falls.
+    """
     x, y = d
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _ccw_cmp(a: Sequence, b: Sequence) -> int:
-    """Exact counterclockwise comparison of nonzero direction vectors from angle 0."""
-    ha, hb = _angle_class(a), _angle_class(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = cross2(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    return (y < 0 or y == 0 and x < 0, y != 0, y and Fraction(-x, y))
 
 
 def faces(diag: TropicalDiagram) -> FaceComplex:
@@ -83,29 +81,23 @@ def faces(diag: TropicalDiagram) -> FaceComplex:
     ndarts = 2 * len(segments)
 
     # rotation at finite vertices: counterclockwise by outgoing direction
-    ccw = functools.cmp_to_key(_ccw_cmp)
-
     def outgoing(d: int):
         u = segments[d >> 1][1]
-        return ccw(vneg(u) if d & 1 else u)
+        return _ccw(vneg(u) if d & 1 else u)
 
     rotation = {v: sorted(ring, key=outgoing) for v, ring in enumerate(diag.rings)}
 
     # rotation at infinity: the odd ray darts, by descending ray angle;
     # parallel rays ordered by ascending offset of their source along the
     # ray covector
-    def inf_cmp(a: int, b: int) -> int:
-        (pa, da, _), (pb, db, _) = segments[a >> 1], segments[b >> 1]
-        c = _ccw_cmp(da, db)
-        if c != 0:
-            return -c
-        offa = dot(covectors[a >> 1], pa)
-        offb = dot(covectors[b >> 1], pb)
-        if offa == offb:
+    k = len(diag.edges)
+    ends = sorted(
+        ((_ccw(d), -dot(covectors[e], p), 2 * e + 1) for e, (p, d, _) in enumerate(segments[k:], k)), reverse=True
+    )
+    for a, b in zip(ends, ends[1:]):
+        if a[:2] == b[:2]:
             raise DiagramError("two rays share a line; faces are ambiguous")
-        return -1 if offa < offb else 1
-
-    rotation[-1] = sorted(range(2 * len(diag.edges) + 1, ndarts, 2), key=functools.cmp_to_key(inf_cmp))
+    rotation[-1] = [d for _, _, d in ends]
 
     successor = [0] * ndarts
     for ring in rotation.values():
@@ -219,34 +211,24 @@ def _glue(diag: TropicalDiagram) -> tuple[DualSubdivision, tuple[Fraction, ...]]
             raise DiagramError(f"face pinched at vertex {v}")
         local.append(offsets)
 
-    # glue local cells along bounded edges; level[w] follows from the face f0
-    # that w shares with v: h(f0) + <alpha_f0, x> at x_w minus at x_v
-    anchor: list[Optional[Vec]] = [None] * len(xs)
-    anchor[0] = (0, 0)
+    # The two ends of edge row k share the faces on its sides, which the pinch
+    # check made distinct, unless the web crosses itself there.  The local
+    # cells are glued along the walk's tree: level[w] follows from the face
+    # f0 that w shares with v, h(f0) + <alpha_f0, x> at x_w minus at x_v
+    shared = [local[i].keys() & local[j].keys() for i, j in diag.edges]
+    for k, sides in enumerate(shared):
+        if len(sides) != 2:
+            raise DiagramError(f"edge {k} does not separate two faces")
+    anchor = [(0, 0)] * len(xs)
     level = [0] * len(xs)
-    stack = [0]
-    first_ray = 2 * len(diag.edges)
-    while stack:
-        v = stack.pop()
-        for d in diag.rings[v]:
-            if d >= first_ray:
-                break  # a ring lists its ray darts last
-            k = d >> 1
-            w = diag.edges[k][~d & 1]
-            shared = set(local[v]) & set(local[w])
-            if len(shared) != 2:
-                raise DiagramError(f"edge {k} does not separate two faces")
-            if anchor[w] is None:
-                # The shared faces are the two sides of edge k, which the pinch
-                # check made distinct.  At either end, stepping from one side
-                # to the other adds the same vector: the covector of edge k,
-                # whose sign flips with the dart's parity as the sides swap.
-                # So the other shared face gives this anchor too, and needs
-                # no check.
-                f0 = min(shared)
-                anchor[w] = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
-                level[w] = level[v] + dot(vadd(anchor[w], local[w][f0]), vsub(xs[w], xs[v]))
-                stack.append(w)
+    for v, k, w in diag.tree:
+        # At either end, stepping from one side of edge k to the other adds
+        # the same vector: the covector of edge k, whose sign flips with the
+        # dart's parity as the sides swap.  So the other shared face gives
+        # this anchor too, and needs no check.
+        f0 = min(shared[k])
+        anchor[w] = vadd(anchor[v], vsub(local[v][f0], local[w][f0]))
+        level[w] = level[v] + dot(vadd(anchor[w], local[w][f0]), vsub(xs[w], xs[v]))
 
     # Every face gets a position: after a ray's odd dart its orbit steps into
     # the ring of the ray's vertex, so it holds a dart leaving a finite vertex,

@@ -98,8 +98,7 @@ def _correction_from_json(i: int, item) -> tuple[Vec, NovikovElement]:
     with malformed(f"entry {i}"):
         item = read_object(item, 'with "vertex" and "series"')
         vertex = as_point(item["vertex"], None, "correction vertex", MirrorError, read_int)
-        series = read_list(item["series"], '{"exp", "coeff"} objects in "series"')
-        return vertex, nov_from_json([read_object(t, 'with "exp" and "coeff" in "series"') for t in series])
+        return vertex, nov_from_json(item["series"], "series")
 
 
 def _term_sort_key(alpha: Vec):

@@ -11,6 +11,10 @@ Truncation is a property of the element: ``truncation=None`` means no
 truncation (+infinity), otherwise all stored exponents are < truncation.
 Arithmetic propagates truncations pessimistically (min of the operands),
 mirroring computation over the quotients by energy level.
+
+A file holds an element as its term list, ``[{"exp": e, "coeff": c}, ...]``
+(``nov_to_json``); ``nov_from_json`` is the one reader of that shape, for the
+series and the corrections files alike.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from .lattice import as_point, as_rational
+from .lattice import as_point, as_rational, read_list, read_object, read_rational
 from .record import frozen
 
 Q = Fraction
@@ -139,23 +143,12 @@ def _product_truncation(a: NovikovElement, b: NovikovElement) -> Optional[Fracti
     b at exponent >= T_a + min(val b, T_b), and symmetrically; below the
     minimum of those bounds the product is fully determined.
     """
-
-    def lowest(x: NovikovElement) -> Optional[Fraction]:
-        v = nov_val(x)
-        if v is not None:
-            return v  # stored terms sit below the truncation
-        return x.truncation
-
-    candidates = []
-    if a.truncation is not None:
-        e = lowest(b)
-        if e is not None:
-            candidates.append(a.truncation + e)
-    if b.truncation is not None:
-        e = lowest(a)
-        if e is not None:
-            candidates.append(b.truncation + e)
-    return min(candidates) if candidates else None
+    bounds = [
+        x.truncation + (y.terms[0][0] if y.terms else y.truncation)  # y's stored terms sit below its truncation
+        for x, y in ((a, b), (b, a))
+        if x.truncation is not None and (y.terms or y.truncation is not None)
+    ]
+    return min(bounds) if bounds else None
 
 
 def nov_mul(a: NovikovElement, b: NovikovElement) -> NovikovElement:
@@ -233,5 +226,19 @@ def nov_to_json(a: NovikovElement) -> list[dict[str, str]]:
     return [{"exp": str(e), "coeff": str(c)} for e, c in a.terms]
 
 
-def nov_from_json(data) -> NovikovElement:
-    return nov([(item["exp"], item["coeff"]) for item in data])
+def nov_from_json(value, field: str) -> NovikovElement:
+    """The element of a file's term list ``[{"exp": e, "coeff": c}, ...]``, the value of ``field``.
+
+    The one reader of that shape.  It reads in three passes, so that a list
+    with several faults is refused for the first in this order: each term's
+    shape, then its keys, then its numbers, which ``read_rational`` reads and
+    a refusal prefixes with ``term: ``.
+    """
+    terms = read_list(value, f'{{"exp", "coeff"}} objects in "{field}"')
+    terms = [read_object(t, f'with "exp" and "coeff" in "{field}"') for t in terms]
+    terms = [(t["exp"], t["coeff"]) for t in terms]
+    try:  # not ``malformed``: a context manager would cost a series term more than its read
+        terms = [(read_rational(e), read_rational(c)) for e, c in terms]
+    except ValueError as exc:
+        raise NovikovError(f"term: {exc}") from exc
+    return _sum_terms(terms, None)

@@ -86,7 +86,12 @@ def frozen(cls):
         return hash(fields(self))
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        try:
+            body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        except ValueError:  # str refuses a number over the digit limit: lattice's show rule marks it
+            from .lattice import _WHOLE  # lattice imports this module
+
+            body = ", ".join(f"{name}={_WHOLE.repr(getattr(self, name))}" for name in names)
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name, value):

@@ -12,6 +12,7 @@ from typing import Optional
 
 from .diagram import TropicalDiagram
 from .dual import DualSubdivision
+from .lattice import printed
 
 Q = Fraction
 
@@ -105,16 +106,13 @@ def _farthest(diag: TropicalDiagram, segs) -> str:
 
 def _render_dot(diag: TropicalDiagram) -> str:
     out = ["graph web {"]
-    if diag.dim == 1:
-        for i in range(len(diag.vertices)):
-            out.append(f'  v{i} [label="{diag.vertices[i][0]}"];')
-    else:
-        for i, v in enumerate(diag.vertices):
-            out.append(f'  v{i} [label="({v[0]},{v[1]})"];')
-        for k, (i, j) in enumerate(diag.edges):
-            out.append(f"  v{i} -- v{j} [class=edge];")
-        for r, (i, d) in enumerate(diag.rays):
-            out.append(f'  r{r} [shape=point, label="({d[0]},{d[1]})"];')
-            out.append(f"  v{i} -- r{r} [class=ray];")
+    for i, v in enumerate(diag.vertices):
+        label = printed(lambda: ",".join(map(str, v)), "web vertex {} has a coordinate", i, error=RenderError)
+        out.append(f'  v{i} [label="{label if diag.dim == 1 else f"({label})"}"];')
+    for i, j in diag.edges:
+        out.append(f"  v{i} -- v{j} [class=edge];")
+    for r, (i, d) in enumerate(diag.rays):
+        out.append(f'  r{r} [shape=point, label="({d[0]},{d[1]})"];')
+        out.append(f"  v{i} -- r{r} [class=ray];")
     out.append("}")
     return "\n".join(out) + "\n"

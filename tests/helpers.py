@@ -1,8 +1,9 @@
 """Shared test utilities: random polygons and webs, unimodular maps, the brute-force
 cone oracle, and the oracles of replaced kernels (hulls, the charge kernel, the
 web builder, face heights, Novikov arithmetic, series accumulation, series
-comparison, cone families, wall crossing, the face walk, validation, the
-transport edge predicates, cut gluing by matrix products), and small helpers
+comparison, cone families, wall crossing, the product truncation, the
+counterclockwise comparator, the face walk, validation, the transport edge
+predicates, cut gluing by matrix products), and small helpers
 that only the tests use."""
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from tropmirror.diagram import (
     is_smooth,
     validate,
 )
-from tropmirror.dual import _ccw_cmp, _pinned
+from tropmirror.dual import _pinned
 from tropmirror.lattice import (
     Box,
     LatticeError,
@@ -878,6 +879,32 @@ def nov_add_merge_oracle(a: NovikovElement, b: NovikovElement) -> NovikovElement
     return _trusted(tuple(out), trunc)
 
 
+def product_truncation_oracle(a: NovikovElement, b: NovikovElement) -> Optional[Fraction]:
+    """Sound truncation window for a product: ``_product_truncation`` with its two orders written out.
+
+    A term dropped from a (exponent >= T_a) meets stored or dropped content of
+    b at exponent >= T_a + min(val b, T_b), and symmetrically; below the
+    minimum of those bounds the product is fully determined.
+    """
+
+    def lowest(x: NovikovElement) -> Optional[Fraction]:
+        v = nov_val(x)
+        if v is not None:
+            return v  # stored terms sit below the truncation
+        return x.truncation
+
+    candidates = []
+    if a.truncation is not None:
+        e = lowest(b)
+        if e is not None:
+            candidates.append(a.truncation + e)
+    if b.truncation is not None:
+        e = lowest(a)
+        if e is not None:
+            candidates.append(b.truncation + e)
+    return min(candidates) if candidates else None
+
+
 def nov_inv_oracle(a: NovikovElement, E) -> NovikovElement:
     """Inverse of a nonzero element modulo t^E.
 
@@ -1070,6 +1097,31 @@ def materialize_oracle(self, truncation: Fraction, box: Box) -> list[Monomial]:
         out.append(Monomial(nov_scale(c, self.coeff), vadd(self.apex, tuple(k * g for g in gamma))))
         k += 1
     return out
+
+
+# --- the counterclockwise order before the exact sort key -------------------
+#
+# faces sorted the darts at a vertex and the rays at infinity through
+# functools.cmp_to_key with this comparator; the face oracle and the dual
+# cone still do.
+
+
+def _angle_class(d: Sequence) -> int:
+    x, y = d
+    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+
+def _ccw_cmp(a: Sequence, b: Sequence) -> int:
+    """Exact counterclockwise comparison of nonzero direction vectors from angle 0."""
+    ha, hb = _angle_class(a), _angle_class(b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    c = cross2(a, b)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
 
 
 # --- the face walk on Dart records, as an oracle ------------------------------

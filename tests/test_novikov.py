@@ -3,10 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import nov_eq_mod, nov_zero, random_novikov
+from helpers import nov_eq_mod, nov_zero, product_truncation_oracle, random_novikov
 from tropmirror.novikov import (
     NovikovElement,
     NovikovError,
+    _product_truncation,
     nov,
     nov_add,
     nov_from_json,
@@ -141,6 +142,20 @@ def test_truncation_propagates_pessimistically():
     assert all(e < 5 for e, _ in s.terms)
 
 
+def test_product_truncation_matches_the_oracle():
+    rng = random.Random(34)
+    elements = [nov_zero(), nov_zero(5), nov_zero(Q(-3, 2))]
+    for _ in range(200):
+        elements.append(random_novikov(rng, truncation=rng.choice((None, None, 3, Q(7, 2), -1, 20))))
+    kinds = set()
+    for a, b in [(rng.choice(elements), rng.choice(elements)) for _ in range(3000)] + [(elements[0], elements[1])]:
+        got = _product_truncation(a, b)
+        assert got == product_truncation_oracle(a, b)
+        assert got == _product_truncation(b, a)
+        kinds.add((a.is_zero(), b.is_zero(), a.truncation is None, b.truncation is None, got is None))
+    assert len(kinds) >= 12, kinds
+
+
 def test_invariants_enforced():
     with pytest.raises(NovikovError):
         nov_zero().__class__(((Q(0), Q(0)),))  # zero coefficient stored
@@ -162,4 +177,4 @@ def test_json_round_trip():
     rng = random.Random(9)
     for _ in range(50):
         a = random_novikov(rng)
-        assert nov_from_json(nov_to_json(a)) == a
+        assert nov_from_json(nov_to_json(a), "coeff") == a

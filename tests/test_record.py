@@ -228,6 +228,15 @@ def test_replace_on_a_diagram_caches_nothing():
         replace(warm, dim=3)
 
 
+def test_a_number_too_long_to_print_is_shown_by_the_marker_in_a_repr():
+    over = "<a number over the limit of 4300 digits>"
+    assert repr(TropicalDiagram(1, ((Q(10**5000),),))) == f"TropicalDiagram(dim=1, vertices=(({over},),), edges=(), rays=())"
+    series = nov([(10**5000, 1), (0, Q(1, 10**5000))])
+    assert repr(series) == f"NovikovElement(terms=((Fraction(0, 1), {over}), ({over}, Fraction(1, 1))), truncation=None)"
+    monomial = repr(analytic.Monomial(series, (1, -2)))
+    assert monomial == f"Monomial(coeff={series!r}, expo=(1, -2))"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = "import sys, tropmirror.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -860,6 +860,7 @@ def test_cli_refuses_a_number_too_long_to_print_by_what_holds_it(tmp_path, capsy
     f.write_text(json.dumps({"charges": [[1, 1, -1, -1]], "heights": heights}))
     for argv, holder in (
         (["web", "--charges"], "web vertex 1 has a coordinate"),
+        (["render", "--format", "dot"], "web vertex 1 has a coordinate"),
         (["mirror"], "the superpotential term at dual vertex (1, 1) has a number"),
     ):
         assert run([*argv, str(f)]) == 1
